@@ -22,7 +22,15 @@ class CapacityError(NcsumsError):
 
 
 class BudgetExceededError(CapacityError):
-    """Exact evaluation would exceed the lookup budget; use the MC fallback."""
+    """Exact evaluation would exceed the lookup budget; use the MC fallback.
+
+    ``completed`` counts the fiber lengths 1..completed that were evaluated
+    before the budget ran out.
+    """
+
+    def __init__(self, message: str, completed: int = 0):
+        super().__init__(message)
+        self.completed = completed
 
 
 class ToleranceError(NcsumsError):

@@ -49,23 +49,36 @@ def primes_up_to(ell: int) -> PrimeBasis:
     return PrimeBasis(ell=ell, primes=tuple(primes), m=len(primes), r_const=r)
 
 
-def _merge_smooth(primes: tuple[int, ...], count: int) -> list[int]:
-    """First ``count`` smooth numbers by k-way merge, stopping at SMOOTH_CAP.
+# Per-basis smooth prefix and its k-way merge heads, grown on demand.
+_smooth_cache: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+_smooth_lock = threading.Lock()
 
-    Returns fewer than ``count`` values when the next one would exceed the
-    cap; callers decide whether that is an error.
+
+def _smooth_prefix(primes: tuple[int, ...], count: int = 0, bound: int = 0) -> list[int]:
+    """Increasing smooth numbers 1 = h_1 < h_2 < ... by cached k-way merge.
+
+    Grows the per-basis prefix until it holds ``count`` values and its last
+    value exceeds ``bound``, or until the next value would pass SMOOTH_CAP.
+    Stopping at the cap raises only when ``bound`` is not yet exceeded; a
+    prefix shorter than ``count`` is left to the caller.  The returned list
+    is shared: callers slice it and never mutate it.
     """
-    h = [1]
-    heads = [0] * len(primes)  # heads[i]: next index of h to multiply by primes[i]
-    while len(h) < count:
-        nxt = min(p * h[heads[i]] for i, p in enumerate(primes))
-        if nxt > SMOOTH_CAP:
-            break
-        for i, p in enumerate(primes):
-            if p * h[heads[i]] == nxt:
-                heads[i] += 1
-        h.append(nxt)
-    return h
+    if not primes:
+        return [1]  # no primes: 1 is the only smooth number
+    with _smooth_lock:
+        h, heads = _smooth_cache.setdefault(primes, ([1], [0] * len(primes)))
+        # heads[i]: next index of h to multiply by primes[i]
+        while len(h) < count or h[-1] <= bound:
+            nxt = min(p * h[heads[i]] for i, p in enumerate(primes))
+            if nxt > SMOOTH_CAP:
+                if h[-1] <= bound:
+                    raise CapacityError(f"smooth numbers up to {bound} exceed 128-bit capacity")
+                break
+            for i, p in enumerate(primes):
+                if p * h[heads[i]] == nxt:
+                    heads[i] += 1
+            h.append(nxt)
+        return h
 
 
 @dataclass(frozen=True)
@@ -106,7 +119,7 @@ def smooth_numbers(basis: PrimeBasis, count: int) -> SmoothSequence:
         raise InputError("count must be >= 1")
     if basis.m < 1:
         raise InputError("smooth_numbers needs at least one prime (ell >= 2)")
-    h = _merge_smooth(basis.primes, count + 1)
+    h = _smooth_prefix(basis.primes, count=count + 1)[: count + 1]
     if len(h) < count + 1:
         raise CapacityError(
             f"smooth number h_{len(h) + 1} for ell={basis.ell} exceeds 128-bit capacity"
@@ -116,9 +129,8 @@ def smooth_numbers(basis: PrimeBasis, count: int) -> SmoothSequence:
 
 def smooth_numbers_capped(basis: PrimeBasis, count: int) -> SmoothSequence:
     """Like smooth_numbers but quietly stops at the 128-bit capacity."""
-    if basis.m < 1:
-        return SmoothSequence(basis=basis, h=(1,))
-    return SmoothSequence(basis=basis, h=tuple(_merge_smooth(basis.primes, count + 1)))
+    h = _smooth_prefix(basis.primes, count=count + 1)[: count + 1]
+    return SmoothSequence(basis=basis, h=tuple(h))
 
 
 def ln_int(x: int) -> float:
@@ -134,43 +146,12 @@ def ln_int(x: int) -> float:
     return math.log(mant) + k * LN2
 
 
-# Per-basis cache of generated smooth prefixes, grown on demand.
-_smooth_cache: dict[tuple[int, ...], list[int]] = {}
-_smooth_lock = threading.Lock()
-
-
-def _cached_smooth_up_to(primes: tuple[int, ...], x: int) -> list[int]:
-    with _smooth_lock:
-        h = _smooth_cache.setdefault(primes, [1])
-        while h[-1] <= x:
-            nxt = SMOOTH_CAP + 1
-            for p in primes:
-                # smallest multiple p*h_i strictly above current max
-                lo = h[-1] // p
-                i = bisect_right(h, lo)
-                if i < len(h):
-                    cand = p * h[i]
-                    if cand > h[-1] and cand < nxt:
-                        nxt = cand
-            if nxt > SMOOTH_CAP:
-                if h[-1] <= x:
-                    raise CapacityError(
-                        f"smooth numbers up to {x} exceed 128-bit capacity"
-                    )
-                break
-            h.append(nxt)
-        return h
-
-
 def d_count_int(basis: PrimeBasis, x: int) -> int:
     """Number of smooth numbers <= x, by exact integer comparison."""
     x = int(x)
     if x < 1:
         raise InputError("bound must be >= 1")
-    if basis.m == 0:
-        return 1
-    h = _cached_smooth_up_to(basis.primes, x)
-    return bisect_right(h, x)
+    return bisect_right(_smooth_prefix(basis.primes, bound=x), x)
 
 
 def d_count(basis: PrimeBasis, rho: float) -> int:
@@ -217,14 +198,14 @@ def b_set(basis: PrimeBasis, a: int, N: int) -> list[int]:
         raise InputError(f"a={a} is not coprime to the prime basis {basis.primes}")
     if a > N:
         return []
-    h = _cached_smooth_up_to(basis.primes, N // a)
+    h = _smooth_prefix(basis.primes, bound=N // a)
     return [a * v for v in h[: bisect_right(h, N // a)]]
 
 
 def partition_check(basis: PrimeBasis, N: int) -> bool:
     """True iff the fibers over the coprime skeleton tile {1..N} exactly once."""
     a_arr = _coprime_array(basis, N)
-    h = _cached_smooth_up_to(basis.primes, N) if basis.m else [1]
+    h = _smooth_prefix(basis.primes, bound=N)
     counts = np.zeros(N + 1, dtype=np.int16)
     for hv in h:
         if hv > N:
@@ -237,9 +218,7 @@ def partition_check(basis: PrimeBasis, N: int) -> bool:
 def fiber_sizes(basis: PrimeBasis, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(a values, |B_N(a)| per a) for all a in the coprime skeleton of N."""
     a_arr = _coprime_array(basis, N)
-    if basis.m == 0:
-        return a_arr, np.ones(a_arr.size, dtype=np.int64)
-    h = _cached_smooth_up_to(basis.primes, N)
+    h = _smooth_prefix(basis.primes, bound=N)
     h_arr = np.asarray(h[: bisect_right(h, N)], dtype=np.int64)
     sizes = np.searchsorted(h_arr, N // a_arr, side="right")
     return a_arr, sizes.astype(np.int64)

@@ -256,11 +256,10 @@ def log_r_sequence(
         return [k * lphi for k in range(1, L + 1)]
     if obs.ell == 2:
         if L * s * s > budget:
-            exc = BudgetExceededError(
-                f"transfer recursion needs {L * s * s} cells, over budget {budget}"
+            raise BudgetExceededError(
+                f"transfer recursion needs {L * s * s} cells, over budget {budget}",
+                completed=budget // (s * s),
             )
-            exc.completed = budget // (s * s)
-            raise exc
         kernel = np.exp(lam * obs.table).reshape(s, s)
         f = probs.copy()
         logacc = 0.0
@@ -280,8 +279,7 @@ def log_r_sequence(
         try:
             out.append(_eliminate_log(probs, s, factors, budget))
         except BudgetExceededError as exc:
-            exc.completed = l - 1
-            raise
+            raise BudgetExceededError(str(exc), completed=l - 1) from None
     return out
 
 
@@ -327,7 +325,12 @@ def r_l_mc(
     seed: int,
     basis: PrimeBasis | None = None,
 ) -> McEstimate:
-    """Unbiased Monte-Carlo estimate of R_l with its sample standard error."""
+    """Unbiased Monte-Carlo estimate of R_l with its sample standard error.
+
+    Replica r draws from stream mix64(seed, r); chain term k is the
+    nonconventional term number h_k of that stream, so it reads draws
+    h_k, 2*h_k, ..., ell*h_k.
+    """
     if replicas < 1000:
         raise InputError("replicas must be >= 1000")
     if basis is None:
@@ -335,18 +338,13 @@ def r_l_mc(
     chain = chain_index_structure(basis, obs.ell, l)
     from . import simulate  # deferred: simulate has no rates dependency
 
-    d = len(chain.indices)
-    counters = np.arange(1, d + 1, dtype=np.uint64)
-    rep_seeds = simulate.mix_batch(seed, np.arange(replicas, dtype=np.uint64))
-    z = simulate.mix_batch_keys(rep_seeds[:, None], counters[None, :])
-    idx = simulate.indices_from_bits(dist, z)
-    s = dist.size
+    if chain.indices[-1] > simulate.MASK64:
+        # draw i and draw i + 2**64 of a stream coincide
+        raise InputError(f"chain of length {l} reads draw {chain.indices[-1]}, past 2**64")
+    keys = simulate.mix_batch(seed, np.arange(replicas, dtype=np.uint64))
     total = np.zeros(replicas, dtype=np.float64)
-    for positions in chain.term_positions:
-        code = np.zeros(replicas, dtype=np.int64)
-        for p in positions:
-            code = code * s + idx[:, p]
-        total += obs.table[code]
+    for term in chain.term_indices:
+        total += simulate.term_values(dist, obs, keys, [term[0]], "nonconventional")
     sample = np.exp(lam * total)
     value = float(sample.mean())
     stderr = float(sample.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
@@ -470,7 +468,7 @@ class Pressure:
         try:
             lnr = self._lnr_prefix(lam, L)
         except BudgetExceededError as exc:
-            done = max(getattr(exc, "completed", 0), len(self._cache.get(lam, [])))
+            done = max(exc.completed, len(self._cache.get(lam, [])))
             scale = self.basis.r_const * self.obs.sup_abs * abs(lam)
             achievable = scale * float(self._tail[done]) if done >= 1 else None
             raise ToleranceError(

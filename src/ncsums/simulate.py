@@ -61,15 +61,16 @@ def _fin64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def mix_batch(key: int, counters: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 for one key over an array of counters."""
-    base = np.uint64(key & MASK64)
-    return _fin64(base + counters.astype(np.uint64) * _U_GAMMA)
+def mix_batch(keys, counters: np.ndarray) -> np.ndarray:
+    """Vectorized mix64, broadcasting ``keys`` against the ``counters`` array.
 
-
-def mix_batch_keys(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 with broadcasting between key and counter arrays."""
-    return _fin64(keys.astype(np.uint64) + counters.astype(np.uint64) * _U_GAMMA)
+    ``keys`` is one Python-int seed or an array of stream keys.  A Python
+    int is reduced modulo 2**64 first, so negative and oversized seeds
+    address the same stream as in mix64 (numpy refuses to convert them).
+    """
+    if isinstance(keys, int):
+        keys = np.uint64(keys & MASK64)
+    return _fin64(np.asarray(keys, dtype=np.uint64) + counters.astype(np.uint64) * _U_GAMMA)
 
 
 def indices_from_bits(dist: FiniteDistribution, z: np.ndarray) -> np.ndarray:
@@ -87,8 +88,27 @@ def x_value(dist: FiniteDistribution, seed: int, i: int) -> int:
     return bisect_right(cum, u)
 
 
-def sample_indices(dist: FiniteDistribution, seed: int, counters: np.ndarray) -> np.ndarray:
-    return indices_from_bits(dist, mix_batch(seed, counters))
+def sample_indices(dist: FiniteDistribution, keys, counters: np.ndarray) -> np.ndarray:
+    """Support indices of draws ``counters`` of streams ``keys`` (see mix_batch)."""
+    return indices_from_bits(dist, mix_batch(keys, counters))
+
+
+def term_values(dist: FiniteDistribution, obs: Observable, keys, ms, mode: str) -> np.ndarray:
+    """F at 1-based term numbers ``ms`` of streams ``keys``, broadcast against ``ms``.
+
+    This is the draw-addressing contract, written once: for j = 1..ell a
+    nonconventional term m reads draw j*m, an i.i.d. term reads draw
+    (m-1)*ell + j.
+    """
+    ms = np.asarray(ms, dtype=np.uint64)
+    code = 0
+    for j in range(1, obs.ell + 1):
+        if mode == "nonconventional":
+            counters = ms * np.uint64(j)
+        else:
+            counters = (ms - np.uint64(1)) * np.uint64(obs.ell) + np.uint64(j)
+        code = code * dist.size + sample_indices(dist, keys, counters)
+    return obs.table[code]
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,22 +136,6 @@ class Trajectory:
         return self.prefix[1:] - self.prefix[:-1]
 
 
-def _term_values(
-    dist: FiniteDistribution, obs: Observable, seed: int, m0: int, m1: int, mode: str
-) -> np.ndarray:
-    """Observable values of terms m0..m1-1 (1-based term numbers)."""
-    ms = np.arange(m0, m1, dtype=np.uint64)
-    s = dist.size
-    code = np.zeros(m1 - m0, dtype=np.int64)
-    for j in range(1, obs.ell + 1):
-        if mode == "nonconventional":
-            counters = ms * np.uint64(j)
-        else:
-            counters = (ms - np.uint64(1)) * np.uint64(obs.ell) + np.uint64(j)
-        code = code * s + sample_indices(dist, seed, counters)
-    return obs.table[code]
-
-
 def _build_trajectory(spec: TrajectorySpec) -> Trajectory:
     n = spec.n
     prefix = np.empty(n + 1, dtype=np.float64)
@@ -141,7 +145,8 @@ def _build_trajectory(spec: TrajectorySpec) -> Trajectory:
     pos = 1
     for m0 in range(1, n + 1, _BLOCK):
         m1 = min(n + 1, m0 + _BLOCK)
-        block = _term_values(spec.dist, spec.obs, spec.seed, m0, m1, spec.mode)
+        ms = np.arange(m0, m1, dtype=np.uint64)
+        block = term_values(spec.dist, spec.obs, spec.seed, ms, spec.mode)
         for x in block.tolist():
             y = x - comp
             t = total + y
@@ -188,17 +193,10 @@ def _ldp_chunk_count(
     r1: int,
     mode: str,
 ) -> int:
-    reps = np.arange(r0, r1, dtype=np.uint64)
-    seeds = mix_batch(seed, reps)
-    s = dist.size
+    keys = mix_batch(seed, np.arange(r0, r1, dtype=np.uint64))
     total = np.zeros(r1 - r0, dtype=np.float64)
     for m in range(1, N + 1):
-        code = np.zeros(r1 - r0, dtype=np.int64)
-        for j in range(1, obs.ell + 1):
-            counter = m * j if mode == "nonconventional" else (m - 1) * obs.ell + j
-            z = _fin64(seeds + np.uint64((counter * GAMMA) & MASK64))
-            code = code * s + indices_from_bits(dist, z)
-        total += obs.table[code]
+        total += term_values(dist, obs, keys, [m], mode)
     return int(np.count_nonzero((total / N) >= u))
 
 

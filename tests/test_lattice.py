@@ -128,6 +128,7 @@ class TestCoprimeAndFibers:
         assert b_set(primes_up_to(2), 1, 10) == [1, 2, 4, 8]
         assert b_set(primes_up_to(2), 3, 10) == [3, 6]
         assert b_set(primes_up_to(3), 1, 12) == [1, 2, 3, 4, 6, 8, 9, 12]
+        assert b_set(primes_up_to(1), 3, 10) == [3]  # no primes: each fiber is {a}
 
     def test_b_set_rejects_non_coprime(self):
         with pytest.raises(InputError):

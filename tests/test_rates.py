@@ -231,6 +231,14 @@ class TestRlMc:
         with pytest.raises(InputError):
             r_l_mc(dist, obs, 1.0, 3, replicas=10, seed=1)
 
+    def test_chain_must_fit_the_counter_range(self):
+        # at ell = 2 the chain of length l reads draws up to 2 * 2**(l-1)
+        dist, obs = preset("rademacher-product")
+        est = r_l_mc(dist, obs, 0.5, 63, replicas=1000, seed=1)
+        assert est.value > 0.0
+        with pytest.raises(InputError):
+            r_l_mc(dist, obs, 0.5, 64, replicas=1000, seed=1)
+
 
 class TestPressure:
     def test_rademacher_log_cosh(self):
@@ -311,6 +319,15 @@ class TestPressure:
             Pressure(dist, obs3, B3, tol=1e-8, budget=80)(1.0)
         assert err.value.achievable_tol is not None
         assert 0.0 < err.value.achievable_tol < 1.0
+        # ell = 2: the transfer recursion completes budget // s**2 fiber lengths
+        budget, lam = 40, 1.0
+        obs2 = product_observable(dist, 2)
+        press = Pressure(dist, obs2, B2, tol=1e-12, budget=budget)
+        with pytest.raises(ToleranceError) as err:
+            press(lam)
+        done = budget // dist.size**2
+        scale = B2.r_const * obs2.sup_abs * abs(lam)
+        assert err.value.achievable_tol == scale * float(press._tail[done])
 
     def test_unreachable_tolerance_reports_achievable(self):
         dist = RADEMACHER

@@ -6,8 +6,9 @@ import pytest
 from oracles import binomial_tail_at_least, ks_statistic
 from ncsums.errors import InputError
 from ncsums.lattice import primes_up_to
-from ncsums.model import RADEMACHER, constant_observable, preset, product_observable
+from ncsums.model import RADEMACHER, constant_observable, evaluate, preset, product_observable
 from ncsums.simulate import (
+    TRAJECTORY_MODES,
     LdpEstimate,
     TrajectorySpec,
     iid_trajectory,
@@ -15,6 +16,7 @@ from ncsums.simulate import (
     mix64,
     mix_batch,
     sample_indices,
+    term_values,
     trajectory,
     x_value,
 )
@@ -69,6 +71,38 @@ class TestMixer:
     def test_determinism(self):
         dist, _ = preset("rademacher-product")
         assert x_value(dist, 7, 12345) == x_value(dist, 7, 12345)
+
+
+def scalar_term(dist, obs, key, m, mode):
+    """Term m of stream key, one x_value draw at a time."""
+    ell = obs.ell
+    if mode == "nonconventional":
+        counters = [j * m for j in range(1, ell + 1)]
+    else:
+        counters = [(m - 1) * ell + j for j in range(1, ell + 1)]
+    return evaluate(obs, [x_value(dist, key, c) for c in counters])
+
+
+class TestTermValues:
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    @pytest.mark.parametrize("seed", [7, -1, 2**64 + 3])
+    def test_scalar_seed_matches_x_value(self, mode, seed):
+        dist, obs = preset("bernoulli-product", ell=3)
+        got = term_values(dist, obs, seed, np.arange(1, 61), mode)
+        assert got.tolist() == [scalar_term(dist, obs, seed, m, mode) for m in range(1, 61)]
+
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 3])
+    def test_replica_keys_broadcast_against_terms(self, mode, seed):
+        dist, obs = preset("bernoulli-product", ell=3)
+        keys = mix_batch(seed, np.arange(6, dtype=np.uint64))
+        ms = np.arange(1, 21)[:, None]
+        got = term_values(dist, obs, keys, ms, mode)
+        assert got.shape == (20, 6)
+        for r, key in enumerate(keys.tolist()):
+            assert key == mix64(seed, r)
+            want = [scalar_term(dist, obs, key, m, mode) for m in range(1, 21)]
+            assert got[:, r].tolist() == want
 
 
 class TestStreamStatistics:
