@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import erlaw as erlaw_mod
@@ -85,44 +86,20 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(round(v)) for v in _parse_grid(text)]
 
 
-class _Output:
-    """Collects lines and writes them once; keeps runs byte-stable."""
-
-    def __init__(self, path, stream):
-        self.path = path
-        self.stream = stream
-        self.lines: list[str] = []
-
-    def line(self, text: str):
-        self.lines.append(text)
-
-    def finish(self):
-        payload = "\n".join(self.lines) + "\n"
-        if self.path:
-            with open(self.path, "w") as fh:
-                fh.write(payload)
-        else:
-            self.stream.write(payload)
-
-
 def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _emit_csv(out: _Output, header: list[str], rows, with_timestamp: bool):
-    if with_timestamp:
-        out.line(f"# generated_at={_timestamp()}")
-    out.line(",".join(header))
-    for row in rows:
-        out.line(",".join(_fmt(v) for v in row))
-    out.finish()
-
-
-def _emit_json(out: _Output, payload: dict, with_timestamp: bool):
-    if with_timestamp:
-        payload = {"generated_at": _timestamp(), **payload}
-    out.line(json.dumps(_json_safe(payload), indent=2))
-    out.finish()
+def _render(args, payload: dict, header, rows) -> str:
+    """The output text of one subcommand in the requested format."""
+    if args.format == "json":
+        if not args.no_timestamp:
+            payload = {"generated_at": _timestamp(), **payload}
+        return json.dumps(_json_safe(payload), indent=2) + "\n"
+    lines = [] if args.no_timestamp else [f"# generated_at={_timestamp()}"]
+    lines.append(",".join(header))
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _resolve_observable(args):
@@ -146,15 +123,6 @@ def _resolve_observable(args):
     return dist, obs, preset
 
 
-def _threads(args, config) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, int(args.threads))
-    if "threads" in config:
-        return max(1, int(config["threads"]))
-    env = os.environ.get(ENV_THREADS)
-    return max(1, int(env)) if env else 1
-
-
 def _merged(args, config, dest, default):
     v = getattr(args, dest, None)
     if v is not None:
@@ -164,11 +132,15 @@ def _merged(args, config, dest, default):
     return default
 
 
+def _threads(args, config) -> int:
+    return max(1, int(_merged(args, config, "threads", os.environ.get(ENV_THREADS) or 1)))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _cmd_structure(args, config, out):
+def _cmd_structure(args, config):
     ell = int(args.ell)
     N = int(round(float(args.n)))
     if N < 1 or N > STRUCTURE_N_LIMIT:
@@ -187,26 +159,19 @@ def _cmd_structure(args, config, out):
             smooth_rows.append(
                 (l, seq.h[l - 1], seq.rho_min(l), seq.rho_max(l), seq.weight(l))
             )
-    ts = not args.no_timestamp
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "ell": ell,
-                "n": N,
-                "m": basis.m,
-                "r_const": basis.r_const,
-                "a_count": a_count,
-                "partition_ok": ok,
-                "fibers": [{"l": l, "count": c} for l, c in fibers],
-                "smooth": [
-                    {"l": l, "h": h, "rho_min": rmin, "rho_max": rmax, "weight": w}
-                    for l, h, rmin, rmax, w in smooth_rows
-                ],
-            },
-            ts,
-        )
-        return
+    payload = {
+        "ell": ell,
+        "n": N,
+        "m": basis.m,
+        "r_const": basis.r_const,
+        "a_count": a_count,
+        "partition_ok": ok,
+        "fibers": [{"l": l, "count": c} for l, c in fibers],
+        "smooth": [
+            {"l": l, "h": h, "rho_min": rmin, "rho_max": rmax, "weight": w}
+            for l, h, rmin, rmax, w in smooth_rows
+        ],
+    }
     header = ["record", "a", "b", "c", "d", "e"]
     rows = [("summary", ell, N, basis.m, _fmt(basis.r_const), f"a_count={a_count}")]
     rows.append(("partition", "ok" if ok else "FAIL", "", "", "", ""))
@@ -214,16 +179,28 @@ def _cmd_structure(args, config, out):
         rows.append(("fiber", l, c, "", "", ""))
     for l, h, rmin, rmax, w in smooth_rows:
         rows.append(("smooth", l, h, _fmt(rmin), _fmt(rmax), _fmt(w)))
-    _emit_csv(out, header, rows, ts)
+    return payload, header, rows
 
 
-def _curve_csv(out, args, rows, header, ts):
-    if args.format == "json":
-        raise AssertionError("handled by caller")
-    _emit_csv(out, header, rows, ts)
+def _curve(kind, obs, obs_id, tol, rows, extra=(), **meta):
+    """Output of rate-i, pressure and rate-j from rows (x, value, is_infinite, tol, *extra).
+
+    JSON rows drop the tol column, which the payload carries once; ``meta``
+    fields come before the rows.
+    """
+    keys = ("x", "value", "is_infinite", *extra)
+    payload = {
+        "kind": kind,
+        "ell": obs.ell,
+        "observable": obs_id,
+        "tol": tol,
+        **meta,
+        "rows": [dict(zip(keys, row[:3] + row[4:])) for row in rows],
+    }
+    return payload, ["x", "value", "is_infinite", "tol", *extra], rows
 
 
-def _cmd_rate_i(args, config, out):
+def _cmd_rate_i(args, config):
     dist, obs, obs_id = _resolve_observable(args)
     tol = float(_merged(args, config, "tol", 1e-9))
     grid = _parse_grid(args.alpha)
@@ -232,26 +209,10 @@ def _cmd_rate_i(args, config, out):
     for a in grid:
         v = rate(a)
         rows.append((a, v, math.isinf(v), tol))
-    ts = not args.no_timestamp
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "kind": "rate-i",
-                "ell": obs.ell,
-                "observable": obs_id,
-                "tol": tol,
-                "rows": [
-                    {"x": x, "value": v, "is_infinite": inf_} for x, v, inf_, _ in rows
-                ],
-            },
-            ts,
-        )
-        return
-    _emit_csv(out, ["x", "value", "is_infinite", "tol"], rows, ts)
+    return _curve("rate-i", obs, obs_id, tol, rows)
 
 
-def _cmd_pressure(args, config, out):
+def _cmd_pressure(args, config):
     dist, obs, obs_id = _resolve_observable(args)
     tol = float(_merged(args, config, "tol", 1e-8))
     grid = _parse_grid(getattr(args, "lam"))
@@ -261,28 +222,13 @@ def _cmd_pressure(args, config, out):
     for lam in grid:
         d = press.detail(lam)
         rows.append((lam, d.value, False, tol, d.truncation_l))
-    ts = not args.no_timestamp
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "kind": "pressure",
-                "ell": obs.ell,
-                "observable": obs_id,
-                "tol": tol,
-                "L_truncation": max(r[4] for r in rows),
-                "rows": [
-                    {"x": x, "value": v, "is_infinite": i, "truncation_l": L}
-                    for x, v, i, _, L in rows
-                ],
-            },
-            ts,
-        )
-        return
-    _emit_csv(out, ["x", "value", "is_infinite", "tol", "truncation_l"], rows, ts)
+    return _curve(
+        "pressure", obs, obs_id, tol, rows, extra=("truncation_l",),
+        L_truncation=max(r[4] for r in rows),
+    )
 
 
-def _cmd_rate_j(args, config, out):
+def _cmd_rate_j(args, config):
     dist, obs, obs_id = _resolve_observable(args)
     tol = float(_merged(args, config, "tol", 1e-8))
     grid = _parse_grid(args.u)
@@ -293,27 +239,25 @@ def _cmd_rate_j(args, config, out):
     for u in grid:
         v = conj(u)
         rows.append((u, v, math.isinf(v), tol))
-    ts = not args.no_timestamp
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "kind": "rate-j",
-                "ell": obs.ell,
-                "observable": obs_id,
-                "tol": tol,
-                "lambda_cap": conj.lambda_cap,
-                "rows": [
-                    {"x": x, "value": v, "is_infinite": inf_} for x, v, inf_, _ in rows
-                ],
-            },
-            ts,
-        )
-        return
-    _emit_csv(out, ["x", "value", "is_infinite", "tol"], rows, ts)
+    return _curve("rate-j", obs, obs_id, tol, rows, lambda_cap=conj.lambda_cap)
 
 
-def _cmd_erlaw(args, config, out, err_stream):
+_ERLAW_COLUMNS = (
+    "ell",
+    "observable_id",
+    "alpha",
+    "I_alpha",
+    "n",
+    "b_n",
+    "seed",
+    "mode",
+    "max_increment",
+    "statistic",
+    "normalized",
+)
+
+
+def _cmd_erlaw(args, config):
     dist, obs, obs_id = _resolve_observable(args)
     basis = lattice.primes_up_to(obs.ell)
     alphas = _parse_grid(args.alpha)
@@ -326,68 +270,23 @@ def _cmd_erlaw(args, config, out, err_stream):
     result = erlaw_mod.experiment(
         dist, obs, basis, alphas, ns, seeds, mode=args.mode, threads=threads
     )
-    ts = not args.no_timestamp
-    point_dicts = [
-        {
-            "ell": obs.ell,
-            "observable_id": obs_id,
-            "alpha": p.alpha,
-            "I_alpha": p.i_alpha,
-            "n": p.n,
-            "b_n": p.b_n,
-            "seed": p.seed,
-            "mode": p.mode,
-            "max_increment": p.max_increment,
-            "statistic": p.statistic,
-            "normalized": p.normalized,
-        }
+    rows = [
+        (obs.ell, obs_id, p.alpha, p.i_alpha, p.n, p.b_n, p.seed, p.mode,
+         p.max_increment, p.statistic, p.normalized)
         for p in result.points
     ]
-    summary_dicts = [
-        {
-            "alpha": s.alpha,
-            "n": s.n,
-            "mean_statistic": s.mean_statistic,
-            "min_statistic": s.min_statistic,
-            "max_statistic": s.max_statistic,
-            "mean_abs_dev": s.mean_abs_dev,
-            "max_abs_dev": s.max_abs_dev,
-        }
-        for s in result.summaries
-    ]
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "kind": "erlaw",
-                "ell": obs.ell,
-                "observable": obs_id,
-                "mode": args.mode,
-                "points": point_dicts,
-                "summary": summary_dicts,
-            },
-            ts,
-        )
-        return
-    header = [
-        "ell",
-        "observable_id",
-        "alpha",
-        "I_alpha",
-        "n",
-        "b_n",
-        "seed",
-        "mode",
-        "max_increment",
-        "statistic",
-        "normalized",
-    ]
-    _emit_csv(out, header, [tuple(d[k] for k in header) for d in point_dicts], ts)
-    # keep stdout pure CSV; the per-(alpha, n) summary goes to stderr
-    err_stream.write(json.dumps(_json_safe({"summary": summary_dicts})) + "\n")
+    payload = {
+        "kind": "erlaw",
+        "ell": obs.ell,
+        "observable": obs_id,
+        "mode": args.mode,
+        "points": [dict(zip(_ERLAW_COLUMNS, row)) for row in rows],
+        "summary": [asdict(s) for s in result.summaries],
+    }
+    return payload, _ERLAW_COLUMNS, rows
 
 
-def _cmd_ldp_check(args, config, out):
+def _cmd_ldp_check(args, config):
     dist, obs, obs_id = _resolve_observable(args)
     basis = lattice.primes_up_to(obs.ell)
     threads = _threads(args, config)
@@ -409,55 +308,19 @@ def _cmd_ldp_check(args, config, out):
         theory_i = rate(est.u)
         press = rates.Pressure(dist, obs, basis, tol=float(args.theory_tol))
         theory_j = rates.RateJ(press)(est.u)
-    ts = not args.no_timestamp
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "kind": "ldp-check",
-                "ell": obs.ell,
-                "observable": obs_id,
-                "mode": args.mode,
-                "N": est.N,
-                "u": est.u,
-                "replicas": est.replicas,
-                "p_hat": est.p_hat,
-                "rate_hat": est.rate_hat,
-                "ci_low": est.ci_low,
-                "ci_high": est.ci_high,
-                "zero_count": est.zero_count,
-                "theory_J": theory_j,
-                "theory_I": theory_i,
-            },
-            ts,
-        )
-        return
-    header = [
-        "N",
-        "u",
-        "replicas",
-        "p_hat",
-        "rate_hat",
-        "ci_low",
-        "ci_high",
-        "theory_J",
-        "theory_I",
-    ]
-    row = (
-        est.N,
-        est.u,
-        est.replicas,
-        est.p_hat,
-        est.rate_hat,
-        est.ci_low,
-        est.ci_high,
-        theory_j,
-        theory_i,
-    )
-    _emit_csv(out, header, [row], ts)
+    fields = {**asdict(est), "theory_J": theory_j, "theory_I": theory_i}
+    payload = {
+        "kind": "ldp-check",
+        "ell": obs.ell,
+        "observable": obs_id,
+        "mode": args.mode,
+        **fields,
+    }
+    header = [k for k in fields if k != "zero_count"]  # the flag is implied by rate_hat = inf
+    return payload, header, [tuple(fields[k] for k in header)]
 
 
-def _cmd_simulate(args, config, out):
+def _cmd_simulate(args, config):
     dist, obs, obs_id = _resolve_observable(args)
     n = int(round(float(args.n)))
     stride = int(_merged(args, config, "stride", 1))
@@ -478,24 +341,20 @@ def _cmd_simulate(args, config, out):
     ks = list(range(0, n + 1, stride))
     if ks[-1] != n:
         ks.append(n)
-    ts = not args.no_timestamp
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "kind": "simulate",
-                "ell": obs.ell,
-                "observable": obs_id,
-                "mode": args.mode,
-                "seed": spec.seed,
-                "n": n,
-                "stride": stride,
-                "rows": [[k, float(traj.prefix[k])] for k in ks],
-            },
-            ts,
-        )
-        return
-    _emit_csv(out, ["k", "S_k"], [(k, float(traj.prefix[k])) for k in ks], ts)
+    # tuples, not lists: JSON writes them as the same arrays, and they are
+    # cheaper to build for hundreds of thousands of rows
+    rows = [(k, float(traj.prefix[k])) for k in ks]
+    payload = {
+        "kind": "simulate",
+        "ell": obs.ell,
+        "observable": obs_id,
+        "mode": args.mode,
+        "seed": spec.seed,
+        "n": n,
+        "stride": stride,
+        "rows": rows,
+    }
+    return payload, ["k", "S_k"], rows
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +456,7 @@ _DISPATCH = {
     "rate-i": _cmd_rate_i,
     "pressure": _cmd_pressure,
     "rate-j": _cmd_rate_j,
+    "erlaw": _cmd_erlaw,
     "ldp-check": _cmd_ldp_check,
     "simulate": _cmd_simulate,
 }
@@ -622,11 +482,16 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         args.output = _merged(args, config, "output", None)
         if not args.no_timestamp and config.get("no_timestamp"):
             args.no_timestamp = True
-        out = _Output(args.output, stdout)
-        if args.command == "erlaw":
-            _cmd_erlaw(args, config, out, stderr)
+        payload, header, rows = _DISPATCH[args.command](args, config)
+        text = _render(args, payload, header, rows)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
         else:
-            _DISPATCH[args.command](args, config, out)
+            stdout.write(text)
+        if args.format == "csv" and "summary" in payload:
+            # a CSV table cannot carry erlaw's per-(alpha, n) summary
+            stderr.write(json.dumps(_json_safe({"summary": payload["summary"]})) + "\n")
         return 0
     except SystemExit as exc:  # argparse --help
         code = exc.code

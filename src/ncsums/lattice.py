@@ -119,12 +119,12 @@ def smooth_numbers(basis: PrimeBasis, count: int) -> SmoothSequence:
         raise InputError("count must be >= 1")
     if basis.m < 1:
         raise InputError("smooth_numbers needs at least one prime (ell >= 2)")
-    h = _smooth_prefix(basis.primes, count=count + 1)[: count + 1]
-    if len(h) < count + 1:
+    seq = smooth_numbers_capped(basis, count)
+    if len(seq) < count + 1:
         raise CapacityError(
-            f"smooth number h_{len(h) + 1} for ell={basis.ell} exceeds 128-bit capacity"
+            f"smooth number h_{len(seq) + 1} for ell={basis.ell} exceeds 128-bit capacity"
         )
-    return SmoothSequence(basis=basis, h=tuple(h))
+    return seq
 
 
 def smooth_numbers_capped(basis: PrimeBasis, count: int) -> SmoothSequence:

@@ -34,8 +34,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _U_GAMMA = np.uint64(GAMMA)
-_U_MIX1 = np.uint64(_MIX1)
-_U_MIX2 = np.uint64(_MIX2)
 
 TRAJECTORY_MODES = ("nonconventional", "iid")
 
@@ -53,14 +51,6 @@ def mix64(key: int, counter: int) -> int:
     return z ^ (z >> 31)
 
 
-def _fin64(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * _MIX1
-    z = z ^ (z >> np.uint64(27))
-    z = z * _MIX2
-    return z ^ (z >> np.uint64(31))
-
-
 def mix_batch(keys, counters: np.ndarray) -> np.ndarray:
     """Vectorized mix64, broadcasting ``keys`` against the ``counters`` array.
 
@@ -70,13 +60,12 @@ def mix_batch(keys, counters: np.ndarray) -> np.ndarray:
     """
     if isinstance(keys, int):
         keys = np.uint64(keys & MASK64)
-    return _fin64(np.asarray(keys, dtype=np.uint64) + counters.astype(np.uint64) * _U_GAMMA)
-
-
-def indices_from_bits(dist: FiniteDistribution, z: np.ndarray) -> np.ndarray:
-    """Map mixed 64-bit words to support indices via cumulative probabilities."""
-    u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return np.searchsorted(dist.cumulative(), u, side="right").astype(np.int64)
+    z = np.asarray(keys, dtype=np.uint64) + counters.astype(np.uint64) * _U_GAMMA
+    z = z ^ (z >> np.uint64(30))
+    z = z * _MIX1
+    z = z ^ (z >> np.uint64(27))
+    z = z * _MIX2
+    return z ^ (z >> np.uint64(31))
 
 
 def x_value(dist: FiniteDistribution, seed: int, i: int) -> int:
@@ -90,7 +79,8 @@ def x_value(dist: FiniteDistribution, seed: int, i: int) -> int:
 
 def sample_indices(dist: FiniteDistribution, keys, counters: np.ndarray) -> np.ndarray:
     """Support indices of draws ``counters`` of streams ``keys`` (see mix_batch)."""
-    return indices_from_bits(dist, mix_batch(keys, counters))
+    u = (mix_batch(keys, counters) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return np.searchsorted(dist.cumulative(), u, side="right").astype(np.int64)
 
 
 def term_values(dist: FiniteDistribution, obs: Observable, keys, ms, mode: str) -> np.ndarray:
