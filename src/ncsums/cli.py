@@ -55,6 +55,17 @@ def _json_safe(obj):
     return obj
 
 
+def _json_text(obj, **kw) -> str:
+    """JSON text with non-finite floats spelled as strings.
+
+    Only a payload that holds one (json.dumps rejects it) is walked and copied.
+    """
+    try:
+        return json.dumps(obj, allow_nan=False, **kw)
+    except ValueError:
+        return json.dumps(_json_safe(obj), **kw)
+
+
 def _parse_grid(text: str) -> list[float]:
     """A single value, a comma list, or start:stop:step (inclusive stop)."""
     text = text.strip()
@@ -95,7 +106,7 @@ def _render(args, payload: dict, header, rows) -> str:
     if args.format == "json":
         if not args.no_timestamp:
             payload = {"generated_at": _timestamp(), **payload}
-        return json.dumps(_json_safe(payload), indent=2) + "\n"
+        return _json_text(payload, indent=2) + "\n"
     lines = [] if args.no_timestamp else [f"# generated_at={_timestamp()}"]
     lines.append(",".join(header))
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
@@ -491,7 +502,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
             stdout.write(text)
         if args.format == "csv" and "summary" in payload:
             # a CSV table cannot carry erlaw's per-(alpha, n) summary
-            stderr.write(json.dumps(_json_safe({"summary": payload["summary"]})) + "\n")
+            stderr.write(_json_text({"summary": payload["summary"]}) + "\n")
         return 0
     except SystemExit as exc:  # argparse --help
         code = exc.code

@@ -88,9 +88,6 @@ class Observable:
             code = code * self.support_size + i
         return code
 
-    def shaped_table(self) -> np.ndarray:
-        return self.table.reshape((self.support_size,) * self.ell)
-
 
 def tuple_weights(dist: FiniteDistribution, ell: int) -> np.ndarray:
     """Product probabilities of all s**ell index tuples, flat row-major."""

@@ -5,7 +5,10 @@ lengths l, with weights 1/h_l - 1/h_{l+1} from the smooth-number sequence
 and per-fiber terms ln R_l.  R_l is the exact expectation of
 exp(lambda * sum of l chained observable terms); the chain shares draws
 between terms, so it is evaluated by sum-product elimination over the
-shared-index dependency graph rather than by brute enumeration.
+shared-index dependency graph rather than by brute enumeration.  For
+ell >= 3 the elimination order of each fiber length is a compiled
+elimination plan, built once per process from the chain structure alone
+and replayed per lambda.
 
 Truncation of the series is certified: ln R_l <= l*M*|lambda| bounds every
 dropped term, and the smooth numbers beyond the enumerated range are
@@ -14,10 +17,10 @@ bounded below through h_l >= 2**(l**(1/m) - 1).
 
 from __future__ import annotations
 
+import heapq
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -171,63 +174,109 @@ def chain_index_structure(basis: PrimeBasis, ell: int, l: int) -> ChainStructure
     return ChainStructure(indices=indices, term_indices=terms, term_positions=positions)
 
 
-def _embed(tab: np.ndarray, scope: tuple[int, ...], union: tuple[int, ...], s: int):
-    """Reshape a factor with ascending scope into the axes of an ascending union."""
-    in_scope = set(scope)
-    shape = tuple(s if v in in_scope else 1 for v in union)
-    return tab.reshape(shape)
+# Elimination plans per (basis, l, s), built once per process and shared.
+# A step is (axis, weight_shape, factor_ids, factor_shapes, keep); shape
+# tuples are pooled across plans, and no scopes or neighbour sets are kept.
+_Step = tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...], bool]
+_plans: dict[tuple[PrimeBasis, int, int], tuple[int, tuple[_Step, ...]]] = {}
+_shape_pool: dict[tuple, tuple] = {}
+_plans_lock = threading.Lock()
 
 
-def _eliminate_log(
-    probs: np.ndarray, s: int, factors: list[tuple[tuple[int, ...], np.ndarray]], budget: int
-) -> float:
-    """Log of the fully-summed factor product, one marginal weight per variable.
+def _pooled(t: tuple) -> tuple:
+    return _shape_pool.setdefault(t, t)
 
-    Variables are eliminated greedily by smallest resulting clique; each new
-    table is renormalized by its max to keep values in range, with the log of
-    the scale accumulated.  Cost is counted in table cells built and checked
-    against ``budget``.
+
+def _build_plan(basis: PrimeBasis, l: int, s: int) -> tuple[int, tuple[_Step, ...]]:
+    """Greedy sum-product elimination order of the l-term chain, as replay steps.
+
+    Variables are index positions; each step eliminates the variable whose
+    closed neighbourhood (the union of the live scopes holding it) is
+    smallest, ties going to the smallest position.  Neighbour sets are
+    updated incrementally and candidates kept in a lazily invalidated heap.
+    Factors are numbered 0..l-1 for the chain terms, then in order of
+    creation, so ascending id is the live-list order.
+
+    Returns ``(cells, steps)``: ``cells`` is the number of table cells the
+    replay builds; each step lists the factors holding the eliminated
+    variable in live order with their reshapes into the axes of the union,
+    the summed axis, and whether the result is kept as a new factor.
     """
-    live = list(factors)
-    variables = sorted({v for sc, _ in live for v in sc})
+    chain = chain_index_structure(basis, basis.ell, l)
+    scopes = list(chain.term_positions)
+    d = len(chain.indices)
+    nbrs: list[set[int]] = [set() for _ in range(d)]
+    holders: list[list[int]] = [[] for _ in range(d)]
+    for fid, sc in enumerate(scopes):
+        for v in sc:
+            nbrs[v].update(sc)
+            holders[v].append(fid)
+    heap = [(len(nb), v) for v, nb in enumerate(nbrs)]
+    heapq.heapify(heap)
+    live = [True] * l
+    done = [False] * d
+    cells = 0
+    steps = []
+    while heap:
+        size, v = heapq.heappop(heap)
+        if done[v] or size != len(nbrs[v]):
+            continue
+        done[v] = True
+        union = sorted(nbrs[v])
+        cells += s ** len(union)
+        fids = tuple(fid for fid in holders[v] if live[fid])
+        shapes = []
+        for fid in fids:
+            live[fid] = False
+            in_scope = set(scopes[fid])
+            shapes.append(tuple(s if u in in_scope else 1 for u in union))
+        wshape = tuple(s if u == v else 1 for u in union)
+        new_scope = tuple(u for u in union if u != v)
+        for u in new_scope:
+            holders[u].append(len(scopes))
+            nbrs[u] |= nbrs[v]
+            nbrs[u].discard(v)
+            heapq.heappush(heap, (len(nbrs[u]), u))
+        if new_scope:
+            scopes.append(new_scope)
+            live.append(True)
+        steps.append(
+            (union.index(v), _pooled(wshape), fids, _pooled(tuple(shapes)), bool(new_scope))
+        )
+    return cells, tuple(steps)
+
+
+def _plan(basis: PrimeBasis, l: int, s: int) -> tuple[int, tuple[_Step, ...]]:
+    key = (basis, l, s)
+    with _plans_lock:
+        plan = _plans.get(key)
+        if plan is None:
+            plan = _plans[key] = _build_plan(basis, l, s)
+        return plan
+
+
+def _replay_log(steps: tuple[_Step, ...], table: np.ndarray, probs: np.ndarray, l: int) -> float:
+    """Log of the fully-summed product of l copies of ``table``, along a plan.
+
+    Each new table is renormalized by its max to keep values in range, with
+    the log of the scale accumulated.
+    """
+    tabs: list = [table] * l
     logscale = 0.0
-    cost = 0
-    while variables:
-        best_v, best_union = None, None
-        for v in variables:
-            union: set[int] = set()
-            for sc, _ in live:
-                if v in sc:
-                    union.update(sc)
-            if best_union is None or len(union) < len(best_union):
-                best_v, best_union = v, union
-        v = best_v
-        union = tuple(sorted(best_union))
-        cost += s ** len(union)
-        if cost > budget:
-            raise BudgetExceededError(
-                f"elimination needs more than {budget} table cells; "
-                "raise the budget or fall back to r_l_mc"
-            )
-        group = [f for f in live if v in f[0]]
+    for ax, wshape, fids, shapes, keep in steps:
         acc = None
-        for sc, tab in group:
-            emb = _embed(tab, sc, union, s)
+        for fid, shape in zip(fids, shapes):
+            emb = tabs[fid].reshape(shape)
+            tabs[fid] = None
             acc = emb if acc is None else acc * emb
-        ax = union.index(v)
-        wshape = [1] * len(union)
-        wshape[ax] = s
         acc = acc * probs.reshape(wshape)
         new_tab = acc.sum(axis=ax)
-        new_scope = tuple(u for u in union if u != v)
-        live = [f for f in live if v not in f[0]]
-        if new_scope:
+        if keep:
             mx = float(new_tab.max())
             logscale += math.log(mx)
-            live.append((new_scope, new_tab / mx))
+            tabs.append(new_tab / mx)
         else:
             logscale += math.log(float(new_tab))
-        variables.remove(v)
     return logscale
 
 
@@ -243,7 +292,7 @@ def log_r_sequence(
 
     ell = 1 collapses to l * ln(mgf); ell = 2 chains are a pure transfer
     recursion over successive smooth indices (one forward pass yields all
-    lengths); larger ell goes through generic elimination per length.
+    lengths); larger ell replays each length's compiled elimination plan.
     """
     if L < 1:
         return []
@@ -271,15 +320,22 @@ def log_r_sequence(
             out.append(logacc)
             f = g / c
         return out
+    if obs.ell != basis.ell:
+        raise InputError(f"ell={obs.ell} does not match basis ell={basis.ell}")
     shaped = np.exp(lam * obs.table).reshape((s,) * obs.ell)
     out = []
     for l in range(1, L + 1):
-        chain = chain_index_structure(basis, obs.ell, l)
-        factors = [(scope, shaped) for scope in chain.term_indices]
         try:
-            out.append(_eliminate_log(probs, s, factors, budget))
+            cells, steps = _plan(basis, l, s)
         except BudgetExceededError as exc:
             raise BudgetExceededError(str(exc), completed=l - 1) from None
+        if cells > budget:
+            raise BudgetExceededError(
+                f"elimination needs more than {budget} table cells; "
+                "raise the budget or fall back to r_l_mc",
+                completed=l - 1,
+            )
+        out.append(_replay_log(steps, shaped, probs, l))
     return out
 
 
@@ -417,9 +473,8 @@ class Pressure:
         h = smooth.h
         n_h = len(h)
         inv = [1.0 / hv for hv in h]
-        self._weights = [
-            float(Fraction(1, h[i]) - Fraction(1, h[i + 1])) for i in range(n_h - 1)
-        ]
+        # int / int true division is correctly rounded: the float of the exact rational
+        self._weights = [(h[i + 1] - h[i]) / (h[i] * h[i + 1]) for i in range(n_h - 1)]
         beyond = _beyond_enumeration_bound(basis.m, n_h)
         # tail[L] = sum_{l>L} l*w_l = (L+1)/h_{L+1} + sum_{l>=L+2} 1/h_l
         suffix = beyond

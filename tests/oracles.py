@@ -94,6 +94,60 @@ def enumerate_chain_expectation(dist, obs, lam, chain):
     return total
 
 
+def _embed(tab, scope, union, s):
+    """Reshape a factor with ascending scope into the axes of an ascending union."""
+    in_scope = set(scope)
+    shape = tuple(s if v in in_scope else 1 for v in union)
+    return tab.reshape(shape)
+
+
+def eliminate_log(probs, s, factors, cells=None):
+    """Log of the fully-summed factor product, one marginal weight per variable.
+
+    The rescanning sum-product elimination: at every step each remaining
+    variable's union of live scopes is recomputed from scratch, and the
+    smallest wins (ties to the smallest variable).  Each new table is
+    renormalized by its max, with the log of the scale accumulated.  When
+    ``cells`` is a list, the size of every table built is appended to it.
+    """
+    live = list(factors)
+    variables = sorted({v for sc, _ in live for v in sc})
+    logscale = 0.0
+    while variables:
+        best_v, best_union = None, None
+        for v in variables:
+            union = set()
+            for sc, _ in live:
+                if v in sc:
+                    union.update(sc)
+            if best_union is None or len(union) < len(best_union):
+                best_v, best_union = v, union
+        v = best_v
+        union = tuple(sorted(best_union))
+        if cells is not None:
+            cells.append(s ** len(union))
+        group = [f for f in live if v in f[0]]
+        acc = None
+        for sc, tab in group:
+            emb = _embed(tab, sc, union, s)
+            acc = emb if acc is None else acc * emb
+        ax = union.index(v)
+        wshape = [1] * len(union)
+        wshape[ax] = s
+        acc = acc * probs.reshape(wshape)
+        new_tab = acc.sum(axis=ax)
+        new_scope = tuple(u for u in union if u != v)
+        live = [f for f in live if v not in f[0]]
+        if new_scope:
+            mx = float(new_tab.max())
+            logscale += math.log(mx)
+            live.append((new_scope, new_tab / mx))
+        else:
+            logscale += math.log(float(new_tab))
+        variables.remove(v)
+    return logscale
+
+
 def enumerate_pair_dilation_mgf(lam, N):
     """E exp(lam * sum_{m<=N} X_m X_{2m}) for +-1 coins, over all 2**(2N) outcomes."""
     n_draws = 2 * N

@@ -1,13 +1,17 @@
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oracles import (
+    eliminate_log,
     enumerate_chain_expectation,
     grid_search_rate,
     rademacher_rate_closed,
 )
+from ncsums import rates
 from ncsums.errors import (
     BudgetExceededError,
     DegenerateObservableError,
@@ -32,6 +36,7 @@ from ncsums.rates import (
     chain_index_structure,
     cramer_rate,
     finite_pressure,
+    log_r_sequence,
     mgf,
     pressure,
     r_l,
@@ -207,6 +212,92 @@ class TestRl:
             r_l(dist, obs3, 1.0, 30, budget=16, basis=B3)
 
 
+def oracle_sequence(dist, obs, basis, lam, L, cells=None):
+    """ln R_l for l = 1..L by the rescanning elimination oracle."""
+    s = dist.size
+    probs = np.asarray(dist.probs, dtype=np.float64)
+    shaped = np.exp(lam * obs.table).reshape((s,) * obs.ell)
+    out = []
+    for l in range(1, L + 1):
+        chain = chain_index_structure(basis, obs.ell, l)
+        per_l = [] if cells is not None else None
+        out.append(eliminate_log(probs, s, [(sc, shaped) for sc in chain.term_indices], per_l))
+        if cells is not None:
+            cells.append(sum(per_l))
+    return out
+
+
+def random_observable(rng, dist, ell):
+    return observable_from_table(dist, ell, rng.uniform(-1.5, 1.5, size=dist.size**ell))
+
+
+def first_over_budget(dist, obs, basis, budget, L):
+    """The first fiber length whose elimination builds more than ``budget`` cells."""
+    cells = []
+    oracle_sequence(dist, obs, basis, 1.0, L, cells)
+    return next(l for l, c in enumerate(cells, start=1) if c > budget)
+
+
+class TestEliminationPlan:
+    """Compiled plans replay exactly what the rescanning elimination computes."""
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, -0.7])
+    def test_rademacher_ell3_bitwise(self, lam):
+        obs3 = product_observable(RADEMACHER, 3)
+        got = log_r_sequence(RADEMACHER, obs3, B3, lam, 60)
+        assert got == oracle_sequence(RADEMACHER, obs3, B3, lam, 60)
+
+    def test_random_tables_ell3_three_values_bitwise(self):
+        rng = np.random.default_rng(20151)
+        dist = FiniteDistribution(values=(-1.0, 0.0, 2.0), probs=(0.2, 0.5, 0.3))
+        for _ in range(3):
+            obs = random_observable(rng, dist, 3)
+            for lam in (0.8, -1.3):
+                got = log_r_sequence(dist, obs, B3, lam, 24)
+                assert got == oracle_sequence(dist, obs, B3, lam, 24)
+
+    def test_random_tables_ell5_bitwise(self):
+        rng = np.random.default_rng(51)
+        basis5 = primes_up_to(5)
+        dist = FiniteDistribution(values=(-1.0, 1.0), probs=(0.35, 0.65))
+        for _ in range(2):
+            obs = random_observable(rng, dist, 5)
+            for lam in (0.6, -1.1):
+                got = log_r_sequence(dist, obs, basis5, lam, 20)
+                assert got == oracle_sequence(dist, obs, basis5, lam, 20)
+
+    @pytest.mark.parametrize("budget", [14, 300, 2000])
+    def test_budget_stops_at_the_oracle_length(self, budget):
+        obs3 = product_observable(RADEMACHER, 3)
+        stop = first_over_budget(RADEMACHER, obs3, B3, budget, 40)
+        assert 1 < stop < 40
+        with pytest.raises(BudgetExceededError) as err:
+            log_r_sequence(RADEMACHER, obs3, B3, 0.5, 40, budget=budget)
+        assert err.value.completed == stop - 1
+        assert "more than" in str(err.value) and "table cells" in str(err.value)
+        ok = log_r_sequence(RADEMACHER, obs3, B3, 0.5, stop - 1, budget=budget)
+        assert len(ok) == stop - 1
+
+    def test_each_plan_built_once_across_lambdas(self, monkeypatch):
+        builds = Counter()
+        build = rates._build_plan
+
+        def counting(basis, l, s):
+            builds[(basis, l, s)] += 1
+            return build(basis, l, s)
+
+        monkeypatch.setattr(rates, "_plans", {})
+        monkeypatch.setattr(rates, "_build_plan", counting)
+        obs3 = product_observable(RADEMACHER, 3)
+        press = Pressure(RADEMACHER, obs3, B3, tol=1e-3)
+        lengths = [press.detail(lam).truncation_l for lam in (1.0, 0.5)]
+        longest = max(lengths)
+        assert longest > 20
+        assert sorted(builds) == [(B3, l, 2) for l in range(1, longest + 1)]
+        assert set(builds.values()) == {1}
+        assert len(rates._plans) == longest
+
+
 class TestRlMc:
     def test_lambda_zero_exact(self):
         dist, obs = preset("bernoulli-product")
@@ -328,6 +419,22 @@ class TestPressure:
         done = budget // dist.size**2
         scale = B2.r_const * obs2.sup_abs * abs(lam)
         assert err.value.achievable_tol == scale * float(press._tail[done])
+        # ell = 3: the lengths before the first one over budget count as done
+        budget = 2000
+        done = first_over_budget(dist, obs3, B3, budget, 60) - 1
+        press = Pressure(dist, obs3, B3, tol=1e-8, budget=budget)
+        with pytest.raises(ToleranceError) as err:
+            press(lam)
+        scale = B3.r_const * obs3.sup_abs * abs(lam)
+        assert err.value.achievable_tol == scale * float(press._tail[done])
+
+    @pytest.mark.parametrize("ell", [2, 3, 5, 7])
+    def test_weights_equal_exact_rational(self, ell):
+        basis = primes_up_to(ell)
+        press = Pressure(RADEMACHER, product_observable(RADEMACHER, ell), basis)
+        h = press.smooth.h
+        exact = [float(Fraction(1, h[i]) - Fraction(1, h[i + 1])) for i in range(len(h) - 1)]
+        assert press._weights == exact
 
     def test_unreachable_tolerance_reports_achievable(self):
         dist = RADEMACHER
