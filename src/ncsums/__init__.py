@@ -37,19 +37,15 @@ from .rates import (
     Pressure,
     RateJ,
     chain_index_structure,
-    cramer_rate,
     finite_pressure,
     mgf,
-    pressure,
     r_l,
     r_l_mc,
-    rate_j,
 )
 from .simulate import (
     LdpEstimate,
     Trajectory,
     TrajectorySpec,
-    iid_trajectory,
     ldp_estimate,
     mix64,
     trajectory,

@@ -67,13 +67,15 @@ def _json_text(obj, **kw) -> str:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """A single value, a comma list, or start:stop:step (inclusive stop)."""
+    """A single value, a comma list, or start:stop:step (inclusive stop); no NaN."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise InputError(f"grid {text!r} must be start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise InputError(f"grid {text!r} needs finite start, stop and step")
         if step <= 0:
             raise InputError("grid step must be positive")
         out = []
@@ -88,13 +90,23 @@ def _parse_grid(text: str) -> list[float]:
             raise InputError(f"grid {text!r} is empty")
         return out
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        out = [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise InputError(f"cannot parse grid {text!r}: {exc}") from exc
+    if any(math.isnan(v) for v in out):
+        raise InputError(f"grid {text!r} holds NaN")
+    return out
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(round(v)) for v in _parse_grid(text)]
+    """Like _parse_grid, but an integer literal is read exactly, not through float."""
+    if ":" in text:
+        return [int(round(v)) for v in _parse_grid(text)]
+    return [
+        int(p) if p.strip().lstrip("+-").isdecimal() else int(round(_parse_grid(p)[0]))
+        for p in text.split(",")
+        if p.strip()
+    ]
 
 
 def _timestamp() -> str:
@@ -344,11 +356,7 @@ def _cmd_simulate(args, config):
         obs=obs,
         mode=args.mode,
     )
-    traj = (
-        simulate.trajectory(spec)
-        if args.mode == "nonconventional"
-        else simulate.iid_trajectory(spec)
-    )
+    traj = simulate.trajectory(spec)
     ks = list(range(0, n + 1, stride))
     if ks[-1] != n:
         ks.append(n)

@@ -18,7 +18,7 @@ from .errors import InputError
 from .lattice import PrimeBasis
 from .model import FiniteDistribution, Observable
 from .rates import CramerRate
-from .simulate import TrajectorySpec, iid_trajectory, trajectory
+from .simulate import TrajectorySpec, trajectory
 
 
 def window_max(prefix, b: int) -> float:
@@ -113,10 +113,9 @@ def experiment(
         if not (math.isfinite(i_of[a]) and i_of[a] > 0.0):
             raise InputError(f"I({a}) = {i_of[a]} is not finite positive")
     n_max = n_grid[-1]
-    build = trajectory if mode == "nonconventional" else iid_trajectory
 
     def rows_for_seed(seed: int) -> list[ErPoint]:
-        traj = build(TrajectorySpec(seed=seed, n=n_max, dist=dist, obs=obs, mode=mode))
+        traj = trajectory(TrajectorySpec(seed=seed, n=n_max, dist=dist, obs=obs, mode=mode))
         out = []
         for a in alpha_grid:
             for n in n_grid:

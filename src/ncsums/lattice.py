@@ -14,7 +14,6 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -87,7 +86,7 @@ class SmoothSequence:
 
     rho_min(l) = ln h_l and rho_max(l) = ln h_{l+1} bracket the bounds rho
     at which exactly l smooth numbers satisfy h <= e^rho; the series weight
-    w_l = 1/h_l - 1/h_{l+1} is exact as a rational.
+    w_l = 1/h_l - 1/h_{l+1} is the float nearest the exact rational.
     """
 
     basis: PrimeBasis
@@ -104,13 +103,12 @@ class SmoothSequence:
             raise InputError(f"rho_max({l}) needs h_{l + 1}, beyond generated range")
         return ln_int(self.h[l])
 
-    def weight_fraction(self, l: int) -> Fraction:
+    def weight(self, l: int) -> float:
         if l >= len(self.h):
             raise InputError(f"weight({l}) needs h_{l + 1}, beyond generated range")
-        return Fraction(1, self.h[l - 1]) - Fraction(1, self.h[l])
-
-    def weight(self, l: int) -> float:
-        return float(self.weight_fraction(l))
+        a, b = self.h[l - 1], self.h[l]
+        # int / int true division is correctly rounded: the float of the exact rational
+        return (b - a) / (a * b)
 
 
 def smooth_numbers(basis: PrimeBasis, count: int) -> SmoothSequence:

@@ -73,6 +73,8 @@ class CramerRate:
         self._vals = vals
         self._probs = probs
         self.t_cap = float(t_cap) if t_cap is not None else CAP_OVER_M / obs.sup_abs
+        if not (math.isfinite(self.t_cap) and self.t_cap > 0):
+            raise InputError("t_cap must be finite and positive")
 
     def log_mgf(self, t: float) -> float:
         if t == 0.0:
@@ -123,12 +125,6 @@ class CramerRate:
                 break
         t = 0.5 * (lo + hi)
         return max(0.0, t * alpha - self.log_mgf(t))
-
-
-def cramer_rate(
-    dist: FiniteDistribution, obs: Observable, alpha: float, t_cap: float | None = None
-) -> float:
-    return CramerRate(dist, obs, t_cap=t_cap)(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -339,21 +335,6 @@ def log_r_sequence(
     return out
 
 
-def log_r_l(
-    dist: FiniteDistribution,
-    obs: Observable,
-    lam: float,
-    l: int,
-    basis: PrimeBasis | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> float:
-    if l < 1:
-        raise InputError("l must be >= 1")
-    if basis is None:
-        basis = lattice.primes_up_to(obs.ell)
-    return log_r_sequence(dist, obs, basis, lam, l, budget=budget)[-1]
-
-
 def r_l(
     dist: FiniteDistribution,
     obs: Observable,
@@ -363,7 +344,11 @@ def r_l(
     basis: PrimeBasis | None = None,
 ) -> float:
     """Exact E exp(lam * sum of the l-term fiber chain)."""
-    return math.exp(log_r_l(dist, obs, lam, l, basis=basis, budget=budget))
+    if l < 1:
+        raise InputError("l must be >= 1")
+    if basis is None:
+        basis = lattice.primes_up_to(obs.ell)
+    return math.exp(log_r_sequence(dist, obs, basis, lam, l, budget=budget)[-1])
 
 
 @dataclass(frozen=True)
@@ -403,7 +388,7 @@ def r_l_mc(
         total += simulate.term_values(dist, obs, keys, [term[0]], "nonconventional")
     sample = np.exp(lam * total)
     value = float(sample.mean())
-    stderr = float(sample.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
+    stderr = float(sample.std(ddof=1) / math.sqrt(replicas))
     return McEstimate(value=value, stderr=stderr)
 
 
@@ -440,9 +425,11 @@ class Pressure:
 
     The truncation length adapts to |lambda|: the dropped tail is bounded by
     r * M * |lambda| * sum_{l>L} l * w_l, evaluated exactly over the
-    enumerated smooth range and analytically beyond it.  Evaluations at a
-    given lambda cache the ln R_l prefix under a lock, so concurrent
-    evaluations at different lambda are safe.
+    enumerated smooth range and analytically beyond it.  The truncation
+    length is a function of lambda alone, so each finished evaluation is
+    memoized per lambda.  The lock guards only the lookup and the insert:
+    evaluations at different lambda run concurrently, and two at the same
+    lambda may both compute, the first insert winning.
     """
 
     def __init__(
@@ -463,7 +450,7 @@ class Pressure:
         self.basis = basis
         self.tol = float(tol)
         self.budget = int(budget)
-        self._cache: dict[float, list[float]] = {}
+        self._cache: dict[float, PressureEval] = {}
         self._lock = threading.Lock()
         if basis.m == 0:
             self._weights: list[float] = [1.0]
@@ -473,8 +460,7 @@ class Pressure:
         h = smooth.h
         n_h = len(h)
         inv = [1.0 / hv for hv in h]
-        # int / int true division is correctly rounded: the float of the exact rational
-        self._weights = [(h[i + 1] - h[i]) / (h[i] * h[i + 1]) for i in range(n_h - 1)]
+        self._weights = [smooth.weight(l) for l in range(1, n_h)]
         beyond = _beyond_enumeration_bound(basis.m, n_h)
         # tail[L] = sum_{l>L} l*w_l = (L+1)/h_{L+1} + sum_{l>=L+2} 1/h_l
         suffix = beyond
@@ -503,27 +489,21 @@ class Pressure:
         L = int(hit[0]) + 1
         return L, scale * float(tail[L])
 
-    def _lnr_prefix(self, lam: float, L: int) -> list[float]:
-        with self._lock:
-            seq = self._cache.get(lam, [])
-            if len(seq) < L:
-                seq = log_r_sequence(
-                    self.dist, self.obs, self.basis, lam, L, budget=self.budget
-                )
-                self._cache[lam] = seq
-            return seq
-
     def detail(self, lam: float) -> PressureEval:
         lam = float(lam)
         if self.basis.m == 0:
             return PressureEval(math.log(mgf(self.dist, self.obs, lam)), 0.0, 1)
         if lam == 0.0:
             return PressureEval(0.0, 0.0, 0)
+        with self._lock:
+            hit = self._cache.get(lam)
+        if hit is not None:
+            return hit
         L, bound = self._truncation(lam)
         try:
-            lnr = self._lnr_prefix(lam, L)
+            lnr = log_r_sequence(self.dist, self.obs, self.basis, lam, L, budget=self.budget)
         except BudgetExceededError as exc:
-            done = max(exc.completed, len(self._cache.get(lam, [])))
+            done = exc.completed
             scale = self.basis.r_const * self.obs.sup_abs * abs(lam)
             achievable = scale * float(self._tail[done]) if done >= 1 else None
             raise ToleranceError(
@@ -534,21 +514,11 @@ class Pressure:
         value = self.basis.r_const * math.fsum(
             self._weights[i] * lnr[i] for i in range(L)
         )
-        return PressureEval(value, bound, L)
+        with self._lock:
+            return self._cache.setdefault(lam, PressureEval(value, bound, L))
 
     def __call__(self, lam: float) -> float:
         return self.detail(lam).value
-
-
-def pressure(
-    dist: FiniteDistribution,
-    obs: Observable,
-    basis: PrimeBasis,
-    lam: float,
-    tol: float = 1e-8,
-    budget: int = DEFAULT_BUDGET,
-) -> float:
-    return Pressure(dist, obs, basis, tol=tol, budget=budget)(lam)
 
 
 def finite_pressure(
@@ -580,33 +550,33 @@ def finite_pressure(
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Conjugate search constants: the golden-section stop width in lambda, the
+# slope at the cap that declares divergence, and the largest step of the
+# finite difference that measures that slope.
+LAMBDA_TOL = 5e-5
+SLOPE_TOL = 1e-4
+SLOPE_DELTA = 0.5
+
 
 class RateJ:
     """Conjugate sup_lambda(lambda*u - Q) by golden section on the concave objective.
 
     Q carries certified truncation noise, so the search is derivative-free;
     divergence (u beyond the domain endpoint) is declared when the objective
-    still climbs at lambda_cap with slope >= slope_tol.  The detected
+    still climbs at lambda_cap with slope >= SLOPE_TOL.  The detected
     endpoints ``l_plus``/``l_minus`` are the measured slopes of Q at the cap,
     not exact domain constants.
     """
 
-    def __init__(
-        self,
-        pressure: Pressure,
-        lambda_cap: float | None = None,
-        slope_tol: float = 1e-4,
-        lambda_tol: float = 5e-5,
-        slope_delta: float = 0.5,
-    ):
+    def __init__(self, pressure: Pressure, lambda_cap: float | None = None):
         self.pressure = pressure
         M = pressure.obs.sup_abs
         self.lambda_cap = (
             float(lambda_cap) if lambda_cap is not None else CAP_OVER_M / M if M > 0 else CAP_OVER_M
         )
-        self.slope_tol = float(slope_tol)
-        self.lambda_tol = float(lambda_tol)
-        self.slope_delta = min(float(slope_delta), self.lambda_cap / 2)
+        if not (math.isfinite(self.lambda_cap) and self.lambda_cap > 0):
+            raise InputError("lambda_cap must be finite and positive")
+        self._delta = min(SLOPE_DELTA, self.lambda_cap / 2)
         self._l_plus: float | None = None
         self._l_minus: float | None = None
 
@@ -614,14 +584,14 @@ class RateJ:
     def l_plus(self) -> float:
         if self._l_plus is None:
             q = self.pressure
-            self._l_plus = (q(self.lambda_cap) - q(self.lambda_cap - self.slope_delta)) / self.slope_delta
+            self._l_plus = (q(self.lambda_cap) - q(self.lambda_cap - self._delta)) / self._delta
         return self._l_plus
 
     @property
     def l_minus(self) -> float:
         if self._l_minus is None:
             q = self.pressure
-            self._l_minus = (q(-self.lambda_cap) - q(-self.lambda_cap + self.slope_delta)) / self.slope_delta
+            self._l_minus = (q(-self.lambda_cap) - q(-self.lambda_cap + self._delta)) / self._delta
         return self._l_minus
 
     def __call__(self, u: float) -> float:
@@ -636,11 +606,11 @@ class RateJ:
 
         cap = self.lambda_cap
         g_cap = g(cap)
-        if (g_cap - g(cap - self.slope_delta)) / self.slope_delta >= self.slope_tol:
+        if (g_cap - g(cap - self._delta)) / self._delta >= SLOPE_TOL:
             return math.inf
         lo, hi = 0.0, cap
         span = hi - lo
-        n_iter = max(1, math.ceil(math.log(self.lambda_tol / span) / math.log(_INV_PHI)))
+        n_iter = max(1, math.ceil(math.log(LAMBDA_TOL / span) / math.log(_INV_PHI)))
         x1 = hi - _INV_PHI * span
         x2 = lo + _INV_PHI * span
         g1, g2 = g(x1), g(x2)
@@ -654,11 +624,7 @@ class RateJ:
                 lo, x1, g1 = x1, x2, g2
                 x2 = lo + _INV_PHI * (hi - lo)
                 g2 = g(x2)
-            if hi - lo <= self.lambda_tol:
+            if hi - lo <= LAMBDA_TOL:
                 break
         best = max(best, g1, g2)
         return max(0.0, best)
-
-
-def rate_j(pressure: Pressure, u: float, **kwargs) -> float:
-    return RateJ(pressure, **kwargs)(u)

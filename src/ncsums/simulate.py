@@ -126,7 +126,12 @@ class Trajectory:
         return self.prefix[1:] - self.prefix[:-1]
 
 
-def _build_trajectory(spec: TrajectorySpec) -> Trajectory:
+def trajectory(spec: TrajectorySpec) -> Trajectory:
+    """Prefix sums of the sum that ``spec.mode`` names (see term_values).
+
+    In mode "nonconventional" term m reads draws m, 2m, ..., ell*m; in mode
+    "iid" each term reads a fresh ell-tuple of draws.
+    """
     n = spec.n
     prefix = np.empty(n + 1, dtype=np.float64)
     prefix[0] = 0.0
@@ -145,20 +150,6 @@ def _build_trajectory(spec: TrajectorySpec) -> Trajectory:
             prefix[pos] = total
             pos += 1
     return Trajectory(spec=spec, prefix=prefix)
-
-
-def trajectory(spec: TrajectorySpec) -> Trajectory:
-    """Prefix sums of the dilated sum: term m reads draws at m, 2m, ..., ell*m."""
-    if spec.mode != "nonconventional":
-        raise InputError("trajectory() expects mode 'nonconventional'")
-    return _build_trajectory(spec)
-
-
-def iid_trajectory(spec: TrajectorySpec) -> Trajectory:
-    """Prefix sums of i.i.d. copies of F, one fresh ell-tuple per term."""
-    if spec.mode != "iid":
-        raise InputError("iid_trajectory() expects mode 'iid'")
-    return _build_trajectory(spec)
 
 
 @dataclass(frozen=True)

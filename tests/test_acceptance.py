@@ -75,11 +75,9 @@ def test_c01_lattice_exactness():
 
 def test_c02_weight_collapse_ell2():
     with report(2, "ell=2 weights 2^-l exact, rho_min(l) = (l-1)ln2 to 1e-14"):
-        from fractions import Fraction
-
         seq = smooth_numbers_capped(B2, 127)
         for l in range(1, 101):
-            assert seq.weight_fraction(l) == Fraction(1, 2**l)
+            assert seq.weight(l) == 2.0**-l
             assert abs(seq.rho_min(l) - (l - 1) * LN2) <= 1e-14
 
 

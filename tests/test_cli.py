@@ -287,6 +287,57 @@ class TestDeterminismAndConfig:
         assert code == 2
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rate-i", "--alpha", "nan"),
+            ("rate-i", "--alpha", "0.1,nan"),
+            ("rate-i", "--alpha", "nan:1:0.5"),
+            ("rate-i", "--alpha", "0:inf:0.5"),
+            ("rate-j", "--u", "nan"),
+            ("pressure", "--lambda", "nan"),
+            ("erlaw", "--alpha", "0.5", "--n", "100", "--seed-list", "1,nan"),
+        ],
+    )
+    def test_nan_or_unbounded_grid_is_input_error(self, argv):
+        code, out, err = run_cli(*argv, "--preset", "rademacher-product", "--no-timestamp")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "InputError"
+
+    def test_infinite_grid_item_still_evaluates(self):
+        code, out, _ = run_cli(
+            "rate-i", "--preset", "rademacher-product", "--alpha", "inf", "--no-timestamp"
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "inf,inf,true,1e-09"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rate-j", "--u", "0.5", "--lambda-cap", "0"),
+            ("rate-j", "--u", "0.5", "--lambda-cap", "-1"),
+            ("rate-i", "--alpha", "0.5", "--t-cap", "0"),
+            ("rate-i", "--alpha", "0.5", "--t-cap", "-1"),
+        ],
+    )
+    def test_nonpositive_search_cap_is_input_error(self, argv):
+        code, out, err = run_cli(*argv, "--preset", "rademacher-product", "--no-timestamp")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "InputError"
+
+    def test_seed_list_integers_are_exact(self):
+        big = 2**53 + 1  # float(big) == 2**53
+        code, out, _ = run_cli(
+            "erlaw", "--preset", "rademacher-product", "--alpha", "0.5", "--n", "1e2",
+            "--seed-list", f"{big}, 1e1", "--no-timestamp",
+        )
+        assert code == 0
+        header, *rows = out.strip().splitlines()
+        col = header.split(",").index("seed")
+        assert [row.split(",")[col] for row in rows] == ["10", str(big)]
+
+
 def test_module_entrypoint_subprocess():
     # The repo root is found from this file, and PYTHONPATH is absolute, so
     # the result does not depend on where the repo lives or where pytest runs.

@@ -78,7 +78,7 @@ class TestRhoBounds:
         seq = smooth_numbers_capped(primes_up_to(2), 120)
         for l in range(1, 101):
             assert seq.rho_min(l) == (l - 1) * LN2
-            assert seq.weight_fraction(l) == pytest.approx(2.0**-l)
+            assert seq.weight(l) == 2.0**-l
 
     @pytest.mark.parametrize("ell", [2, 3, 5])
     def test_lattice_lower_bound(self, ell):

@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -34,14 +37,11 @@ from ncsums.rates import (
     Pressure,
     RateJ,
     chain_index_structure,
-    cramer_rate,
     finite_pressure,
     log_r_sequence,
     mgf,
-    pressure,
     r_l,
     r_l_mc,
-    rate_j,
 )
 
 B1 = primes_up_to(1)
@@ -97,7 +97,6 @@ class TestCramerRate:
         assert rate(0.0) == 0.0
         assert rate(1.5) == math.inf
         assert rate(-1.5) == math.inf
-        assert cramer_rate(dist, obs, 0.0) == 0.0
 
     def test_boundary_mass(self):
         dist, obs = preset("rademacher-product")
@@ -126,6 +125,12 @@ class TestCramerRate:
         obs = product_observable(BERNOULLI, 2)
         with pytest.raises(InputError):
             CramerRate(BERNOULLI, obs)
+
+    @pytest.mark.parametrize("t_cap", [0.0, -1.0, math.inf, math.nan])
+    def test_t_cap_must_be_finite_positive(self, t_cap):
+        dist, obs = preset("rademacher-product")
+        with pytest.raises(InputError):
+            CramerRate(dist, obs, t_cap=t_cap)
 
 
 class TestChainStructure:
@@ -450,11 +455,45 @@ class TestPressure:
         with pytest.raises(InputError):
             Pressure(dist, obs, B3)
 
-    def test_convenience_wrapper(self):
-        dist, obs = preset("rademacher-product")
-        assert pressure(dist, obs, B2, 1.0, tol=1e-8) == pytest.approx(
-            math.log(math.cosh(1.0)), abs=1e-8
-        )
+    def test_memoized_per_lambda_outside_the_lock(self, monkeypatch):
+        dist, obs = preset("bernoulli-product")
+        press = Pressure(dist, obs, B2, tol=1e-8)
+        calls = []
+        inner = rates.log_r_sequence
+
+        def spy(*args, **kwargs):
+            calls.append(press._lock.locked())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(rates, "log_r_sequence", spy)
+        first = press.detail(0.7)
+        assert press.detail(0.7) is first
+        assert calls == [False]  # one run, with the lock free
+        press.detail(-0.7)
+        assert calls == [False, False]
+
+    def test_concurrent_evaluations_share_one_result_per_lambda(self):
+        dist, obs = preset("bernoulli-product")
+        lams = [0.1 * k for k in range(-8, 9) if k]
+        press = Pressure(dist, obs, B2, tol=1e-8)
+        start = threading.Barrier(8)
+
+        def sweep():
+            start.wait(timeout=30)  # all threads race for each lambda in turn
+            return [press.detail(lam) for lam in lams]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = [f.result(timeout=60) for f in [pool.submit(sweep) for _ in range(8)]]
+        finally:
+            sys.setswitchinterval(switch)
+        fresh = Pressure(dist, obs, B2, tol=1e-8)
+        for got in results:
+            for lam, ev in zip(lams, got):
+                assert ev is press.detail(lam)  # every caller got the one inserted result
+                assert ev == fresh.detail(lam)
 
 
 class TestFinitePressure:
@@ -483,7 +522,13 @@ class TestRateJ:
     def test_zero(self):
         dist, obs = preset("rademacher-product")
         press = Pressure(dist, obs, B2, tol=1e-8)
-        assert rate_j(press, 0.0) == 0.0
+        assert RateJ(press)(0.0) == 0.0
+
+    @pytest.mark.parametrize("cap", [0.0, -1.0, math.inf, math.nan])
+    def test_lambda_cap_must_be_finite_positive(self, cap):
+        dist, obs = preset("rademacher-product")
+        with pytest.raises(InputError):
+            RateJ(Pressure(dist, obs, B2, tol=1e-8), lambda_cap=cap)
 
     def test_rademacher_matches_cramer(self):
         dist, obs = preset("rademacher-product")

@@ -11,7 +11,6 @@ from ncsums.simulate import (
     TRAJECTORY_MODES,
     LdpEstimate,
     TrajectorySpec,
-    iid_trajectory,
     ldp_estimate,
     mix64,
     mix_batch,
@@ -158,11 +157,6 @@ class TestTrajectory:
 
     def test_mode_guards(self):
         dist, obs = preset("rademacher-product")
-        spec = TrajectorySpec(seed=1, n=10, dist=dist, obs=obs, mode="iid")
-        with pytest.raises(InputError):
-            trajectory(spec)
-        with pytest.raises(InputError):
-            iid_trajectory(TrajectorySpec(seed=1, n=10, dist=dist, obs=obs))
         with pytest.raises(InputError):
             TrajectorySpec(seed=1, n=0, dist=dist, obs=obs)
         with pytest.raises(InputError):
@@ -174,19 +168,19 @@ class TestIidTrajectory:
         dist, _ = preset("rademacher-product")
         obs1 = product_observable(dist, 1)
         a = trajectory(TrajectorySpec(seed=4, n=2000, dist=dist, obs=obs1))
-        b = iid_trajectory(TrajectorySpec(seed=4, n=2000, dist=dist, obs=obs1, mode="iid"))
+        b = trajectory(TrajectorySpec(seed=4, n=2000, dist=dist, obs=obs1, mode="iid"))
         assert np.array_equal(a.prefix, b.prefix)
 
     def test_increment_range(self):
         dist, obs = preset("rademacher-product")
-        t = iid_trajectory(TrajectorySpec(seed=8, n=4000, dist=dist, obs=obs, mode="iid"))
+        t = trajectory(TrajectorySpec(seed=8, n=4000, dist=dist, obs=obs, mode="iid"))
         assert set(np.unique(t.increments)) == {-1.0, 1.0}
 
     def test_mean_over_seeds(self):
         dist, obs = preset("rademacher-product")
         n = 10**4
         means = [
-            iid_trajectory(
+            trajectory(
                 TrajectorySpec(seed=s, n=n, dist=dist, obs=obs, mode="iid")
             ).prefix[-1]
             / n
@@ -204,7 +198,7 @@ class TestIidTrajectory:
         t = trajectory(TrajectorySpec(seed=13, n=n, dist=dist, obs=obs))
         starts = b + b * np.arange(windows)  # m = b*k > (ell-1)*b for k >= 2
         non = t.prefix[starts + b] - t.prefix[starts]
-        ti = iid_trajectory(TrajectorySpec(seed=14, n=n, dist=dist, obs=obs, mode="iid"))
+        ti = trajectory(TrajectorySpec(seed=14, n=n, dist=dist, obs=obs, mode="iid"))
         iid = ti.prefix[starts + b] - ti.prefix[starts]
         crit = 1.628 * math.sqrt(2.0 / windows)  # 1% level
         assert ks_statistic(non, iid) < crit
