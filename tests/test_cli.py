@@ -298,9 +298,13 @@ class TestInputValidation:
             ("rate-j", "--u", "nan"),
             ("pressure", "--lambda", "nan"),
             ("erlaw", "--alpha", "0.5", "--n", "100", "--seed-list", "1,nan"),
+            ("rate-j", "--u", "0.5", "--lambda-cap", "0"),
+            ("rate-j", "--u", "0.5", "--lambda-cap", "-1"),
+            ("rate-i", "--alpha", "0.5", "--t-cap", "0"),
+            ("rate-i", "--alpha", "0.5", "--t-cap", "-1"),
         ],
     )
-    def test_nan_or_unbounded_grid_is_input_error(self, argv):
+    def test_nan_grid_or_nonpositive_cap_is_input_error(self, argv):
         code, out, err = run_cli(*argv, "--preset", "rademacher-product", "--no-timestamp")
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "InputError"
@@ -311,20 +315,6 @@ class TestInputValidation:
         )
         assert code == 0
         assert out.splitlines()[1] == "inf,inf,true,1e-09"
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("rate-j", "--u", "0.5", "--lambda-cap", "0"),
-            ("rate-j", "--u", "0.5", "--lambda-cap", "-1"),
-            ("rate-i", "--alpha", "0.5", "--t-cap", "0"),
-            ("rate-i", "--alpha", "0.5", "--t-cap", "-1"),
-        ],
-    )
-    def test_nonpositive_search_cap_is_input_error(self, argv):
-        code, out, err = run_cli(*argv, "--preset", "rademacher-product", "--no-timestamp")
-        assert (code, out) == (2, "")
-        assert json.loads(err)["error"] == "InputError"
 
     def test_seed_list_integers_are_exact(self):
         big = 2**53 + 1  # float(big) == 2**53
