@@ -44,8 +44,6 @@ from .rates import (
 )
 from .simulate import (
     LdpEstimate,
-    Trajectory,
-    TrajectorySpec,
     ldp_estimate,
     mix64,
     trajectory,

@@ -19,11 +19,14 @@ from datetime import datetime, timezone
 
 from . import erlaw as erlaw_mod
 from . import lattice, model, rates, simulate
-from .errors import CapacityError, InputError, ToleranceError
+from .errors import CapacityError, InputError, NcsumsError, ToleranceError
 
 ENV_THREADS = "NCSUMS_THREADS"
 
 STRUCTURE_N_LIMIT = 10**7
+
+# InputError is a ValueError; other ValueError and OverflowError are reported as InputError.
+_EXIT_CODES = {ValueError: 2, OverflowError: 2, CapacityError: 3, ToleranceError: 4}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -282,7 +285,6 @@ _ERLAW_COLUMNS = (
 
 def _cmd_erlaw(args, config):
     dist, obs, obs_id = _resolve_observable(args)
-    basis = lattice.primes_up_to(obs.ell)
     alphas = _parse_grid(args.alpha)
     ns = sorted(_parse_int_list(args.n))
     if args.seed_list:
@@ -291,7 +293,7 @@ def _cmd_erlaw(args, config):
         seeds = list(range(1, int(_merged(args, config, "seeds", 5)) + 1))
     threads = _threads(args, config)
     result = erlaw_mod.experiment(
-        dist, obs, basis, alphas, ns, seeds, mode=args.mode, threads=threads
+        dist, obs, alphas, ns, seeds, mode=args.mode, threads=threads
     )
     rows = [
         (obs.ell, obs_id, p.alpha, p.i_alpha, p.n, p.b_n, p.seed, p.mode,
@@ -311,12 +313,10 @@ def _cmd_erlaw(args, config):
 
 def _cmd_ldp_check(args, config):
     dist, obs, obs_id = _resolve_observable(args)
-    basis = lattice.primes_up_to(obs.ell)
     threads = _threads(args, config)
     est = simulate.ldp_estimate(
         dist,
         obs,
-        basis,
         int(round(float(args.N))),
         float(args.u),
         int(round(float(args.replicas))),
@@ -329,6 +329,7 @@ def _cmd_ldp_check(args, config):
     if not args.skip_theory:
         rate = rates.CramerRate(dist, obs)
         theory_i = rate(est.u)
+        basis = lattice.primes_up_to(obs.ell)
         press = rates.Pressure(dist, obs, basis, tol=float(args.theory_tol))
         theory_j = rates.RateJ(press)(est.u)
     fields = {**asdict(est), "theory_J": theory_j, "theory_I": theory_i}
@@ -349,26 +350,20 @@ def _cmd_simulate(args, config):
     stride = int(_merged(args, config, "stride", 1))
     if stride < 1:
         raise InputError("stride must be >= 1")
-    spec = simulate.TrajectorySpec(
-        seed=int(_merged(args, config, "seed", 1)),
-        n=n,
-        dist=dist,
-        obs=obs,
-        mode=args.mode,
-    )
-    traj = simulate.trajectory(spec)
+    seed = int(_merged(args, config, "seed", 1))
+    prefix = simulate.trajectory(dist, obs, seed, n, args.mode)
     ks = list(range(0, n + 1, stride))
     if ks[-1] != n:
         ks.append(n)
     # tuples, not lists: JSON writes them as the same arrays, and they are
     # cheaper to build for hundreds of thousands of rows
-    rows = [(k, float(traj.prefix[k])) for k in ks]
+    rows = [(k, float(prefix[k])) for k in ks]
     payload = {
         "kind": "simulate",
         "ell": obs.ell,
         "observable": obs_id,
         "mode": args.mode,
-        "seed": spec.seed,
+        "seed": seed,
         "n": n,
         "stride": stride,
         "rows": rows,
@@ -515,18 +510,10 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return int(code) if code is not None else 0
-    except InputError as exc:
-        stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
-    except (ValueError, OverflowError) as exc:
-        stderr.write(json.dumps({"error": "InputError", "message": str(exc)}) + "\n")
-        return 2
-    except CapacityError as exc:
-        stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 3
-    except ToleranceError as exc:
-        stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 4
+    except tuple(_EXIT_CODES) as exc:
+        name = type(exc).__name__ if isinstance(exc, NcsumsError) else "InputError"
+        stderr.write(json.dumps({"error": name, "message": str(exc)}) + "\n")
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def entrypoint():

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .lattice import PrimeBasis
 from .model import FiniteDistribution, Observable
 from .rates import CramerRate
-from .simulate import TrajectorySpec, trajectory
+from .simulate import trajectory
 
 
 def window_max(prefix, b: int) -> float:
@@ -82,7 +81,6 @@ class ExperimentResult:
 def experiment(
     dist: FiniteDistribution,
     obs: Observable,
-    basis: PrimeBasis,
     alpha_grid,
     n_grid,
     seeds,
@@ -95,8 +93,6 @@ def experiment(
     prefix.  Rows are sorted by (alpha, n, seed), so the output does not
     depend on the thread count.
     """
-    if basis.ell != obs.ell:
-        raise InputError(f"basis ell={basis.ell} does not match observable ell={obs.ell}")
     alpha_grid = [float(a) for a in alpha_grid]
     n_grid = [int(n) for n in n_grid]
     seeds = [int(s) for s in seeds]
@@ -115,12 +111,12 @@ def experiment(
     n_max = n_grid[-1]
 
     def rows_for_seed(seed: int) -> list[ErPoint]:
-        traj = trajectory(TrajectorySpec(seed=seed, n=n_max, dist=dist, obs=obs, mode=mode))
+        prefix = trajectory(dist, obs, seed, n_max, mode)
         out = []
         for a in alpha_grid:
             for n in n_grid:
                 b = b_window(n, i_of[a])
-                mx = window_max(traj.prefix[: n + 1], b)
+                mx = window_max(prefix[: n + 1], b)
                 out.append(
                     ErPoint(
                         n=n,

@@ -13,6 +13,9 @@ the cumulative probabilities.  Replica seeds derive the same way,
 seed_r = fin(root + r*GAMMA), so replicas are order-independent.  Dilated
 sums need draws at indices up to ell*n; counter addressing keeps that O(1)
 in memory and identical across runs, platforms, and thread counts.
+
+``trajectory`` returns the float64 prefix array S_0 = 0, ..., S_n, summed
+block by block with the compensated prefix form of Sum2 (see its docstring).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .lattice import PrimeBasis
 from .model import FiniteDistribution, Observable
 
 MASK64 = (1 << 64) - 1
@@ -90,6 +92,8 @@ def term_values(dist: FiniteDistribution, obs: Observable, keys, ms, mode: str) 
     nonconventional term m reads draw j*m, an i.i.d. term reads draw
     (m-1)*ell + j.
     """
+    if mode not in TRAJECTORY_MODES:
+        raise InputError(f"mode must be one of {TRAJECTORY_MODES}")
     ms = np.asarray(ms, dtype=np.uint64)
     code = 0
     for j in range(1, obs.ell + 1):
@@ -101,55 +105,35 @@ def term_values(dist: FiniteDistribution, obs: Observable, keys, ms, mode: str) 
     return obs.table[code]
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectorySpec:
-    seed: int
-    n: int
-    dist: FiniteDistribution
-    obs: Observable
-    mode: str = "nonconventional"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InputError("n must be >= 1")
-        if self.mode not in TRAJECTORY_MODES:
-            raise InputError(f"mode must be one of {TRAJECTORY_MODES}")
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    spec: TrajectorySpec
-    prefix: np.ndarray  # S_0 = 0, S_1, ..., S_n
-
-    @property
-    def increments(self) -> np.ndarray:
-        return self.prefix[1:] - self.prefix[:-1]
-
-
-def trajectory(spec: TrajectorySpec) -> Trajectory:
-    """Prefix sums of the sum that ``spec.mode`` names (see term_values).
+def trajectory(
+    dist: FiniteDistribution, obs: Observable, seed: int, n: int, mode: str = "nonconventional"
+) -> np.ndarray:
+    """Prefix sums S_0 = 0, S_1, ..., S_n of the sum that ``mode`` names (see term_values).
 
     In mode "nonconventional" term m reads draws m, 2m, ..., ell*m; in mode
-    "iid" each term reads a fresh ell-tuple of draws.
+    "iid" each term reads a fresh ell-tuple of draws.  S_k is the prefix form
+    of Sum2 (Ogita, Rump and Oishi, "Accurate sum and dot product", 2005):
+    the running float sum plus the float sum of the exact TwoSum rounding
+    errors of its steps, as accurate as summing in twice the working
+    precision.  Both sums carry across blocks, so the result does not depend
+    on the block size; when every running sum is exact in float64 (integer
+    or dyadic terms) all errors are 0 and S_k is the plain float sum.
     """
-    n = spec.n
+    if n < 1:
+        raise InputError("n must be >= 1")
     prefix = np.empty(n + 1, dtype=np.float64)
-    prefix[0] = 0.0
-    total = 0.0
-    comp = 0.0  # Kahan compensation keeps long prefixes exact-ish
-    pos = 1
+    prefix[0] = s = e = 0.0
     for m0 in range(1, n + 1, _BLOCK):
         m1 = min(n + 1, m0 + _BLOCK)
-        ms = np.arange(m0, m1, dtype=np.uint64)
-        block = term_values(spec.dist, spec.obs, spec.seed, ms, spec.mode)
-        for x in block.tolist():
-            y = x - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            prefix[pos] = total
-            pos += 1
-    return Trajectory(spec=spec, prefix=prefix)
+        x = term_values(dist, obs, seed, np.arange(m0, m1, dtype=np.uint64), mode)
+        acc = np.cumsum(np.concatenate(([s], x)))  # add.accumulate runs left to right
+        prev, t = acc[:-1], acc[1:]
+        z = t - prev
+        err = (prev - (t - z)) + (x - z)  # TwoSum: prev + x == t + err exactly
+        comp = np.cumsum(np.concatenate(([e], err)))
+        prefix[m0:m1] = t + comp[1:]
+        s, e = acc[-1], comp[-1]
+    return prefix
 
 
 @dataclass(frozen=True)
@@ -184,7 +168,6 @@ def _ldp_chunk_count(
 def ldp_estimate(
     dist: FiniteDistribution,
     obs: Observable,
-    basis: PrimeBasis,
     N: int,
     u: float,
     replicas: int,
@@ -199,14 +182,12 @@ def ldp_estimate(
     approximation on p_hat mapped through -ln(.)/N.  Replica seeds are
     derived by index, so the result is independent of thread count.
     """
-    if basis.ell != obs.ell:
-        raise InputError(f"basis ell={basis.ell} does not match observable ell={obs.ell}")
+    if N < 1:
+        raise InputError("N must be >= 1")
     if replicas < 1000:
         raise InputError("replicas must be >= 1000")
     if not u > 0:
         raise InputError("u must be positive")
-    if mode not in TRAJECTORY_MODES:
-        raise InputError(f"mode must be one of {TRAJECTORY_MODES}")
     bounds = [(r0, min(replicas, r0 + _LDP_CHUNK)) for r0 in range(0, replicas, _LDP_CHUNK)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

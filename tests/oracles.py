@@ -160,6 +160,11 @@ def enumerate_pair_dilation_mgf(lam, N):
     return float(np.exp(lam * total).mean())
 
 
+def prefix_fsum(x, ks):
+    """Correctly rounded sums math.fsum(x[:k]) at each checkpoint k of ``ks``."""
+    return [math.fsum(x[:k]) for k in ks]
+
+
 def window_max_naive(prefix, b):
     best = None
     n = len(prefix) - 1

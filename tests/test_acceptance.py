@@ -218,8 +218,8 @@ def test_c08_ldp_desk_check_band():
         assert abs(i03 - 0.045701) <= 1e-6
         assert i03 <= r60
         obs1 = product_observable(dist, 1)
-        est1 = ldp_estimate(dist, obs1, B1, N=60, u=0.3, replicas=replicas, seed=1)
-        est2 = ldp_estimate(dist, obs, B2, N=60, u=0.3, replicas=replicas, seed=1)
+        est1 = ldp_estimate(dist, obs1, N=60, u=0.3, replicas=replicas, seed=1)
+        est2 = ldp_estimate(dist, obs, N=60, u=0.3, replicas=replicas, seed=1)
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"runtime {elapsed:.1f}s over the 60s limit"
         for label, est in (("ell=1", est1), ("ell=2", est2)):
@@ -241,7 +241,7 @@ def test_c09_window_law_at_scale():
         i_alpha = rate(0.5)
         assert abs(i_alpha - 0.1308120) <= 1e-7
         seeds = [1, 2, 3, 4, 5]
-        res = experiment(dist, obs, B2, [0.5], [10**4, 10**6], seeds)
+        res = experiment(dist, obs, [0.5], [10**4, 10**6], seeds)
         by_n = {s.n: s for s in res.summaries}
         assert by_n[10**6].mean_statistic == pytest.approx(0.5, abs=0.1)
         assert 0.4 <= by_n[10**6].mean_statistic <= 0.6
@@ -252,7 +252,7 @@ def test_c09_window_law_at_scale():
             per_seed.setdefault(p.seed, {})[p.n] = abs(p.statistic - 0.5)
         improved = sum(1 for d in per_seed.values() if d[10**6] <= d[10**4])
         assert improved >= 4
-        res_iid = experiment(dist, obs, B2, [0.5], [10**6], seeds, mode="iid")
+        res_iid = experiment(dist, obs, [0.5], [10**6], seeds, mode="iid")
         diff = abs(
             by_n[10**6].mean_statistic - res_iid.summaries[0].mean_statistic
         )

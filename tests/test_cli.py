@@ -302,6 +302,8 @@ class TestInputValidation:
             ("rate-j", "--u", "0.5", "--lambda-cap", "-1"),
             ("rate-i", "--alpha", "0.5", "--t-cap", "0"),
             ("rate-i", "--alpha", "0.5", "--t-cap", "-1"),
+            ("ldp-check", "--N", "0", "--u", "0.3", "--replicas", "1000", "--skip-theory"),
+            ("ldp-check", "--N", "-5", "--u", "0.3", "--replicas", "1000", "--skip-theory"),
         ],
     )
     def test_nan_grid_or_nonpositive_cap_is_input_error(self, argv):

@@ -5,12 +5,9 @@ import pytest
 
 from oracles import window_max_naive
 from ncsums.errors import DegenerateObservableError, InputError
-from ncsums.lattice import primes_up_to
 from ncsums.model import RADEMACHER, constant_observable, preset
 from ncsums.erlaw import ErPoint, b_window, experiment, window_max
-from ncsums.simulate import TrajectorySpec, trajectory
-
-B2 = primes_up_to(2)
+from ncsums.simulate import trajectory
 
 
 class TestWindowMax:
@@ -23,11 +20,9 @@ class TestWindowMax:
     def test_matches_naive_oracle(self):
         dist, obs = preset("rademacher-product")
         for seed in (1, 2, 3):
-            t = trajectory(TrajectorySpec(seed=seed, n=10**4, dist=dist, obs=obs))
+            prefix = trajectory(dist, obs, seed, 10**4)
             for b in (1, 7, 105, 9999):
-                assert window_max(t.prefix, b) == window_max_naive(
-                    t.prefix.tolist(), b
-                )
+                assert window_max(prefix, b) == window_max_naive(prefix.tolist(), b)
 
     def test_errors(self):
         with pytest.raises(InputError):
@@ -66,22 +61,22 @@ class TestExperiment:
     def test_degenerate_rejected(self):
         obs = constant_observable(RADEMACHER, 0.0, ell=2)
         with pytest.raises(DegenerateObservableError):
-            experiment(RADEMACHER, obs, B2, [0.5], [100], [1])
+            experiment(RADEMACHER, obs, [0.5], [100], [1])
 
     def test_alpha_window_validated(self):
         dist, obs = preset("rademacher-product")
         for bad in (0.0, -0.1, 1.0, 1.5):
             with pytest.raises(InputError):
-                experiment(dist, obs, B2, [bad], [100], [1])
+                experiment(dist, obs, [bad], [100], [1])
 
     def test_n_grid_must_increase(self):
         dist, obs = preset("rademacher-product")
         with pytest.raises(InputError):
-            experiment(dist, obs, B2, [0.5], [100, 100], [1])
+            experiment(dist, obs, [0.5], [100, 100], [1])
 
     def test_point_fields(self):
         dist, obs = preset("rademacher-product")
-        res = experiment(dist, obs, B2, [0.5], [1000, 5000], [1, 2])
+        res = experiment(dist, obs, [0.5], [1000, 5000], [1, 2])
         assert len(res.points) == 4
         for p in res.points:
             assert isinstance(p, ErPoint)
@@ -92,12 +87,12 @@ class TestExperiment:
                 p.i_alpha * p.max_increment / math.log(p.n), rel=1e-12
             )
             # the m = 0 window is always a candidate
-            t = trajectory(TrajectorySpec(seed=p.seed, n=p.n, dist=dist, obs=obs))
-            assert p.max_increment >= float(t.prefix[p.b_n])
+            prefix = trajectory(dist, obs, p.seed, p.n)
+            assert p.max_increment >= float(prefix[p.b_n])
 
     def test_normalizations_agree_up_to_floor(self):
         dist, obs = preset("rademacher-product")
-        res = experiment(dist, obs, B2, [0.4], [20000], [3])
+        res = experiment(dist, obs, [0.4], [20000], [3])
         p = res.points[0]
         slack = abs(p.statistic) * abs(p.i_alpha * p.b_n / math.log(p.n) - 1.0) + 1e-12
         assert abs(p.normalized - p.statistic) <= slack
@@ -105,20 +100,20 @@ class TestExperiment:
     def test_rows_sorted_and_thread_invariant(self):
         dist, obs = preset("rademacher-product")
         kw = dict(alpha_grid=[0.3, 0.5], n_grid=[500, 2000], seeds=[1, 2, 3])
-        a = experiment(dist, obs, B2, **kw, threads=1)
-        b = experiment(dist, obs, B2, **kw, threads=3)
+        a = experiment(dist, obs, **kw, threads=1)
+        b = experiment(dist, obs, **kw, threads=3)
         assert a == b
         keys = [(p.alpha, p.n, p.seed) for p in a.points]
         assert keys == sorted(keys)
 
     def test_iid_mode(self):
         dist, obs = preset("rademacher-product")
-        res = experiment(dist, obs, B2, [0.5], [2000], [1, 2], mode="iid")
+        res = experiment(dist, obs, [0.5], [2000], [1, 2], mode="iid")
         assert all(p.mode == "iid" for p in res.points)
 
     def test_summary_consistency(self):
         dist, obs = preset("rademacher-product")
-        res = experiment(dist, obs, B2, [0.5], [1000], [1, 2, 3])
+        res = experiment(dist, obs, [0.5], [1000], [1, 2, 3])
         s = res.summaries[0]
         stats = [p.statistic for p in res.points]
         assert s.mean_statistic == pytest.approx(np.mean(stats), rel=1e-12)

@@ -3,14 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from oracles import binomial_tail_at_least, ks_statistic
+from oracles import binomial_tail_at_least, ks_statistic, prefix_fsum
+from ncsums import simulate
 from ncsums.errors import InputError
-from ncsums.lattice import primes_up_to
-from ncsums.model import RADEMACHER, constant_observable, evaluate, preset, product_observable
+from ncsums.model import (
+    RADEMACHER,
+    FiniteDistribution,
+    constant_observable,
+    evaluate,
+    observable_from_table,
+    preset,
+    product_observable,
+)
 from ncsums.simulate import (
     TRAJECTORY_MODES,
     LdpEstimate,
-    TrajectorySpec,
     ldp_estimate,
     mix64,
     mix_batch,
@@ -19,9 +26,6 @@ from ncsums.simulate import (
     trajectory,
     x_value,
 )
-
-B1 = primes_up_to(1)
-B2 = primes_up_to(2)
 
 # The mixing function is part of the output contract; these pins must never move.
 MIX_PINS = [
@@ -126,66 +130,99 @@ class TestStreamStatistics:
 class TestTrajectory:
     def test_single_term(self):
         dist, obs = preset("rademacher-product")
-        spec = TrajectorySpec(seed=5, n=1, dist=dist, obs=obs)
-        t = trajectory(spec)
         x1 = dist.values[x_value(dist, 5, 1)]
         x2 = dist.values[x_value(dist, 5, 2)]
-        assert t.prefix.tolist() == [0.0, x1 * x2]
+        assert trajectory(dist, obs, 5, 1).tolist() == [0.0, x1 * x2]
 
     def test_zero_observable(self):
         obs = constant_observable(RADEMACHER, 0.0, ell=2)
-        t = trajectory(TrajectorySpec(seed=9, n=50, dist=RADEMACHER, obs=obs))
-        assert np.all(t.prefix == 0.0)
+        assert np.all(trajectory(RADEMACHER, obs, 9, 50) == 0.0)
 
     def test_prefix_shape_and_bounds(self):
         dist, obs = preset("bernoulli-product")
-        t = trajectory(TrajectorySpec(seed=3, n=3000, dist=dist, obs=obs))
-        assert t.prefix[0] == 0.0 and t.prefix.size == 3001
-        inc = t.increments
+        prefix = trajectory(dist, obs, 3, 3000)
+        assert prefix.dtype == np.float64
+        assert prefix[0] == 0.0 and prefix.size == 3001
+        inc = np.diff(prefix)
         assert inc.min() >= -obs.sup_neg and inc.max() <= obs.sup_pos
 
     def test_byte_identical_reruns(self):
         dist, obs = preset("rademacher-product")
-        spec = TrajectorySpec(seed=77, n=5000, dist=dist, obs=obs)
-        assert np.array_equal(trajectory(spec).prefix, trajectory(spec).prefix)
+        assert np.array_equal(trajectory(dist, obs, 77, 5000), trajectory(dist, obs, 77, 5000))
 
     def test_lln_at_scale(self):
         dist, obs = preset("rademacher-product")
         for seed in range(1, 6):
-            t = trajectory(TrajectorySpec(seed=seed, n=10**6, dist=dist, obs=obs))
-            assert abs(t.prefix[-1] / 10**6) < 0.01
+            assert abs(trajectory(dist, obs, seed, 10**6)[-1] / 10**6) < 0.01
 
     def test_mode_guards(self):
         dist, obs = preset("rademacher-product")
         with pytest.raises(InputError):
-            TrajectorySpec(seed=1, n=0, dist=dist, obs=obs)
+            trajectory(dist, obs, 1, 0)
         with pytest.raises(InputError):
-            TrajectorySpec(seed=1, n=5, dist=dist, obs=obs, mode="bogus")
+            trajectory(dist, obs, 1, 5, "bogus")
+
+
+# Uncentered ell = 2 tables whose partial sums are not exact in float64.
+INEXACT_TABLES = [
+    ((-1.0, 2.0), (0.75, 0.25), [0.55, -0.85, 0.95, 2.15]),
+    ((0.0, 1.0), (0.5, 0.5), [1e8 + 0.1, -1e8 - 0.3, -1e8 + 0.7, 1e8 - 0.9]),
+    ((0.0, 1.0), (0.5, 0.5), [0.1, -0.1 + 1e-9, 1 / 3, -1 / 3]),
+]
+
+
+def table_observable(values, probs, table):
+    dist = FiniteDistribution(values=values, probs=probs)
+    return dist, observable_from_table(dist, 2, table)
+
+
+class TestCompensatedPrefix:
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    @pytest.mark.parametrize("values,probs,table", INEXACT_TABLES)
+    def test_within_two_ulps_of_fsum(self, values, probs, table, mode):
+        dist, obs = table_observable(values, probs, table)
+        n = 10**5
+        prefix = trajectory(dist, obs, 11, n, mode)
+        x = term_values(dist, obs, 11, np.arange(1, n + 1), mode).tolist()
+        ks = [n * j // 20 for j in range(1, 21)]
+        for k, want in zip(ks, prefix_fsum(x, ks)):
+            assert abs(prefix[k] - want) <= 2 * math.ulp(want), (k, prefix[k], want)
+
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    @pytest.mark.parametrize("values,probs,table", INEXACT_TABLES)
+    def test_independent_of_block_size(self, values, probs, table, mode, monkeypatch):
+        dist, obs = table_observable(values, probs, table)
+        want = trajectory(dist, obs, 11, 5000, mode)
+        monkeypatch.setattr(simulate, "_BLOCK", 37)
+        assert trajectory(dist, obs, 11, 5000, mode).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    @pytest.mark.parametrize("name", ["rademacher-product", "bernoulli-product", "indicator-match"])
+    def test_exact_terms_give_plain_cumsum(self, name, mode):
+        dist, obs = preset(name)
+        n = 20_000
+        x = term_values(dist, obs, 11, np.arange(1, n + 1), mode)
+        plain = np.concatenate(([0.0], np.cumsum(x)))
+        assert trajectory(dist, obs, 11, n, mode).tobytes() == plain.tobytes()
 
 
 class TestIidTrajectory:
     def test_ell1_coincides_with_dilated(self):
         dist, _ = preset("rademacher-product")
         obs1 = product_observable(dist, 1)
-        a = trajectory(TrajectorySpec(seed=4, n=2000, dist=dist, obs=obs1))
-        b = trajectory(TrajectorySpec(seed=4, n=2000, dist=dist, obs=obs1, mode="iid"))
-        assert np.array_equal(a.prefix, b.prefix)
+        a = trajectory(dist, obs1, 4, 2000)
+        b = trajectory(dist, obs1, 4, 2000, "iid")
+        assert np.array_equal(a, b)
 
     def test_increment_range(self):
         dist, obs = preset("rademacher-product")
-        t = trajectory(TrajectorySpec(seed=8, n=4000, dist=dist, obs=obs, mode="iid"))
-        assert set(np.unique(t.increments)) == {-1.0, 1.0}
+        prefix = trajectory(dist, obs, 8, 4000, "iid")
+        assert set(np.unique(np.diff(prefix))) == {-1.0, 1.0}
 
     def test_mean_over_seeds(self):
         dist, obs = preset("rademacher-product")
         n = 10**4
-        means = [
-            trajectory(
-                TrajectorySpec(seed=s, n=n, dist=dist, obs=obs, mode="iid")
-            ).prefix[-1]
-            / n
-            for s in range(1, 101)
-        ]
+        means = [trajectory(dist, obs, s, n, "iid")[-1] / n for s in range(1, 101)]
         sigma = math.sqrt(obs.variance)
         assert abs(np.mean(means)) <= 3 * sigma / math.sqrt(100 * n)
 
@@ -195,11 +232,11 @@ class TestIidTrajectory:
         b = 20
         windows = 10**4
         n = b * (windows + 2)
-        t = trajectory(TrajectorySpec(seed=13, n=n, dist=dist, obs=obs))
+        prefix = trajectory(dist, obs, 13, n)
         starts = b + b * np.arange(windows)  # m = b*k > (ell-1)*b for k >= 2
-        non = t.prefix[starts + b] - t.prefix[starts]
-        ti = trajectory(TrajectorySpec(seed=14, n=n, dist=dist, obs=obs, mode="iid"))
-        iid = ti.prefix[starts + b] - ti.prefix[starts]
+        non = prefix[starts + b] - prefix[starts]
+        prefix_iid = trajectory(dist, obs, 14, n, "iid")
+        iid = prefix_iid[starts + b] - prefix_iid[starts]
         crit = 1.628 * math.sqrt(2.0 / windows)  # 1% level
         assert ks_statistic(non, iid) < crit
 
@@ -207,7 +244,7 @@ class TestIidTrajectory:
 class TestLdpEstimate:
     def test_impossible_level(self):
         dist, obs = preset("rademacher-product")
-        est = ldp_estimate(dist, obs, B2, N=40, u=1.5, replicas=1000, seed=5)
+        est = ldp_estimate(dist, obs, N=40, u=1.5, replicas=1000, seed=5)
         assert est.p_hat == 0.0
         assert est.rate_hat == math.inf
         assert est.zero_count
@@ -215,15 +252,15 @@ class TestLdpEstimate:
     def test_thread_count_invariance(self):
         dist, obs = preset("rademacher-product")
         kw = dict(N=60, u=0.3, replicas=70_000, seed=21)
-        a = ldp_estimate(dist, obs, B2, **kw, threads=1)
-        b = ldp_estimate(dist, obs, B2, **kw, threads=4)
+        a = ldp_estimate(dist, obs, **kw, threads=1)
+        b = ldp_estimate(dist, obs, **kw, threads=4)
         assert a == b
 
     def test_binomial_oracle_ell1(self):
         dist, _ = preset("rademacher-product")
         obs1 = product_observable(dist, 1)
         replicas = 100_000
-        est = ldp_estimate(dist, obs1, B1, N=60, u=0.3, replicas=replicas, seed=3)
+        est = ldp_estimate(dist, obs1, N=60, u=0.3, replicas=replicas, seed=3)
         p_true = float(binomial_tail_at_least(60, 39))
         se = math.sqrt(p_true * (1 - p_true) / replicas)
         assert abs(est.p_hat - p_true) <= 4 * se
@@ -232,15 +269,17 @@ class TestLdpEstimate:
     def test_validation(self):
         dist, obs = preset("rademacher-product")
         with pytest.raises(InputError):
-            ldp_estimate(dist, obs, B2, N=10, u=0.3, replicas=10, seed=1)
+            ldp_estimate(dist, obs, N=10, u=0.3, replicas=10, seed=1)
         with pytest.raises(InputError):
-            ldp_estimate(dist, obs, B2, N=10, u=-0.3, replicas=2000, seed=1)
+            ldp_estimate(dist, obs, N=10, u=-0.3, replicas=2000, seed=1)
         with pytest.raises(InputError):
-            ldp_estimate(dist, obs, B1, N=10, u=0.3, replicas=2000, seed=1)
+            ldp_estimate(dist, obs, N=0, u=0.3, replicas=2000, seed=1)
+        with pytest.raises(InputError):
+            ldp_estimate(dist, obs, N=10, u=0.3, replicas=2000, seed=1, mode="bogus")
 
     def test_fields(self):
         dist, obs = preset("rademacher-product")
-        est = ldp_estimate(dist, obs, B2, N=30, u=0.2, replicas=2000, seed=9)
+        est = ldp_estimate(dist, obs, N=30, u=0.2, replicas=2000, seed=9)
         assert isinstance(est, LdpEstimate)
         assert 0.0 <= est.p_hat <= 1.0
         assert est.rate_hat >= 0.0
