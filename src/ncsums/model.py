@@ -109,6 +109,8 @@ def observable_from_table(dist: FiniteDistribution, ell: int, flat_table) -> Obs
     s = dist.size
     if flat.size != s**ell:
         raise InputError(f"table must have {s}**{ell} = {s**ell} entries, got {flat.size}")
+    if not np.isfinite(flat).all():
+        raise InputError("table entries must be finite")
     w = tuple_weights(dist, ell)
     mean = math.fsum((w * flat).tolist())
     second = math.fsum((w * flat * flat).tolist())
@@ -221,16 +223,17 @@ def preset(name: str, ell: int | None = None, c: float = 1.0):
     the Rademacher support.  constant: F identically c, an intentionally
     degenerate diagnostic.
     """
+    ell = 2 if ell is None else ell
     if name == "rademacher-product":
-        return RADEMACHER, product_observable(RADEMACHER, ell or 2)
+        return RADEMACHER, product_observable(RADEMACHER, ell)
     if name == "bernoulli-product":
-        return BERNOULLI, center(product_observable(BERNOULLI, ell or 2), BERNOULLI)
+        return BERNOULLI, center(product_observable(BERNOULLI, ell), BERNOULLI)
     if name == "indicator-match":
-        if ell not in (None, 2):
+        if ell != 2:
             raise InputError("indicator-match is defined for ell = 2 only")
         return RADEMACHER, center(indicator_equal_observable(RADEMACHER, 2), RADEMACHER)
     if name == "constant":
-        return RADEMACHER, constant_observable(RADEMACHER, c, ell or 2)
+        return RADEMACHER, constant_observable(RADEMACHER, c, ell)
     raise InputError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
 
 

@@ -8,11 +8,15 @@ is fin(seed + i*GAMMA) where fin is the SplitMix64 finalizer
     z ^= z >> 31
 
 with all arithmetic modulo 2**64 and GAMMA = 0x9E3779B97F4A7C15.  The top
-53 bits map to a uniform in [0, 1), which selects a support index through
-the cumulative probabilities.  Replica seeds derive the same way,
-seed_r = fin(root + r*GAMMA), so replicas are order-independent.  Dilated
-sums need draws at indices up to ell*n; counter addressing keeps that O(1)
-in memory and identical across runs, platforms, and thread counts.
+53 bits map to a uniform u = (z >> 11) * 2**-53 in [0, 1), which selects the
+support index #{i : cum_i <= u} through the cumulative probabilities.  The
+batch path never forms u: u is exact and cum_i * 2**53 is exact, so
+cum_i <= u exactly when the word z reaches T_i = ceil(cum_i * 2**53) * 2**11,
+and the index is the number of integer thresholds T_i <= z.  Replica seeds
+derive the same way, seed_r = fin(root + r*GAMMA), so replicas are
+order-independent.  Dilated sums need draws at indices up to ell*n; counter
+addressing keeps that O(1) in memory and identical across runs, platforms,
+and thread counts.
 
 ``trajectory`` returns the float64 prefix array S_0 = 0, ..., S_n, summed
 block by block with the compensated prefix form of Sum2 (see its docstring).
@@ -20,6 +24,7 @@ block by block with the compensated prefix form of Sum2 (see its docstring).
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
@@ -41,6 +46,9 @@ TRAJECTORY_MODES = ("nonconventional", "iid")
 
 _BLOCK = 1 << 18
 _LDP_CHUNK = 1 << 15
+# From this many thresholds on, sample_indices binary-searches instead of
+# counting compares (the two costs cross near 64-96 for 32768 draws).
+_SEARCH_FROM = 64
 
 
 def mix64(key: int, counter: int) -> int:
@@ -59,15 +67,22 @@ def mix_batch(keys, counters: np.ndarray) -> np.ndarray:
     ``keys`` is one Python-int seed or an array of stream keys.  A Python
     int is reduced modulo 2**64 first, so negative and oversized seeds
     address the same stream as in mix64 (numpy refuses to convert them).
+    The finalizer rounds run in place on the broadcast sum, with one scratch
+    array for the shifted words.
     """
     if isinstance(keys, int):
         keys = np.uint64(keys & MASK64)
-    z = np.asarray(keys, dtype=np.uint64) + counters.astype(np.uint64) * _U_GAMMA
-    z = z ^ (z >> np.uint64(30))
-    z = z * _MIX1
-    z = z ^ (z >> np.uint64(27))
-    z = z * _MIX2
-    return z ^ (z >> np.uint64(31))
+    keys = np.asarray(keys, dtype=np.uint64)
+    step = counters.astype(np.uint64, copy=False) * _U_GAMMA
+    z = np.empty(np.broadcast_shapes(keys.shape, step.shape), dtype=np.uint64)
+    np.add(keys, step, out=z)
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= _MIX1
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= _MIX2
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def x_value(dist: FiniteDistribution, seed: int, i: int) -> int:
@@ -79,10 +94,36 @@ def x_value(dist: FiniteDistribution, seed: int, i: int) -> int:
     return bisect_right(cum, u)
 
 
+@functools.lru_cache(maxsize=64)
+def _thresholds(dist: FiniteDistribution) -> np.ndarray:
+    """Words T_i = ceil(cum_i * 2**53) * 2**11, dropping those that reach 2**64.
+
+    cum_i * 2**53 is exact (a power-of-two scaling), so T_i is exact too.
+    A dropped T_i belongs to a cum_i >= 1 (the pinned last entry, or a partial
+    sum that rounded up to 1), which no u < 1 reaches.
+    """
+    words = [math.ceil(c * 2.0**53) << 11 for c in dist.cumulative().tolist()]
+    out = np.array([w for w in words if w <= MASK64], dtype=np.uint64)
+    out.setflags(write=False)
+    return out
+
+
 def sample_indices(dist: FiniteDistribution, keys, counters: np.ndarray) -> np.ndarray:
-    """Support indices of draws ``counters`` of streams ``keys`` (see mix_batch)."""
-    u = (mix_batch(keys, counters) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return np.searchsorted(dist.cumulative(), u, side="right").astype(np.int64)
+    """Support indices of draws ``counters`` of streams ``keys`` (see mix_batch).
+
+    Each index is #{i : z >= T_i} over the integer thresholds of _thresholds,
+    equal to x_value's float rule (see the module docstring): a count of
+    compares for a few thresholds, an integer binary search for more.
+    """
+    z = mix_batch(keys, counters)
+    thresholds = _thresholds(dist)
+    if thresholds.size >= _SEARCH_FROM:
+        return np.searchsorted(thresholds, z, side="right").astype(np.int64, copy=False)
+    count = np.zeros(z.shape, dtype=np.uint8)  # exact: _SEARCH_FROM <= 256
+    hit = np.empty(z.shape, dtype=bool)
+    for t in thresholds:
+        count += np.greater_equal(z, t, out=hit)
+    return count.astype(np.int64)
 
 
 def term_values(dist: FiniteDistribution, obs: Observable, keys, ms, mode: str) -> np.ndarray:

@@ -188,3 +188,26 @@ def ks_statistic(a, b):
     fa = np.searchsorted(a, grid, side="right") / a.size
     fb = np.searchsorted(b, grid, side="right") / b.size
     return float(np.abs(fa - fb).max())
+
+
+def unmix_counter(word, key=0):
+    """Counter c with SplitMix64 fin(key + c*GAMMA) == word, by running fin backwards.
+
+    Each step of the finalizer is a bijection of 64-bit words: an odd
+    multiplier has an inverse modulo 2**64, and y = x ^ (x >> s) is undone by
+    iterating x <- y ^ (x >> s), which fixes s more top bits per pass.
+    """
+    mod = 1 << 64
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(word, 31)
+    z = z * pow(0x94D049BB133111EB, -1, mod) % mod
+    z = unshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, mod) % mod
+    z = unshift(z, 30)
+    return (z - key) * pow(0x9E3779B97F4A7C15, -1, mod) % mod

@@ -17,10 +17,14 @@ from ncsums.cli import main
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def load_spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # spans imports its sibling metrics
+    return importlib.import_module("spans")
+
+
 @pytest.mark.parametrize("mode", ["nonconventional", "iid"])
 def test_erlaw_traces_one_trajectory_per_seed(mode, monkeypatch):
-    monkeypatch.syspath_prepend(str(BENCH))  # spans imports its sibling metrics
-    spans = importlib.import_module("spans")
+    spans = load_spans(monkeypatch)
     tracer = spans.Tracer()
     seeds = (3, 4, 5)
     argv = [
@@ -34,3 +38,20 @@ def test_erlaw_traces_one_trajectory_per_seed(mode, monkeypatch):
     assert names.count("erlaw.experiment") == 1
     assert names.count("simulate.trajectory") == len(seeds)
     assert erlaw.trajectory is simulate.trajectory  # bindings restored
+
+
+def test_ldp_draws_all_pass_through_traced_sample_indices(monkeypatch):
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    draw = simulate.sample_indices
+    replicas, N, ell = 1000, 12, 2
+    argv = [
+        "ldp-check", "--preset", "rademacher-product", "--ell", str(ell), "--N", str(N),
+        "--u", "0.3", "--replicas", str(replicas), "--skip-theory", "--no-timestamp",
+    ]
+    with spans.patched(tracer):
+        code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
+    assert code == 0
+    draws = [s["count"] for s in tracer.spans if s["name"] == "simulate.draw"]
+    assert sum(draws) == replicas * N * ell
+    assert simulate.sample_indices is draw  # bindings restored

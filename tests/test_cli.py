@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -304,10 +305,30 @@ class TestInputValidation:
             ("rate-i", "--alpha", "0.5", "--t-cap", "-1"),
             ("ldp-check", "--N", "0", "--u", "0.3", "--replicas", "1000", "--skip-theory"),
             ("ldp-check", "--N", "-5", "--u", "0.3", "--replicas", "1000", "--skip-theory"),
+            ("erlaw", "--alpha", "0.5", "--n", "100", "--ell", "0"),
+            ("ldp-check", "--N", "60", "--u", "0.3", "--replicas", "1000", "--ell", "0",
+             "--skip-theory"),
         ],
     )
     def test_nan_grid_or_nonpositive_cap_is_input_error(self, argv):
         code, out, err = run_cli(*argv, "--preset", "rademacher-product", "--no-timestamp")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("const_value", [None, "inf", "nan"])
+    def test_nonfinite_table_is_input_error(self, const_value, tmp_path):
+        if const_value is None:
+            spec = tmp_path / "obs.json"
+            spec.write_text(
+                '{"values": [-1, 1], "probs": [0.5, 0.5], "ell": 2, "kind": "table",'
+                ' "table": [1e999, 0, 0, -1]}'
+            )
+            source = ("--spec-file", str(spec))
+        else:
+            source = ("--preset", "constant", "--const-value", const_value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning escapes either
+            code, out, err = run_cli("simulate", *source, "--n", "40", "--no-timestamp")
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "InputError"
 

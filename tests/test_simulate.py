@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import binomial_tail_at_least, ks_statistic, prefix_fsum
+from oracles import binomial_tail_at_least, ks_statistic, prefix_fsum, unmix_counter
 from ncsums import simulate
 from ncsums.errors import InputError
 from ncsums.model import (
@@ -74,6 +75,64 @@ class TestMixer:
     def test_determinism(self):
         dist, _ = preset("rademacher-product")
         assert x_value(dist, 7, 12345) == x_value(dist, 7, 12345)
+
+
+def random_distribution(size, seed):
+    p = np.random.default_rng(seed).random(size) + 0.05
+    return FiniteDistribution(values=tuple(range(size)), probs=tuple((p / p.sum()).tolist()))
+
+
+# Support sizes s give s - 1 thresholds: both sides of the switch from
+# counting compares to binary search, plus dyadic laws whose cum * 2**53 is
+# an integer and one whose middle cum rounds to 1.0 (its threshold is dropped).
+_S = simulate._SEARCH_FROM
+KERNEL_DISTS = {
+    **{f"random-{size}": random_distribution(size, seed=size)
+       for size in (1, 2, 3, 5, _S - 1, _S, _S + 1, _S + 2)},
+    "halves": FiniteDistribution(values=(0, 1), probs=(0.5, 0.5)),
+    "quarters": FiniteDistribution(values=(0, 1), probs=(0.25, 0.75)),
+    "eighths": FiniteDistribution(values=(0, 1, 2, 3), probs=(0.125, 0.125, 0.25, 0.5)),
+    "cum-rounds-to-1": FiniteDistribution(values=(0, 1, 2), probs=(0.5, 0.5, 1e-13)),
+}
+kernel_dists = pytest.mark.parametrize("dist", KERNEL_DISTS.values(), ids=list(KERNEL_DISTS))
+
+
+class TestDrawKernel:
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 3])
+    def test_mix_batch_broadcasts_keys_against_counters(self, seed):
+        keys = mix_batch(seed, np.arange(5, dtype=np.uint64))
+        got = mix_batch(keys, np.arange(1, 8, dtype=np.uint64)[:, None])
+        assert got.dtype == np.uint64 and got.shape == (7, 5)
+        want = [[mix64(mix64(seed, r), c) for r in range(5)] for c in range(1, 8)]
+        assert got.tolist() == want
+
+    @kernel_dists
+    def test_sample_indices_match_x_value(self, dist):
+        got = sample_indices(dist, 99, np.arange(1, 3001, dtype=np.uint64))
+        assert got.dtype == np.int64
+        assert got.tolist() == [x_value(dist, 99, i) for i in range(1, 3001)]
+
+    @kernel_dists
+    def test_threshold_words_match_float_rule(self, dist):
+        # The least word with index > i is T_i = k * 2**11 for the least k with
+        # cum_i <= k * 2**-53; words T_i - 1 and T_i straddle that boundary.
+        words = []
+        for c in dist.cumulative().tolist():
+            k = math.ceil(Fraction(c) * 2**53)
+            if k < 2**53:
+                words += [(k << 11) - 1, k << 11]
+        counters = [unmix_counter(w) for w in words]
+        assert [mix64(0, c) for c in counters] == words
+        got = sample_indices(dist, 0, np.array(counters, dtype=np.uint64))
+        assert got.tolist() == [x_value(dist, 0, c) for c in counters]
+
+    @pytest.mark.parametrize("size,searches", [(_S, False), (_S + 1, True)])
+    def test_binary_search_from_switch_point(self, size, searches, monkeypatch):
+        calls = []
+        search = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda *a, **k: calls.append(a) or search(*a, **k))
+        sample_indices(random_distribution(size, 0), 1, np.arange(1, 9, dtype=np.uint64))
+        assert bool(calls) == searches
 
 
 def scalar_term(dist, obs, key, m, mode):
