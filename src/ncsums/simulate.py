@@ -24,7 +24,6 @@ block by block with the compensated prefix form of Sum2 (see its docstring).
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
@@ -46,9 +45,6 @@ TRAJECTORY_MODES = ("nonconventional", "iid")
 
 _BLOCK = 1 << 18
 _LDP_CHUNK = 1 << 15
-# From this many thresholds on, sample_indices binary-searches instead of
-# counting compares (the two costs cross near 64-96 for 32768 draws).
-_SEARCH_FROM = 64
 
 
 def mix64(key: int, counter: int) -> int:
@@ -74,8 +70,7 @@ def mix_batch(keys, counters: np.ndarray) -> np.ndarray:
         keys = np.uint64(keys & MASK64)
     keys = np.asarray(keys, dtype=np.uint64)
     step = counters.astype(np.uint64, copy=False) * _U_GAMMA
-    z = np.empty(np.broadcast_shapes(keys.shape, step.shape), dtype=np.uint64)
-    np.add(keys, step, out=z)
+    z = keys + step
     shifted = np.empty_like(z)
     z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= _MIX1
@@ -94,7 +89,6 @@ def x_value(dist: FiniteDistribution, seed: int, i: int) -> int:
     return bisect_right(cum, u)
 
 
-@functools.lru_cache(maxsize=64)
 def _thresholds(dist: FiniteDistribution) -> np.ndarray:
     """Words T_i = ceil(cum_i * 2**53) * 2**11, dropping those that reach 2**64.
 
@@ -103,27 +97,22 @@ def _thresholds(dist: FiniteDistribution) -> np.ndarray:
     sum that rounded up to 1), which no u < 1 reaches.
     """
     words = [math.ceil(c * 2.0**53) << 11 for c in dist.cumulative().tolist()]
-    out = np.array([w for w in words if w <= MASK64], dtype=np.uint64)
-    out.setflags(write=False)
-    return out
+    return np.array([w for w in words if w <= MASK64], dtype=np.uint64)
 
 
 def sample_indices(dist: FiniteDistribution, keys, counters: np.ndarray) -> np.ndarray:
     """Support indices of draws ``counters`` of streams ``keys`` (see mix_batch).
 
     Each index is #{i : z >= T_i} over the integer thresholds of _thresholds,
-    equal to x_value's float rule (see the module docstring): a count of
-    compares for a few thresholds, an integer binary search for more.
+    counted with one in-place compare per threshold; it equals x_value's
+    float rule (see the module docstring).
     """
     z = mix_batch(keys, counters)
-    thresholds = _thresholds(dist)
-    if thresholds.size >= _SEARCH_FROM:
-        return np.searchsorted(thresholds, z, side="right").astype(np.int64, copy=False)
-    count = np.zeros(z.shape, dtype=np.uint8)  # exact: _SEARCH_FROM <= 256
+    count = np.zeros(z.shape, dtype=np.int64)
     hit = np.empty(z.shape, dtype=bool)
-    for t in thresholds:
+    for t in _thresholds(dist):
         count += np.greater_equal(z, t, out=hit)
-    return count.astype(np.int64)
+    return count
 
 
 def term_values(dist: FiniteDistribution, obs: Observable, keys, ms, mode: str) -> np.ndarray:

@@ -82,13 +82,11 @@ def random_distribution(size, seed):
     return FiniteDistribution(values=tuple(range(size)), probs=tuple((p / p.sum()).tolist()))
 
 
-# Support sizes s give s - 1 thresholds: both sides of the switch from
-# counting compares to binary search, plus dyadic laws whose cum * 2**53 is
-# an integer and one whose middle cum rounds to 1.0 (its threshold is dropped).
-_S = simulate._SEARCH_FROM
+# Support sizes s give s - 1 thresholds, past 255 so that no narrow count
+# type can pass; the dyadic laws have integer cum * 2**53, and in the last
+# law a middle cum rounds to 1.0 (its threshold is dropped).
 KERNEL_DISTS = {
-    **{f"random-{size}": random_distribution(size, seed=size)
-       for size in (1, 2, 3, 5, _S - 1, _S, _S + 1, _S + 2)},
+    **{f"random-{size}": random_distribution(size, seed=size) for size in (1, 2, 3, 5, 64, 257)},
     "halves": FiniteDistribution(values=(0, 1), probs=(0.5, 0.5)),
     "quarters": FiniteDistribution(values=(0, 1), probs=(0.25, 0.75)),
     "eighths": FiniteDistribution(values=(0, 1, 2, 3), probs=(0.125, 0.125, 0.25, 0.5)),
@@ -125,14 +123,6 @@ class TestDrawKernel:
         assert [mix64(0, c) for c in counters] == words
         got = sample_indices(dist, 0, np.array(counters, dtype=np.uint64))
         assert got.tolist() == [x_value(dist, 0, c) for c in counters]
-
-    @pytest.mark.parametrize("size,searches", [(_S, False), (_S + 1, True)])
-    def test_binary_search_from_switch_point(self, size, searches, monkeypatch):
-        calls = []
-        search = np.searchsorted
-        monkeypatch.setattr(np, "searchsorted", lambda *a, **k: calls.append(a) or search(*a, **k))
-        sample_indices(random_distribution(size, 0), 1, np.arange(1, 9, dtype=np.uint64))
-        assert bool(calls) == searches
 
 
 def scalar_term(dist, obs, key, m, mode):
