@@ -2,9 +2,10 @@
 
 Every command runs in-process with ``--no-timestamp``, so its bytes are
 reproducible.  The matrix covers every subcommand in both formats, the
-benchmark's commands at smoke size, the i.i.d. mode, the stderr summary of
-``erlaw``, seeds that wrap modulo 2**64, and exit codes 2, 3 and 4.  An
-expectation changes only together with an intended output-schema change.
+benchmark's commands at smoke size, the i.i.d. mode, fractional trajectories
+from a spec file, the stderr summary of ``erlaw``, seeds that wrap modulo
+2**64, and exit codes 2, 3 and 4.  An expectation changes only together with
+an intended output-schema change.
 Negative grids use the ``--flag=-1,...`` form so argparse does not read them
 as options.
 """
@@ -84,6 +85,13 @@ MATRIX = BENCH + [
      ("simulate", "--ell", "3", "--n", "50", "--seed", str(2**64 + 3), "--stride", "5",
       "--format", "json") + R),
     ("simulate-config", ("simulate", "--n", "100", "--config", "{tmp}/cfg.json") + R),
+    # fractional S_k, with a stride that does not divide n
+    ("simulate-spec-csv",
+     ("simulate", "--spec-file", "{tmp}/obs.json", "--center", "--n", "1000", "--seed", "4",
+      "--stride", "7")),
+    ("simulate-spec-json",
+     ("simulate", "--spec-file", "{tmp}/obs.json", "--center", "--n", "500", "--seed", "5",
+      "--stride", "7", "--mode", "iid", "--format", "json")),
     ("output-file", ("rate-j", "--u", "0.5", "--output", "{tmp}/out.txt") + R),
     ("exit2-structure-limit", ("structure", "--ell", "2", "--n", "1e9")),
     ("exit2-degenerate", ("rate-i", "--preset", "constant", "--alpha", "0.5")),
@@ -255,6 +263,16 @@ EXPECTED = {
     ),
     "simulate-config": (
         "8d838b78c668e4df81a82473285198a39ccc64c8cf4a84f4f178b71948bac370",
+        "",
+        0,
+    ),
+    "simulate-spec-csv": (
+        "3474c3ff34c3457050fd0a515c90d6ec1d25351edc393de3cc73a9fcbd1ac595",
+        "",
+        0,
+    ),
+    "simulate-spec-json": (
+        "434f2815699df3f47a7862b87a0d479f8449784d0abb62daa4c1b30667f27293",
         "",
         0,
     ),
