@@ -1,10 +1,15 @@
 """Command-line frontend: structure dumps, rate curves, and experiments.
 
 All subcommands support --format csv|json.  CSV numeric fields use 9
-significant digits; infinities print as "inf".  Outputs are byte-identical
-across runs and thread counts once --no-timestamp is passed.  Exit codes:
-0 success, 2 input error, 3 capacity/budget, 4 tolerance unreachable.
-Errors additionally emit a one-line JSON object on stderr.
+significant digits ("%.9g"); infinities print as "inf".  JSON is
+json.dumps(indent=2) with non-finite floats spelled as strings.  simulate's
+(k, S_k) table, whose S_k are always finite, is written with the same bytes
+by one row template per format: "%d,%.9g" for CSV, and for JSON the indent-2
+layout of [k, S_k] with %r, which spells a Python float as json.dumps does.
+Outputs are byte-identical across runs and thread counts once --no-timestamp
+is passed.  Exit codes: 0 success, 2 input error, 3 capacity/budget, 4
+tolerance unreachable.  Errors additionally emit a one-line JSON object on
+stderr.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from itertools import chain
 
 from . import erlaw as erlaw_mod
 from . import lattice, model, rates, simulate
@@ -37,14 +43,8 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return format(x, ".9g")
+        return "%.9g" % x  # also "inf", "-inf" and "nan"
     return str(x)
 
 
@@ -116,15 +116,48 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+# One (k, S_k) row: what _fmt, and json.dumps(indent=2) at depth 2, write for
+# an int k and a finite Python float S_k.
+_CSV_PAIR = "%d,%.9g"
+_JSON_PAIR = "    [\n      %d,\n      %r\n    ]"
+
+
+@dataclass(frozen=True)
+class _Pairs:
+    """simulate's rows as two columns: ints ``ks`` and finite Python floats ``values``.
+
+    ``fill`` formats every row with one template in a single % pass, so no
+    row tuple and no per-value string is built.
+    """
+
+    ks: range | list[int]
+    values: list[float]
+
+    def fill(self, row: str, sep: str) -> str:
+        pairs = chain.from_iterable(zip(self.ks, self.values))
+        return sep.join([row] * len(self.values)) % tuple(pairs)
+
+
 def _render(args, payload: dict, header, rows) -> str:
-    """The output text of one subcommand in the requested format."""
+    """The output text of one subcommand in the requested format.
+
+    ``rows`` is a list of row tuples, or simulate's _Pairs, which JSON writes
+    as the payload's last key "rows".
+    """
+    pairs = isinstance(rows, _Pairs)
     if args.format == "json":
         if not args.no_timestamp:
             payload = {"generated_at": _timestamp(), **payload}
-        return _json_text(payload, indent=2) + "\n"
+        if not pairs:
+            return _json_text(payload, indent=2) + "\n"
+        head = _json_text({**payload, "rows": []}, indent=2)  # ends with '[]\n}'
+        return head[:-3] + "\n" + rows.fill(_JSON_PAIR, ",\n") + "\n  ]\n}\n"
     lines = [] if args.no_timestamp else [f"# generated_at={_timestamp()}"]
     lines.append(",".join(header))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    if pairs:
+        lines.append(rows.fill(_CSV_PAIR, "\n"))
+    else:
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -352,12 +385,11 @@ def _cmd_simulate(args, config):
         raise InputError("stride must be >= 1")
     seed = int(_merged(args, config, "seed", 1))
     prefix = simulate.trajectory(dist, obs, seed, n, args.mode)
-    ks = list(range(0, n + 1, stride))
-    if ks[-1] != n:
-        ks.append(n)
-    # tuples, not lists: JSON writes them as the same arrays, and they are
-    # cheaper to build for hundreds of thousands of rows
-    rows = [(k, float(prefix[k])) for k in ks]
+    ks = range(0, n + 1, stride)
+    values = prefix[::stride].tolist()
+    if ks[-1] != n:  # the last row is always S_n
+        ks = [*ks, n]
+        values.append(prefix[n].item())
     payload = {
         "kind": "simulate",
         "ell": obs.ell,
@@ -366,9 +398,8 @@ def _cmd_simulate(args, config):
         "seed": seed,
         "n": n,
         "stride": stride,
-        "rows": rows,
     }
-    return payload, ["k", "S_k"], rows
+    return payload, ["k", "S_k"], _Pairs(ks, values)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ class DegenerateObservableError(InputError):
 
 
 class CapacityError(NcsumsError):
-    """A hard size limit was hit (table cells, 128-bit integer range)."""
+    """A hard size limit was hit (table cells, 128-bit integer range, float64 sums)."""
 
 
 class BudgetExceededError(CapacityError):

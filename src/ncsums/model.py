@@ -38,6 +38,9 @@ class FiniteDistribution:
             raise InputError("distribution needs at least one support point")
         if len(self.values) != len(self.probs):
             raise InputError("values and probs must have equal length")
+        for field in ("values", "probs"):
+            if not all(math.isfinite(v) for v in getattr(self, field)):
+                raise InputError(f"distribution {field} must be finite")
         if any(p <= 0.0 for p in self.probs):
             raise InputError("all probabilities must be strictly positive")
         total = math.fsum(self.probs)
@@ -113,10 +116,14 @@ def observable_from_table(dist: FiniteDistribution, ell: int, flat_table) -> Obs
         raise InputError("table entries must be finite")
     w = tuple_weights(dist, ell)
     mean = math.fsum((w * flat).tolist())
-    second = math.fsum((w * flat * flat).tolist())
-    variance = max(0.0, second - mean * mean)
     sup_pos = max(0.0, float(flat.max()))
     sup_neg = max(0.0, -float(flat.min()))
+    # The second moment in units of scale**2, a power of two that is 1 unless
+    # |F| > 2**510: w * F * F cannot overflow, and other tables keep their bits.
+    # A variance beyond the float range comes out as inf, without a warning.
+    scale = 2.0 ** max(0, math.frexp(max(sup_pos, sup_neg))[1] - 511)
+    fs, ms = flat / scale, mean / scale
+    variance = max(0.0, math.fsum((w * fs * fs).tolist()) - ms * ms) * scale * scale
     flat = flat.copy()
     flat.setflags(write=False)
     return Observable(
@@ -201,8 +208,8 @@ def value_distribution(
 
 def is_degenerate(obs: Observable) -> bool:
     """True when F is a.s. constant up to floating-point residue."""
-    scale = max(1.0, obs.sup_abs * obs.sup_abs)
-    return obs.variance <= 1e-15 * scale
+    scale = max(1.0, obs.sup_abs)  # sup_abs**2 may overflow
+    return obs.variance / scale / scale <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .model import FiniteDistribution, Observable
 
 MASK64 = (1 << 64) - 1
@@ -45,6 +45,10 @@ TRAJECTORY_MODES = ("nonconventional", "iid")
 
 _BLOCK = 1 << 18
 _LDP_CHUNK = 1 << 15
+
+# A sum of n terms is allowed while n * sup|F| does not exceed this: then
+# every partial sum, and every difference of two, is finite in float64.
+SUM_LIMIT = 2.0**1022
 
 
 def mix64(key: int, counter: int) -> int:
@@ -115,6 +119,14 @@ def sample_indices(dist: FiniteDistribution, keys, counters: np.ndarray) -> np.n
     return count
 
 
+def _check_sum_range(obs: Observable, n: int) -> None:
+    if n * obs.sup_abs > SUM_LIMIT:
+        raise CapacityError(
+            f"sums of {n} terms with |F| up to {obs.sup_abs:.6g} can overflow float64"
+            f" (n * sup|F| may not exceed {SUM_LIMIT:.6g})"
+        )
+
+
 def term_values(dist: FiniteDistribution, obs: Observable, keys, ms, mode: str) -> np.ndarray:
     """F at 1-based term numbers ``ms`` of streams ``keys``, broadcast against ``ms``.
 
@@ -147,10 +159,12 @@ def trajectory(
     errors of its steps, as accurate as summing in twice the working
     precision.  Both sums carry across blocks, so the result does not depend
     on the block size; when every running sum is exact in float64 (integer
-    or dyadic terms) all errors are 0 and S_k is the plain float sum.
+    or dyadic terms) all errors are 0 and S_k is the plain float sum.  Every
+    S_k is finite: an n that could overflow raises CapacityError.
     """
     if n < 1:
         raise InputError("n must be >= 1")
+    _check_sum_range(obs, n)
     prefix = np.empty(n + 1, dtype=np.float64)
     prefix[0] = s = e = 0.0
     for m0 in range(1, n + 1, _BLOCK):
@@ -218,6 +232,7 @@ def ldp_estimate(
         raise InputError("replicas must be >= 1000")
     if not u > 0:
         raise InputError("u must be positive")
+    _check_sum_range(obs, N)
     bounds = [(r0, min(replicas, r0 + _LDP_CHUNK)) for r0 in range(0, replicas, _LDP_CHUNK)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -8,6 +8,7 @@ data types.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -211,3 +212,36 @@ def unmix_counter(word, key=0):
     z = z * pow(0xBF58476D1CE4E5B9, -1, mod) % mod
     z = unshift(z, 30)
     return (z - key) * pow(0x9E3779B97F4A7C15, -1, mod) % mod
+
+
+def fmt_value(x):
+    """The CLI's CSV rendering of one value, spelled out case by case."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, float):
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        if math.isnan(x):
+            return "nan"
+        return format(x, ".9g")
+    return str(x)
+
+
+def render_simulate(fmt, payload, prefix, stride):
+    """simulate's output text by the generic route, without a timestamp.
+
+    The rows are (k, float) tuples for k = 0, stride, 2*stride, ... and n;
+    CSV writes each value through fmt_value, JSON is json.dumps(indent=2) of
+    ``payload`` with the rows appended as its last key.
+    """
+    n = len(prefix) - 1
+    ks = list(range(0, n + 1, stride))
+    if ks[-1] != n:
+        ks.append(n)
+    rows = [(k, float(prefix[k])) for k in ks]
+    if fmt == "json":
+        return json.dumps({**payload, "rows": rows}, indent=2) + "\n"
+    lines = ["k,S_k"] + [",".join(fmt_value(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"

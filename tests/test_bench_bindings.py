@@ -55,3 +55,20 @@ def test_ldp_draws_all_pass_through_traced_sample_indices(monkeypatch):
     draws = [s["count"] for s in tracer.spans if s["name"] == "simulate.draw"]
     assert sum(draws) == replicas * N * ell
     assert simulate.sample_indices is draw  # bindings restored
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_traces_one_trajectory(fmt, monkeypatch):
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    trajectory = simulate.trajectory
+    argv = [
+        "simulate", "--preset", "rademacher-product", "--n", "500", "--stride", "7",
+        "--format", fmt, "--no-timestamp",
+    ]
+    with spans.patched(tracer):
+        code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
+    assert code == 0
+    names = [s["name"] for s in tracer.spans]
+    assert names.count("simulate.trajectory") == 1
+    assert simulate.trajectory is trajectory and erlaw.trajectory is trajectory  # restored

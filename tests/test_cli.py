@@ -1,13 +1,17 @@
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ncsums.cli import main
+from oracles import fmt_value, render_simulate
+from ncsums import simulate
+from ncsums.cli import _fmt, main
 
 
 def run_cli(*argv):
@@ -179,6 +183,65 @@ class TestExperimentCommands:
         assert len(doc["rows"]) == 11
 
 
+# Values whose spelling is easy to get wrong: signed zero, subnormals, integers
+# past 2**53, a .5 tie at nine digits, the ends of the float range, and the
+# points where repr and %.9g switch to exponent notation.
+AWKWARD_VALUES = [
+    0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, float(2**53), float(2**53 + 2),
+    -float(2**60), 2.0**1000, 123456789.5, -123456789.5, 1e300, -1e300, 1e-300, -1e-300,
+    0.1, 1 / 3, -2 / 3, 1e16, 1e16 - 2, 1e15 + 0.3, 1e-4, 9.99999999e-5, 5e-5, 1e22,
+    0.5, 1.0, -7.0, 999999999.5, 1234567894.999,
+]
+
+
+def awkward_prefix():
+    rng = np.random.default_rng(7)
+    mags = 10.0 ** rng.uniform(-300, 300, 150)
+    signs = rng.choice([-1.0, 1.0], mags.size)
+    ints = rng.integers(-(2**62), 2**62, 50).astype(np.float64)
+    return np.concatenate([AWKWARD_VALUES, signs * mags, ints, rng.normal(size=50)])
+
+
+class TestSimulateRendering:
+    """The row templates give the bytes of the generic renderer (oracles.render_simulate)."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("stride", [1, 7, "n"])
+    def test_matches_generic_renderer(self, fmt, stride, monkeypatch):
+        prefix = awkward_prefix()
+        n = prefix.size - 1
+        stride = n if stride == "n" else stride
+        monkeypatch.setattr(simulate, "trajectory", lambda dist, obs, seed, n_, mode: prefix)
+        code, out, err = run_cli(
+            "simulate", "--preset", "rademacher-product", "--n", str(n), "--seed", "3",
+            "--stride", str(stride), "--format", fmt, "--no-timestamp",
+        )
+        assert (code, err) == (0, "")
+        payload = {
+            "kind": "simulate", "ell": 2, "observable": "rademacher-product",
+            "mode": "nonconventional", "seed": 3, "n": n, "stride": stride,
+        }
+        assert out == render_simulate(fmt, payload, prefix, stride)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_timestamp_is_one_extra_line(self, fmt):
+        args = ("simulate", "--preset", "rademacher-product", "--n", "30", "--format", fmt)
+        _, with_ts, _ = run_cli(*args)
+        _, without, _ = run_cli(*args, "--no-timestamp")
+        lines = with_ts.splitlines(keepends=True)
+        stamp = 0 if fmt == "csv" else 1
+        assert "generated_at" in lines[stamp]
+        assert "".join(lines[:stamp] + lines[stamp + 1:]) == without
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, 0, -3, 2**64 + 1, "rademacher-product", "", math.inf, -math.inf,
+         math.nan, *AWKWARD_VALUES, np.float64(0.1)],
+    )
+    def test_fmt_matches_reference(self, value):
+        assert _fmt(value) == fmt_value(value)
+
+
 class TestDeterminismAndConfig:
     def test_byte_identical_across_threads(self):
         args = (
@@ -331,6 +394,40 @@ class TestInputValidation:
             code, out, err = run_cli("simulate", *source, "--n", "40", "--no-timestamp")
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "InputError"
+
+    @pytest.mark.parametrize(
+        "field,fields",
+        [
+            ("probs", '"values": [-1, 1], "probs": [NaN, 1.0], "kind": "product"'),
+            ("probs", '"values": [-1, 1], "probs": [0.5, Infinity], "kind": "product"'),
+            ("values", '"values": [NaN], "probs": [1.0], "kind": "table", "table": [1.5]'),
+            ("values", '"values": [-Infinity, 1], "probs": [0.5, 0.5], "kind": "product"'),
+        ],
+    )
+    def test_nonfinite_distribution_is_input_error(self, field, fields, tmp_path):
+        spec = tmp_path / "obs.json"
+        spec.write_text(f'{{{fields}, "ell": 2}}')  # json reads NaN and Infinity
+        code, out, err = run_cli("simulate", "--spec-file", str(spec), "--n", "5", "--no-timestamp")
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["error"] == "InputError"
+        assert f"distribution {field} must be finite" in doc["message"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_sums_are_capacity_error(self, fmt, tmp_path):
+        spec = tmp_path / "obs.json"
+        spec.write_text(
+            '{"values": [-1, 1], "probs": [0.5, 0.5], "ell": 2, "kind": "table",'
+            ' "table": [1e308, 1e308, 1e308, 1e308]}'
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # neither the moments nor the sums may overflow
+            code, out, err = run_cli(
+                "simulate", "--spec-file", str(spec), "--n", "4", "--format", fmt,
+                "--no-timestamp",
+            )
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "CapacityError"
 
     def test_infinite_grid_item_still_evaluates(self):
         code, out, _ = run_cli(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ncsums.model import (
     evaluate,
     from_spec,
     indicator_equal_observable,
+    is_degenerate,
     make_observable,
     negate,
     observable_from_table,
@@ -38,6 +40,9 @@ class TestFiniteDistribution:
             ((1, 1), (0.5, 0.5)),  # duplicate
             ((1, 2, 3), (0.5, 0.5)),  # length mismatch
             ((), ()),
+            ((1, 2), (math.nan, 1.0)),  # NaN fails both the sign and the sum test
+            ((math.nan,), (1.0,)),  # a lone NaN has no neighbour to compare with
+            ((1, math.inf), (0.5, 0.5)),
         ],
     )
     def test_invalid(self, values, probs):
@@ -70,6 +75,29 @@ class TestMoments:
         assert obs.sup_pos == max(0.0, obs.table.max())
         assert obs.sup_neg == max(0.0, -obs.table.min())
         assert obs.sup_abs == max(obs.sup_pos, obs.sup_neg)
+
+    def test_huge_entries_do_not_overflow_the_moments(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat = observable_from_table(RADEMACHER, 2, [1e308] * 4)
+            spread = observable_from_table(RADEMACHER, 2, [1e308, -1e308, 1e308, -1e308])
+        assert (flat.mean, flat.variance) == (1e308, 0.0)
+        assert is_degenerate(flat)
+        assert spread.mean == 0.0 and spread.variance == math.inf  # 1e616 is past float64
+        assert not is_degenerate(spread)
+
+    def test_scaled_second_moment_keeps_the_bits(self):
+        # Tables past 2**510 take the second moment in scaled units; a power
+        # of two scales every rounding step exactly, so nothing else moves.
+        dist = FiniteDistribution(values=(-1.0, 2.0), probs=(0.75, 0.25))
+        table = np.array([0.55, -0.85, 0.95, 2.15])
+        w = tuple_weights(dist, 2)
+        mean = math.fsum((w * table).tolist())
+        base = observable_from_table(dist, 2, table)
+        assert base.variance == math.fsum((w * table * table).tolist()) - mean * mean
+        big = observable_from_table(dist, 2, table * 2.0**510)
+        assert big.mean == mean * 2.0**510
+        assert big.variance / 2.0**510 / 2.0**510 == base.variance
 
     def test_variance_nonnegative_and_zero_for_constant(self):
         obs = constant_observable(RADEMACHER, 5.0, ell=2)

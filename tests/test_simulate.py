@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from oracles import binomial_tail_at_least, ks_statistic, prefix_fsum, unmix_counter
 from ncsums import simulate
-from ncsums.errors import InputError
+from ncsums.errors import CapacityError, InputError
 from ncsums.model import (
     RADEMACHER,
     FiniteDistribution,
@@ -253,6 +254,29 @@ class TestCompensatedPrefix:
         x = term_values(dist, obs, 11, np.arange(1, n + 1), mode)
         plain = np.concatenate(([0.0], np.cumsum(x)))
         assert trajectory(dist, obs, 11, n, mode).tobytes() == plain.tobytes()
+
+
+class TestSumRange:
+    """n * sup|F| <= SUM_LIMIT keeps every sum finite; past it, CapacityError."""
+
+    BIG = simulate.SUM_LIMIT / 2
+
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    def test_sums_at_the_limit_stay_finite(self, mode):
+        dist, obs = table_observable((0.0, 1.0), (0.5, 0.5), [self.BIG, -self.BIG] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(1, 9):
+                prefix = trajectory(dist, obs, seed, 2, mode)
+                assert np.isfinite(prefix).all() and np.isfinite(np.diff(prefix)).all()
+                assert np.isfinite(prefix[2] - prefix[0])
+
+    def test_past_the_limit_is_capacity_error(self):
+        dist, obs = table_observable((0.0, 1.0), (0.5, 0.5), [self.BIG, -self.BIG] * 2)
+        with pytest.raises(CapacityError):
+            trajectory(dist, obs, 1, 3)
+        with pytest.raises(CapacityError):
+            ldp_estimate(dist, obs, N=3, u=0.3, replicas=1000, seed=1)
 
 
 class TestIidTrajectory:
