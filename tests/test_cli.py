@@ -413,8 +413,7 @@ class TestInputValidation:
         assert doc["error"] == "InputError"
         assert f"distribution {field} must be finite" in doc["message"]
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_overflowing_sums_are_capacity_error(self, fmt, tmp_path):
+    def test_overflowing_sums_are_capacity_error(self, tmp_path):
         spec = tmp_path / "obs.json"
         spec.write_text(
             '{"values": [-1, 1], "probs": [0.5, 0.5], "ell": 2, "kind": "table",'
@@ -423,7 +422,7 @@ class TestInputValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # neither the moments nor the sums may overflow
             code, out, err = run_cli(
-                "simulate", "--spec-file", str(spec), "--n", "4", "--format", fmt,
+                "simulate", "--spec-file", str(spec), "--n", "4", "--format", "json",
                 "--no-timestamp",
             )
         assert (code, out) == (3, "")
