@@ -5,7 +5,9 @@ reproducible.  The matrix covers every subcommand in both formats, the
 benchmark's commands at smoke size, the i.i.d. mode, fractional trajectories
 from a spec file, the stderr summary of ``erlaw``, seeds that wrap modulo
 2**64, and exit codes 2, 3 and 4.  An expectation changes only together with
-an intended output-schema change.
+an intended output-schema change.  ``rate-j`` grids with both signs, zero,
+a repeated u and u past the endpoints are pinned, and so is the budget
+error a multi-u grid reports.
 Negative grids use the ``--flag=-1,...`` form so argparse does not read them
 as options.
 """
@@ -58,6 +60,10 @@ MATRIX = BENCH + [
     ("pressure-l1-csv", ("pressure", "--ell", "1", "--lambda", "1") + R),
     ("rate-j-csv", ("rate-j", "--u", "0,0.5,1.5") + R),
     ("rate-j-json", ("rate-j", "--u=-0.5,0.25", "--format", "json") + R),
+    # one grid: both signs, zero, a repeated u and u past both endpoints (J = inf)
+    ("rate-j-grid-csv", ("rate-j", "--ell", "2", "--u=-0.3,-0.2,-0.1,0,0.3,0.3,0.74,0.76") + B),
+    ("rate-j-grid-json",
+     ("rate-j", "--ell", "2", "--u=-0.3,-0.2,-0.1,0,0.3,0.3,0.74,0.76", "--format", "json") + B),
     ("erlaw-json", ("erlaw", "--alpha", "0.4,0.6", "--n", "2000", "--seeds", "2", "--format", "json")
      + R),
     ("erlaw-iid-csv",
@@ -97,6 +103,8 @@ MATRIX = BENCH + [
     ("exit2-degenerate", ("rate-i", "--preset", "constant", "--alpha", "0.5")),
     ("exit3-capacity", ("rate-i", "--ell", "30", "--alpha", "0.5") + R),
     ("exit4-tolerance", ("pressure", "--ell", "5", "--lambda", "1", "--tol", "1e-12") + R),
+    ("exit4-rate-j-budget",
+     ("rate-j", "--ell", "2", "--u=-0.5,0.2,0.7", "--tol", "1e-12", "--budget", "40") + R),
 ]
 
 # id -> (sha256 of stdout, or of the --output file, exact stderr, exit code)
@@ -211,6 +219,16 @@ EXPECTED = {
         "",
         0,
     ),
+    "rate-j-grid-csv": (
+        "95c96c18768d1640d6d16a01575958d6e6394fe39029316e046a85ad6b00d0df",
+        "",
+        0,
+    ),
+    "rate-j-grid-json": (
+        "543f86e5681d3fd2cdbcc50a1a577329e70106fcbc84a140068f93af9109ec2f",
+        "",
+        0,
+    ),
     "erlaw-json": (
         "16b464662eab5e7621caf2851ce397abb356c4eaf7b470d4565ade8afdb82f57",
         "",
@@ -299,6 +317,11 @@ EXPECTED = {
     "exit4-tolerance": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         '{"error": "ToleranceError", "message": "certified tail cannot reach tol=1e-12 (best achievable 1.275e-05)"}\n',
+        4,
+    ),
+    "exit4-rate-j-budget": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        '{"error": "ToleranceError", "message": "budget exhausted at fiber length 11; achievable tol is 0.3515625"}\n',
         4,
     ),
 }
