@@ -277,10 +277,9 @@ def _cmd_pressure(args, config):
     grid = _parse_grid(getattr(args, "lam"))
     basis = lattice.primes_up_to(obs.ell)
     press = rates.Pressure(dist, obs, basis, tol=tol, budget=args.budget)
-    rows = []
-    for lam in grid:
-        d = press.detail(lam)
-        rows.append((lam, d.value, False, tol, d.truncation_l))
+    rows = [
+        (lam, d.value, False, tol, d.truncation_l) for lam, d in zip(grid, press.details(grid))
+    ]
     return _curve(
         "pressure", obs, obs_id, tol, rows, extra=("truncation_l",),
         L_truncation=max(r[4] for r in rows),
@@ -294,10 +293,7 @@ def _cmd_rate_j(args, config):
     basis = lattice.primes_up_to(obs.ell)
     press = rates.Pressure(dist, obs, basis, tol=tol, budget=args.budget)
     conj = rates.RateJ(press, lambda_cap=args.lambda_cap)
-    rows = []
-    for u in grid:
-        v = conj(u)
-        rows.append((u, v, math.isinf(v), tol))
+    rows = [(u, v, math.isinf(v), tol) for u, v in zip(grid, conj.grid(grid))]
     return _curve("rate-j", obs, obs_id, tol, rows, lambda_cap=conj.lambda_cap)
 
 

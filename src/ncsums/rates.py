@@ -8,7 +8,10 @@ between terms, so it is evaluated by sum-product elimination over the
 shared-index dependency graph rather than by brute enumeration.  For
 ell >= 3 the elimination order of each fiber length is a compiled
 elimination plan, built once per process from the chain structure alone
-and replayed per lambda.
+and replayed per lambda.  The pressure is evaluated over batches of
+lambda: at ell = 2 one transfer recursion serves a whole batch, and the
+conjugate J runs the golden sections of a u grid in lockstep, so that the
+lambdas of each round form one batch.
 
 Truncation of the series is certified: ln R_l <= l*M*|lambda| bounds every
 dropped term, and the smooth numbers beyond the enumerated range are
@@ -17,9 +20,11 @@ bounded below through h_l >= 2**(l**(1/m) - 1).
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import threading
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +126,8 @@ class CramerRate:
                 lo = mid
             else:
                 hi = mid
-            if abs(hi - lo) <= 1e-13 * max(1.0, abs(hi)):
+            # the optimal t scales as 1/M: the width is relative to |t| down to min(1, 1/M)
+            if abs(hi - lo) <= 1e-13 * max(abs(hi), min(1.0, 1.0 / obs.sup_abs)):
                 break
         t = 0.5 * (lo + hi)
         return max(0.0, t * alpha - self.log_mgf(t))
@@ -276,20 +282,57 @@ def _replay_log(steps: tuple[_Step, ...], table: np.ndarray, probs: np.ndarray, 
     return logscale
 
 
+def _transfer_log_r(
+    dist: FiniteDistribution, obs: Observable, lams: np.ndarray, L: int, budget: int
+) -> np.ndarray:
+    """ln R_l for l = 1..L of ell = 2 chains at each of B lambdas, as a (B, L) array.
+
+    One forward pass serves every length and every lambda: f starts at the
+    marginal weights, each step multiplies by the kernel exp(lambda * F)
+    and the weights again, and renormalizes by the sum c, whose logs
+    accumulate.  Row i has the bits of the same recursion run on lams[i]
+    alone: a (1, s) @ (s, s) matmul per lambda, math.log per sum (np.log
+    can differ in the last bit) and a sequential cumsum.  The budget counts
+    the cells of one lambda.
+    """
+    s = dist.size
+    if L * s * s > budget:
+        raise BudgetExceededError(
+            f"transfer recursion needs {L * s * s} cells, over budget {budget}",
+            completed=budget // (s * s),
+        )
+    probs = np.asarray(dist.probs, dtype=np.float64)
+    kernel = np.exp(lams[:, None] * obs.table).reshape(-1, s, s)
+    f = np.tile(probs, (len(lams), 1, 1))
+    sums = np.empty((L, len(lams)))
+    for l in range(L):
+        g = np.matmul(f, kernel) * probs
+        c = g.sum(axis=2, keepdims=True)
+        sums[l] = c[:, 0, 0]
+        f = g / c
+    logs = np.array([math.log(c) for c in sums.ravel().tolist()]).reshape(sums.shape)
+    return np.cumsum(logs, axis=0).T
+
+
 def log_r_sequence(
     dist: FiniteDistribution,
     obs: Observable,
     basis: PrimeBasis,
-    lam: float,
+    lam: float | np.ndarray,
     L: int,
     budget: int = DEFAULT_BUDGET,
-) -> list[float]:
+) -> list[float] | np.ndarray:
     """ln R_l for l = 1..L.
 
     ell = 1 collapses to l * ln(mgf); ell = 2 chains are a pure transfer
     recursion over successive smooth indices (one forward pass yields all
     lengths); larger ell replays each length's compiled elimination plan.
+    At ell = 2 ``lam`` may also be a 1-D array of nonzero lambdas: one
+    recursion then serves them all, and row i of the (B, L) array returned
+    is the sequence at lam[i].
     """
+    if obs.ell == 2 and np.ndim(lam) == 1:
+        return _transfer_log_r(dist, obs, np.asarray(lam, dtype=np.float64), L, budget)
     if L < 1:
         return []
     if lam == 0.0:
@@ -300,22 +343,7 @@ def log_r_sequence(
         lphi = math.log(mgf(dist, obs, lam))
         return [k * lphi for k in range(1, L + 1)]
     if obs.ell == 2:
-        if L * s * s > budget:
-            raise BudgetExceededError(
-                f"transfer recursion needs {L * s * s} cells, over budget {budget}",
-                completed=budget // (s * s),
-            )
-        kernel = np.exp(lam * obs.table).reshape(s, s)
-        f = probs.copy()
-        logacc = 0.0
-        out = []
-        for _ in range(L):
-            g = (f @ kernel) * probs
-            c = float(g.sum())
-            logacc += math.log(c)
-            out.append(logacc)
-            f = g / c
-        return out
+        return _transfer_log_r(dist, obs, np.array([lam], dtype=np.float64), L, budget)[0].tolist()
     if obs.ell != basis.ell:
         raise InputError(f"ell={obs.ell} does not match basis ell={basis.ell}")
     shaped = np.exp(lam * obs.table).reshape((s,) * obs.ell)
@@ -430,6 +458,9 @@ class Pressure:
     memoized per lambda.  The lock guards only the lookup and the insert:
     evaluations at different lambda run concurrently, and two at the same
     lambda may both compute, the first insert winning.
+
+    ``details`` evaluates a batch of lambdas; at ell = 2 they share one
+    transfer recursion.  ``detail`` and calling the object are batches of one.
     """
 
     def __init__(
@@ -470,52 +501,94 @@ class Pressure:
             suffix += inv[L]
         tail[0] = inv[0] + suffix  # L = 0: whole series
         self._tail = tail
+        # -tail[1:] as a running max, so bisect finds the first tail[L] < target
+        # even where rounding leaves two adjacent tail entries out of order
+        self._neg_tail = np.maximum.accumulate(-tail[1:]).tolist()
         self.smooth = smooth
 
     def _truncation(self, lam: float) -> tuple[int, float]:
         scale = self.basis.r_const * self.obs.sup_abs * abs(lam)
         if scale == 0.0:
             return 1, 0.0
-        target = self.tol / scale
         tail = self._tail
-        # tail is strictly decreasing in L; find the first L >= 1 below target
-        hit = np.nonzero(tail[1:] < target)[0]
-        if hit.size == 0:
+        # the first L >= 1 with tail[L] < target
+        L = bisect.bisect_right(self._neg_tail, -self.tol / scale) + 1
+        if L == len(tail):
             raise ToleranceError(
                 f"certified tail cannot reach tol={self.tol} "
                 f"(best achievable {scale * float(tail[-1]):.3e})",
                 achievable_tol=scale * float(tail[-1]),
             )
-        L = int(hit[0]) + 1
         return L, scale * float(tail[L])
 
-    def detail(self, lam: float) -> PressureEval:
-        lam = float(lam)
+    def details(self, lams) -> list[PressureEval]:
+        """PressureEval at each lambda of ``lams``, in order.
+
+        The lambdas not yet memoized are truncated in order.  At ell = 2 they
+        then share one transfer recursion up to the largest truncation
+        length; larger ell replays each lambda's plans up to its own length.
+        An error is the one the first failing lambda in order raises when
+        evaluated alone: truncation and budget both fail monotonically in
+        |lambda|, and no lambda after a truncation failure is evaluated.
+        """
+        lams = [float(lam) for lam in lams]
         if self.basis.m == 0:
-            return PressureEval(math.log(mgf(self.dist, self.obs, lam)), 0.0, 1)
-        if lam == 0.0:
-            return PressureEval(0.0, 0.0, 0)
+            return [PressureEval(math.log(mgf(self.dist, self.obs, lam)), 0.0, 1) for lam in lams]
+        found: dict[float, PressureEval] = {}
         with self._lock:
-            hit = self._cache.get(lam)
-        if hit is not None:
-            return hit
-        L, bound = self._truncation(lam)
+            for lam in lams:
+                hit = PressureEval(0.0, 0.0, 0) if lam == 0.0 else self._cache.get(lam)
+                if hit is not None:
+                    found[lam] = hit
+        todo: list[tuple[float, int, float]] = []
+        failed = None
+        for lam in dict.fromkeys(lams):
+            if lam not in found:
+                try:
+                    todo.append((lam, *self._truncation(lam)))
+                except ToleranceError as exc:
+                    failed = exc
+                    break
+        if todo:
+            evals = self._evaluate(todo)
+            with self._lock:
+                for (lam, _, _), ev in zip(todo, evals):
+                    found[lam] = self._cache.setdefault(lam, ev)
+        if failed is not None:
+            raise failed
+        return [found[lam] for lam in lams]
+
+    def _evaluate(self, todo: list[tuple[float, int, float]]) -> list[PressureEval]:
+        """Series values at (lambda, L, tail bound) triples, none memoized yet."""
+        dist, obs, basis = self.dist, self.obs, self.basis
+        top = max(L for _, L, _ in todo)
         try:
-            lnr = log_r_sequence(self.dist, self.obs, self.basis, lam, L, budget=self.budget)
+            if obs.ell == 2:
+                lams = np.array([lam for lam, _, _ in todo])
+                lnr = log_r_sequence(dist, obs, basis, lams, top, budget=self.budget)
+            else:
+                lnr = [
+                    log_r_sequence(dist, obs, basis, lam, L, budget=self.budget)
+                    for lam, L, _ in todo
+                ]
         except BudgetExceededError as exc:
             done = exc.completed
-            scale = self.basis.r_const * self.obs.sup_abs * abs(lam)
+            lam = next(lam for lam, L, _ in todo if L > done)
+            scale = basis.r_const * obs.sup_abs * abs(lam)
             achievable = scale * float(self._tail[done]) if done >= 1 else None
             raise ToleranceError(
                 f"budget exhausted at fiber length {done + 1}; "
                 f"achievable tol is {achievable}",
                 achievable_tol=achievable,
             ) from exc
-        value = self.basis.r_const * math.fsum(
-            self._weights[i] * lnr[i] for i in range(L)
-        )
-        with self._lock:
-            return self._cache.setdefault(lam, PressureEval(value, bound, L))
+        w = np.array(self._weights[:top])
+        return [
+            PressureEval(basis.r_const * math.fsum((w[:L] * row[:L]).tolist()), bound, L)
+            for (_, L, bound), row in zip(todo, lnr)
+        ]
+
+    def detail(self, lam: float) -> PressureEval:
+        return self.details([lam])[0]
 
     def __call__(self, lam: float) -> float:
         return self.detail(lam).value
@@ -566,6 +639,10 @@ class RateJ:
     still climbs at lambda_cap with slope >= SLOPE_TOL.  The detected
     endpoints ``l_plus``/``l_minus`` are the measured slopes of Q at the cap,
     not exact domain constants.
+
+    ``grid`` runs the searches of a whole u grid in lockstep, so each round's
+    lambdas reach the pressure as one batch; calling the object is a grid of
+    one u.
     """
 
     def __init__(self, pressure: Pressure, lambda_cap: float | None = None):
@@ -594,37 +671,65 @@ class RateJ:
             self._l_minus = (q(-self.lambda_cap) - q(-self.lambda_cap + self._delta)) / self._delta
         return self._l_minus
 
-    def __call__(self, u: float) -> float:
-        u = float(u)
+    def _search(self, u: float) -> Generator[float, float, float]:
+        """The golden section for J(u): yields each lambda it needs, is sent Q there."""
         if u == 0.0:
             return 0.0
         a, sgn = abs(u), (1.0 if u > 0 else -1.0)
-        q = self.pressure
 
-        def g(t: float) -> float:
-            return t * a - q(sgn * t)
+        def g(t: float) -> Generator[float, float, float]:
+            return t * a - (yield sgn * t)
 
         cap = self.lambda_cap
-        g_cap = g(cap)
-        if (g_cap - g(cap - self._delta)) / self._delta >= SLOPE_TOL:
+        g_cap = yield from g(cap)
+        if (g_cap - (yield from g(cap - self._delta))) / self._delta >= SLOPE_TOL:
             return math.inf
         lo, hi = 0.0, cap
         span = hi - lo
         n_iter = max(1, math.ceil(math.log(LAMBDA_TOL / span) / math.log(_INV_PHI)))
         x1 = hi - _INV_PHI * span
         x2 = lo + _INV_PHI * span
-        g1, g2 = g(x1), g(x2)
+        g1 = yield from g(x1)
+        g2 = yield from g(x2)
         best = max(0.0, g_cap)
         for _ in range(n_iter):
             if g1 >= g2:
                 hi, x2, g2 = x2, x1, g1
                 x1 = hi - _INV_PHI * (hi - lo)
-                g1 = g(x1)
+                g1 = yield from g(x1)
             else:
                 lo, x1, g1 = x1, x2, g2
                 x2 = lo + _INV_PHI * (hi - lo)
-                g2 = g(x2)
+                g2 = yield from g(x2)
             if hi - lo <= LAMBDA_TOL:
                 break
         best = max(best, g1, g2)
         return max(0.0, best)
+
+    def grid(self, us) -> list[float]:
+        """J at each u of ``us``, every search advanced one lambda per round.
+
+        A round sends each unfinished search Q at the lambda it asked for and
+        passes the lambdas it asks for next, in u order, to one
+        ``Pressure.details`` call, which drops repeats.  A budget or
+        tolerance error is thus the one the first u in order would raise
+        alone: every nonzero u probes the cap first, and both errors are
+        monotone in |lambda|.
+        """
+        searches = dict(enumerate(self._search(float(u)) for u in us))
+        out = [0.0] * len(searches)
+        sends: dict[int, float | None] = dict.fromkeys(searches)  # None starts a search
+        while searches:
+            asks = {}
+            for i, search in list(searches.items()):
+                try:
+                    asks[i] = search.send(sends[i])
+                except StopIteration as stop:
+                    out[i] = stop.value
+                    del searches[i]
+            q = self.pressure.details(asks.values())
+            sends = {i: ev.value for i, ev in zip(asks, q)}
+        return out
+
+    def __call__(self, u: float) -> float:
+        return self.grid([u])[0]

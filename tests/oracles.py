@@ -149,6 +149,93 @@ def eliminate_log(probs, s, factors, cells=None):
     return logscale
 
 
+def transfer_log_r(probs, table, lam, L):
+    """ln R_l for l = 1..L of an ell = 2 chain, one lambda and one step at a time.
+
+    f starts at the marginal weights; each step multiplies by the kernel
+    exp(lam * F) and the weights again, then renormalizes by the sum c,
+    whose logs accumulate.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    s = probs.size
+    kernel = np.exp(lam * np.asarray(table, dtype=np.float64)).reshape(s, s)
+    f = probs.copy()
+    logacc = 0.0
+    out = []
+    for _ in range(L):
+        g = (f @ kernel) * probs
+        c = float(g.sum())
+        logacc += math.log(c)
+        out.append(logacc)
+        f = g / c
+    return out
+
+
+def first_below(tail, target):
+    """First L >= 1 with tail[L] < target, by a scan of the whole array; None if none."""
+    hit = np.nonzero(np.asarray(tail)[1:] < target)[0]
+    return int(hit[0]) + 1 if hit.size else None
+
+
+def pressure_l2(probs, table, weights, tail, r_const, sup_abs, tol, lam):
+    """(Q(lam), tail bound, L) of an ell = 2 observable, one lambda at a time.
+
+    L is the first length whose certified tail r * M * |lam| * tail[L] is
+    below ``tol``; Q is r * fsum(w_l * ln R_l) over l <= L.
+    """
+    if lam == 0.0:
+        return 0.0, 0.0, 0
+    scale = r_const * sup_abs * abs(lam)
+    L = first_below(tail, tol / scale)
+    lnr = transfer_log_r(probs, table, lam, L)
+    value = r_const * math.fsum(weights[i] * lnr[i] for i in range(L))
+    return value, scale * float(tail[L]), L
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_conjugate(q, u, cap, lambda_tol, slope_tol, slope_delta):
+    """sup over lambda of lambda*u - q(lambda) for one u, by a scalar golden section.
+
+    inf when the objective still climbs at ``cap`` with slope >= slope_tol,
+    measured over a step of min(slope_delta, cap / 2); otherwise the best of
+    the cap value and the section's last two points, floored at 0.
+    """
+    u = float(u)
+    if u == 0.0:
+        return 0.0
+    a, sgn = abs(u), (1.0 if u > 0 else -1.0)
+    delta = min(slope_delta, cap / 2)
+
+    def g(t):
+        return t * a - q(sgn * t)
+
+    g_cap = g(cap)
+    if (g_cap - g(cap - delta)) / delta >= slope_tol:
+        return math.inf
+    lo, hi = 0.0, cap
+    span = hi - lo
+    n_iter = max(1, math.ceil(math.log(lambda_tol / span) / math.log(_INV_PHI)))
+    x1 = hi - _INV_PHI * span
+    x2 = lo + _INV_PHI * span
+    g1, g2 = g(x1), g(x2)
+    best = max(0.0, g_cap)
+    for _ in range(n_iter):
+        if g1 >= g2:
+            hi, x2, g2 = x2, x1, g1
+            x1 = hi - _INV_PHI * (hi - lo)
+            g1 = g(x1)
+        else:
+            lo, x1, g1 = x1, x2, g2
+            x2 = lo + _INV_PHI * (hi - lo)
+            g2 = g(x2)
+        if hi - lo <= lambda_tol:
+            break
+    best = max(best, g1, g2)
+    return max(0.0, best)
+
+
 def enumerate_pair_dilation_mgf(lam, N):
     """E exp(lam * sum_{m<=N} X_m X_{2m}) for +-1 coins, over all 2**(2N) outcomes."""
     n_draws = 2 * N

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ncsums import erlaw, simulate
+from ncsums import erlaw, rates, simulate
 from ncsums.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -72,3 +72,19 @@ def test_simulate_traces_one_trajectory(fmt, monkeypatch):
     names = [s["name"] for s in tracer.spans]
     assert names.count("simulate.trajectory") == 1
     assert simulate.trajectory is trajectory and erlaw.trajectory is trajectory  # restored
+
+
+def test_rate_j_grid_traces_its_fiber_work(monkeypatch):
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    fiber = rates.log_r_sequence
+    argv = [
+        "rate-j", "--preset", "rademacher-product", "--ell", "2", "--u", "0.1:0.9:0.2",
+        "--no-timestamp",
+    ]
+    with spans.patched(tracer):
+        code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
+    assert code == 0
+    names = [s["name"] for s in tracer.spans]
+    assert names.count("rates.fiber_elim") >= 1
+    assert rates.log_r_sequence is fiber  # bindings restored

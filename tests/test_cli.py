@@ -65,6 +65,19 @@ class TestCurves:
         assert float(row[1]) == pytest.approx(0.1308120, abs=1e-7)
         assert row[2] == "false"
 
+    def test_rate_i_on_large_values(self, tmp_path):
+        spec = tmp_path / "obs.json"
+        spec.write_text(json.dumps({
+            "values": [-1.0, 1.0], "probs": [0.5, 0.5], "ell": 2, "kind": "table",
+            "table": [1e100, -1e100, -1e100, 1e100],
+        }))
+        code, out, _ = run_cli(
+            "rate-i", "--spec-file", str(spec), "--alpha=5e99,-5e99", "--no-timestamp"
+        )
+        assert code == 0
+        rows = [l.split(",") for l in out.strip().splitlines()[1:]]
+        assert [r[1] for r in rows] == ["0.130812036", "0.130812036"]  # the coin's I(0.5), not 0
+
     def test_rate_i_grid_and_infinity(self):
         code, out, _ = run_cli(
             "rate-i",

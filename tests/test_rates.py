@@ -11,8 +11,12 @@ import pytest
 from oracles import (
     eliminate_log,
     enumerate_chain_expectation,
+    first_below,
+    golden_conjugate,
     grid_search_rate,
+    pressure_l2,
     rademacher_rate_closed,
+    transfer_log_r,
 )
 from ncsums import rates
 from ncsums.errors import (
@@ -125,6 +129,14 @@ class TestCramerRate:
         obs = product_observable(BERNOULLI, 2)
         with pytest.raises(InputError):
             CramerRate(BERNOULLI, obs)
+
+    @pytest.mark.parametrize("c", [1.0, 1e3, 1e12, 1e14, 1e50, 1e100])
+    def test_scale_free_on_large_values(self, c):
+        # F = c * X * Y on coins takes the values +-c, so I(0.5 c) is the coin's I(0.5)
+        obs = observable_from_table(RADEMACHER, 2, [c, -c, -c, c])
+        rate = CramerRate(RADEMACHER, obs)
+        for alpha in (0.5 * c, -0.5 * c):
+            assert rate(alpha) == pytest.approx(rademacher_rate_closed(0.5), rel=1e-9)
 
     @pytest.mark.parametrize("t_cap", [0.0, -1.0, math.inf, math.nan])
     def test_t_cap_must_be_finite_positive(self, t_cap):
@@ -571,3 +583,107 @@ class TestRateJ:
         vals = [conj(float(u)) for u in grid]
         assert all(v > 0 for v in vals)
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def random_law(rng, s):
+    """A random s-point law with a random centered ell = 2 table."""
+    values = np.sort(rng.choice(np.arange(-20, 21), size=s, replace=False)) / 4.0
+    probs = rng.uniform(0.2, 1.0, size=s)
+    dist = FiniteDistribution(values=tuple(values), probs=tuple(probs / probs.sum()))
+    return dist, center(random_observable(rng, dist, 2), dist)
+
+
+def scalar_pressure(press):
+    """The one-lambda-at-a-time oracle of an ell = 2 Pressure's (value, tail bound, L)."""
+    return lambda lam: pressure_l2(
+        press.dist.probs, press.obs.table, press._weights, press._tail,
+        press.basis.r_const, press.obs.sup_abs, press.tol, lam,
+    )
+
+
+LAWS = [random_law(np.random.default_rng(900 + k), 2 + k % 5) for k in range(10)]
+
+
+class TestLockstepAgainstScalarOracle:
+    """Grids and batches equal the scalar golden section and transfer recursion bitwise.
+
+    Floats are compared with ==, so an infinite J must be infinite on both sides.
+    """
+
+    def test_transfer_batch_rows_equal_one_lambda_recursions(self):
+        for dist, obs in LAWS:
+            lams = np.array([-2.5, -0.3, 0.01, 0.7, 4.0])
+            batch = log_r_sequence(dist, obs, B2, lams, 40)
+            assert batch.shape == (5, 40)
+            for lam, row in zip(lams, batch):
+                want = transfer_log_r(dist.probs, obs.table, float(lam), 40)
+                assert row.tolist() == want
+                assert log_r_sequence(dist, obs, B2, float(lam), 40) == want
+
+    @pytest.mark.parametrize("law", range(len(LAWS)))
+    def test_pressure_batches(self, law):
+        dist, obs = LAWS[law]
+        press = Pressure(dist, obs, B2, tol=1e-9)
+        M = obs.sup_abs
+        lams = [-30 / M, -0.4 / M, 0.0, 0.01 / M, 0.4 / M, 0.4 / M, 3 / M, 60 / M, -0.4 / M]
+        oracle = scalar_pressure(press)
+        got = [(e.value, e.tail_bound, e.truncation_l) for e in press.details(lams)]
+        assert got == [oracle(lam) for lam in lams]
+        assert len({L for _, _, L in got}) >= 4  # the batch spans several truncation lengths
+        assert press.details(lams[::-1]) == press.details(lams)[::-1]  # memoized
+        assert press.detail(0.4 / M) is press.details([0.4 / M])[0]
+
+    @pytest.mark.parametrize("law", range(len(LAWS)))
+    @pytest.mark.parametrize("cap", [None, 2.5])
+    def test_rate_j_grids(self, law, cap):
+        dist, obs = LAWS[law]
+        press = Pressure(dist, obs, B2, tol=1e-8)
+        conj = RateJ(press, lambda_cap=None if cap is None else cap / obs.sup_abs)
+        lo, hi = obs.sup_neg, obs.sup_pos
+        us = [-1.1 * lo, -0.7 * lo, -0.2 * lo, 0.0, 0.3 * hi, 0.3 * hi, 0.8 * hi, 1.1 * hi]
+        q = scalar_pressure(Pressure(dist, obs, B2, tol=1e-8))
+        want = [
+            golden_conjugate(
+                lambda lam: q(lam)[0], u, conj.lambda_cap,
+                rates.LAMBDA_TOL, rates.SLOPE_TOL, rates.SLOPE_DELTA,
+            )
+            for u in us
+        ]
+        assert conj.grid(us) == want
+        assert math.isinf(want[0]) and math.isinf(want[-1])
+        assert [conj(u) for u in us[:3]] == want[:3]
+
+    def test_grid_raises_the_first_u_error(self):
+        dist, obs = preset("rademacher-product")
+        press = Pressure(dist, obs, B2, tol=1e-12, budget=40)
+        with pytest.raises(ToleranceError) as grid_err:
+            RateJ(press).grid([0.0, -0.5, 0.2, 0.7])
+        with pytest.raises(ToleranceError) as alone:
+            RateJ(Pressure(dist, obs, B2, tol=1e-12, budget=40))(-0.5)
+        assert str(grid_err.value) == str(alone.value)
+        assert grid_err.value.achievable_tol == alone.value.achievable_tol
+
+
+class TestTruncationSearch:
+    """Pressure._truncation's bisection picks the L of a full scan of the tail bounds."""
+
+    @pytest.mark.parametrize("ell", [2, 3, 5])
+    def test_matches_the_scan(self, ell):
+        basis = primes_up_to(ell)
+        press = Pressure(RADEMACHER, product_observable(RADEMACHER, ell), basis)
+        lam = 1.0 / basis.r_const
+        assert basis.r_const * abs(lam) == 1.0  # so the target is exactly press.tol
+        tail = press._tail
+        rng = np.random.default_rng(ell)
+        picks = rng.integers(0, len(tail), size=200)
+        targets = [float(tail[i]) for i in picks] + [float(tail[-1]), float(tail[1])]
+        targets += [np.nextafter(t, d) for t in targets[:50] for d in (0.0, math.inf)]
+        targets += list(10.0 ** rng.uniform(-25, 1, size=200))
+        for target in targets:
+            press.tol = float(target)
+            want = first_below(tail, float(target))
+            if want is None:
+                with pytest.raises(ToleranceError):
+                    press._truncation(lam)
+            else:
+                assert press._truncation(lam) == (want, float(tail[want]))
