@@ -310,8 +310,8 @@ def _transfer_log_r(
         c = g.sum(axis=2, keepdims=True)
         sums[l] = c[:, 0, 0]
         f = g / c
-    logs = np.array([math.log(c) for c in sums.ravel().tolist()]).reshape(sums.shape)
-    return np.cumsum(logs, axis=0).T
+    logs = np.fromiter(map(math.log, sums.ravel().tolist()), np.float64, sums.size)
+    return np.cumsum(logs.reshape(sums.shape), axis=0).T
 
 
 def log_r_sequence(
