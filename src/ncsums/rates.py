@@ -331,7 +331,9 @@ def log_r_sequence(
     recursion then serves them all, and row i of the (B, L) array returned
     is the sequence at lam[i].
     """
-    if obs.ell == 2 and np.ndim(lam) == 1:
+    if np.ndim(lam):
+        if obs.ell != 2:
+            raise InputError("a batch of lambdas needs ell = 2")
         return _transfer_log_r(dist, obs, np.asarray(lam, dtype=np.float64), L, budget)
     if L < 1:
         return []

@@ -619,6 +619,9 @@ class TestLockstepAgainstScalarOracle:
                 want = transfer_log_r(dist.probs, obs.table, float(lam), 40)
                 assert row.tolist() == want
                 assert log_r_sequence(dist, obs, B2, float(lam), 40) == want
+        obs3 = product_observable(RADEMACHER, 3)
+        with pytest.raises(InputError):
+            log_r_sequence(RADEMACHER, obs3, B3, np.array([0.5, 1.0]), 5)
 
     @pytest.mark.parametrize("law", range(len(LAWS)))
     def test_pressure_batches(self, law):
