@@ -413,9 +413,8 @@ def r_l_mc(
         # draw i and draw i + 2**64 of a stream coincide
         raise InputError(f"chain of length {l} reads draw {chain.indices[-1]}, past 2**64")
     keys = simulate.mix_batch(seed, np.arange(replicas, dtype=np.uint64))
-    total = np.zeros(replicas, dtype=np.float64)
-    for term in chain.term_indices:
-        total += simulate.term_values(dist, obs, keys, [term[0]], "nonconventional")
+    terms = [term[0] for term in chain.term_indices]
+    total = simulate.replica_sums(dist, obs, keys, terms, "nonconventional")
     sample = np.exp(lam * total)
     value = float(sample.mean())
     stderr = float(sample.std(ddof=1) / math.sqrt(replicas))

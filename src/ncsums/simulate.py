@@ -20,6 +20,14 @@ and thread counts.
 
 ``trajectory`` returns the float64 prefix array S_0 = 0, ..., S_n, summed
 block by block with the compensated prefix form of Sum2 (see its docstring).
+
+The draw kernel (mix_batch, sample_indices, term_values) writes every
+intermediate array into a ``Workspace``: one reusable buffer per role, grown
+to the largest batch it has served.  A call without a workspace makes a fresh
+one.  ``trajectory`` keeps one workspace for the whole call and works in
+blocks of _BLOCK = 2**15 terms, so a block's working arrays (256 KB each)
+stay in a per-core L2 cache instead of being mapped and faulted in afresh on
+every block; the Monte-Carlo paths keep one workspace per replica chunk.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ _U_GAMMA = np.uint64(GAMMA)
 
 TRAJECTORY_MODES = ("nonconventional", "iid")
 
-_BLOCK = 1 << 18
+_BLOCK = 1 << 15
 _LDP_CHUNK = 1 << 15
 
 # A sum of n terms is allowed while n * sup|F| does not exceed this: then
@@ -61,21 +69,44 @@ def mix64(key: int, counter: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix_batch(keys, counters: np.ndarray) -> np.ndarray:
+class Workspace:
+    """Reusable buffers of the draw kernel, one per role.
+
+    ``take`` returns a view of the leading elements of the role's buffer,
+    growing it when a batch is larger than any before.  So a result that a
+    kernel function wrote into a workspace stays valid only until the next
+    call on the same workspace, and concurrent callers each need their own.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(role)
+        if buf is None or buf.size < size:
+            buf = self._buffers[role] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+def mix_batch(keys, counters: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """Vectorized mix64, broadcasting ``keys`` against the ``counters`` array.
 
     ``keys`` is one Python-int seed or an array of stream keys.  A Python
     int is reduced modulo 2**64 first, so negative and oversized seeds
     address the same stream as in mix64 (numpy refuses to convert them).
-    The finalizer rounds run in place on the broadcast sum, with one scratch
-    array for the shifted words.
+    The words are built in the workspace's "word" buffer and the finalizer
+    rounds run on it in place, with the "shifted" buffer as scratch.
     """
+    ws = Workspace() if ws is None else ws
     if isinstance(keys, int):
         keys = np.uint64(keys & MASK64)
     keys = np.asarray(keys, dtype=np.uint64)
-    step = counters.astype(np.uint64, copy=False) * _U_GAMMA
-    z = keys + step
-    shifted = np.empty_like(z)
+    counters = counters.astype(np.uint64, copy=False)
+    z = ws.take("word", np.uint64, np.broadcast_shapes(keys.shape, counters.shape))
+    shifted = ws.take("shifted", np.uint64, z.shape)
+    np.multiply(counters, _U_GAMMA, out=z)
+    z += keys
     z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= _MIX1
     z ^= np.right_shift(z, np.uint64(27), out=shifted)
@@ -104,16 +135,20 @@ def _thresholds(dist: FiniteDistribution) -> np.ndarray:
     return np.array([w for w in words if w <= MASK64], dtype=np.uint64)
 
 
-def sample_indices(dist: FiniteDistribution, keys, counters: np.ndarray) -> np.ndarray:
+def sample_indices(
+    dist: FiniteDistribution, keys, counters: np.ndarray, ws: Workspace | None = None
+) -> np.ndarray:
     """Support indices of draws ``counters`` of streams ``keys`` (see mix_batch).
 
     Each index is #{i : z >= T_i} over the integer thresholds of _thresholds,
-    counted with one in-place compare per threshold; it equals x_value's
-    float rule (see the module docstring).
+    counted into the workspace's "count" buffer with one in-place compare per
+    threshold; it equals x_value's float rule (see the module docstring).
     """
-    z = mix_batch(keys, counters)
-    count = np.zeros(z.shape, dtype=np.int64)
-    hit = np.empty(z.shape, dtype=bool)
+    ws = Workspace() if ws is None else ws
+    z = mix_batch(keys, counters, ws)
+    count = ws.take("count", np.int64, z.shape)
+    hit = ws.take("hit", np.bool_, z.shape)
+    count.fill(0)
     for t in _thresholds(dist):
         count += np.greater_equal(z, t, out=hit)
     return count
@@ -127,24 +162,53 @@ def _check_sum_range(obs: Observable, n: int) -> None:
         )
 
 
-def term_values(dist: FiniteDistribution, obs: Observable, keys, ms, mode: str) -> np.ndarray:
+def term_values(
+    dist: FiniteDistribution, obs: Observable, keys, ms, mode: str, ws: Workspace | None = None
+) -> np.ndarray:
     """F at 1-based term numbers ``ms`` of streams ``keys``, broadcast against ``ms``.
 
     This is the draw-addressing contract, written once: for j = 1..ell a
     nonconventional term m reads draw j*m, an i.i.d. term reads draw
-    (m-1)*ell + j.
+    (m-1)*ell + j.  The ell draws of a term share the workspace; their
+    support indices combine into a row-major table code in its "code"
+    buffer, and the values are gathered into its "value" buffer.
     """
     if mode not in TRAJECTORY_MODES:
         raise InputError(f"mode must be one of {TRAJECTORY_MODES}")
+    ws = Workspace() if ws is None else ws
     ms = np.asarray(ms, dtype=np.uint64)
-    code = 0
+    counters = ws.take("counter", np.uint64, ms.shape)
     for j in range(1, obs.ell + 1):
         if mode == "nonconventional":
-            counters = ms * np.uint64(j)
+            np.multiply(ms, np.uint64(j), out=counters)
         else:
-            counters = (ms - np.uint64(1)) * np.uint64(obs.ell) + np.uint64(j)
-        code = code * dist.size + sample_indices(dist, keys, counters)
-    return obs.table[code]
+            np.subtract(ms, np.uint64(1), out=counters)
+            counters *= np.uint64(obs.ell)
+            counters += np.uint64(j)
+        idx = sample_indices(dist, keys, counters, ws)
+        if j == 1:
+            code = ws.take("code", np.int64, idx.shape)
+            np.copyto(code, idx)
+        else:
+            code *= dist.size
+            code += idx
+    # every code is below size**ell, so "clip" never clips; it only lets take
+    # write straight into the buffer, where the default mode would buffer it
+    return np.take(obs.table, code, out=ws.take("value", np.float64, code.shape), mode="clip")
+
+
+def replica_sums(
+    dist: FiniteDistribution, obs: Observable, keys: np.ndarray, terms, mode: str
+) -> np.ndarray:
+    """Per replica key, the sum of F over the term numbers ``terms``, added in term order.
+
+    All draws of the batch share one workspace.
+    """
+    ws = Workspace()
+    total = np.zeros(keys.shape, dtype=np.float64)
+    for m in terms:
+        total += term_values(dist, obs, keys, [m], mode, ws)
+    return total
 
 
 def trajectory(
@@ -160,22 +224,39 @@ def trajectory(
     precision.  Both sums carry across blocks, so the result does not depend
     on the block size; when every running sum is exact in float64 (integer
     or dyadic terms) all errors are 0 and S_k is the plain float sum.  Every
-    S_k is finite: an n that could overflow raises CapacityError.
+    S_k is finite: an n that could overflow raises CapacityError.  One
+    workspace serves the draws and the sums of every block.
     """
     if n < 1:
         raise InputError("n must be >= 1")
     _check_sum_range(obs, n)
+    ws = Workspace()
     prefix = np.empty(n + 1, dtype=np.float64)
     prefix[0] = s = e = 0.0
+    terms = np.arange(1, min(n, _BLOCK) + 1, dtype=np.uint64)
     for m0 in range(1, n + 1, _BLOCK):
         m1 = min(n + 1, m0 + _BLOCK)
-        x = term_values(dist, obs, seed, np.arange(m0, m1, dtype=np.uint64), mode)
-        acc = np.cumsum(np.concatenate(([s], x)))  # add.accumulate runs left to right
+        k = m1 - m0
+        x = term_values(dist, obs, seed, terms[:k], mode, ws)
+        terms += np.uint64(_BLOCK)
+        acc = ws.take("acc", np.float64, (k + 1,))
+        comp = ws.take("comp", np.float64, (k + 1,))
+        z = ws.take("twosum_z", np.float64, (k,))
+        r = ws.take("twosum_r", np.float64, (k,))
+        acc[0] = s
+        acc[1:] = x
+        np.cumsum(acc, out=acc)  # add.accumulate runs left to right
         prev, t = acc[:-1], acc[1:]
-        z = t - prev
-        err = (prev - (t - z)) + (x - z)  # TwoSum: prev + x == t + err exactly
-        comp = np.cumsum(np.concatenate(([e], err)))
-        prefix[m0:m1] = t + comp[1:]
+        # TwoSum, so that prev + x == t + err exactly:
+        # z = t - prev;  err = (prev - (t - z)) + (x - z)
+        np.subtract(t, prev, out=z)
+        np.subtract(t, z, out=r)
+        np.subtract(prev, r, out=r)
+        np.subtract(x, z, out=z)
+        comp[0] = e
+        np.add(r, z, out=comp[1:])
+        np.cumsum(comp, out=comp)
+        np.add(t, comp[1:], out=prefix[m0:m1])
         s, e = acc[-1], comp[-1]
     return prefix
 
@@ -203,9 +284,7 @@ def _ldp_chunk_count(
     mode: str,
 ) -> int:
     keys = mix_batch(seed, np.arange(r0, r1, dtype=np.uint64))
-    total = np.zeros(r1 - r0, dtype=np.float64)
-    for m in range(1, N + 1):
-        total += term_values(dist, obs, keys, [m], mode)
+    total = replica_sums(dist, obs, keys, range(1, N + 1), mode)
     return int(np.count_nonzero((total / N) >= u))
 
 

@@ -332,3 +332,93 @@ def render_simulate(fmt, payload, prefix, stride):
         return json.dumps({**payload, "rows": rows}, indent=2) + "\n"
     lines = ["k,S_k"] + [",".join(fmt_value(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+# The allocating draw kernel, kept as the reference for the in-place one in
+# ncsums.simulate: every step returns a fresh array, and the trajectory block
+# size is an argument.
+
+_MASK64 = (1 << 64) - 1
+_U_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def mix_batch(keys, counters):
+    """SplitMix64 fin(key + counter*GAMMA), broadcasting keys against counters."""
+    if isinstance(keys, int):
+        keys = np.uint64(keys & _MASK64)
+    keys = np.asarray(keys, dtype=np.uint64)
+    step = counters.astype(np.uint64, copy=False) * _U_GAMMA
+    z = keys + step
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= 0xBF58476D1CE4E5B9
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= 0x94D049BB133111EB
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
+
+
+def threshold_words(dist):
+    """Words ceil(cum_i * 2**53) * 2**11 below 2**64."""
+    words = [math.ceil(c * 2.0**53) << 11 for c in dist.cumulative().tolist()]
+    return np.array([w for w in words if w <= _MASK64], dtype=np.uint64)
+
+
+def sample_indices(dist, keys, counters):
+    z = mix_batch(keys, counters)
+    count = np.zeros(z.shape, dtype=np.int64)
+    hit = np.empty(z.shape, dtype=bool)
+    for t in threshold_words(dist):
+        count += np.greater_equal(z, t, out=hit)
+    return count
+
+
+def term_values(dist, obs, keys, ms, mode):
+    ms = np.asarray(ms, dtype=np.uint64)
+    code = 0
+    for j in range(1, obs.ell + 1):
+        if mode == "nonconventional":
+            counters = ms * np.uint64(j)
+        else:
+            counters = (ms - np.uint64(1)) * np.uint64(obs.ell) + np.uint64(j)
+        code = code * dist.size + sample_indices(dist, keys, counters)
+    return obs.table[code]
+
+
+def trajectory(dist, obs, seed, n, mode, block):
+    """Sum2 prefix sums S_0..S_n, built from fresh arrays ``block`` terms at a time."""
+    prefix = np.empty(n + 1, dtype=np.float64)
+    prefix[0] = s = e = 0.0
+    for m0 in range(1, n + 1, block):
+        m1 = min(n + 1, m0 + block)
+        x = term_values(dist, obs, seed, np.arange(m0, m1, dtype=np.uint64), mode)
+        acc = np.cumsum(np.concatenate(([s], x)))
+        prev, t = acc[:-1], acc[1:]
+        z = t - prev
+        err = (prev - (t - z)) + (x - z)
+        comp = np.cumsum(np.concatenate(([e], err)))
+        prefix[m0:m1] = t + comp[1:]
+        s, e = acc[-1], comp[-1]
+    return prefix
+
+
+def replica_total(dist, obs, keys, terms, mode):
+    """Per replica key, F summed over the term numbers ``terms`` in order."""
+    total = np.zeros(keys.shape, dtype=np.float64)
+    for m in terms:
+        total += term_values(dist, obs, keys, [m], mode)
+    return total
+
+
+def ldp_chunk_count(dist, obs, N, u, seed, r0, r1, mode):
+    """Replicas r0 <= r < r1 whose S_N / N reaches u."""
+    keys = mix_batch(seed, np.arange(r0, r1, dtype=np.uint64))
+    total = replica_total(dist, obs, keys, range(1, N + 1), mode)
+    return int(np.count_nonzero((total / N) >= u))
+
+
+def r_l_mc(dist, obs, lam, terms, replicas, seed):
+    """Mean and standard error of exp(lam * sum over chain terms), replica r keyed mix64(seed, r)."""
+    keys = mix_batch(seed, np.arange(replicas, dtype=np.uint64))
+    sample = np.exp(lam * replica_total(dist, obs, keys, terms, "nonconventional"))
+    return float(sample.mean()), float(sample.std(ddof=1) / math.sqrt(replicas))

@@ -40,6 +40,25 @@ def test_erlaw_traces_one_trajectory_per_seed(mode, monkeypatch):
     assert erlaw.trajectory is simulate.trajectory  # bindings restored
 
 
+@pytest.mark.parametrize("mode", ["nonconventional", "iid"])
+@pytest.mark.parametrize("ell", [2, 3])
+def test_erlaw_draws_all_pass_through_traced_sample_indices(ell, mode, monkeypatch):
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    seeds = (3, 4)
+    n_max = 2 * simulate._BLOCK + 5  # trajectories of three blocks, the last a short one
+    argv = [
+        "erlaw", "--preset", "rademacher-product", "--ell", str(ell), "--alpha", "0.5",
+        "--n", f"100,{n_max}", "--seed-list", ",".join(map(str, seeds)), "--mode", mode,
+        "--no-timestamp",
+    ]
+    with spans.patched(tracer):
+        code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
+    assert code == 0
+    draws = [s["count"] for s in tracer.spans if s["name"] == "simulate.draw"]
+    assert sum(draws) == ell * n_max * len(seeds)
+
+
 def test_ldp_draws_all_pass_through_traced_sample_indices(monkeypatch):
     spans = load_spans(monkeypatch)
     tracer = spans.Tracer()

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
 from oracles import binomial_tail_at_least, ks_statistic, prefix_fsum, unmix_counter
 from ncsums import simulate
 from ncsums.errors import CapacityError, InputError
+from ncsums.lattice import primes_up_to
 from ncsums.model import (
     RADEMACHER,
     FiniteDistribution,
@@ -17,9 +20,11 @@ from ncsums.model import (
     preset,
     product_observable,
 )
+from ncsums.rates import chain_index_structure, r_l_mc
 from ncsums.simulate import (
     TRAJECTORY_MODES,
     LdpEstimate,
+    Workspace,
     ldp_estimate,
     mix64,
     mix_batch,
@@ -321,9 +326,11 @@ class TestLdpEstimate:
         assert est.rate_hat == math.inf
         assert est.zero_count
 
-    def test_thread_count_invariance(self):
-        dist, obs = preset("rademacher-product")
-        kw = dict(N=60, u=0.3, replicas=70_000, seed=21)
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_thread_count_invariance(self, ell, mode):
+        dist, obs = preset("rademacher-product", ell=ell)
+        kw = dict(N=60, u=0.3, replicas=70_000, seed=21, mode=mode)
         a = ldp_estimate(dist, obs, **kw, threads=1)
         b = ldp_estimate(dist, obs, **kw, threads=4)
         assert a == b
@@ -355,3 +362,108 @@ class TestLdpEstimate:
         assert isinstance(est, LdpEstimate)
         assert 0.0 <= est.p_hat <= 1.0
         assert est.rate_hat >= 0.0
+
+
+def random_law(s, ell, seed):
+    """A law on s points with non-dyadic probabilities and a random Gaussian table."""
+    rng = np.random.default_rng(seed)
+    p = rng.random(s) + 0.05
+    dist = FiniteDistribution(values=tuple(range(s)), probs=tuple((p / p.sum()).tolist()))
+    return dist, observable_from_table(dist, ell, rng.normal(size=s**ell))
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestAllocatingOracle:
+    """The in-place kernel against the allocating one kept in tests/oracles.py."""
+
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4])
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
+    def test_trajectory_bitwise(self, s, ell, mode):
+        dist, obs = random_law(s, ell, seed=10 * s + ell)
+        B = simulate._BLOCK
+        for n in (1, B - 1, B, B + 1, 3 * B + 7):
+            got = trajectory(dist, obs, 1000 + n, n, mode)
+            want = oracles.trajectory(dist, obs, 1000 + n, n, mode, block=1 << 18)
+            assert same_bits(got, want), n
+        # the TwoSum errors are not all 0, so the compensation is exercised
+        x = oracles.term_values(dist, obs, 1000 + n, np.arange(1, n + 1), mode)
+        assert not same_bits(got, np.concatenate(([0.0], np.cumsum(x))))
+
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    @pytest.mark.parametrize("s,ell", [(2, 2), (3, 3), (6, 2)])
+    def test_broadcast_kernel_bitwise(self, s, ell, mode):
+        dist, obs = random_law(s, ell, seed=s + ell)
+        keys = oracles.mix_batch(-5, np.arange(6, dtype=np.uint64))
+        ms = np.arange(1, 21, dtype=np.uint64)[:, None]
+        assert same_bits(mix_batch(keys, ms), oracles.mix_batch(keys, ms))
+        assert np.array_equal(sample_indices(dist, keys, ms), oracles.sample_indices(dist, keys, ms))
+        assert same_bits(
+            term_values(dist, obs, keys, ms, mode), oracles.term_values(dist, obs, keys, ms, mode)
+        )
+
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    @pytest.mark.parametrize("s,ell", [(2, 2), (3, 3), (4, 2)])
+    def test_ldp_counts_equal(self, s, ell, mode):
+        dist, obs = random_law(s, ell, seed=7 * s + ell)
+        N = 7
+        u = max(0.05, obs.mean + math.sqrt(obs.variance / N))
+        for replicas in (1000, simulate._LDP_CHUNK + 1, 2 * simulate._LDP_CHUNK + 123):
+            want = oracles.ldp_chunk_count(dist, obs, N, u, 31, 0, replicas, mode)
+            assert 0 < want < replicas
+            est = ldp_estimate(dist, obs, N=N, u=u, replicas=replicas, seed=31, mode=mode)
+            assert est.p_hat == want / replicas, replicas
+
+    @pytest.mark.parametrize("lam", [-0.7, 0.45])
+    @pytest.mark.parametrize("s,ell", [(2, 2), (3, 3)])
+    def test_r_l_mc_bitwise(self, s, ell, lam):
+        dist, obs = random_law(s, ell, seed=s * ell)
+        l = 9
+        chain = chain_index_structure(primes_up_to(ell), ell, l)
+        terms = [term[0] for term in chain.term_indices]
+        est = r_l_mc(dist, obs, lam, l, replicas=5000, seed=17)
+        want = oracles.r_l_mc(dist, obs, lam, terms, replicas=5000, seed=17)
+        assert (est.value.hex(), est.stderr.hex()) == tuple(v.hex() for v in want)
+
+
+class TestWorkspace:
+    def test_reuse_matches_fresh_workspace(self):
+        # a batch, a larger one, a smaller one, then another ell and support
+        # size, then the first law again: no stale buffer contents may leak
+        ws = Workspace()
+        big = random_law(5, 3, seed=1)
+        other = random_law(3, 2, seed=2)
+        keys = mix_batch(8, np.arange(7, dtype=np.uint64))
+        calls = [
+            (big, 3, np.arange(1, 900), "iid"),
+            (big, 3, np.arange(1, 5001), "nonconventional"),
+            (big, keys, np.arange(1, 301)[:, None], "iid"),
+            (other, 4, np.arange(40, 90), "nonconventional"),
+            (other, keys, np.arange(1, 12)[:, None], "nonconventional"),
+            (big, 3, np.arange(1, 5001), "iid"),
+        ]
+        for (dist, obs), k, ms, mode in calls:
+            got = term_values(dist, obs, k, ms, mode, ws).copy()
+            assert same_bits(got, term_values(dist, obs, k, ms, mode))
+            counters = np.asarray(ms, dtype=np.uint64)
+            got = sample_indices(dist, k, counters, ws).copy()
+            assert np.array_equal(got, sample_indices(dist, k, counters))
+
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    def test_trajectory_memory_is_one_block(self, mode):
+        # apart from its output, a trajectory holds one block's buffers
+        dist, obs = preset("rademacher-product", ell=3)
+        excess = []
+        for n in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                prefix = trajectory(dist, obs, 5, n, mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            excess.append(peak - prefix.nbytes)
+        assert abs(excess[1] - excess[0]) <= 64 * 1024, excess
+        assert max(excess) < 16 * 8 * simulate._BLOCK, excess
