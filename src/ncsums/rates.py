@@ -10,8 +10,9 @@ ell >= 3 the elimination order of each fiber length is a compiled
 elimination plan, built once per process from the chain structure alone
 and replayed per lambda.  The pressure is evaluated over batches of
 lambda: at ell = 2 one transfer recursion serves a whole batch, and the
-conjugate J runs the golden sections of a u grid in lockstep, so that the
-lambdas of each round form one batch.
+conjugate J runs the root searches of a u grid in lockstep, so that the
+lambdas of each round form one batch.  Those searches take Q' from a
+complex step through the same kernels.
 
 Truncation of the series is certified: ln R_l <= l*M*|lambda| bounds every
 dropped term, and the smooth numbers beyond the enumerated range are
@@ -26,6 +27,7 @@ import math
 import threading
 from collections.abc import Generator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,16 +46,27 @@ DEFAULT_BUDGET = 10**7
 # Default conjugate-variable search cap, in units of 1/M.
 CAP_OVER_M = 60.0
 
+# Complex step of the pressure's derivative, in units of 1/M: h * |F| <= 1e-30
+# keeps exp(ihF) = 1 + ihF exact in double precision.
+STEP_OVER_M = 1e-30
+
 LN2 = math.log(2.0)
 
 
-def mgf(dist: FiniteDistribution, obs: Observable, t: float) -> float:
-    """Exact moment generating function E exp(t * F)."""
+def mgf(dist: FiniteDistribution, obs: Observable, t: float | complex) -> float | complex:
+    """Exact moment generating function E exp(t * F), complex at a complex t."""
     if t == 0.0:
         return 1.0
     vals, probs = value_distribution(dist, obs)
-    shift = float(np.max(t * vals))
-    return float(np.dot(probs, np.exp(t * vals - shift))) * math.exp(shift)
+    shift = float(np.max(t.real * vals))
+    return np.dot(probs, np.exp(t * vals - shift)).item() * math.exp(shift)
+
+
+def _log(z: float | complex) -> float | complex:
+    """ln z; a complex z = x + iy from a complex step (|y| << x) gives ln x + iy/x."""
+    if isinstance(z, complex):
+        return complex(math.log(z.real), z.imag / z.real)
+    return math.log(z)
 
 
 class CramerRate:
@@ -257,11 +270,16 @@ def _plan(basis: PrimeBasis, l: int, s: int) -> tuple[int, tuple[_Step, ...]]:
         return plan
 
 
-def _replay_log(steps: tuple[_Step, ...], table: np.ndarray, probs: np.ndarray, l: int) -> float:
+def _replay_log(
+    steps: tuple[_Step, ...], table: np.ndarray, probs: np.ndarray, l: int
+) -> float | complex:
     """Log of the fully-summed product of l copies of ``table``, along a plan.
 
-    Each new table is renormalized by its max to keep values in range, with
-    the log of the scale accumulated.
+    Each new table is renormalized by the max of its real part to keep
+    values in range, with the log of the scale accumulated.  A complex
+    table exp((lambda + ih) * F) carries the complex step through every
+    product and sum, and the log of each fully-summed factor splits into
+    its real log and Im/Re (see ``_log``).
     """
     tabs: list = [table] * l
     logscale = 0.0
@@ -274,11 +292,11 @@ def _replay_log(steps: tuple[_Step, ...], table: np.ndarray, probs: np.ndarray, 
         acc = acc * probs.reshape(wshape)
         new_tab = acc.sum(axis=ax)
         if keep:
-            mx = float(new_tab.max())
+            mx = float(new_tab.real.max())
             logscale += math.log(mx)
             tabs.append(new_tab / mx)
         else:
-            logscale += math.log(float(new_tab))
+            logscale += _log(new_tab.item())
     return logscale
 
 
@@ -289,11 +307,14 @@ def _transfer_log_r(
 
     One forward pass serves every length and every lambda: f starts at the
     marginal weights, each step multiplies by the kernel exp(lambda * F)
-    and the weights again, and renormalizes by the sum c, whose logs
-    accumulate.  Row i has the bits of the same recursion run on lams[i]
-    alone: a (1, s) @ (s, s) matmul per lambda, math.log per sum (np.log
-    can differ in the last bit) and a sequential cumsum.  The budget counts
-    the cells of one lambda.
+    and the weights again, and renormalizes by the real part of the sum c,
+    whose logs accumulate.  Row i has the bits of the same recursion run on
+    lams[i] alone: a (1, s) @ (s, s) matmul per lambda, math.log per sum
+    (np.log can differ in the last bit) and a sequential cumsum.  The budget
+    counts the cells of one lambda.
+
+    Complex lambdas + ih give a complex array.  The renormalized f then
+    carries the whole step, so ln R_l = sum_{k<=l} ln Re c_k + i Im c_l/Re c_l.
     """
     s = dist.size
     if L * s * s > budget:
@@ -304,14 +325,17 @@ def _transfer_log_r(
     probs = np.asarray(dist.probs, dtype=np.float64)
     kernel = np.exp(lams[:, None] * obs.table).reshape(-1, s, s)
     f = np.tile(probs, (len(lams), 1, 1))
-    sums = np.empty((L, len(lams)))
+    sums = np.empty((L, len(lams)), dtype=kernel.dtype)
     for l in range(L):
         g = np.matmul(f, kernel) * probs
         c = g.sum(axis=2, keepdims=True)
         sums[l] = c[:, 0, 0]
-        f = g / c
-    logs = np.fromiter(map(math.log, sums.ravel().tolist()), np.float64, sums.size)
-    return np.cumsum(logs.reshape(sums.shape), axis=0).T
+        f = g / c.real
+    logs = np.fromiter(map(math.log, sums.real.ravel().tolist()), np.float64, sums.size)
+    out = np.cumsum(logs.reshape(sums.shape), axis=0).T
+    if np.iscomplexobj(sums):
+        return out + 1j * (sums.imag / sums.real).T
+    return out
 
 
 def log_r_sequence(
@@ -330,11 +354,18 @@ def log_r_sequence(
     At ell = 2 ``lam`` may also be a 1-D array of nonzero lambdas: one
     recursion then serves them all, and row i of the (B, L) array returned
     is the sequence at lam[i].
+
+    A complex ``lam`` = lambda + ih with a tiny step h (h * M << 1, for
+    example 1e-30 / M) is a complex step (Squire & Trapp, SIAM Review 40,
+    1998): the same kernels then return complex ln R_l, whose real part is
+    ln R_l at lambda and whose imaginary part divided by h is d ln R_l/dlambda,
+    with no cancellation.
     """
+    dtype = np.complex128 if np.iscomplexobj(lam) else np.float64
     if np.ndim(lam):
         if obs.ell != 2:
             raise InputError("a batch of lambdas needs ell = 2")
-        return _transfer_log_r(dist, obs, np.asarray(lam, dtype=np.float64), L, budget)
+        return _transfer_log_r(dist, obs, np.asarray(lam, dtype=dtype), L, budget)
     if L < 1:
         return []
     if lam == 0.0:
@@ -342,10 +373,10 @@ def log_r_sequence(
     s = dist.size
     probs = np.asarray(dist.probs, dtype=np.float64)
     if obs.ell == 1:
-        lphi = math.log(mgf(dist, obs, lam))
+        lphi = _log(mgf(dist, obs, lam))
         return [k * lphi for k in range(1, L + 1)]
     if obs.ell == 2:
-        return _transfer_log_r(dist, obs, np.array([lam], dtype=np.float64), L, budget)[0].tolist()
+        return _transfer_log_r(dist, obs, np.array([lam], dtype=dtype), L, budget)[0].tolist()
     if obs.ell != basis.ell:
         raise InputError(f"ell={obs.ell} does not match basis ell={basis.ell}")
     shaped = np.exp(lam * obs.table).reshape((s,) * obs.ell)
@@ -427,9 +458,13 @@ def r_l_mc(
 
 @dataclass(frozen=True)
 class PressureEval:
+    """Q(lambda) within ``tail_bound``, and Q'(lambda) within ``slope_bound`` when asked for."""
+
     value: float
     tail_bound: float
     truncation_l: int
+    slope: float | None = None
+    slope_bound: float | None = None
 
 
 def _beyond_enumeration_bound(m: int, n: int) -> float:
@@ -462,6 +497,13 @@ class Pressure:
 
     ``details`` evaluates a batch of lambdas; at ell = 2 they share one
     transfer recursion.  ``detail`` and calling the object are batches of one.
+
+    ``details(lams, slope=True)`` also returns Q'(lambda), by a complex step
+    through the same kernels, and takes Q from the real part of that run.
+    Each d ln R_l/dlambda lies in [-l*M, l*M], so the derivative's dropped
+    tail is r * M * sum_{l>L} l * w_l, the value's tail bound over |lambda|.
+    These evaluations are memoized apart from the real ones, whose bits
+    they need not share.
     """
 
     def __init__(
@@ -482,11 +524,12 @@ class Pressure:
         self.basis = basis
         self.tol = float(tol)
         self.budget = int(budget)
-        self._cache: dict[float, PressureEval] = {}
+        self._cache: dict[tuple[float, bool], PressureEval] = {}
         self._lock = threading.Lock()
         if basis.m == 0:
+            # one term, ln R_1 = ln mgf, and nothing dropped at L = 1
             self._weights: list[float] = [1.0]
-            self._tail = np.zeros(1)
+            self._tail = np.zeros(2)
             return
         smooth = smooth_numbers_capped(basis, max_terms)
         h = smooth.h
@@ -522,8 +565,8 @@ class Pressure:
             )
         return L, scale * float(tail[L])
 
-    def details(self, lams) -> list[PressureEval]:
-        """PressureEval at each lambda of ``lams``, in order.
+    def details(self, lams, slope: bool = False) -> list[PressureEval]:
+        """PressureEval at each lambda of ``lams``, in order, with Q' if ``slope``.
 
         The lambdas not yet memoized are truncated in order.  At ell = 2 they
         then share one transfer recursion up to the largest truncation
@@ -534,11 +577,14 @@ class Pressure:
         """
         lams = [float(lam) for lam in lams]
         if self.basis.m == 0:
-            return [PressureEval(math.log(mgf(self.dist, self.obs, lam)), 0.0, 1) for lam in lams]
+            return self._evaluate([(lam, 1, 0.0) for lam in lams], slope)
         found: dict[float, PressureEval] = {}
         with self._lock:
             for lam in lams:
-                hit = PressureEval(0.0, 0.0, 0) if lam == 0.0 else self._cache.get(lam)
+                if lam == 0.0 and not slope:
+                    hit = PressureEval(0.0, 0.0, 0)
+                else:
+                    hit = self._cache.get((lam, slope))
                 if hit is not None:
                     found[lam] = hit
         todo: list[tuple[float, int, float]] = []
@@ -551,26 +597,27 @@ class Pressure:
                     failed = exc
                     break
         if todo:
-            evals = self._evaluate(todo)
+            evals = self._evaluate(todo, slope)
             with self._lock:
                 for (lam, _, _), ev in zip(todo, evals):
-                    found[lam] = self._cache.setdefault(lam, ev)
+                    found[lam] = self._cache.setdefault((lam, slope), ev)
         if failed is not None:
             raise failed
         return [found[lam] for lam in lams]
 
-    def _evaluate(self, todo: list[tuple[float, int, float]]) -> list[PressureEval]:
+    def _evaluate(self, todo: list[tuple[float, int, float]], slope: bool) -> list[PressureEval]:
         """Series values at (lambda, L, tail bound) triples, none memoized yet."""
         dist, obs, basis = self.dist, self.obs, self.basis
-        top = max(L for _, L, _ in todo)
+        top = max((L for _, L, _ in todo), default=0)
+        h = STEP_OVER_M / (obs.sup_abs or 1.0)
+        args = [complex(lam, h) if slope else lam for lam, _, _ in todo]
         try:
             if obs.ell == 2:
-                lams = np.array([lam for lam, _, _ in todo])
-                lnr = log_r_sequence(dist, obs, basis, lams, top, budget=self.budget)
+                lnr = log_r_sequence(dist, obs, basis, np.array(args), top, budget=self.budget)
             else:
                 lnr = [
-                    log_r_sequence(dist, obs, basis, lam, L, budget=self.budget)
-                    for lam, L, _ in todo
+                    log_r_sequence(dist, obs, basis, arg, L, budget=self.budget)
+                    for arg, (_, L, _) in zip(args, todo)
                 ]
         except BudgetExceededError as exc:
             done = exc.completed
@@ -583,10 +630,17 @@ class Pressure:
                 achievable_tol=achievable,
             ) from exc
         w = np.array(self._weights[:top])
-        return [
-            PressureEval(basis.r_const * math.fsum((w[:L] * row[:L]).tolist()), bound, L)
-            for (_, L, bound), row in zip(todo, lnr)
-        ]
+        r = basis.r_const
+        evals = []
+        for (_, L, bound), row in zip(todo, lnr):
+            terms = w[:L] * np.asarray(row[:L])
+            value = r * math.fsum(terms.real.tolist())
+            if slope:
+                dq = r * math.fsum(terms.imag.tolist()) / h
+                evals.append(PressureEval(value, bound, L, dq, r * obs.sup_abs * float(self._tail[L])))
+            else:
+                evals.append(PressureEval(value, bound, L))
+        return evals
 
     def detail(self, lam: float) -> PressureEval:
         return self.details([lam])[0]
@@ -622,24 +676,57 @@ def finite_pressure(
 # ---------------------------------------------------------------------------
 # Legendre transform of the pressure.
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Conjugate search constants: the golden-section stop width in lambda, the
-# slope at the cap that declares divergence, and the largest step of the
-# finite difference that measures that slope.
-LAMBDA_TOL = 5e-5
+# A slope of Q at the cap at least this far below |u| declares J(u) infinite.
 SLOPE_TOL = 1e-4
-SLOPE_DELTA = 0.5
+
+# Pressure evaluations one conjugate search may make before it reports the
+# gap it reached as a ToleranceError.
+MAX_EVALS = 64
+
+
+class _Probe(NamedTuple):
+    """One evaluation of the search for J(u), at lambda = sgn * t with t >= 0.
+
+    ``g`` = t*|u| - Q, ``f`` = sgn*Q' - |u| (the objective's slope, negated),
+    ``slope_bound`` the tail of Q' at its truncation and ``tail_bound`` that of Q.
+    """
+
+    t: float
+    g: float
+    f: float
+    slope_bound: float
+    tail_bound: float
 
 
 class RateJ:
-    """Conjugate sup_lambda(lambda*u - Q) by golden section on the concave objective.
+    """Conjugate J(u) = sup_lambda (lambda*u - Q(lambda)) of the pressure, certified to its tol.
 
-    Q carries certified truncation noise, so the search is derivative-free;
-    divergence (u beyond the domain endpoint) is declared when the objective
-    still climbs at lambda_cap with slope >= SLOPE_TOL.  The detected
-    endpoints ``l_plus``/``l_minus`` are the measured slopes of Q at the cap,
-    not exact domain constants.
+    For u > 0 the supremum over [0, lambda_cap] is searched (u < 0
+    mirrors it), as a root of Q'(lambda) - u, with Q' from the pressure's
+    complex step.  Take a searched lambda, its truncation length L and the
+    truncated pressure Q_L.  For a centered observable every dropped term
+    ln R_l is >= 0 (Jensen), so J <= J_L = sup (lambda*u - Q_L), and Q_L is
+    convex with an exact derivative.  Another lambda's Q' differs from
+    Q_L' by at most the difference of their Q' tail bounds, so its sign
+    beyond that difference brackets the root of Q_L' - u in [lo, hi].
+    Concavity then bounds J_L - g(lambda) by |u - Q_L'(lambda)| times the
+    distance from lambda to the far end of [lo, hi] (at most hi - lo when
+    lambda lies in the bracket), and the dropped tail of Q bounds
+    g(lambda) - J from above.  The search stops when that gap plus the tail
+    bound is at most ``pressure.tol``, and returns g(lambda) floored at 0:
+    within tol of J(u).
+
+    The search brackets the root by doubling lambda from |u|/M**2, so the
+    cap is evaluated only when Q' stays below |u| up to it.  There J(u) is
+    infinite when |u| - Q'(lambda_cap) >= SLOPE_TOL, Q' taken at the top of
+    its tail bound, and the objective at the cap when the difference is
+    smaller: the supremum over [0, lambda_cap].  Inside the bracket it runs
+    Brent's method (secant and inverse quadratic steps with a bisection
+    fallback; Brent, *Algorithms for Minimization without Derivatives*,
+    1973, ch. 4), and every step moves at least half the width the best
+    lambda needs for its gap, so the last steps straddle the root.  The
+    domain endpoints ``l_plus``/``l_minus`` are Q'(+-lambda_cap), certified
+    to their tail bound.
 
     ``grid`` runs the searches of a whole u grid in lockstep, so each round's
     lambdas reach the pressure as one batch; calling the object is a grid of
@@ -647,79 +734,122 @@ class RateJ:
     """
 
     def __init__(self, pressure: Pressure, lambda_cap: float | None = None):
+        obs = pressure.obs
+        if abs(obs.mean) > 1e-9 * max(1.0, obs.sup_abs):
+            raise InputError(
+                "observable must be centered (apply center(), or --center on the CLI)"
+            )
         self.pressure = pressure
-        M = pressure.obs.sup_abs
+        M = obs.sup_abs
         self.lambda_cap = (
             float(lambda_cap) if lambda_cap is not None else CAP_OVER_M / M if M > 0 else CAP_OVER_M
         )
         if not (math.isfinite(self.lambda_cap) and self.lambda_cap > 0):
             raise InputError("lambda_cap must be finite and positive")
-        self._delta = min(SLOPE_DELTA, self.lambda_cap / 2)
-        self._l_plus: float | None = None
-        self._l_minus: float | None = None
 
     @property
     def l_plus(self) -> float:
-        if self._l_plus is None:
-            q = self.pressure
-            self._l_plus = (q(self.lambda_cap) - q(self.lambda_cap - self._delta)) / self._delta
-        return self._l_plus
+        """Q'(lambda_cap): the right end of J's domain, within the slope's tail bound."""
+        return self.pressure.details([self.lambda_cap], slope=True)[0].slope
 
     @property
     def l_minus(self) -> float:
-        if self._l_minus is None:
-            q = self.pressure
-            self._l_minus = (q(-self.lambda_cap) - q(-self.lambda_cap + self._delta)) / self._delta
-        return self._l_minus
+        """-Q'(-lambda_cap): the left end of J's domain is -l_minus."""
+        return -self.pressure.details([-self.lambda_cap], slope=True)[0].slope
 
-    def _search(self, u: float) -> Generator[float, float, float]:
-        """The golden section for J(u): yields each lambda it needs, is sent Q there."""
+    def _search(self, u: float) -> Generator[float, PressureEval, float]:
+        """The certified search for J(u): yields each lambda it needs, is sent its evaluation."""
         if u == 0.0:
             return 0.0
         a, sgn = abs(u), (1.0 if u > 0 else -1.0)
+        tol, cap = self.pressure.tol, self.lambda_cap
+        # Q'(0) = E F = 0 exactly, whatever the truncation; as the probe whose
+        # gap is taken, the origin stands for the untruncated Q (no tail)
+        origin = _Probe(0.0, 0.0, -a, 0.0, 0.0)
+        probes = [origin]
 
-        def g(t: float) -> Generator[float, float, float]:
-            return t * a - (yield sgn * t)
+        def probe(t: float) -> Generator[float, PressureEval, _Probe]:
+            if len(probes) > MAX_EVALS:
+                best = min(probes, key=gap)
+                raise ToleranceError(
+                    f"conjugate search at u={u} reached gap {gap(best):.3e} "
+                    f"after {MAX_EVALS} pressure evaluations, over tol={tol}",
+                    achievable_tol=gap(best),
+                )
+            ev = yield sgn * t
+            p = _Probe(t, t * a - ev.value, sgn * ev.slope - a, ev.slope_bound, ev.tail_bound)
+            probes.append(p)
+            return p
 
-        cap = self.lambda_cap
-        g_cap = yield from g(cap)
-        if (g_cap - (yield from g(cap - self._delta))) / self._delta >= SLOPE_TOL:
-            return math.inf
-        lo, hi = 0.0, cap
-        span = hi - lo
-        n_iter = max(1, math.ceil(math.log(LAMBDA_TOL / span) / math.log(_INV_PHI)))
-        x1 = hi - _INV_PHI * span
-        x2 = lo + _INV_PHI * span
-        g1 = yield from g(x1)
-        g2 = yield from g(x2)
-        best = max(0.0, g_cap)
-        for _ in range(n_iter):
-            if g1 >= g2:
-                hi, x2, g2 = x2, x1, g1
-                x1 = hi - _INV_PHI * (hi - lo)
-                g1 = yield from g(x1)
-            else:
-                lo, x1, g1 = x1, x2, g2
-                x2 = lo + _INV_PHI * (hi - lo)
-                g2 = yield from g(x2)
-            if hi - lo <= LAMBDA_TOL:
+        def sign(q: _Probe, p: _Probe) -> int:
+            """The sign of Q_L' - |u| at q, for the truncation L of p; 0 when unresolved."""
+            margin = 0.0 if q is origin else abs(q.slope_bound - p.slope_bound)
+            return 1 if q.f > margin else -1 if q.f < -margin else 0
+
+        def bracket(p: _Probe) -> tuple[float, float]:
+            lo = max(q.t for q in probes if sign(q, p) < 0)
+            hi = min([cap] + [q.t for q in probes if sign(q, p) > 0])
+            return lo, hi
+
+        def gap(p: _Probe) -> float:
+            lo, hi = bracket(p)
+            return abs(p.f) * max(hi - p.t, p.t - lo) + p.tail_bound
+
+        t = min(cap, a / (self.pressure.obs.sup_abs or 1.0) ** 2)
+        while True:
+            p = yield from probe(t)
+            if p.f > 0.0:
                 break
-        best = max(best, g1, g2)
-        return max(0.0, best)
+            if t == cap:
+                # below its tail bound, Q' at the cap is certainly below |u| - SLOPE_TOL;
+                # otherwise the capped supremum is the objective at the cap
+                if -p.f - p.slope_bound >= SLOPE_TOL:
+                    return math.inf
+                return max(0.0, p.g)
+            # double, or step to twice the secant's root when that is nearer
+            x = _interpolate(probes[-2:])
+            t = min(cap, 2.0 * t, 2.0 * x - t if x is not None and x > t else math.inf)
+
+        widths = [math.inf, math.inf]
+        while True:
+            best = min(probes, key=gap)
+            if gap(best) <= tol:
+                return max(0.0, best.g)
+            # Brent's step inside the bracket of the estimated signs: an
+            # interpolation through its ends and the last probe while the
+            # bracket halves every two steps, else bisection
+            lo = max((q for q in probes if q.f < 0.0), key=lambda q: q.t)
+            hi = min((q for q in probes if q.f > 0.0), key=lambda q: q.t)
+            x = None
+            if hi.t - lo.t <= 0.5 * widths[-2]:
+                x = _interpolate(probes[-3:])
+            if x is None or not lo.t < x < hi.t:
+                x = 0.5 * (lo.t + hi.t)
+            widths.append(hi.t - lo.t)
+            # but step at least half the width the best probe's gap allows,
+            # towards the root, unless that repeats a probe
+            step = 0.5 * (tol - best.tail_bound) / abs(best.f)
+            toward = -1.0 if best.f > 0.0 else 1.0
+            if toward * (x - best.t) < step:
+                forced = min(cap, max(0.0, best.t + toward * step))
+                if all(q.t != forced for q in probes):
+                    x = forced
+            yield from probe(x)
 
     def grid(self, us) -> list[float]:
         """J at each u of ``us``, every search advanced one lambda per round.
 
-        A round sends each unfinished search Q at the lambda it asked for and
-        passes the lambdas it asks for next, in u order, to one
-        ``Pressure.details`` call, which drops repeats.  A budget or
-        tolerance error is thus the one the first u in order would raise
-        alone: every nonzero u probes the cap first, and both errors are
-        monotone in |lambda|.
+        A round sends each unfinished search the evaluation at the lambda it
+        asked for and passes the lambdas it asks for next, in u order, to one
+        ``Pressure.details`` call, which drops repeats.  A search's lambdas
+        do not depend on the other searches, but a later u can fail in an
+        earlier round than an earlier u.  So when a round fails, the
+        unfinished searches run on alone in u order, and the error raised is
+        the one the first u in order raises alone.
         """
         searches = dict(enumerate(self._search(float(u)) for u in us))
         out = [0.0] * len(searches)
-        sends: dict[int, float | None] = dict.fromkeys(searches)  # None starts a search
+        sends: dict[int, PressureEval | None] = dict.fromkeys(searches)  # None starts a search
         while searches:
             asks = {}
             for i, search in list(searches.items()):
@@ -728,9 +858,43 @@ class RateJ:
                 except StopIteration as stop:
                     out[i] = stop.value
                     del searches[i]
-            q = self.pressure.details(asks.values())
-            sends = {i: ev.value for i, ev in zip(asks, q)}
+            try:
+                evals = self.pressure.details(asks.values(), slope=True)
+            except ToleranceError:
+                # if all but the last run through alone, the round failed at the last
+                for i, lam in list(asks.items())[:-1]:
+                    self._run_alone(searches[i], lam)
+                raise
+            sends = dict(zip(asks, evals))
         return out
+
+    def _run_alone(self, search: Generator[float, PressureEval, float], lam: float) -> None:
+        """Drive one search from its pending lambda to its end, one evaluation at a time."""
+        try:
+            while True:
+                lam = search.send(self.pressure.details([lam], slope=True)[0])
+        except StopIteration:
+            pass
 
     def __call__(self, u: float) -> float:
         return self.grid([u])[0]
+
+
+def _interpolate(probes: list[_Probe]) -> float | None:
+    """Root of the inverse quadratic through three probes, or of the secant through two.
+
+    With three probes whose slopes are not distinct, the secant through the
+    first two; None when the secant's two slopes coincide.
+    """
+    if len(probes) == 3:
+        (x0, f0), (x1, f1), (x2, f2) = ((p.t, p.f) for p in probes)
+        if f0 != f1 and f1 != f2 and f0 != f2:
+            return (
+                x0 * f1 * f2 / ((f0 - f1) * (f0 - f2))
+                + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
+                + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1))
+            )
+    (x0, f0), (x1, f1) = ((p.t, p.f) for p in probes[:2])
+    if f0 == f1:
+        return None
+    return x1 - f1 * (x1 - x0) / (f1 - f0)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ncsums import erlaw, rates, simulate
+from ncsums import erlaw, model, rates, simulate
 from ncsums.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -107,3 +107,48 @@ def test_rate_j_grid_traces_its_fiber_work(monkeypatch):
     names = [s["name"] for s in tracer.spans]
     assert names.count("rates.fiber_elim") >= 1
     assert rates.log_r_sequence is fiber  # bindings restored
+
+
+def swapped_bindings():
+    """Every module binding and method that ``spans.patched`` swaps, by name."""
+    owners = {
+        "model": (model, ["preset"]),
+        "rates": (rates, ["smooth_numbers_capped", "chain_index_structure", "log_r_sequence"]),
+        "Pressure": (rates.Pressure, ["__init__", "detail"]),
+        "RateJ": (rates.RateJ, ["__call__"]),
+        "CramerRate": (rates.CramerRate, ["__init__", "__call__"]),
+        "simulate": (simulate, ["sample_indices", "trajectory", "ldp_estimate"]),
+        "erlaw": (erlaw, ["trajectory", "experiment", "window_max"]),
+    }
+    return {
+        f"{name}.{attr}": owner.__dict__[attr]
+        for name, (owner, attrs) in owners.items()
+        for attr in attrs
+    }
+
+
+def test_rate_j_ell3_traces_one_fiber_span_per_lambda(monkeypatch):
+    """theory-l3's rate-j: each lambda the search evaluates is one fiber_elim span."""
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    asked = []
+    details = rates.Pressure.details
+
+    def spy(self, lams, slope=False):
+        lams = list(lams)
+        asked.extend(lams)
+        return details(self, lams, slope)
+
+    monkeypatch.setattr(rates.Pressure, "details", spy)
+    before = swapped_bindings()
+    argv = [
+        "rate-j", "--preset", "rademacher-product", "--ell", "3", "--u", "0.5",
+        "--tol", "0.02", "--lambda-cap", "1.5", "--no-timestamp",
+    ]
+    with spans.patched(tracer):
+        code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
+    assert code == 0
+    fiber = [s for s in tracer.spans if s["name"] == "rates.fiber_elim"]
+    assert 1 <= len(fiber) == len(set(asked)) <= 8
+    assert all(s["count"] >= 1 for s in fiber)  # each span records its truncation length
+    assert swapped_bindings() == before  # bindings restored

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,9 @@ import pytest
 from oracles import fmt_value, render_simulate
 from ncsums import simulate
 from ncsums.cli import _fmt, main
+from ncsums.lattice import primes_up_to
+from ncsums.model import preset
+from ncsums.rates import Pressure
 
 
 def run_cli(*argv):
@@ -121,6 +125,26 @@ class TestCurves:
         )
         assert code == 3
         assert "CapacityError" in err
+
+    def test_ldp_check_ell3_reports_the_budget_near_the_optimum(self):
+        # lambda* = atanh(0.3) = 0.31; the search no longer probes the cap
+        # lambda = 60, where the parent stopped at achievable tol 3.8e-4
+        code, _, err = run_cli(
+            "ldp-check", "--preset", "rademacher-product", "--ell", "3", "--N", "30",
+            "--u", "0.3", "--replicas", "2000", "--no-timestamp",
+        )
+        assert code == 4
+        report = json.loads(err)
+        assert report["error"] == "ToleranceError"
+        match = re.fullmatch(
+            r"budget exhausted at fiber length (\d+); achievable tol is (\S+)", report["message"]
+        )
+        done, achievable = int(match[1]) - 1, float(match[2])
+        assert achievable < 3.8e-4
+        dist, obs = preset("rademacher-product", ell=3)
+        press = Pressure(dist, obs, primes_up_to(3), tol=1e-6)
+        lam = achievable / (primes_up_to(3).r_const * obs.sup_abs * float(press._tail[done]))
+        assert abs(lam - math.atanh(0.3)) < 0.1
 
     def test_tolerance_exit_code(self):
         code, _, err = run_cli(

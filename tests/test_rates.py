@@ -584,6 +584,64 @@ class TestRateJ:
         assert all(v > 0 for v in vals)
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize(
+        "ell,tol,cap,us",
+        [
+            (2, 1e-10, None, [-0.995, -0.6, -0.05, 0.005, 0.3, 0.585, 0.9, 0.995]),
+            (2, 1e-6, None, [-0.7, 0.02, 0.3, 0.97]),
+            # the best probe lies outside the bracket of its own truncation:
+            # its gap must take its distance to the bracket's far end
+            (2, 1e-8, None, [-0.585, 0.585]),
+            (3, 0.02, 1.5, [-0.8, -0.35, 0.05, 0.2, 0.5, 0.6, 0.85]),
+            (3, 1e-3, 1.5, [-0.3, 0.5]),
+        ],
+    )
+    def test_certified_against_closed_form(self, ell, tol, cap, us):
+        # the Rademacher product has Q = ln cosh at every ell, so J = I
+        dist, obs = preset("rademacher-product", ell=ell)
+        conj = RateJ(Pressure(dist, obs, primes_up_to(ell), tol=tol), lambda_cap=cap)
+        for u, j in zip(us, conj.grid(us)):
+            assert abs(j - rademacher_rate_closed(u)) <= 2 * tol, u
+
+    def test_pressure_evaluations_per_u(self):
+        dist, obs = preset("rademacher-product", ell=3)
+        press = Pressure(dist, obs, B3, tol=0.02)
+        asked = []
+        details = press.details
+
+        def spy(lams, slope=False):
+            lams = list(lams)
+            asked.extend(lams)
+            return details(lams, slope)
+
+        press.details = spy
+        RateJ(press, lambda_cap=1.5)(0.5)
+        assert 1 <= len(asked) <= 8  # the golden section made 26
+        assert 1.5 not in asked  # the cap is probed only when Q' stays below u up to it
+
+    def test_past_the_endpoint_probes_the_cap(self):
+        dist, obs = preset("rademacher-product", ell=3)
+        conj = RateJ(Pressure(dist, obs, B3, tol=0.02), lambda_cap=1.5)
+        assert conj(0.95) == math.inf  # tanh(1.5) = 0.905
+        assert conj.l_plus == pytest.approx(math.tanh(1.5), abs=0.02)
+
+    def test_out_of_evaluations_reports_the_gap(self, monkeypatch):
+        monkeypatch.setattr(rates, "MAX_EVALS", 2)
+        dist, obs = preset("rademacher-product")
+        with pytest.raises(ToleranceError) as err:
+            RateJ(Pressure(dist, obs, B2, tol=1e-10))(0.3)
+        assert err.value.achievable_tol > 1e-10
+        assert "after 2 pressure evaluations" in str(err.value)
+
+    def test_needs_a_centered_observable(self):
+        dist = FiniteDistribution(values=(-1.0, 2.0), probs=(0.75, 0.25))
+        raw = observable_from_table(dist, 2, [0.3, -1.1, 0.7, 1.9])
+        with pytest.raises(InputError):
+            RateJ(Pressure(dist, raw, B2))
+        RateJ(Pressure(dist, center(raw, dist), B2))
+        zero = observable_from_table(dist, 2, [0.0] * 4)
+        assert RateJ(Pressure(dist, zero, B2))(0.5) == math.inf
+
 
 def random_law(rng, s):
     """A random s-point law with a random centered ell = 2 table."""
@@ -603,12 +661,78 @@ def scalar_pressure(press):
 
 LAWS = [random_law(np.random.default_rng(900 + k), 2 + k % 5) for k in range(10)]
 
+# The constants the conjugate's golden section ran with before the certified search.
+GOLDEN_SEARCH = {"lambda_tol": 5e-5, "slope_tol": 1e-4, "slope_delta": 0.5}
+
+
+class TestComplexStep:
+    """Q' from a complex step through the pressure's kernels."""
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("lam", [-1.3, -0.2, 0.4, 2.0])
+    def test_rademacher_slope_is_tanh(self, ell, lam):
+        dist, obs = preset("rademacher-product", ell=ell)
+        press = Pressure(dist, obs, primes_up_to(ell), tol=1e-3 if ell == 3 else 1e-8)
+        ev = press.details([lam], slope=True)[0]
+        r, M = primes_up_to(ell).r_const, obs.sup_abs
+        assert ev.slope_bound == (r * M * float(press._tail[ev.truncation_l]) if ell > 1 else 0.0)
+        assert abs(ev.slope - math.tanh(lam)) <= ev.slope_bound + 1e-13
+
+    @pytest.mark.parametrize("lam", [-0.9, 0.35, 1.2])
+    def test_bernoulli_ell3_slope_is_the_central_difference(self, lam):
+        dist, obs = preset("bernoulli-product", ell=3)
+        press = Pressure(dist, obs, B3, tol=1e-3)
+        ev = press.details([lam], slope=True)[0]
+        L, h = ev.truncation_l, 1e-4
+        w = press._weights[:L]
+
+        def q_L(x):  # the real truncated pressure at the same L
+            return B3.r_const * math.fsum(a * b for a, b in zip(w, log_r_sequence(dist, obs, B3, x, L)))
+
+        assert ev.slope == pytest.approx((q_L(lam + h) - q_L(lam - h)) / (2 * h), rel=1e-7)
+        assert ev.value == pytest.approx(q_L(lam), rel=1e-13)
+
+    def test_transfer_batch_rows_equal_batches_of_one(self):
+        h = rates.STEP_OVER_M
+        for dist, obs in LAWS:
+            lams = np.array([-2.5, -0.3, 0.01, 0.7, 4.0]) / obs.sup_abs + 1j * h / obs.sup_abs
+            batch = log_r_sequence(dist, obs, B2, lams, 40)
+            assert batch.shape == (5, 40) and batch.dtype == np.complex128
+            for lam, row in zip(lams, batch):
+                assert row.tolist() == log_r_sequence(dist, obs, B2, complex(lam), 40)
+
+    def test_real_part_is_the_real_path(self):
+        # complex exp and products may round differently in the last bits
+        rng = np.random.default_rng(77)
+        dist3 = FiniteDistribution(values=(-1.0, 0.0, 2.0), probs=(0.2, 0.5, 0.3))
+        cases = [(dist, obs, B2, 40) for dist, obs in LAWS]
+        cases += [(dist3, center(random_observable(rng, dist3, 3), dist3), B3, 20)]
+        cases += [(*preset("bernoulli-product", ell=3), B3, 30)]
+        for dist, obs, basis, L in cases:
+            for lam in (-1.1, 0.3, 2.4):
+                lam /= obs.sup_abs
+                z = log_r_sequence(dist, obs, basis, complex(lam, 1e-30 / obs.sup_abs), L)
+                x = log_r_sequence(dist, obs, basis, lam, L)
+                for zl, xl in zip(z, x):
+                    assert abs(zl.real - xl) <= 1e-13 * max(1.0, abs(xl))
+
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_slope_evaluations_share_truncation_and_memo(self, ell):
+        dist, obs = preset("bernoulli-product", ell=ell)
+        press = Pressure(dist, obs, primes_up_to(ell), tol=1e-3)
+        lams = [-0.8, 0.3, 1.1]
+        real = press.details(lams)
+        cplx = press.details(lams, slope=True)
+        for a, b in zip(real, cplx):
+            assert a.slope is None and b.slope is not None
+            assert (a.tail_bound, a.truncation_l) == (b.tail_bound, b.truncation_l)
+            assert b.value == pytest.approx(a.value, rel=1e-13)
+        assert press.details(lams) == real  # the real evaluations stay memoized apart
+        assert press.details(lams[::-1], slope=True) == cplx[::-1]
+
 
 class TestLockstepAgainstScalarOracle:
-    """Grids and batches equal the scalar golden section and transfer recursion bitwise.
-
-    Floats are compared with ==, so an infinite J must be infinite on both sides.
-    """
+    """Batches equal the scalar transfer recursion bitwise; grids agree with the golden section."""
 
     def test_transfer_batch_rows_equal_one_lambda_recursions(self):
         for dist, obs in LAWS:
@@ -639,22 +763,48 @@ class TestLockstepAgainstScalarOracle:
     @pytest.mark.parametrize("law", range(len(LAWS)))
     @pytest.mark.parametrize("cap", [None, 2.5])
     def test_rate_j_grids(self, law, cap):
+        """The certified search agrees with the golden section within 2 tol.
+
+        Each is within tol of J, up to the golden section's own miss.  The
+        golden section declares J infinite when the objective's difference
+        quotient over [cap - 0.5, cap] still climbs; the certified search
+        when Q' at the cap is below |u| even at the top of its tail bound.
+        Where only the golden section declares it, u lies within the
+        endpoint.
+        """
         dist, obs = LAWS[law]
-        press = Pressure(dist, obs, B2, tol=1e-8)
+        tol = 1e-8
+        press = Pressure(dist, obs, B2, tol=tol)
         conj = RateJ(press, lambda_cap=None if cap is None else cap / obs.sup_abs)
         lo, hi = obs.sup_neg, obs.sup_pos
         us = [-1.1 * lo, -0.7 * lo, -0.2 * lo, 0.0, 0.3 * hi, 0.3 * hi, 0.8 * hi, 1.1 * hi]
-        q = scalar_pressure(Pressure(dist, obs, B2, tol=1e-8))
+        q = scalar_pressure(Pressure(dist, obs, B2, tol=tol))
         want = [
-            golden_conjugate(
-                lambda lam: q(lam)[0], u, conj.lambda_cap,
-                rates.LAMBDA_TOL, rates.SLOPE_TOL, rates.SLOPE_DELTA,
-            )
+            golden_conjugate(lambda lam: q(lam)[0], u, conj.lambda_cap, **GOLDEN_SEARCH)
             for u in us
         ]
-        assert conj.grid(us) == want
-        assert math.isinf(want[0]) and math.isinf(want[-1])
-        assert [conj(u) for u in us[:3]] == want[:3]
+        got = conj.grid(us)
+        for u, j, w in zip(us, got, want):
+            end = conj.l_plus if u > 0 else conj.l_minus
+            end += press.details([math.copysign(conj.lambda_cap, u)], slope=True)[0].slope_bound
+            assert math.isinf(j) == (abs(u) - end >= rates.SLOPE_TOL)
+            if math.isinf(w) and not math.isinf(j):
+                assert abs(u) < end
+            else:
+                assert j == w or abs(j - w) <= 2 * tol
+        assert math.isinf(got[0]) and math.isinf(got[-1])
+        assert [conj(u) for u in us[:3]] == got[:3]
+
+    def test_grid_error_is_the_first_failing_u_alone(self):
+        # u = 0.9 fails in the first round; u = 0.35 only in its second
+        dist, obs = preset("rademacher-product")
+
+        def error(us):
+            with pytest.raises(ToleranceError) as err:
+                RateJ(Pressure(dist, obs, B2, tol=1e-10, budget=144)).grid(us)
+            return str(err.value), err.value.achievable_tol
+
+        assert error([0.0, 0.35, 0.9]) == error([0.35]) != error([0.9])
 
     def test_grid_raises_the_first_u_error(self):
         dist, obs = preset("rademacher-product")
