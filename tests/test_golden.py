@@ -115,7 +115,7 @@ EXPECTED = {
         0,
     ),
     "bench-rate-j-l3": (
-        "075333443fcea7083ffd0f25af961d42a6e6692268ade6733f0e08ec477bdbf5",
+        "706c550edc29a5ef78ed44399ce75cf19d91d965e0c3af00e8849ca24bd1b5b3",
         "",
         0,
     ),
@@ -215,7 +215,7 @@ EXPECTED = {
         0,
     ),
     "rate-j-json": (
-        "fe3b976713b8087b9cbe27bcb92e32dcd55b441132adfe2dac941b67975a7e93",
+        "7dd59c8fa81b6b2546633c6abe47c23949f69fc51a2b051e6df4bd0da42f8d30",
         "",
         0,
     ),
@@ -225,7 +225,7 @@ EXPECTED = {
         0,
     ),
     "rate-j-grid-json": (
-        "543f86e5681d3fd2cdbcc50a1a577329e70106fcbc84a140068f93af9109ec2f",
+        "4660640eba4f5a887d0a5409095aac724f803c66adc18cd084bf808988b47092",
         "",
         0,
     ),
@@ -240,7 +240,7 @@ EXPECTED = {
         0,
     ),
     "ldp-check-json": (
-        "b461a5a90c067ce1fd4c1b469a8c9b1641718788be25fbf54653d0944b59d2d6",
+        "72189197a743c1ba791e5a1db4668395761795a1b03a29afe867f6c1ca119d9d",
         "",
         0,
     ),
@@ -321,7 +321,7 @@ EXPECTED = {
     ),
     "exit4-rate-j-budget": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        '{"error": "ToleranceError", "message": "budget exhausted at fiber length 11; achievable tol is 0.3515625"}\n',
+        '{"error": "ToleranceError", "message": "budget exhausted at fiber length 11; achievable tol is 0.0029296875"}\n',
         4,
     ),
 }
