@@ -69,6 +69,12 @@ def _log(z: float | complex) -> float | complex:
     return math.log(z)
 
 
+def _require_centered(obs: Observable) -> None:
+    """The one-sided searches of both conjugates need E F = 0."""
+    if abs(obs.mean) > 1e-9 * max(1.0, obs.sup_abs):
+        raise InputError("observable must be centered (apply center(), or --center on the CLI)")
+
+
 class CramerRate:
     """Convex conjugate of ln(mgf), evaluated by derivative bisection.
 
@@ -81,10 +87,7 @@ class CramerRate:
     def __init__(self, dist: FiniteDistribution, obs: Observable, t_cap: float | None = None):
         if is_degenerate(obs):
             raise DegenerateObservableError("rate function needs positive variance")
-        if abs(obs.mean) > 1e-9 * max(1.0, obs.sup_abs):
-            raise InputError(
-                "observable must be centered (apply center(), or --center on the CLI)"
-            )
+        _require_centered(obs)
         self.dist = dist
         self.obs = obs
         vals, probs = value_distribution(dist, obs)
@@ -637,7 +640,8 @@ class Pressure:
             value = r * math.fsum(terms.real.tolist())
             if slope:
                 dq = r * math.fsum(terms.imag.tolist()) / h
-                evals.append(PressureEval(value, bound, L, dq, r * obs.sup_abs * float(self._tail[L])))
+                dq_bound = r * obs.sup_abs * float(self._tail[L])
+                evals.append(PressureEval(value, bound, L, dq, dq_bound))
             else:
                 evals.append(PressureEval(value, bound, L))
         return evals
@@ -699,34 +703,27 @@ class _Probe(NamedTuple):
 
 
 class RateJ:
-    """Conjugate J(u) = sup_lambda (lambda*u - Q(lambda)) of the pressure, certified to its tol.
+    """Conjugate J(u) = sup (lambda*u - Q(lambda)) over [0, lambda_cap], certified to tol.
 
-    For u > 0 the supremum over [0, lambda_cap] is searched (u < 0
-    mirrors it), as a root of Q'(lambda) - u, with Q' from the pressure's
-    complex step.  Take a searched lambda, its truncation length L and the
-    truncated pressure Q_L.  For a centered observable every dropped term
-    ln R_l is >= 0 (Jensen), so J <= J_L = sup (lambda*u - Q_L), and Q_L is
-    convex with an exact derivative.  Another lambda's Q' differs from
-    Q_L' by at most the difference of their Q' tail bounds, so its sign
-    beyond that difference brackets the root of Q_L' - u in [lo, hi].
-    Concavity then bounds J_L - g(lambda) by |u - Q_L'(lambda)| times the
-    distance from lambda to the far end of [lo, hi] (at most hi - lo when
-    lambda lies in the bracket), and the dropped tail of Q bounds
-    g(lambda) - J from above.  The search stops when that gap plus the tail
-    bound is at most ``pressure.tol``, and returns g(lambda) floored at 0:
-    within tol of J(u).
+    u < 0 mirrors u > 0.  The search finds the root of Q'(lambda) - u, Q'
+    from the pressure's complex step.  Certificate: at a probe lambda with
+    truncation L, every dropped ln R_l is >= 0 for a centered observable
+    (Jensen), so J <= J_L, the conjugate of the convex Q_L, whose slope the
+    probe has exactly.  Another probe's Q' is within the difference of the
+    two Q' tail bounds of Q_L', so its sign beyond that brackets the root
+    of Q_L' - u in [lo, hi], and concavity bounds J_L - g(lambda) by
+    |u - Q_L'(lambda)| times lambda's distance to the far end of [lo, hi].
+    The search stops when that gap plus Q's tail bound is at most
+    ``pressure.tol`` and returns g(lambda) floored at 0.
 
-    The search brackets the root by doubling lambda from |u|/M**2, so the
-    cap is evaluated only when Q' stays below |u| up to it.  There J(u) is
-    infinite when |u| - Q'(lambda_cap) >= SLOPE_TOL, Q' taken at the top of
-    its tail bound, and the objective at the cap when the difference is
-    smaller: the supremum over [0, lambda_cap].  Inside the bracket it runs
-    Brent's method (secant and inverse quadratic steps with a bisection
-    fallback; Brent, *Algorithms for Minimization without Derivatives*,
-    1973, ch. 4), and every step moves at least half the width the best
-    lambda needs for its gap, so the last steps straddle the root.  The
-    domain endpoints ``l_plus``/``l_minus`` are Q'(+-lambda_cap), certified
-    to their tail bound.
+    It brackets the root by doubling lambda from |u|/M**2, so it evaluates
+    the cap only when Q' stays below |u| up to it.  There J(u) = inf when
+    |u| - Q'(lambda_cap) >= SLOPE_TOL, with Q' at the top of its tail
+    bound, and the objective at the cap otherwise.  Inside the bracket it
+    runs Brent's method (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4), each step moving at least half the width
+    the best probe's gap allows, so the last steps straddle the root.
+    ``l_plus``/``l_minus`` are Q'(+-lambda_cap) within their tail bound.
 
     ``grid`` runs the searches of a whole u grid in lockstep, so each round's
     lambdas reach the pressure as one batch; calling the object is a grid of
@@ -734,13 +731,9 @@ class RateJ:
     """
 
     def __init__(self, pressure: Pressure, lambda_cap: float | None = None):
-        obs = pressure.obs
-        if abs(obs.mean) > 1e-9 * max(1.0, obs.sup_abs):
-            raise InputError(
-                "observable must be centered (apply center(), or --center on the CLI)"
-            )
+        _require_centered(pressure.obs)
         self.pressure = pressure
-        M = obs.sup_abs
+        M = pressure.obs.sup_abs
         self.lambda_cap = (
             float(lambda_cap) if lambda_cap is not None else CAP_OVER_M / M if M > 0 else CAP_OVER_M
         )
@@ -815,9 +808,9 @@ class RateJ:
             best = min(probes, key=gap)
             if gap(best) <= tol:
                 return max(0.0, best.g)
-            # Brent's step inside the bracket of the estimated signs: an
-            # interpolation through its ends and the last probe while the
-            # bracket halves every two steps, else bisection
+            # Brent's step inside the bracket of the estimated signs: inverse
+            # quadratic (or secant) interpolation through the last three
+            # probes while the bracket halves every two steps, else bisection
             lo = max((q for q in probes if q.f < 0.0), key=lambda q: q.t)
             hi = min((q for q in probes if q.f > 0.0), key=lambda q: q.t)
             x = None

@@ -687,7 +687,8 @@ class TestComplexStep:
         w = press._weights[:L]
 
         def q_L(x):  # the real truncated pressure at the same L
-            return B3.r_const * math.fsum(a * b for a, b in zip(w, log_r_sequence(dist, obs, B3, x, L)))
+            lnr = log_r_sequence(dist, obs, B3, x, L)
+            return B3.r_const * math.fsum(a * b for a, b in zip(w, lnr))
 
         assert ev.slope == pytest.approx((q_L(lam + h) - q_L(lam - h)) / (2 * h), rel=1e-7)
         assert ev.value == pytest.approx(q_L(lam), rel=1e-13)
