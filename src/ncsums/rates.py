@@ -877,7 +877,7 @@ def _interpolate(probes: list[_Probe]) -> float | None:
     """Root of the inverse quadratic through three probes, or of the secant through two.
 
     With three probes whose slopes are not distinct, the secant through the
-    first two; None when the secant's two slopes coincide.
+    last two; None when the secant's two slopes coincide.
     """
     if len(probes) == 3:
         (x0, f0), (x1, f1), (x2, f2) = ((p.t, p.f) for p in probes)
@@ -887,7 +887,7 @@ def _interpolate(probes: list[_Probe]) -> float | None:
                 + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
                 + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1))
             )
-    (x0, f0), (x1, f1) = ((p.t, p.f) for p in probes[:2])
+    (x0, f0), (x1, f1) = ((p.t, p.f) for p in probes[-2:])
     if f0 == f1:
         return None
     return x1 - f1 * (x1 - x0) / (f1 - f0)
