@@ -492,11 +492,7 @@ class Pressure:
 
     The truncation length adapts to |lambda|: the dropped tail is bounded by
     r * M * |lambda| * sum_{l>L} l * w_l, evaluated exactly over the
-    enumerated smooth range and analytically beyond it.  The truncation
-    length is a function of lambda alone, so each finished evaluation is
-    memoized per lambda.  The lock guards only the lookup and the insert:
-    evaluations at different lambda run concurrently, and two at the same
-    lambda may both compute, the first insert winning.
+    enumerated smooth range and analytically beyond it.
 
     ``details`` evaluates a batch of lambdas; at ell = 2 they share one
     transfer recursion.  ``detail`` and calling the object are batches of one.
@@ -505,8 +501,6 @@ class Pressure:
     through the same kernels, and takes Q from the real part of that run.
     Each d ln R_l/dlambda lies in [-l*M, l*M], so the derivative's dropped
     tail is r * M * sum_{l>L} l * w_l, the value's tail bound over |lambda|.
-    These evaluations are memoized apart from the real ones, whose bits
-    they need not share.
     """
 
     def __init__(
@@ -522,13 +516,13 @@ class Pressure:
             raise InputError(f"basis ell={basis.ell} does not match observable ell={obs.ell}")
         if not tol > 0:
             raise InputError("tol must be positive")
+        if int(budget) < 1:
+            raise InputError("budget must be a positive integer")
         self.dist = dist
         self.obs = obs
         self.basis = basis
         self.tol = float(tol)
         self.budget = int(budget)
-        self._cache: dict[tuple[float, bool], PressureEval] = {}
-        self._lock = threading.Lock()
         if basis.m == 0:
             # one term, ln R_1 = ln mgf, and nothing dropped at L = 1
             self._weights: list[float] = [1.0]
@@ -551,7 +545,6 @@ class Pressure:
         # -tail[1:] as a running max, so bisect finds the first tail[L] < target
         # even where rounding leaves two adjacent tail entries out of order
         self._neg_tail = np.maximum.accumulate(-tail[1:]).tolist()
-        self.smooth = smooth
 
     def _truncation(self, lam: float) -> tuple[int, float]:
         scale = self.basis.r_const * self.obs.sup_abs * abs(lam)
@@ -571,45 +564,36 @@ class Pressure:
     def details(self, lams, slope: bool = False) -> list[PressureEval]:
         """PressureEval at each lambda of ``lams``, in order, with Q' if ``slope``.
 
-        The lambdas not yet memoized are truncated in order.  At ell = 2 they
-        then share one transfer recursion up to the largest truncation
-        length; larger ell replays each lambda's plans up to its own length.
-        An error is the one the first failing lambda in order raises when
-        evaluated alone: truncation and budget both fail monotonically in
-        |lambda|, and no lambda after a truncation failure is evaluated.
+        Each distinct lambda is truncated in order and evaluated once; Q(0)
+        = 0 needs no evaluation.  At ell = 2 they share one transfer
+        recursion up to the largest truncation length; larger ell replays
+        each lambda's plans up to its own length.  An error is the one the first failing lambda in
+        order raises when evaluated alone: truncation and budget both fail
+        monotonically in |lambda|, and no lambda after a truncation failure
+        is evaluated.
         """
         lams = [float(lam) for lam in lams]
         if self.basis.m == 0:
             return self._evaluate([(lam, 1, 0.0) for lam in lams], slope)
-        found: dict[float, PressureEval] = {}
-        with self._lock:
-            for lam in lams:
-                if lam == 0.0 and not slope:
-                    hit = PressureEval(0.0, 0.0, 0)
-                else:
-                    hit = self._cache.get((lam, slope))
-                if hit is not None:
-                    found[lam] = hit
+        found = {0.0: PressureEval(0.0, 0.0, 0)}
         todo: list[tuple[float, int, float]] = []
         failed = None
         for lam in dict.fromkeys(lams):
-            if lam not in found:
-                try:
-                    todo.append((lam, *self._truncation(lam)))
-                except ToleranceError as exc:
-                    failed = exc
-                    break
+            if lam == 0.0 and not slope:
+                continue
+            try:
+                todo.append((lam, *self._truncation(lam)))
+            except ToleranceError as exc:
+                failed = exc
+                break
         if todo:
-            evals = self._evaluate(todo, slope)
-            with self._lock:
-                for (lam, _, _), ev in zip(todo, evals):
-                    found[lam] = self._cache.setdefault((lam, slope), ev)
+            found.update(zip([lam for lam, _, _ in todo], self._evaluate(todo, slope)))
         if failed is not None:
             raise failed
         return [found[lam] for lam in lams]
 
     def _evaluate(self, todo: list[tuple[float, int, float]], slope: bool) -> list[PressureEval]:
-        """Series values at (lambda, L, tail bound) triples, none memoized yet."""
+        """Series values at (lambda, L, tail bound) triples."""
         dist, obs, basis = self.dist, self.obs, self.basis
         top = max((L for _, L, _ in todo), default=0)
         h = STEP_OVER_M / (obs.sup_abs or 1.0)
@@ -683,8 +667,9 @@ def finite_pressure(
 # A slope of Q at the cap at least this far below |u| declares J(u) infinite.
 SLOPE_TOL = 1e-4
 
-# Pressure evaluations one conjugate search may make before it reports the
-# gap it reached as a ToleranceError.
+# Pressure evaluations one conjugate search may make.  It then returns its
+# best probe's objective if that gap is within tol, and reports the gap it
+# reached as a ToleranceError otherwise.
 MAX_EVALS = 64
 
 
@@ -762,13 +747,6 @@ class RateJ:
         probes = [origin]
 
         def probe(t: float) -> Generator[float, PressureEval, _Probe]:
-            if len(probes) > MAX_EVALS:
-                best = min(probes, key=gap)
-                raise ToleranceError(
-                    f"conjugate search at u={u} reached gap {gap(best):.3e} "
-                    f"after {MAX_EVALS} pressure evaluations, over tol={tol}",
-                    achievable_tol=gap(best),
-                )
             ev = yield sgn * t
             p = _Probe(t, t * a - ev.value, sgn * ev.slope - a, ev.slope_bound, ev.tail_bound)
             probes.append(p)
@@ -788,8 +766,22 @@ class RateJ:
             lo, hi = bracket(p)
             return abs(p.f) * max(hi - p.t, p.t - lo) + p.tail_bound
 
+        def settle(best: _Probe) -> float:
+            """The objective at the best probe, if its gap is within tol; else out of evaluations."""
+            if gap(best) > tol:
+                raise ToleranceError(
+                    f"conjugate search at u={u} reached gap {gap(best):.3e} "
+                    f"after {MAX_EVALS} pressure evaluations, over tol={tol}",
+                    achievable_tol=gap(best),
+                )
+            return max(0.0, best.g)
+
         t = min(cap, a / (self.pressure.obs.sup_abs or 1.0) ** 2)
         while True:
+            if len(probes) > MAX_EVALS:
+                # Q' can read 0 at every probe (exp(+-lambda F) rounds to 1 below
+                # |lambda| ~ 1e-16/M), while the gap may already be within tol
+                return settle(min(probes, key=gap))
             p = yield from probe(t)
             if p.f > 0.0:
                 break
@@ -806,8 +798,8 @@ class RateJ:
         widths = [math.inf, math.inf]
         while True:
             best = min(probes, key=gap)
-            if gap(best) <= tol:
-                return max(0.0, best.g)
+            if gap(best) <= tol or len(probes) > MAX_EVALS:
+                return settle(best)
             # Brent's step inside the bracket of the estimated signs: inverse
             # quadratic (or secant) interpolation through the last three
             # probes while the bracket halves every two steps, else bisection

@@ -111,6 +111,17 @@ class TestCurves:
         )
         assert out.strip().splitlines()[1].split(",")[1] == "0"
 
+    @pytest.mark.parametrize("u", ["1e-200", "1e-40"])
+    def test_rate_j_where_the_slope_rounds_to_zero(self, u):
+        # Q'(lambda) reads 0.0 at every probe the search can reach within its
+        # evaluation cap, but the gap |u| * lambda_cap is already below tol
+        code, out, err = run_cli(
+            "rate-j", "--preset", "rademacher-product", "--u", u, "--no-timestamp"
+        )
+        assert (code, err) == (0, "")
+        j = float(out.strip().splitlines()[1].split(",")[1])
+        assert abs(j - float(u) ** 2 / 2) <= 1e-8
+
     def test_degenerate_exit_code(self):
         code, _, err = run_cli(
             "rate-i", "--preset", "constant", "--alpha", "0.5", "--no-timestamp"
@@ -408,6 +419,10 @@ class TestInputValidation:
             ("erlaw", "--alpha", "0.5", "--n", "100", "--ell", "0"),
             ("ldp-check", "--N", "60", "--u", "0.3", "--replicas", "1000", "--ell", "0",
              "--skip-theory"),
+            ("rate-j", "--u", "0.5", "--budget", "-5"),
+            ("pressure", "--ell", "3", "--lambda", "0.5", "--budget", "-1"),
+            ("pressure", "--lambda", "0.5", "--budget", "0"),
+            ("rate-j", "--u", "0.5", "--budget", "0"),
         ],
     )
     def test_nan_grid_or_nonpositive_cap_is_input_error(self, argv):

@@ -6,8 +6,9 @@ benchmark's commands at smoke size, the i.i.d. mode, fractional trajectories
 from a spec file, the stderr summary of ``erlaw``, seeds that wrap modulo
 2**64, and exit codes 2, 3 and 4.  An expectation changes only together with
 an intended output-schema change.  ``rate-j`` grids with both signs, zero,
-a repeated u and u past the endpoints are pinned, and so is the budget
-error a multi-u grid reports.
+a repeated u and u past the endpoints are pinned, and so are a u so small
+that Q' rounds to 0 at every probe, the budget error a multi-u grid reports
+and the rejection of a budget below 1.
 Negative grids use the ``--flag=-1,...`` form so argparse does not read them
 as options.
 """
@@ -64,6 +65,8 @@ MATRIX = BENCH + [
     ("rate-j-grid-csv", ("rate-j", "--ell", "2", "--u=-0.3,-0.2,-0.1,0,0.3,0.3,0.74,0.76") + B),
     ("rate-j-grid-json",
      ("rate-j", "--ell", "2", "--u=-0.3,-0.2,-0.1,0,0.3,0.3,0.74,0.76", "--format", "json") + B),
+    # Q' reads 0 at every probe within the evaluation cap, and the gap is within tol
+    ("rate-j-tiny-u", ("rate-j", "--u", "1e-200") + R),
     ("erlaw-json", ("erlaw", "--alpha", "0.4,0.6", "--n", "2000", "--seeds", "2", "--format", "json")
      + R),
     ("erlaw-iid-csv",
@@ -101,6 +104,7 @@ MATRIX = BENCH + [
     ("output-file", ("rate-j", "--u", "0.5", "--output", "{tmp}/out.txt") + R),
     ("exit2-structure-limit", ("structure", "--ell", "2", "--n", "1e9")),
     ("exit2-degenerate", ("rate-i", "--preset", "constant", "--alpha", "0.5")),
+    ("exit2-budget", ("pressure", "--lambda", "0.5", "--budget", "0") + R),
     ("exit3-capacity", ("rate-i", "--ell", "30", "--alpha", "0.5") + R),
     ("exit4-tolerance", ("pressure", "--ell", "5", "--lambda", "1", "--tol", "1e-12") + R),
     ("exit4-rate-j-budget",
@@ -229,6 +233,11 @@ EXPECTED = {
         "",
         0,
     ),
+    "rate-j-tiny-u": (
+        "593f6906e39b3e350102e40b81764aa187c8c9b413400696370d25f6c9ee26fb",
+        "",
+        0,
+    ),
     "erlaw-json": (
         "16b464662eab5e7621caf2851ce397abb356c4eaf7b470d4565ade8afdb82f57",
         "",
@@ -307,6 +316,11 @@ EXPECTED = {
     "exit2-degenerate": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         '{"error": "DegenerateObservableError", "message": "rate function needs positive variance"}\n',
+        2,
+    ),
+    "exit2-budget": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        '{"error": "InputError", "message": "budget must be a positive integer"}\n',
         2,
     ),
     "exit3-capacity": (

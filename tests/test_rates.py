@@ -25,7 +25,7 @@ from ncsums.errors import (
     InputError,
     ToleranceError,
 )
-from ncsums.lattice import primes_up_to
+from ncsums.lattice import primes_up_to, smooth_numbers_capped
 from ncsums.model import (
     BERNOULLI,
     RADEMACHER,
@@ -39,6 +39,7 @@ from ncsums.model import (
 from ncsums.rates import (
     CramerRate,
     Pressure,
+    PressureEval,
     RateJ,
     chain_index_structure,
     finite_pressure,
@@ -449,7 +450,7 @@ class TestPressure:
     def test_weights_equal_exact_rational(self, ell):
         basis = primes_up_to(ell)
         press = Pressure(RADEMACHER, product_observable(RADEMACHER, ell), basis)
-        h = press.smooth.h
+        h = smooth_numbers_capped(basis, 20000).h
         exact = [float(Fraction(1, h[i]) - Fraction(1, h[i + 1])) for i in range(len(h) - 1)]
         assert press._weights == exact
 
@@ -467,45 +468,49 @@ class TestPressure:
         with pytest.raises(InputError):
             Pressure(dist, obs, B3)
 
-    def test_memoized_per_lambda_outside_the_lock(self, monkeypatch):
-        dist, obs = preset("bernoulli-product")
-        press = Pressure(dist, obs, B2, tol=1e-8)
-        calls = []
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_repeated_lambda_is_evaluated_once(self, ell, monkeypatch):
+        dist, obs = preset("bernoulli-product", ell=ell)
+        press = Pressure(dist, obs, primes_up_to(ell), tol=1e-2)
+        asked = []
         inner = rates.log_r_sequence
 
-        def spy(*args, **kwargs):
-            calls.append(press._lock.locked())
-            return inner(*args, **kwargs)
+        def spy(dist, obs, basis, lam, *args, **kwargs):
+            asked.extend(np.atleast_1d(lam).tolist())
+            return inner(dist, obs, basis, lam, *args, **kwargs)
 
         monkeypatch.setattr(rates, "log_r_sequence", spy)
-        first = press.detail(0.7)
-        assert press.detail(0.7) is first
-        assert calls == [False]  # one run, with the lock free
-        press.detail(-0.7)
-        assert calls == [False, False]
+        got = press.details([0.5, -0.3, 0.5, 0.0, 0.5, -0.3])
+        assert asked == [0.5, -0.3]  # each lambda once; lambda = 0 needs no evaluation
+        assert got[0] == got[2] == got[4] and got[1] == got[5]
+        assert got[3] == PressureEval(0.0, 0.0, 0)
 
-    def test_concurrent_evaluations_share_one_result_per_lambda(self):
-        dist, obs = preset("bernoulli-product")
-        lams = [0.1 * k for k in range(-8, 9) if k]
-        press = Pressure(dist, obs, B2, tol=1e-8)
-        start = threading.Barrier(8)
+    def test_concurrent_evaluations_share_one_result_per_lambda(self, monkeypatch):
+        # at ell = 3 the threads also race to build the elimination plans
+        monkeypatch.setattr(rates, "_plans", {})
+        for ell, tol, lams in (
+            (2, 1e-8, [0.1 * k for k in range(-8, 9) if k]),
+            (3, 1e-2, [-0.6, -0.3, 0.3, 0.6]),
+        ):
+            dist, obs = preset("bernoulli-product", ell=ell)
+            press = Pressure(dist, obs, primes_up_to(ell), tol=tol)
+            start = threading.Barrier(8)
 
-        def sweep():
-            start.wait(timeout=30)  # all threads race for each lambda in turn
-            return [press.detail(lam) for lam in lams]
+            def sweep():
+                start.wait(timeout=30)  # all threads race for each lambda in turn
+                return [press.detail(lam) for lam in lams]
 
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                results = [f.result(timeout=60) for f in [pool.submit(sweep) for _ in range(8)]]
-        finally:
-            sys.setswitchinterval(switch)
-        fresh = Pressure(dist, obs, B2, tol=1e-8)
-        for got in results:
-            for lam, ev in zip(lams, got):
-                assert ev is press.detail(lam)  # every caller got the one inserted result
-                assert ev == fresh.detail(lam)
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(sweep) for _ in range(8)]
+                    results = [f.result(timeout=60) for f in futures]
+            finally:
+                sys.setswitchinterval(switch)
+            fresh = Pressure(dist, obs, primes_up_to(ell), tol=tol)
+            for got in results:
+                assert got == [fresh.detail(lam) for lam in lams]
 
 
 class TestFinitePressure:
@@ -718,7 +723,7 @@ class TestComplexStep:
                     assert abs(zl.real - xl) <= 1e-13 * max(1.0, abs(xl))
 
     @pytest.mark.parametrize("ell", [2, 3])
-    def test_slope_evaluations_share_truncation_and_memo(self, ell):
+    def test_slope_evaluations_share_truncation(self, ell):
         dist, obs = preset("bernoulli-product", ell=ell)
         press = Pressure(dist, obs, primes_up_to(ell), tol=1e-3)
         lams = [-0.8, 0.3, 1.1]
@@ -728,7 +733,7 @@ class TestComplexStep:
             assert a.slope is None and b.slope is not None
             assert (a.tail_bound, a.truncation_l) == (b.tail_bound, b.truncation_l)
             assert b.value == pytest.approx(a.value, rel=1e-13)
-        assert press.details(lams) == real  # the real evaluations stay memoized apart
+        assert press.details(lams) == real  # a slope run leaves the real bits as they were
         assert press.details(lams[::-1], slope=True) == cplx[::-1]
 
 
@@ -758,8 +763,7 @@ class TestLockstepAgainstScalarOracle:
         got = [(e.value, e.tail_bound, e.truncation_l) for e in press.details(lams)]
         assert got == [oracle(lam) for lam in lams]
         assert len({L for _, _, L in got}) >= 4  # the batch spans several truncation lengths
-        assert press.details(lams[::-1]) == press.details(lams)[::-1]  # memoized
-        assert press.detail(0.4 / M) is press.details([0.4 / M])[0]
+        assert press.details(lams[::-1]) == press.details(lams)[::-1]
 
     @pytest.mark.parametrize("law", range(len(LAWS)))
     @pytest.mark.parametrize("cap", [None, 2.5])
