@@ -27,7 +27,19 @@ to the largest batch it has served.  A call without a workspace makes a fresh
 one.  ``trajectory`` keeps one workspace for the whole call and works in
 blocks of _BLOCK = 2**15 terms, so a block's working arrays (256 KB each)
 stay in a per-core L2 cache instead of being mapped and faulted in afresh on
-every block; the Monte-Carlo paths keep one workspace per replica chunk.
+every block.  ``trajectory`` and ``replica_sums`` build the thresholds once
+per call and hand them to every batch.
+
+``replica_sums``, the replica loop of ``ldp_estimate`` and ``rates.r_l_mc``,
+computes each distinct draw of its batch once.  Dilated terms share draws:
+at ell = 2, terms 1..60 read 120 draws, of which 90 are distinct.  A plan
+gives each distinct draw a slot of a small-int table; the draw is computed
+just before the first term that reads it, and its slot is freed once the
+last term that reads it has been added, so those terms need 17 slots.  Each
+term gathers its table code from its slots, and the terms are added in the
+given order, so every sum equals the per-term loop's bit for bit.  The keys
+are walked in column blocks of at most _LDP_CHUNK, narrowed so that the
+table stays within _TABLE_BYTES (1 MiB) however many slots the terms need.
 """
 
 from __future__ import annotations
@@ -53,6 +65,7 @@ TRAJECTORY_MODES = ("nonconventional", "iid")
 
 _BLOCK = 1 << 15
 _LDP_CHUNK = 1 << 15
+_TABLE_BYTES = 1 << 20
 
 # A sum of n terms is allowed while n * sup|F| does not exceed this: then
 # every partial sum, and every difference of two, is finite in float64.
@@ -89,12 +102,14 @@ class Workspace:
         return buf[:size].reshape(shape)
 
 
-def mix_batch(keys, counters: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
-    """Vectorized mix64, broadcasting ``keys`` against the ``counters`` array.
+def mix_batch(keys, counters, ws: Workspace | None = None) -> np.ndarray:
+    """Vectorized mix64 of ``keys`` against ``counters``.
 
     ``keys`` is one Python-int seed or an array of stream keys.  A Python
     int is reduced modulo 2**64 first, so negative and oversized seeds
     address the same stream as in mix64 (numpy refuses to convert them).
+    ``counters`` is an array, broadcast against ``keys``, or one Python int,
+    whose step counter*GAMMA mod 2**64 is added to every key in one pass.
     The words are built in the workspace's "word" buffer and the finalizer
     rounds run on it in place, with the "shifted" buffer as scratch.
     """
@@ -102,11 +117,15 @@ def mix_batch(keys, counters: np.ndarray, ws: Workspace | None = None) -> np.nda
     if isinstance(keys, int):
         keys = np.uint64(keys & MASK64)
     keys = np.asarray(keys, dtype=np.uint64)
-    counters = counters.astype(np.uint64, copy=False)
-    z = ws.take("word", np.uint64, np.broadcast_shapes(keys.shape, counters.shape))
+    if isinstance(counters, int):
+        z = ws.take("word", np.uint64, keys.shape)
+        np.add(keys, np.uint64(counters * GAMMA & MASK64), out=z)
+    else:
+        counters = counters.astype(np.uint64, copy=False)
+        z = ws.take("word", np.uint64, np.broadcast_shapes(keys.shape, counters.shape))
+        np.multiply(counters, _U_GAMMA, out=z)
+        z += keys
     shifted = ws.take("shifted", np.uint64, z.shape)
-    np.multiply(counters, _U_GAMMA, out=z)
-    z += keys
     z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= _MIX1
     z ^= np.right_shift(z, np.uint64(27), out=shifted)
@@ -136,21 +155,37 @@ def _thresholds(dist: FiniteDistribution) -> np.ndarray:
 
 
 def sample_indices(
-    dist: FiniteDistribution, keys, counters: np.ndarray, ws: Workspace | None = None
+    dist: FiniteDistribution,
+    keys,
+    counters,
+    ws: Workspace | None = None,
+    *,
+    thresholds: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Support indices of draws ``counters`` of streams ``keys`` (see mix_batch).
 
     Each index is #{i : z >= T_i} over the integer thresholds of _thresholds,
-    counted into the workspace's "count" buffer with one in-place compare per
-    threshold; it equals x_value's float rule (see the module docstring).
+    which a caller drawing many batches builds once and passes as
+    ``thresholds``.  The indices are counted into ``out``, or else into the
+    workspace's int64 "count" buffer, with one in-place compare per threshold;
+    a uint8 ``out`` takes the first compare as its initial count.  Each
+    index equals x_value's float rule (see the module docstring).
     """
     ws = Workspace() if ws is None else ws
+    if thresholds is None:
+        thresholds = _thresholds(dist)
     z = mix_batch(keys, counters, ws)
-    count = ws.take("count", np.int64, z.shape)
+    count = ws.take("count", np.int64, z.shape) if out is None else out
     hit = ws.take("hit", np.bool_, z.shape)
-    count.fill(0)
-    for t in _thresholds(dist):
-        count += np.greater_equal(z, t, out=hit)
+    rest = thresholds
+    if count.dtype == np.uint8 and thresholds.size:
+        np.greater_equal(z, thresholds[0], out=count.view(np.bool_))
+        rest = thresholds[1:]
+    else:
+        count.fill(0)
+    for t in rest:
+        count += np.greater_equal(z, t, out=hit).view(np.uint8)
     return count
 
 
@@ -162,30 +197,49 @@ def _check_sum_range(obs: Observable, n: int) -> None:
         )
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in TRAJECTORY_MODES:
+        raise InputError(f"mode must be one of {TRAJECTORY_MODES}")
+
+
+def _draw_numbers(ms: np.ndarray, j: int, ell: int, mode: str, out=None) -> np.ndarray:
+    """The draw that factor j of each term in ``ms`` reads: the addressing contract.
+
+    For j = 1..ell a nonconventional term m reads draw j*m, an i.i.d. term
+    reads draw (m-1)*ell + j.  ``ms`` is a uint64 array.
+    """
+    if mode == "nonconventional":
+        return np.multiply(ms, np.uint64(j), out=out)
+    out = np.subtract(ms, np.uint64(1), out=out)
+    out *= np.uint64(ell)
+    out += np.uint64(j)
+    return out
+
+
 def term_values(
-    dist: FiniteDistribution, obs: Observable, keys, ms, mode: str, ws: Workspace | None = None
+    dist: FiniteDistribution,
+    obs: Observable,
+    keys,
+    ms,
+    mode: str,
+    ws: Workspace | None = None,
+    *,
+    thresholds: np.ndarray | None = None,
 ) -> np.ndarray:
     """F at 1-based term numbers ``ms`` of streams ``keys``, broadcast against ``ms``.
 
-    This is the draw-addressing contract, written once: for j = 1..ell a
-    nonconventional term m reads draw j*m, an i.i.d. term reads draw
-    (m-1)*ell + j.  The ell draws of a term share the workspace; their
-    support indices combine into a row-major table code in its "code"
-    buffer, and the values are gathered into its "value" buffer.
+    Term m reads the ell draws that _draw_numbers addresses.  They share the
+    workspace (and ``thresholds``, see sample_indices); their support indices
+    combine into a row-major table code in its "code" buffer, and the values
+    are gathered into its "value" buffer.
     """
-    if mode not in TRAJECTORY_MODES:
-        raise InputError(f"mode must be one of {TRAJECTORY_MODES}")
+    _check_mode(mode)
     ws = Workspace() if ws is None else ws
     ms = np.asarray(ms, dtype=np.uint64)
     counters = ws.take("counter", np.uint64, ms.shape)
     for j in range(1, obs.ell + 1):
-        if mode == "nonconventional":
-            np.multiply(ms, np.uint64(j), out=counters)
-        else:
-            np.subtract(ms, np.uint64(1), out=counters)
-            counters *= np.uint64(obs.ell)
-            counters += np.uint64(j)
-        idx = sample_indices(dist, keys, counters, ws)
+        _draw_numbers(ms, j, obs.ell, mode, out=counters)
+        idx = sample_indices(dist, keys, counters, ws, thresholds=thresholds)
         if j == 1:
             code = ws.take("code", np.int64, idx.shape)
             np.copyto(code, idx)
@@ -197,17 +251,73 @@ def term_values(
     return np.take(obs.table, code, out=ws.take("value", np.float64, code.shape), mode="clip")
 
 
+def _draw_plan(terms, ell: int, mode: str) -> tuple[list, int]:
+    """Slots of a draw table that serves ``terms`` in order, and their number.
+
+    Per term the plan lists the (slot, draw number) pairs to compute before
+    the term, each distinct draw once, and the slots of the term's ell
+    draws.  A slot is freed once the last term that reads its draw has been
+    planned, and reused by the next new draw.
+    """
+    ms = np.asarray(terms, dtype=np.uint64)
+    reads = np.stack(
+        [_draw_numbers(ms, j, ell, mode) for j in range(1, ell + 1)], axis=-1
+    ).tolist()
+    last = {d: t for t, row in enumerate(reads) for d in row}
+    slot_of: dict[int, int] = {}
+    free: list[int] = []
+    steps = []
+    for t, row in enumerate(reads):
+        new = []
+        for d in row:
+            if d not in slot_of:
+                slot_of[d] = free.pop() if free else len(slot_of) + len(free)
+                new.append((slot_of[d], d))
+        steps.append((new, [slot_of[d] for d in row]))
+        free.extend(slot_of.pop(d) for d in dict.fromkeys(row) if last[d] == t)
+    return steps, len(slot_of) + len(free)
+
+
 def replica_sums(
     dist: FiniteDistribution, obs: Observable, keys: np.ndarray, terms, mode: str
 ) -> np.ndarray:
-    """Per replica key, the sum of F over the term numbers ``terms``, added in term order.
+    """Per key of the 1-d array ``keys``, the sum of F over the term numbers ``terms``.
 
-    All draws of the batch share one workspace.
+    The terms are added in the given order, each from a draw table (see
+    _draw_plan): every distinct draw of the batch is computed once into a
+    table slot, small ints while the support has at most 256 points, and a
+    term gathers its table code from its slots.  The keys are walked in
+    column blocks of at most _LDP_CHUNK, narrowed so that the table stays
+    within _TABLE_BYTES.  All draws of the call share one workspace.
     """
+    _check_mode(mode)
+    steps, slots = _draw_plan(terms, obs.ell, mode)
+    small = dist.size <= 256
+    dtype = np.dtype(np.uint8 if small else np.int64)
+    # a code below 256 is built in uint8 and widened once for the gather
+    code_dtype = dtype if small and dist.size**obs.ell <= 256 else np.dtype(np.int64)
+    block = max(1, min(_LDP_CHUNK, _TABLE_BYTES // max(1, slots * dtype.itemsize)))
+    thresholds = _thresholds(dist)
     ws = Workspace()
     total = np.zeros(keys.shape, dtype=np.float64)
-    for m in terms:
-        total += term_values(dist, obs, keys, [m], mode, ws)
+    for c0 in range(0, keys.size, block):
+        kb = keys[c0 : c0 + block]
+        part = total[c0 : c0 + block]
+        table = ws.take("table", dtype, (slots, kb.size))
+        code = ws.take("code", code_dtype, kb.shape)
+        index = code if code_dtype == np.int64 else ws.take("index", np.int64, kb.shape)
+        value = ws.take("value", np.float64, kb.shape)
+        for new, reads in steps:
+            for slot, d in new:
+                sample_indices(dist, kb, d, ws, thresholds=thresholds, out=table[slot])
+            np.copyto(code, table[reads[0]])
+            for slot in reads[1:]:
+                code *= dist.size
+                code += table[slot]
+            if index is not code:
+                np.copyto(index, code)
+            # see term_values for mode="clip"
+            part += np.take(obs.table, index, out=value, mode="clip")
     return total
 
 
@@ -231,13 +341,14 @@ def trajectory(
         raise InputError("n must be >= 1")
     _check_sum_range(obs, n)
     ws = Workspace()
+    thresholds = _thresholds(dist)
     prefix = np.empty(n + 1, dtype=np.float64)
     prefix[0] = s = e = 0.0
     terms = np.arange(1, min(n, _BLOCK) + 1, dtype=np.uint64)
     for m0 in range(1, n + 1, _BLOCK):
         m1 = min(n + 1, m0 + _BLOCK)
         k = m1 - m0
-        x = term_values(dist, obs, seed, terms[:k], mode, ws)
+        x = term_values(dist, obs, seed, terms[:k], mode, ws, thresholds=thresholds)
         terms += np.uint64(_BLOCK)
         acc = ws.take("acc", np.float64, (k + 1,))
         comp = ws.take("comp", np.float64, (k + 1,))

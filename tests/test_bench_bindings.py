@@ -60,20 +60,28 @@ def test_erlaw_draws_all_pass_through_traced_sample_indices(ell, mode, monkeypat
 
 
 def test_ldp_draws_all_pass_through_traced_sample_indices(monkeypatch):
+    """Each distinct draw of a replica is drawn once, and every draw is traced."""
     spans = load_spans(monkeypatch)
-    tracer = spans.Tracer()
     draw = simulate.sample_indices
     replicas, N, ell = 1000, 12, 2
-    argv = [
-        "ldp-check", "--preset", "rademacher-product", "--ell", str(ell), "--N", str(N),
-        "--u", "0.3", "--replicas", str(replicas), "--skip-theory", "--no-timestamp",
-    ]
-    with spans.patched(tracer):
-        code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
-    assert code == 0
-    draws = [s["count"] for s in tracer.spans if s["name"] == "simulate.draw"]
-    assert sum(draws) == replicas * N * ell
-    assert simulate.sample_indices is draw  # bindings restored
+    distinct = {
+        "nonconventional": len({j * m for j in range(1, ell + 1) for m in range(1, N + 1)}),
+        "iid": N * ell,
+    }
+    assert distinct["nonconventional"] == 18
+    for mode, reads in distinct.items():
+        tracer = spans.Tracer()
+        argv = [
+            "ldp-check", "--preset", "rademacher-product", "--ell", str(ell), "--N", str(N),
+            "--u", "0.3", "--replicas", str(replicas), "--mode", mode, "--skip-theory",
+            "--no-timestamp",
+        ]
+        with spans.patched(tracer):
+            code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
+        assert code == 0
+        draws = [s["count"] for s in tracer.spans if s["name"] == "simulate.draw"]
+        assert sum(draws) == replicas * reads, mode
+        assert simulate.sample_indices is draw  # bindings restored
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

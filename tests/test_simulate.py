@@ -428,6 +428,85 @@ class TestAllocatingOracle:
         assert (est.value.hex(), est.stderr.hex()) == tuple(v.hex() for v in want)
 
 
+class TestReplicaSums:
+    """The draw-table replica loop against the per-term loop of tests/oracles.py."""
+
+    # 300 points take the wide-index table; their F table holds 300**ell
+    # values and each draw makes 299 compares, so that law runs at ell = 1
+    # and 2 on 1000 keys (and on more in test_narrowed_column_blocks)
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    @pytest.mark.parametrize(
+        "s,ell", [(s, ell) for s in (2, 6) for ell in (1, 2, 3, 4)] + [(300, 1), (300, 2)]
+    )
+    def test_bitwise(self, s, ell, mode):
+        dist, obs = random_law(s, ell, seed=s + 10 * ell)
+        chain = chain_index_structure(primes_up_to(ell), ell, 40)
+        term_lists = {
+            "N=60": range(1, 61),
+            "chain": [term[0] for term in chain.term_indices],
+            "N=600": range(1, 601),
+        }
+        big = simulate._LDP_CHUNK + 1
+        runs = [(1000, "N=60"), (1000, "chain")]
+        if s < 300:
+            runs += [(1000, "N=600"), (big, "N=60"), (big, "chain")]
+        for replicas, name in runs:
+            keys = mix_batch(s * ell, np.arange(replicas, dtype=np.uint64))
+            got = simulate.replica_sums(dist, obs, keys, term_lists[name], mode)
+            want = oracles.replica_total(dist, obs, keys, term_lists[name], mode)
+            assert same_bits(got, want), (replicas, name)
+
+    @pytest.mark.parametrize(
+        "s,ell,N,replicas", [(2, 2, 600, 32769), (6, 3, 600, 32769), (300, 2, 60, 8000)]
+    )
+    def test_narrowed_column_blocks(self, s, ell, N, replicas):
+        # the table needs so many slots, or such wide ones, that the keys are
+        # walked in several blocks narrower than _LDP_CHUNK, the last one short
+        dist, obs = random_law(s, ell, seed=s + 10 * ell)
+        terms = range(1, N + 1)
+        _, slots = simulate._draw_plan(terms, ell, "nonconventional")
+        block = simulate._TABLE_BYTES // (slots * (1 if s <= 256 else 8))
+        assert block < min(replicas, simulate._LDP_CHUNK) and replicas % block != 0
+        keys = mix_batch(s * ell, np.arange(replicas, dtype=np.uint64))
+        got = simulate.replica_sums(dist, obs, keys, terms, "nonconventional")
+        want = oracles.replica_total(dist, obs, keys, terms, "nonconventional")
+        assert same_bits(got, want)
+
+    def test_slots_are_fewer_than_distinct_draws(self):
+        steps, slots = simulate._draw_plan(range(1, 61), 2, "nonconventional")
+        drawn = [d for new, _ in steps for _, d in new]
+        assert len(drawn) == len(set(drawn)) == 90
+        assert slots == 17
+
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_ldp_memory_is_capped(self, ell):
+        # the per-term kernel peaked at 1.9 MB on one chunk at both N; the
+        # draw table adds at most _TABLE_BYTES, however many slots N needs
+        dist, obs = preset("rademacher-product", ell=ell)
+        for N in (60, 600):
+            tracemalloc.start()
+            try:
+                ldp_estimate(dist, obs, N=N, u=0.3, replicas=simulate._LDP_CHUNK, seed=4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.9e6 + simulate._TABLE_BYTES, (N, peak)
+
+    def test_r_l_mc_works_in_column_blocks(self):
+        # r_l_mc passes every replica as one batch; besides its keys, sums,
+        # sample and the deviations of std (four replica-sized arrays), the
+        # draws hold only block-sized buffers
+        dist, obs = preset("rademacher-product", ell=2)
+        replicas = 200_000
+        tracemalloc.start()
+        try:
+            r_l_mc(dist, obs, 0.3, 9, replicas=replicas, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * replicas, peak
+
+
 class TestWorkspace:
     def test_reuse_matches_fresh_workspace(self):
         # a batch, a larger one, a smaller one, then another ell and support
