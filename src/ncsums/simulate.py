@@ -35,11 +35,15 @@ computes each distinct draw of its batch once.  Dilated terms share draws:
 at ell = 2, terms 1..60 read 120 draws, of which 90 are distinct.  A plan
 gives each distinct draw a slot of a small-int table; the draw is computed
 just before the first term that reads it, and its slot is freed once the
-last term that reads it has been added, so those terms need 17 slots.  Each
-term gathers its table code from its slots, and the terms are added in the
-given order, so every sum equals the per-term loop's bit for bit.  The keys
-are walked in column blocks of at most _LDP_CHUNK, narrowed so that the
-table stays within _TABLE_BYTES (1 MiB) however many slots the terms need.
+last term that reads it has been added, so those terms need 17 slots (28
+at ell = 3).  Each term gathers its table code from its slots, and the
+terms are added in the given order, so every sum equals the per-term
+loop's bit for bit.  The keys are walked in column blocks of _LDP_CHUNK and
+the table is capped at _TABLE_BYTES (1 MiB, 32 slots of a block): when the
+terms would hold more draws at once, a draw that finds the table full is
+computed again by its next reader.  Narrowing the blocks instead would
+keep every draw once, but at N = 3000 its per-call cost doubled the time
+of the per-term loop.
 """
 
 from __future__ import annotations
@@ -85,21 +89,24 @@ def mix64(key: int, counter: int) -> int:
 class Workspace:
     """Reusable buffers of the draw kernel, one per role.
 
-    ``take`` returns a view of the leading elements of the role's buffer,
-    growing it when a batch is larger than any before.  So a result that a
-    kernel function wrote into a workspace stays valid only until the next
-    call on the same workspace, and concurrent callers each need their own.
+    ``take`` returns the leading bytes of the role's buffer viewed as an
+    array of ``dtype`` and ``shape``, growing the buffer when a batch is
+    larger than any before.  So a result that a kernel function wrote into a
+    workspace stays valid only until the next call on the same workspace,
+    and concurrent callers each need their own.  A caller may take a role
+    with another dtype while its contents are dead.
     """
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
 
     def take(self, role: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
         buf = self._buffers.get(role)
-        if buf is None or buf.size < size:
-            buf = self._buffers[role] = np.empty(size, dtype=dtype)
-        return buf[:size].reshape(shape)
+        if buf is None or buf.size < nbytes:
+            buf = self._buffers[role] = np.empty(nbytes, dtype=np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
 
 
 def mix_batch(keys, counters, ws: Workspace | None = None) -> np.ndarray:
@@ -251,13 +258,17 @@ def term_values(
     return np.take(obs.table, code, out=ws.take("value", np.float64, code.shape), mode="clip")
 
 
-def _draw_plan(terms, ell: int, mode: str) -> tuple[list, int]:
-    """Slots of a draw table that serves ``terms`` in order, and their number.
+def _draw_plan(terms, ell: int, mode: str, slots: int) -> tuple[list, int]:
+    """How a draw table of ``slots`` slots serves ``terms`` in order.
 
     Per term the plan lists the (slot, draw number) pairs to compute before
-    the term, each distinct draw once, and the slots of the term's ell
-    draws.  A slot is freed once the last term that reads its draw has been
-    planned, and reused by the next new draw.
+    the term and the slots of the term's ell draws, and it returns the
+    number of slots it uses.  A new draw with a later reader stays in its
+    slot until its last reader has been planned while fewer than
+    ``slots - ell`` draws are so held; otherwise its slot is freed after
+    this term and its next reader draws it again.  So when ``slots`` is
+    large enough every distinct draw is computed once.  ``slots`` must be
+    at least ell.
     """
     ms = np.asarray(terms, dtype=np.uint64)
     reads = np.stack(
@@ -265,17 +276,28 @@ def _draw_plan(terms, ell: int, mode: str) -> tuple[list, int]:
     ).tolist()
     last = {d: t for t, row in enumerate(reads) for d in row}
     slot_of: dict[int, int] = {}
+    held: set[int] = set()
     free: list[int] = []
+    used = 0
     steps = []
     for t, row in enumerate(reads):
         new = []
         for d in row:
             if d not in slot_of:
-                slot_of[d] = free.pop() if free else len(slot_of) + len(free)
+                if free:
+                    slot_of[d] = free.pop()
+                else:
+                    slot_of[d] = used
+                    used += 1
                 new.append((slot_of[d], d))
+                if last[d] > t and len(held) < slots - ell:
+                    held.add(d)
         steps.append((new, [slot_of[d] for d in row]))
-        free.extend(slot_of.pop(d) for d in dict.fromkeys(row) if last[d] == t)
-    return steps, len(slot_of) + len(free)
+        for d in dict.fromkeys(row):
+            if last[d] == t or d not in held:
+                held.discard(d)
+                free.append(slot_of.pop(d))
+    return steps, used
 
 
 def replica_sums(
@@ -283,20 +305,20 @@ def replica_sums(
 ) -> np.ndarray:
     """Per key of the 1-d array ``keys``, the sum of F over the term numbers ``terms``.
 
-    The terms are added in the given order, each from a draw table (see
-    _draw_plan): every distinct draw of the batch is computed once into a
-    table slot, small ints while the support has at most 256 points, and a
-    term gathers its table code from its slots.  The keys are walked in
-    column blocks of at most _LDP_CHUNK, narrowed so that the table stays
-    within _TABLE_BYTES.  All draws of the call share one workspace.
+    The keys are walked in column blocks of _LDP_CHUNK.  The terms are added
+    in the given order, each from a draw table of at most _TABLE_BYTES (see
+    _draw_plan) whose slots hold support indices, as uint8 while the support
+    has at most 256 points: a term gathers its table code from its slots.
+    All draws of the call share one workspace.
     """
     _check_mode(mode)
-    steps, slots = _draw_plan(terms, obs.ell, mode)
     small = dist.size <= 256
     dtype = np.dtype(np.uint8 if small else np.int64)
     # a code below 256 is built in uint8 and widened once for the gather
     code_dtype = dtype if small and dist.size**obs.ell <= 256 else np.dtype(np.int64)
-    block = max(1, min(_LDP_CHUNK, _TABLE_BYTES // max(1, slots * dtype.itemsize)))
+    block = max(1, min(_LDP_CHUNK, keys.size))
+    capacity = max(obs.ell, _TABLE_BYTES // (block * dtype.itemsize))
+    steps, slots = _draw_plan(terms, obs.ell, mode, capacity)
     thresholds = _thresholds(dist)
     ws = Workspace()
     total = np.zeros(keys.shape, dtype=np.float64)
@@ -305,8 +327,10 @@ def replica_sums(
         part = total[c0 : c0 + block]
         table = ws.take("table", dtype, (slots, kb.size))
         code = ws.take("code", code_dtype, kb.shape)
-        index = code if code_dtype == np.int64 else ws.take("index", np.int64, kb.shape)
-        value = ws.take("value", np.float64, kb.shape)
+        # mix_batch's "word" and "shifted" buffers are dead from a term's
+        # last draw to the next term's first; the gather reuses them
+        index = code if code_dtype == np.int64 else ws.take("shifted", np.int64, kb.shape)
+        value = ws.take("word", np.float64, kb.shape)
         for new, reads in steps:
             for slot, d in new:
                 sample_indices(dist, kb, d, ws, thresholds=thresholds, out=table[slot])

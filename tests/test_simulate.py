@@ -433,7 +433,7 @@ class TestReplicaSums:
 
     # 300 points take the wide-index table; their F table holds 300**ell
     # values and each draw makes 299 compares, so that law runs at ell = 1
-    # and 2 on 1000 keys (and on more in test_narrowed_column_blocks)
+    # and 2 on 1000 keys (and on more in test_full_table_draws_again)
     @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
     @pytest.mark.parametrize(
         "s,ell", [(s, ell) for s in (2, 6) for ell in (1, 2, 3, 4)] + [(300, 1), (300, 2)]
@@ -459,21 +459,24 @@ class TestReplicaSums:
     @pytest.mark.parametrize(
         "s,ell,N,replicas", [(2, 2, 600, 32769), (6, 3, 600, 32769), (300, 2, 60, 8000)]
     )
-    def test_narrowed_column_blocks(self, s, ell, N, replicas):
-        # the table needs so many slots, or such wide ones, that the keys are
-        # walked in several blocks narrower than _LDP_CHUNK, the last one short
+    def test_full_table_draws_again(self, s, ell, N, replicas):
+        # the terms would hold more draws at once than the table has slots,
+        # so some draws are computed again by a later reader
         dist, obs = random_law(s, ell, seed=s + 10 * ell)
         terms = range(1, N + 1)
-        _, slots = simulate._draw_plan(terms, ell, "nonconventional")
-        block = simulate._TABLE_BYTES // (slots * (1 if s <= 256 else 8))
-        assert block < min(replicas, simulate._LDP_CHUNK) and replicas % block != 0
+        block = min(replicas, simulate._LDP_CHUNK)
+        capacity = simulate._TABLE_BYTES // (block * (1 if s <= 256 else 8))
+        _, needed = simulate._draw_plan(terms, ell, "nonconventional", N * ell)
+        steps, slots = simulate._draw_plan(terms, ell, "nonconventional", capacity)
+        drawn = [d for new, _ in steps for _, d in new]
+        assert slots <= capacity < needed and len(set(drawn)) < len(drawn)
         keys = mix_batch(s * ell, np.arange(replicas, dtype=np.uint64))
         got = simulate.replica_sums(dist, obs, keys, terms, "nonconventional")
         want = oracles.replica_total(dist, obs, keys, terms, "nonconventional")
         assert same_bits(got, want)
 
     def test_slots_are_fewer_than_distinct_draws(self):
-        steps, slots = simulate._draw_plan(range(1, 61), 2, "nonconventional")
+        steps, slots = simulate._draw_plan(range(1, 61), 2, "nonconventional", 32)
         drawn = [d for new, _ in steps for _, d in new]
         assert len(drawn) == len(set(drawn)) == 90
         assert slots == 17
@@ -481,7 +484,7 @@ class TestReplicaSums:
     @pytest.mark.parametrize("ell", [2, 3])
     def test_ldp_memory_is_capped(self, ell):
         # the per-term kernel peaked at 1.9 MB on one chunk at both N; the
-        # draw table adds at most _TABLE_BYTES, however many slots N needs
+        # draw table adds at most _TABLE_BYTES, however many draws N shares
         dist, obs = preset("rademacher-product", ell=ell)
         for N in (60, 600):
             tracemalloc.start()
