@@ -42,8 +42,9 @@ loop's bit for bit.  The keys are walked in column blocks of _LDP_CHUNK and
 the table is capped at _TABLE_BYTES (1 MiB, 32 slots of a block): when the
 terms would hold more draws at once, a draw that finds the table full is
 computed again by its next reader.  Narrowing the blocks instead would
-keep every draw once, but at N = 3000 its per-call cost doubled the time
-of the per-term loop.
+keep every draw once, but their per-call cost grows with N: at ell = 2,
+N = 3000 a 2**15-key chunk took 4.3 s that way, against 2.1 s for the
+per-term loop and 1.4 s for the capped table (2-core x86 host).
 """
 
 from __future__ import annotations
@@ -325,7 +326,10 @@ def replica_sums(
     for c0 in range(0, keys.size, block):
         kb = keys[c0 : c0 + block]
         part = total[c0 : c0 + block]
-        table = ws.take("table", dtype, (slots, kb.size))
+        # a buffer per slot: one table-sized buffer (557 KB at ell = 2,
+        # N = 60) raised glibc's mmap threshold, and the ldp job then ended
+        # 0.5 MB higher in peak RSS than with 256 KB buffers
+        table = [ws.take(f"slot {i}", dtype, kb.shape) for i in range(slots)]
         code = ws.take("code", code_dtype, kb.shape)
         # mix_batch's "word" and "shifted" buffers are dead from a term's
         # last draw to the next term's first; the gather reuses them
