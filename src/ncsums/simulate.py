@@ -31,7 +31,8 @@ every block.  ``trajectory`` and ``replica_sums`` build the thresholds once
 per call and hand them to every batch.
 
 ``replica_sums``, the replica loop of ``ldp_estimate`` and ``rates.r_l_mc``,
-computes each distinct draw of its batch once.  Dilated terms share draws:
+computes each distinct draw of its batch once while its draw table has
+room.  Dilated terms share draws:
 at ell = 2, terms 1..60 read 120 draws, of which 90 are distinct.  A plan
 gives each distinct draw a slot of a small-int table; the draw is computed
 just before the first term that reads it, and its slot is freed once the
@@ -44,7 +45,7 @@ terms would hold more draws at once, a draw that finds the table full is
 computed again by its next reader.  Narrowing the blocks instead would
 keep every draw once, but their per-call cost grows with N: at ell = 2,
 N = 3000 a 2**15-key chunk took 4.3 s that way, against 2.1 s for the
-per-term loop and 1.4 s for the capped table (2-core x86 host).
+per-term loop and 1.3 s for the capped table (2-core x86 host).
 """
 
 from __future__ import annotations
@@ -327,8 +328,8 @@ def replica_sums(
         kb = keys[c0 : c0 + block]
         part = total[c0 : c0 + block]
         # a buffer per slot: one table-sized buffer (557 KB at ell = 2,
-        # N = 60) raised glibc's mmap threshold, and the ldp job then ended
-        # 0.5 MB higher in peak RSS than with 256 KB buffers
+        # N = 60) raised glibc's mmap threshold, and the tail-mc job then
+        # peaked 0.5 MB higher in RSS than with per-slot buffers
         table = [ws.take(f"slot {i}", dtype, kb.shape) for i in range(slots)]
         code = ws.take("code", code_dtype, kb.shape)
         # mix_batch's "word" and "shifted" buffers are dead from a term's
