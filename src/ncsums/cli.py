@@ -163,50 +163,39 @@ def _render(args, payload: dict, header, rows) -> str:
 
 def _resolve_observable(args):
     """(dist, obs, identifier) from --preset or --spec-file."""
-    spec_file = getattr(args, "spec_file", None)
-    preset = getattr(args, "preset", None)
-    if spec_file and preset:
+    if args.spec_file and args.preset:
         raise InputError("give either --preset or --spec-file, not both")
-    if spec_file:
-        dist, obs = model.load_spec(spec_file)
-        if getattr(args, "center", False):
-            obs = model.center(obs, dist)
-        return dist, obs, os.path.basename(spec_file)
-    if not preset:
+    if args.spec_file:
+        dist, obs = model.load_spec(args.spec_file)
+        obs_id = os.path.basename(args.spec_file)
+    elif args.preset:
+        dist, obs = model.preset(args.preset, ell=args.ell, c=args.const_value)
+        obs_id = args.preset
+    else:
         raise InputError("an observable is required: --preset NAME or --spec-file PATH")
-    ell = getattr(args, "ell", None)
-    c = getattr(args, "const_value", None)
-    dist, obs = model.preset(preset, ell=ell, c=1.0 if c is None else c)
-    if getattr(args, "center", False):
+    if args.center:
         obs = model.center(obs, dist)
-    return dist, obs, preset
+    return dist, obs, obs_id
 
 
-def _merged(args, config, dest, default):
-    v = getattr(args, dest, None)
-    if v is not None:
-        return v
-    if dest in config:
-        return config[dest]
-    return default
-
-
-def _threads(args, config) -> int:
-    return max(1, int(_merged(args, config, "threads", os.environ.get(ENV_THREADS) or 1)))
+def _threads(args) -> int:
+    """--threads, or else NCSUMS_THREADS, or else 1."""
+    threads = os.environ.get(ENV_THREADS) if args.threads is None else args.threads
+    return max(1, int(threads or 1))
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _cmd_structure(args, config):
-    ell = int(args.ell)
+def _cmd_structure(args):
+    ell = args.ell
     N = int(round(float(args.n)))
     if N < 1 or N > STRUCTURE_N_LIMIT:
         raise InputError(f"n must be in [1, {STRUCTURE_N_LIMIT}]")
     basis = lattice.primes_up_to(ell)
-    a_count = lattice.coprime_count(basis, N)
     fibers = lattice.fiber_histogram(basis, N)
+    a_count = sum(c for _, c in fibers)  # every a <= N has a fiber of size >= 1
     ok = lattice.partition_check(basis, N)
     smooth_rows = []
     if basis.m == 0:
@@ -259,10 +248,9 @@ def _curve(kind, obs, obs_id, tol, rows, extra=(), **meta):
     return payload, ["x", "value", "is_infinite", "tol", *extra], rows
 
 
-def _cmd_rate_i(args, config):
+def _cmd_rate_i(args):
     dist, obs, obs_id = _resolve_observable(args)
-    tol = float(_merged(args, config, "tol", 1e-9))
-    grid = _parse_grid(args.alpha)
+    tol, grid = args.tol, _parse_grid(args.alpha)
     rate = rates.CramerRate(dist, obs, t_cap=args.t_cap)
     rows = []
     for a in grid:
@@ -271,10 +259,9 @@ def _cmd_rate_i(args, config):
     return _curve("rate-i", obs, obs_id, tol, rows)
 
 
-def _cmd_pressure(args, config):
+def _cmd_pressure(args):
     dist, obs, obs_id = _resolve_observable(args)
-    tol = float(_merged(args, config, "tol", 1e-8))
-    grid = _parse_grid(getattr(args, "lam"))
+    tol, grid = args.tol, _parse_grid(args.lam)
     basis = lattice.primes_up_to(obs.ell)
     press = rates.Pressure(dist, obs, basis, tol=tol, budget=args.budget)
     rows = [
@@ -286,10 +273,9 @@ def _cmd_pressure(args, config):
     )
 
 
-def _cmd_rate_j(args, config):
+def _cmd_rate_j(args):
     dist, obs, obs_id = _resolve_observable(args)
-    tol = float(_merged(args, config, "tol", 1e-8))
-    grid = _parse_grid(args.u)
+    tol, grid = args.tol, _parse_grid(args.u)
     basis = lattice.primes_up_to(obs.ell)
     press = rates.Pressure(dist, obs, basis, tol=tol, budget=args.budget)
     conj = rates.RateJ(press, lambda_cap=args.lambda_cap)
@@ -312,17 +298,16 @@ _ERLAW_COLUMNS = (
 )
 
 
-def _cmd_erlaw(args, config):
+def _cmd_erlaw(args):
     dist, obs, obs_id = _resolve_observable(args)
     alphas = _parse_grid(args.alpha)
     ns = sorted(_parse_int_list(args.n))
     if args.seed_list:
         seeds = _parse_int_list(args.seed_list)
     else:
-        seeds = list(range(1, int(_merged(args, config, "seeds", 5)) + 1))
-    threads = _threads(args, config)
+        seeds = list(range(1, args.seeds + 1))
     result = erlaw_mod.experiment(
-        dist, obs, alphas, ns, seeds, mode=args.mode, threads=threads
+        dist, obs, alphas, ns, seeds, mode=args.mode, threads=_threads(args)
     )
     rows = [
         (obs.ell, obs_id, p.alpha, p.i_alpha, p.n, p.b_n, p.seed, p.mode,
@@ -340,18 +325,17 @@ def _cmd_erlaw(args, config):
     return payload, _ERLAW_COLUMNS, rows
 
 
-def _cmd_ldp_check(args, config):
+def _cmd_ldp_check(args):
     dist, obs, obs_id = _resolve_observable(args)
-    threads = _threads(args, config)
     est = simulate.ldp_estimate(
         dist,
         obs,
         int(round(float(args.N))),
         float(args.u),
         int(round(float(args.replicas))),
-        seed=int(_merged(args, config, "seed", 1)),
+        seed=args.seed,
         mode=args.mode,
-        threads=threads,
+        threads=_threads(args),
     )
     theory_i: float | str = ""
     theory_j: float | str = ""
@@ -373,13 +357,12 @@ def _cmd_ldp_check(args, config):
     return payload, header, [tuple(fields[k] for k in header)]
 
 
-def _cmd_simulate(args, config):
+def _cmd_simulate(args):
     dist, obs, obs_id = _resolve_observable(args)
     n = int(round(float(args.n)))
-    stride = int(_merged(args, config, "stride", 1))
+    stride, seed = args.stride, args.seed
     if stride < 1:
         raise InputError("stride must be >= 1")
-    seed = int(_merged(args, config, "seed", 1))
     prefix = simulate.trajectory(dist, obs, seed, n, args.mode)
     ks = range(0, n + 1, stride)
     values = prefix[::stride].tolist()
@@ -403,19 +386,24 @@ def _cmd_simulate(args, config):
 
 
 def _build_parser() -> _Parser:
+    """The one declaration of every subcommand's flags, defaults and handler."""
     parser = _Parser(prog="ncsums", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser
+
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
 
     def common(p):
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--config", default=None, help="JSON file of flag defaults")
+        p.add_argument("--threads", type=int, default=None, help=f"default ${ENV_THREADS}, or 1")
+        p.add_argument("--config", default=None, help="JSON object of flag values by dest")
         p.add_argument(
             "--no-timestamp",
-            action="store_const",
-            const=True,
-            default=False,
+            action="store_true",
             help="suppress the generated_at field for byte-stable output",
         )
 
@@ -423,84 +411,105 @@ def _build_parser() -> _Parser:
         p.add_argument("--preset", choices=model.PRESET_NAMES, default=None)
         p.add_argument("--spec-file", default=None)
         p.add_argument("--ell", type=int, default=None)
-        p.add_argument("--const-value", type=float, default=None)
+        p.add_argument("--const-value", type=float, default=1.0)
         p.add_argument(
-            "--center",
-            action="store_const",
-            const=True,
-            default=False,
-            help="replace F by F - mean(F) after loading",
+            "--center", action="store_true", help="replace F by F - mean(F) after loading"
         )
 
-    p = sub.add_parser("structure", help="coprime skeleton, fibers, smooth numbers")
+    p = command("structure", _cmd_structure, "coprime skeleton, fibers, smooth numbers")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--n", required=True)
     common(p)
 
-    p = sub.add_parser("rate-i", help="Cramér rate curve")
+    p = command("rate-i", _cmd_rate_i, "Cramér rate curve")
     observable(p)
     p.add_argument("--alpha", required=True, help="value, comma list, or start:stop:step")
     p.add_argument("--t-cap", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-9)
     common(p)
 
-    p = sub.add_parser("pressure", help="pressure curve with certified truncation")
+    p = command("pressure", _cmd_pressure, "pressure curve with certified truncation")
     observable(p)
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--budget", type=int, default=rates.DEFAULT_BUDGET)
     common(p)
 
-    p = sub.add_parser("rate-j", help="conjugate of the pressure")
+    p = command("rate-j", _cmd_rate_j, "conjugate of the pressure")
     observable(p)
     p.add_argument("--u", required=True)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--lambda-cap", type=float, default=None)
     p.add_argument("--budget", type=int, default=rates.DEFAULT_BUDGET)
     common(p)
 
-    p = sub.add_parser("erlaw", help="sliding-window law experiment")
+    p = command("erlaw", _cmd_erlaw, "sliding-window law experiment")
     observable(p)
     p.add_argument("--alpha", required=True)
     p.add_argument("--n", required=True, help="n grid, e.g. 1e4,1e6")
-    p.add_argument("--seeds", type=int, default=None, help="use seeds 1..K")
+    p.add_argument("--seeds", type=int, default=5, help="use seeds 1..K")
     p.add_argument("--seed-list", default=None)
     p.add_argument("--mode", choices=simulate.TRAJECTORY_MODES, default="nonconventional")
     common(p)
 
-    p = sub.add_parser("ldp-check", help="Monte-Carlo tail vs rate functions")
+    p = command("ldp-check", _cmd_ldp_check, "Monte-Carlo tail vs rate functions")
     observable(p)
     p.add_argument("--N", required=True)
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--replicas", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--mode", choices=simulate.TRAJECTORY_MODES, default="nonconventional")
     p.add_argument("--theory-tol", type=float, default=1e-6)
-    p.add_argument(
-        "--skip-theory", action="store_const", const=True, default=False
-    )
+    p.add_argument("--skip-theory", action="store_true")
     common(p)
 
-    p = sub.add_parser("simulate", help="dump a trajectory as (k, S_k)")
+    p = command("simulate", _cmd_simulate, "dump a trajectory as (k, S_k)")
     observable(p)
     p.add_argument("--n", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--stride", type=int, default=None)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--stride", type=int, default=1)
     p.add_argument("--mode", choices=simulate.TRAJECTORY_MODES, default="nonconventional")
     common(p)
 
     return parser
 
 
-_DISPATCH = {
-    "structure": _cmd_structure,
-    "rate-i": _cmd_rate_i,
-    "pressure": _cmd_pressure,
-    "rate-j": _cmd_rate_j,
-    "erlaw": _cmd_erlaw,
-    "ldp-check": _cmd_ldp_check,
-    "simulate": _cmd_simulate,
-}
+# --config alone, read as the subcommand parsers read it (abbreviations included)
+_CONFIG_FLAG = _Parser(add_help=False)
+_CONFIG_FLAG.add_argument("--config")
+
+
+def _with_config(parser: _Parser, argv: list[str]) -> list[str]:
+    """argv with the flags of its --config file inserted after the subcommand name.
+
+    A key that is the dest of a subcommand flag becomes ``--flag=value``, or
+    the bare flag for a true on/off value; null values and other keys are
+    ignored.  Explicit flags come later and win.  Only --config is parsed
+    here, so the file may also give required flags.
+    """
+    path = _CONFIG_FLAG.parse_known_args(argv)[0].config
+    if not path or argv[0] not in parser.commands:
+        return argv
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise InputError("config file must hold a JSON object")
+    flags = []
+    for action in parser.commands[argv[0]]._actions:
+        value = config.get(action.dest)
+        if value is None or action.dest in ("help", "config"):
+            continue
+        flag = action.option_strings[0]
+        if action.nargs != 0:
+            flags.append(f"{flag}={value}")
+        elif not isinstance(value, bool):
+            raise InputError(f"config {action.dest} must be true or false, not {value!r}")
+        elif value:
+            flags.append(flag)
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv=None, stdout=None, stderr=None) -> int:
@@ -508,22 +517,9 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = {}
-        if getattr(args, "config", None):
-            try:
-                config = json.loads(open(args.config).read())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise InputError(f"cannot read config {args.config}: {exc}") from exc
-            if not isinstance(config, dict):
-                raise InputError("config file must hold a JSON object")
-        args.format = _merged(args, config, "format", "csv")
-        if args.format not in ("csv", "json"):
-            raise InputError(f"format must be csv or json, not {args.format!r}")
-        args.output = _merged(args, config, "output", None)
-        if not args.no_timestamp and config.get("no_timestamp"):
-            args.no_timestamp = True
-        payload, header, rows = _DISPATCH[args.command](args, config)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = parser.parse_args(_with_config(parser, argv))
+        payload, header, rows = args.run(args)
         text = _render(args, payload, header, rows)
         if args.output:
             with open(args.output, "w") as fh:

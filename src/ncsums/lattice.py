@@ -183,10 +183,6 @@ def coprime_set(basis: PrimeBasis, N: int) -> list[int]:
     return _coprime_array(basis, N).tolist()
 
 
-def coprime_count(basis: PrimeBasis, N: int) -> int:
-    return int(_coprime_array(basis, N).size)
-
-
 def b_set(basis: PrimeBasis, a: int, N: int) -> list[int]:
     """Sorted smooth multiples of a up to N; a must be coprime to the basis."""
     a = int(a)

@@ -43,6 +43,9 @@ from .model import FiniteDistribution, Observable, is_degenerate, value_distribu
 
 DEFAULT_BUDGET = 10**7
 
+# Smooth numbers the pressure enumerates; the series beyond them is bounded analytically.
+MAX_TERMS = 20000
+
 # Default conjugate-variable search cap, in units of 1/M.
 CAP_OVER_M = 60.0
 
@@ -51,6 +54,10 @@ CAP_OVER_M = 60.0
 STEP_OVER_M = 1e-30
 
 LN2 = math.log(2.0)
+
+# At |t|*M <= SMALL_TF, CramerRate.log_mgf sums e^{tF} - 1 - tF as a Taylor
+# series, whose terms past x**9/9! are below 1e-16 of its first.
+SMALL_TF = 1e-2
 
 
 def mgf(dist: FiniteDistribution, obs: Observable, t: float | complex) -> float | complex:
@@ -81,7 +88,10 @@ class CramerRate:
     The tilted mean t -> phi'(t)/phi(t) is strictly increasing when the
     observable has positive variance, so the supremum over t is located by
     bisection on it; the one-sided search (t >= 0 for alpha >= 0) is valid
-    because the observable is centered.
+    because the observable is centered.  Where |t|*M <= SMALL_TF, ln(mgf)
+    and the tilted mean come from sums that do not cancel and t is bisected
+    to a relative width, so I(alpha) keeps its relative accuracy for small
+    alpha (down to about 1e-50 M, where the 200 halvings run out).
     """
 
     def __init__(self, dist: FiniteDistribution, obs: Observable, t_cap: float | None = None):
@@ -100,11 +110,31 @@ class CramerRate:
     def log_mgf(self, t: float) -> float:
         if t == 0.0:
             return 0.0
-        shift = float(np.max(t * self._vals))
-        return shift + math.log(float(np.dot(self._probs, np.exp(t * self._vals - shift))))
+        tv = t * self._vals
+        if abs(t) * self.obs.sup_abs <= SMALL_TF:
+            # ln phi(t) = log1p(t E F + E[e^{tF} - 1 - tF]): the expectation's
+            # terms are all >= 0, summed from their Taylor series, so nothing cancels
+            term = 0.5 * tv * tv
+            rest = term
+            for k in range(3, 10):
+                term = term * tv / k
+                rest = rest + term
+            mean = float(np.dot(self._probs, self._vals))
+            return math.log1p(t * mean + float(np.dot(self._probs, rest)))
+        shift = float(np.max(tv))
+        return shift + math.log(float(np.dot(self._probs, np.exp(tv - shift))))
 
     def tilted_mean(self, t: float) -> float:
-        w = self._probs * np.exp(t * self._vals - float(np.max(t * self._vals)))
+        tv = t * self._vals
+        if abs(t) * self.obs.sup_abs <= SMALL_TF:
+            # E[F e^{tF}] / E[e^{tF}] with e^{tF} = 1 + expm1(tF): every
+            # F expm1(tF) has the sign of t, so only E F (about 0) can cancel
+            em = np.expm1(tv)
+            shifted = float(np.dot(self._probs, self._vals * em))
+            return (float(np.dot(self._probs, self._vals)) + shifted) / (
+                1.0 + float(np.dot(self._probs, em))
+            )
+        w = self._probs * np.exp(tv - float(np.max(tv)))
         return float(np.dot(w, self._vals) / w.sum())
 
     def _mass_at(self, v: float) -> float:
@@ -136,14 +166,16 @@ class CramerRate:
                 lo = max(2.0 * lo, -self.t_cap)
             if self.tilted_mean(lo) > alpha:
                 return max(0.0, lo * alpha - self.log_mgf(lo))
+        floor, small = min(1.0, 1.0 / obs.sup_abs), SMALL_TF / obs.sup_abs
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if self.tilted_mean(mid) < alpha:
                 lo = mid
             else:
                 hi = mid
-            # the optimal t scales as 1/M: the width is relative to |t| down to min(1, 1/M)
-            if abs(hi - lo) <= 1e-13 * max(abs(hi), min(1.0, 1.0 / obs.sup_abs)):
+            # the optimal t scales as 1/M: the width is relative to |t| down to
+            # min(1, 1/M), and to |t| alone once log_mgf takes its series
+            if abs(hi - lo) <= 1e-13 * max(abs(hi), 0.0 if max(-lo, hi) <= small else floor):
                 break
         t = 0.5 * (lo + hi)
         return max(0.0, t * alpha - self.log_mgf(t))
@@ -510,7 +542,6 @@ class Pressure:
         basis: PrimeBasis,
         tol: float = 1e-8,
         budget: int = DEFAULT_BUDGET,
-        max_terms: int = 20000,
     ):
         if basis.ell != obs.ell:
             raise InputError(f"basis ell={basis.ell} does not match observable ell={obs.ell}")
@@ -528,7 +559,7 @@ class Pressure:
             self._weights: list[float] = [1.0]
             self._tail = np.zeros(2)
             return
-        smooth = smooth_numbers_capped(basis, max_terms)
+        smooth = smooth_numbers_capped(basis, MAX_TERMS)
         h = smooth.h
         n_h = len(h)
         inv = [1.0 / hv for hv in h]

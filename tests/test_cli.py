@@ -12,7 +12,7 @@ import pytest
 
 from oracles import fmt_value, render_simulate
 from ncsums import simulate
-from ncsums.cli import _fmt, main
+from ncsums.cli import _build_parser, _fmt, _with_config, main
 from ncsums.lattice import primes_up_to
 from ncsums.model import preset
 from ncsums.rates import Pressure
@@ -22,6 +22,19 @@ def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(list(argv), stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def config_sample(action):
+    """A JSON value for a flag that its parser accepts and that is not its default."""
+    if action.nargs == 0:
+        return True
+    if action.choices:
+        return next(c for c in action.choices if c != action.default)
+    return {int: 3, float: 0.25}.get(action.type, "0.5")
+
+
+def flag_token(action, value):
+    return action.option_strings[0] if value is True else f"{action.option_strings[0]}={value}"
 
 
 class TestStructure:
@@ -81,6 +94,20 @@ class TestCurves:
         assert code == 0
         rows = [l.split(",") for l in out.strip().splitlines()[1:]]
         assert [r[1] for r in rows] == ["0.130812036", "0.130812036"]  # the coin's I(0.5), not 0
+
+    def test_rate_i_at_small_alpha_follows_the_series(self):
+        # the coin's I(a) = sum_k a^(2k) / (2k (2k - 1)); exp-based ln(mgf)
+        # read 1.49e-24 at a = 1e-12
+        alphas = [1e-12, 1e-9, 1e-6, 1e-4]
+        grid = ",".join(str(a) for a in [-a for a in alphas] + alphas)
+        code, out, _ = run_cli(
+            "rate-i", "--preset", "rademacher-product", f"--alpha={grid}", "--no-timestamp"
+        )
+        assert code == 0
+        for line in out.strip().splitlines()[1:]:
+            a, value = (float(v) for v in line.split(",")[:2])
+            series = sum(a ** (2 * k) / (2 * k * (2 * k - 1)) for k in range(1, 6))
+            assert value == pytest.approx(series, rel=1e-7), a
 
     def test_rate_i_grid_and_infinity(self):
         code, out, _ = run_cli(
@@ -352,6 +379,65 @@ class TestDeterminismAndConfig:
         assert json.loads(out)["kind"] == "rate-j"
         _, out_csv, _ = run_cli(*args, "--format", "csv")  # flag wins
         assert out_csv.startswith("x,value")
+
+    def test_config_sets_every_flag_as_the_flag_does(self, tmp_path):
+        # the cases come from the parser, so a new flag is covered as it is added
+        parser = _build_parser()
+        for name, sub in parser.commands.items():
+            flags = [a for a in sub._actions if a.dest not in ("help", "config")]
+            sample = {a.dest: config_sample(a) for a in flags}
+            for action in flags:
+                required = [
+                    flag_token(a, sample[a.dest]) for a in flags if a.required and a is not action
+                ]
+                cfg = tmp_path / f"{name}-{action.dest}.json"
+                cfg.write_text(json.dumps({action.dest: sample[action.dest]}))
+                via_config = parser.parse_args(
+                    _with_config(parser, [name, *required, "--config", str(cfg)])
+                )
+                via_flag = parser.parse_args(
+                    [name, *required, flag_token(action, sample[action.dest]), "--config", str(cfg)]
+                )
+                assert via_config == via_flag, (name, action.dest)
+                assert getattr(via_config, action.dest) != action.default, (name, action.dest)
+
+    def test_config_mode_ell_and_seed_reach_simulate(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "iid", "ell": 3, "seed": 4}))
+        base = ("simulate", "--preset", "rademacher-product", "--n", "50", "--no-timestamp")
+        code, via_config, _ = run_cli(*base, "--config", str(cfg))
+        assert code == 0
+        assert via_config == run_cli(*base, "--mode", "iid", "--ell", "3", "--seed", "4")[1]
+        assert via_config != run_cli(*base, "--seed", "4")[1]
+
+    def test_config_ignores_keys_that_are_not_flags_of_the_subcommand(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": "0.5", "replicas": 7, "lambda": 2, "bogus": [1]}))
+        base = ("simulate", "--preset", "rademacher-product", "--n", "20", "--no-timestamp")
+        assert run_cli(*base, "--config", str(cfg)) == run_cli(*base)
+
+    @pytest.mark.parametrize(
+        "config", [{"format": "xml"}, {"threads": "x"}, {"center": "yes"}, [1, 2]]
+    )
+    def test_bad_config_value_is_input_error(self, config, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(
+            "rate-i", "--preset", "rademacher-product", "--alpha", "0.5", "--config", str(cfg)
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "InputError"
+
+    def test_numeric_config_output_is_a_file_name(self, tmp_path, monkeypatch):
+        # a numeric output once reached open() as a file descriptor
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"output": 2}))
+        code, out, err = run_cli(
+            "rate-i", "--preset", "rademacher-product", "--alpha", "0.5", "--no-timestamp",
+            "--config", "cfg.json",
+        )
+        assert (code, out, err) == (0, "", "")
+        assert (tmp_path / "2").read_text().startswith("x,value")
 
     def test_unparseable_number_is_input_error(self):
         code, _, err = run_cli("structure", "--ell", "2", "--n", "abc")

@@ -3,6 +3,7 @@ import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -138,6 +139,33 @@ class TestCramerRate:
         rate = CramerRate(RADEMACHER, obs)
         for alpha in (0.5 * c, -0.5 * c):
             assert rate(alpha) == pytest.approx(rademacher_rate_closed(0.5), rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["rademacher-product", "bernoulli-product"])
+    def test_small_t_branch_against_decimal_arithmetic(self, name):
+        # ln(mgf) and the tilted mean on both sides of |t| M = SMALL_TF,
+        # against 60-digit decimals, down to t where the exp formulas cancel
+        dist, obs = preset(name)
+        rate = CramerRate(dist, obs)
+        pairs = [(Decimal(float(p)), Decimal(float(v))) for p, v in zip(rate._probs, rate._vals)]
+        m = float(np.max(np.abs(rate._vals)))
+        for tm in (1e-14, 1e-9, 1e-5, 5e-3, rates.SMALL_TF, 1.01e-2, 0.3, 2.0):
+            for t in (tm / m, -tm / m):
+                with localcontext() as ctx:
+                    ctx.prec = 60
+                    weights = [(p * (Decimal(t) * v).exp(), v) for p, v in pairs]
+                    phi = sum(w for w, _ in weights)
+                    mean = sum(w * v for w, v in weights) / phi
+                assert rate.log_mgf(t) == pytest.approx(float(phi.ln()), rel=2e-13)
+                assert rate.tilted_mean(t) == pytest.approx(float(mean), rel=2e-13)
+
+    @pytest.mark.parametrize("name", ["rademacher-product", "bernoulli-product"])
+    @pytest.mark.parametrize("alpha", [1e-40, 1e-20, 1e-12, -1e-12, -1e-20])
+    def test_tiny_alpha_is_quadratic(self, name, alpha):
+        # I(alpha) = alpha^2 / (2 Var F) + O(alpha^3)
+        dist, obs = preset(name)
+        rate = CramerRate(dist, obs)
+        var = float(np.dot(rate._probs, rate._vals**2))
+        assert rate(alpha) == pytest.approx(alpha**2 / (2 * var), rel=1e-9)
 
     @pytest.mark.parametrize("t_cap", [0.0, -1.0, math.inf, math.nan])
     def test_t_cap_must_be_finite_positive(self, t_cap):
@@ -450,7 +478,7 @@ class TestPressure:
     def test_weights_equal_exact_rational(self, ell):
         basis = primes_up_to(ell)
         press = Pressure(RADEMACHER, product_observable(RADEMACHER, ell), basis)
-        h = smooth_numbers_capped(basis, 20000).h
+        h = smooth_numbers_capped(basis, rates.MAX_TERMS).h
         exact = [float(Fraction(1, h[i]) - Fraction(1, h[i + 1])) for i in range(len(h) - 1)]
         assert press._weights == exact
 
@@ -459,7 +487,7 @@ class TestPressure:
         obs5 = product_observable(dist, 5)
         basis5 = primes_up_to(5)
         with pytest.raises(ToleranceError) as err:
-            Pressure(dist, obs5, basis5, tol=1e-12, max_terms=500)(1.0)
+            Pressure(dist, obs5, basis5, tol=1e-12)(1.0)
         assert err.value.achievable_tol is not None
         assert err.value.achievable_tol > 1e-12
 
