@@ -7,9 +7,9 @@ json.dumps(indent=2) with non-finite floats spelled as strings.  simulate's
 by one row template per format: "%d,%.9g" for CSV, and for JSON the indent-2
 layout of [k, S_k] with %r, which spells a Python float as json.dumps does.
 Outputs are byte-identical across runs and thread counts once --no-timestamp
-is passed.  Exit codes: 0 success, 2 input error, 3 capacity/budget, 4
-tolerance unreachable.  Errors additionally emit a one-line JSON object on
-stderr.
+is passed.  Exit codes: 0 success, 2 input error, 3 capacity/budget (also an
+array too large to allocate), 4 tolerance unreachable.  Errors additionally
+emit a one-line JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ ENV_THREADS = "NCSUMS_THREADS"
 
 STRUCTURE_N_LIMIT = 10**7
 
-# InputError is a ValueError; other ValueError and OverflowError are reported as InputError.
-_EXIT_CODES = {ValueError: 2, OverflowError: 2, CapacityError: 3, ToleranceError: 4}
+# InputError is a ValueError; other ValueError and OverflowError are reported as
+# InputError, and MemoryError as CapacityError.
+_EXIT_CODES = {ValueError: 2, OverflowError: 2, CapacityError: 3, MemoryError: 3, ToleranceError: 4}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,7 +252,7 @@ def _curve(kind, obs, obs_id, tol, rows, extra=(), **meta):
 def _cmd_rate_i(args):
     dist, obs, obs_id = _resolve_observable(args)
     tol, grid = args.tol, _parse_grid(args.alpha)
-    rate = rates.CramerRate(dist, obs, t_cap=args.t_cap)
+    rate = rates.CramerRate(dist, obs)
     rows = []
     for a in grid:
         v = rate(a)
@@ -262,8 +263,7 @@ def _cmd_rate_i(args):
 def _cmd_pressure(args):
     dist, obs, obs_id = _resolve_observable(args)
     tol, grid = args.tol, _parse_grid(args.lam)
-    basis = lattice.primes_up_to(obs.ell)
-    press = rates.Pressure(dist, obs, basis, tol=tol, budget=args.budget)
+    press = rates.Pressure(dist, obs, tol=tol, budget=args.budget)
     rows = [
         (lam, d.value, False, tol, d.truncation_l) for lam, d in zip(grid, press.details(grid))
     ]
@@ -276,8 +276,7 @@ def _cmd_pressure(args):
 def _cmd_rate_j(args):
     dist, obs, obs_id = _resolve_observable(args)
     tol, grid = args.tol, _parse_grid(args.u)
-    basis = lattice.primes_up_to(obs.ell)
-    press = rates.Pressure(dist, obs, basis, tol=tol, budget=args.budget)
+    press = rates.Pressure(dist, obs, tol=tol, budget=args.budget)
     conj = rates.RateJ(press, lambda_cap=args.lambda_cap)
     rows = [(u, v, math.isinf(v), tol) for u, v in zip(grid, conj.grid(grid))]
     return _curve("rate-j", obs, obs_id, tol, rows, lambda_cap=conj.lambda_cap)
@@ -342,8 +341,7 @@ def _cmd_ldp_check(args):
     if not args.skip_theory:
         rate = rates.CramerRate(dist, obs)
         theory_i = rate(est.u)
-        basis = lattice.primes_up_to(obs.ell)
-        press = rates.Pressure(dist, obs, basis, tol=float(args.theory_tol))
+        press = rates.Pressure(dist, obs, tol=float(args.theory_tol))
         theory_j = rates.RateJ(press)(est.u)
     fields = {**asdict(est), "theory_J": theory_j, "theory_I": theory_i}
     payload = {
@@ -424,7 +422,6 @@ def _build_parser() -> _Parser:
     p = command("rate-i", _cmd_rate_i, "Cramér rate curve")
     observable(p)
     p.add_argument("--alpha", required=True, help="value, comma list, or start:stop:step")
-    p.add_argument("--t-cap", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-9)
     common(p)
 
@@ -534,6 +531,8 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     except tuple(_EXIT_CODES) as exc:
+        if isinstance(exc, MemoryError):  # an array too large to allocate
+            exc = CapacityError(str(exc) or "out of memory")
         name = type(exc).__name__ if isinstance(exc, NcsumsError) else "InputError"
         stderr.write(json.dumps({"error": name, "message": str(exc)}) + "\n")
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))

@@ -17,18 +17,27 @@ import numpy as np
 from .errors import InputError
 from .model import FiniteDistribution, Observable
 from .rates import CramerRate
-from .simulate import trajectory
+from .simulate import _BLOCK, trajectory
 
 
 def window_max(prefix, b: int) -> float:
-    """Largest increment prefix[m+b] - prefix[m] over 0 <= m <= n-b."""
+    """Largest increment prefix[m+b] - prefix[m] over 0 <= m <= n-b.
+
+    The increments are formed _BLOCK windows at a time in one buffer, so the
+    memory it takes does not grow with n.
+    """
     arr = np.asarray(prefix, dtype=np.float64)
     n = arr.size - 1
     if b < 1:
         raise InputError("window length b must be >= 1")
     if b > n:
         raise InputError(f"window length {b} exceeds trajectory length {n}")
-    return float((arr[b:] - arr[:-b]).max())
+    diff, best = np.empty(min(n - b + 1, _BLOCK)), -math.inf
+    for m0 in range(0, n - b + 1, _BLOCK):
+        d = diff[: min(_BLOCK, n - b + 1 - m0)]
+        np.subtract(arr[m0 + b : m0 + b + d.size], arr[m0 : m0 + d.size], out=d)
+        best = max(best, float(d.max()))
+    return best
 
 
 def b_window(n: int, i_alpha: float) -> int:

@@ -1,7 +1,8 @@
 """Exception taxonomy shared by the library and the CLI.
 
 CLI exit-code mapping: InputError (and subclasses) -> 2,
-CapacityError/BudgetExceededError -> 3, ToleranceError -> 4.
+CapacityError/BudgetExceededError -> 3 (and MemoryError, reported as
+CapacityError), ToleranceError -> 4.
 """
 
 

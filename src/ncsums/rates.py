@@ -14,6 +14,9 @@ conjugate J runs the root searches of a u grid in lockstep, so that the
 lambdas of each round form one batch.  Those searches take Q' from a
 complex step through the same kernels.
 
+Each entry point derives its prime basis from obs.ell, except
+log_r_sequence, whose signature the benchmark's span wrapper reads.
+
 Truncation of the series is certified: ln R_l <= l*M*|lambda| bounds every
 dropped term, and the smooth numbers beyond the enumerated range are
 bounded below through h_l >= 2**(l**(1/m) - 1).
@@ -87,14 +90,16 @@ class CramerRate:
 
     The tilted mean t -> phi'(t)/phi(t) is strictly increasing when the
     observable has positive variance, so the supremum over t is located by
-    bisection on it; the one-sided search (t >= 0 for alpha >= 0) is valid
-    because the observable is centered.  Where |t|*M <= SMALL_TF, ln(mgf)
-    and the tilted mean come from sums that do not cancel and t is bisected
-    to a relative width, so I(alpha) keeps its relative accuracy for small
-    alpha (down to about 1e-50 M, where the 200 halvings run out).
+    bisection on it.  Since the observable is centered, one search over
+    s >= 0 at t = sgn(alpha) * s serves both signs of alpha, up to the cap
+    |t| <= CAP_OVER_M / M, which only matters within a few ulps of sup F.
+    Where |t|*M <= SMALL_TF, ln(mgf) and the tilted mean come from sums that
+    do not cancel and t is bisected to a relative width, so I(alpha) keeps
+    its relative accuracy for small alpha.  Expectations are exactly rounded
+    sums, so I(-a) of F equals I(a) of negate(F) bit for bit.
     """
 
-    def __init__(self, dist: FiniteDistribution, obs: Observable, t_cap: float | None = None):
+    def __init__(self, dist: FiniteDistribution, obs: Observable):
         if is_degenerate(obs):
             raise DegenerateObservableError("rate function needs positive variance")
         _require_centered(obs)
@@ -103,9 +108,11 @@ class CramerRate:
         vals, probs = value_distribution(dist, obs)
         self._vals = vals
         self._probs = probs
-        self.t_cap = float(t_cap) if t_cap is not None else CAP_OVER_M / obs.sup_abs
-        if not (math.isfinite(self.t_cap) and self.t_cap > 0):
-            raise InputError("t_cap must be finite and positive")
+        self._mean = self._expect(vals)
+
+    def _expect(self, x: np.ndarray) -> float:
+        """E of per-value ``x``, exactly rounded: negate(obs) lists the values reversed."""
+        return math.fsum((self._probs * x).tolist())
 
     def log_mgf(self, t: float) -> float:
         if t == 0.0:
@@ -119,10 +126,9 @@ class CramerRate:
             for k in range(3, 10):
                 term = term * tv / k
                 rest = rest + term
-            mean = float(np.dot(self._probs, self._vals))
-            return math.log1p(t * mean + float(np.dot(self._probs, rest)))
+            return math.log1p(t * self._mean + self._expect(rest))
         shift = float(np.max(tv))
-        return shift + math.log(float(np.dot(self._probs, np.exp(tv - shift))))
+        return shift + math.log(self._expect(np.exp(tv - shift)))
 
     def tilted_mean(self, t: float) -> float:
         tv = t * self._vals
@@ -130,12 +136,9 @@ class CramerRate:
             # E[F e^{tF}] / E[e^{tF}] with e^{tF} = 1 + expm1(tF): every
             # F expm1(tF) has the sign of t, so only E F (about 0) can cancel
             em = np.expm1(tv)
-            shifted = float(np.dot(self._probs, self._vals * em))
-            return (float(np.dot(self._probs, self._vals)) + shifted) / (
-                1.0 + float(np.dot(self._probs, em))
-            )
-        w = self._probs * np.exp(tv - float(np.max(tv)))
-        return float(np.dot(w, self._vals) / w.sum())
+            return (self._mean + self._expect(self._vals * em)) / (1.0 + self._expect(em))
+        w = np.exp(tv - float(np.max(tv)))
+        return self._expect(w * self._vals) / self._expect(w)
 
     def _mass_at(self, v: float) -> float:
         return float(self._probs[self._vals == v].sum())
@@ -145,40 +148,37 @@ class CramerRate:
         if alpha == 0.0:
             return 0.0
         obs = self.obs
-        if alpha > 0:
-            if alpha > obs.sup_pos:
-                return math.inf
-            if alpha == obs.sup_pos:
-                return -math.log(self._mass_at(float(self._vals[-1])))
-            lo, hi = 0.0, min(1.0, self.t_cap)
-            while self.tilted_mean(hi) < alpha and hi < self.t_cap:
-                hi = min(2.0 * hi, self.t_cap)
-            if self.tilted_mean(hi) < alpha:
-                # alpha within ulps of the sup; the objective is flat past here
-                return max(0.0, hi * alpha - self.log_mgf(hi))
-        else:
-            if -alpha > obs.sup_neg:
-                return math.inf
-            if -alpha == obs.sup_neg:
-                return -math.log(self._mass_at(float(self._vals[0])))
-            lo, hi = -min(1.0, self.t_cap), 0.0
-            while self.tilted_mean(lo) > alpha and lo > -self.t_cap:
-                lo = max(2.0 * lo, -self.t_cap)
-            if self.tilted_mean(lo) > alpha:
-                return max(0.0, lo * alpha - self.log_mgf(lo))
+        a, sgn = abs(alpha), (1.0 if alpha > 0 else -1.0)
+        sup = obs.sup_pos if alpha > 0 else obs.sup_neg
+        if a > sup:
+            return math.inf
+        if a == sup:  # alpha is the extreme value of F on its side
+            return -math.log(self._mass_at(alpha))
+
+        def below(s: float) -> bool:
+            return sgn * self.tilted_mean(sgn * s) < a
+
+        cap = CAP_OVER_M / obs.sup_abs
+        lo, hi = 0.0, min(1.0, cap)
+        while below(hi) and hi < cap:
+            hi = min(2.0 * hi, cap)
+        if below(hi):
+            # alpha within ulps of the sup; the objective is flat past here
+            return max(0.0, hi * a - self.log_mgf(sgn * hi))
         floor, small = min(1.0, 1.0 / obs.sup_abs), SMALL_TF / obs.sup_abs
-        for _ in range(200):
+        # enough halvings to take the bracket from 1 down to the smallest subnormal
+        for _ in range(1100):
             mid = 0.5 * (lo + hi)
-            if self.tilted_mean(mid) < alpha:
+            if below(mid):
                 lo = mid
             else:
                 hi = mid
             # the optimal t scales as 1/M: the width is relative to |t| down to
             # min(1, 1/M), and to |t| alone once log_mgf takes its series
-            if abs(hi - lo) <= 1e-13 * max(abs(hi), 0.0 if max(-lo, hi) <= small else floor):
+            if hi - lo <= 1e-13 * max(hi, 0.0 if hi <= small else floor):
                 break
-        t = 0.5 * (lo + hi)
-        return max(0.0, t * alpha - self.log_mgf(t))
+        s = 0.5 * (lo + hi)
+        return max(0.0, s * a - self.log_mgf(sgn * s))
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +199,8 @@ class ChainStructure:
     term_positions: tuple[tuple[int, ...], ...]
 
 
-def chain_index_structure(basis: PrimeBasis, ell: int, l: int) -> ChainStructure:
-    if ell != basis.ell:
-        raise InputError(f"ell={ell} does not match basis ell={basis.ell}")
+def chain_index_structure(basis: PrimeBasis, l: int) -> ChainStructure:
+    """The l-term fiber chain of the dilation basis.ell."""
     if l < 1:
         raise InputError("chain length l must be >= 1")
     if basis.m == 0:
@@ -217,7 +216,7 @@ def chain_index_structure(basis: PrimeBasis, ell: int, l: int) -> ChainStructure
         raise BudgetExceededError(
             f"fiber chain of length {l} exceeds 128-bit smooth capacity for ell={basis.ell}"
         )
-    terms = tuple(tuple(j * h[k] for j in range(1, ell + 1)) for k in range(l))
+    terms = tuple(tuple(j * h[k] for j in range(1, basis.ell + 1)) for k in range(l))
     indices = tuple(sorted({i for t in terms for i in t}))
     pos = {v: i for i, v in enumerate(indices)}
     positions = tuple(tuple(pos[i] for i in t) for t in terms)
@@ -252,7 +251,7 @@ def _build_plan(basis: PrimeBasis, l: int, s: int) -> tuple[int, tuple[_Step, ..
     variable in live order with their reshapes into the axes of the union,
     the summed axis, and whether the result is kept as a new factor.
     """
-    chain = chain_index_structure(basis, basis.ell, l)
+    chain = chain_index_structure(basis, l)
     scopes = list(chain.term_positions)
     d = len(chain.indices)
     nbrs: list[set[int]] = [set() for _ in range(d)]
@@ -383,6 +382,9 @@ def log_r_sequence(
 ) -> list[float] | np.ndarray:
     """ln R_l for l = 1..L.
 
+    ``basis`` must be primes_up_to(obs.ell); it stays an argument because
+    perfbench/spans.py unpacks the ``L`` that follows it.
+
     ell = 1 collapses to l * ln(mgf); ell = 2 chains are a pure transfer
     recursion over successive smooth indices (one forward pass yields all
     lengths); larger ell replays each length's compiled elimination plan.
@@ -432,18 +434,12 @@ def log_r_sequence(
 
 
 def r_l(
-    dist: FiniteDistribution,
-    obs: Observable,
-    lam: float,
-    l: int,
-    budget: int = DEFAULT_BUDGET,
-    basis: PrimeBasis | None = None,
+    dist: FiniteDistribution, obs: Observable, lam: float, l: int, budget: int = DEFAULT_BUDGET
 ) -> float:
     """Exact E exp(lam * sum of the l-term fiber chain)."""
     if l < 1:
         raise InputError("l must be >= 1")
-    if basis is None:
-        basis = lattice.primes_up_to(obs.ell)
+    basis = lattice.primes_up_to(obs.ell)
     return math.exp(log_r_sequence(dist, obs, basis, lam, l, budget=budget)[-1])
 
 
@@ -454,13 +450,7 @@ class McEstimate:
 
 
 def r_l_mc(
-    dist: FiniteDistribution,
-    obs: Observable,
-    lam: float,
-    l: int,
-    replicas: int,
-    seed: int,
-    basis: PrimeBasis | None = None,
+    dist: FiniteDistribution, obs: Observable, lam: float, l: int, replicas: int, seed: int
 ) -> McEstimate:
     """Unbiased Monte-Carlo estimate of R_l with its sample standard error.
 
@@ -470,16 +460,12 @@ def r_l_mc(
     """
     if replicas < 1000:
         raise InputError("replicas must be >= 1000")
-    if basis is None:
-        basis = lattice.primes_up_to(obs.ell)
-    chain = chain_index_structure(basis, obs.ell, l)
+    chain = chain_index_structure(lattice.primes_up_to(obs.ell), l)
     from . import simulate  # deferred: simulate has no rates dependency
 
-    if chain.indices[-1] > simulate.MASK64:
-        # draw i and draw i + 2**64 of a stream coincide
-        raise InputError(f"chain of length {l} reads draw {chain.indices[-1]}, past 2**64")
-    keys = simulate.mix_batch(seed, np.arange(replicas, dtype=np.uint64))
     terms = [term[0] for term in chain.term_indices]
+    simulate._check_draw_range(obs, terms[-1])
+    keys = simulate.mix_batch(seed, np.arange(replicas, dtype=np.uint64))
     total = simulate.replica_sums(dist, obs, keys, terms, "nonconventional")
     sample = np.exp(lam * total)
     value = float(sample.mean())
@@ -539,19 +525,16 @@ class Pressure:
         self,
         dist: FiniteDistribution,
         obs: Observable,
-        basis: PrimeBasis,
         tol: float = 1e-8,
         budget: int = DEFAULT_BUDGET,
     ):
-        if basis.ell != obs.ell:
-            raise InputError(f"basis ell={basis.ell} does not match observable ell={obs.ell}")
         if not tol > 0:
             raise InputError("tol must be positive")
         if int(budget) < 1:
             raise InputError("budget must be a positive integer")
         self.dist = dist
         self.obs = obs
-        self.basis = basis
+        self.basis = basis = lattice.primes_up_to(obs.ell)
         self.tol = float(tol)
         self.budget = int(budget)
         if basis.m == 0:
@@ -669,12 +652,7 @@ class Pressure:
 
 
 def finite_pressure(
-    dist: FiniteDistribution,
-    obs: Observable,
-    basis: PrimeBasis,
-    lam: float,
-    N: int,
-    budget: int = DEFAULT_BUDGET,
+    dist: FiniteDistribution, obs: Observable, lam: float, N: int, budget: int = DEFAULT_BUDGET
 ) -> float:
     """(1/N) ln E exp(lam * S_N), exact through per-fiber factorization.
 
@@ -684,6 +662,7 @@ def finite_pressure(
     """
     if N < 1:
         raise InputError("N must be >= 1")
+    basis = lattice.primes_up_to(obs.ell)
     _, sizes = lattice.fiber_sizes(basis, N)
     counts = np.bincount(sizes)
     L = int(sizes.max())

@@ -206,6 +206,12 @@ def _check_sum_range(obs: Observable, n: int) -> None:
         )
 
 
+def _check_draw_range(obs: Observable, n: int) -> None:
+    """Terms 1..n read draws up to ell*n in either mode; draw i + 2**64 would be draw i."""
+    if obs.ell * n > MASK64:
+        raise InputError(f"terms up to {n} read draw {obs.ell * n}, past 2**64 - 1")
+
+
 def _check_mode(mode: str) -> None:
     if mode not in TRAJECTORY_MODES:
         raise InputError(f"mode must be one of {TRAJECTORY_MODES}")
@@ -369,6 +375,7 @@ def trajectory(
     if n < 1:
         raise InputError("n must be >= 1")
     _check_sum_range(obs, n)
+    _check_draw_range(obs, n)
     ws = Workspace()
     thresholds = _thresholds(dist)
     prefix = np.empty(n + 1, dtype=np.float64)
@@ -452,6 +459,7 @@ def ldp_estimate(
     if not u > 0:
         raise InputError("u must be positive")
     _check_sum_range(obs, N)
+    _check_draw_range(obs, N)
     bounds = [(r0, min(replicas, r0 + _LDP_CHUNK)) for r0 in range(0, replicas, _LDP_CHUNK)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -39,7 +39,6 @@ from ncsums.erlaw import experiment
 
 LN2 = math.log(2.0)
 
-B1 = primes_up_to(1)
 B2 = primes_up_to(2)
 
 
@@ -85,12 +84,12 @@ def test_c03_pressure_closed_forms():
     with report(3, "pressure = ln cosh within 1e-6; constant diagnostic = c*lambda within 1e-8"):
         t0 = time.perf_counter()
         dist, obs = preset("rademacher-product")
-        press = Pressure(dist, obs, B2, tol=1e-6)
+        press = Pressure(dist, obs, tol=1e-6)
         for lam in (0.25, 0.5, 1.0, 2.0):
             assert abs(press(lam) - math.log(math.cosh(lam))) <= 1e-6
         c = 1.0
         diag = constant_observable(RADEMACHER, c, ell=2)
-        pd = Pressure(RADEMACHER, diag, B2, tol=1e-8)
+        pd = Pressure(RADEMACHER, diag, tol=1e-8)
         for lam in (0.25, 0.5, 1.0, 2.0):
             assert abs(pd(lam) - lam * c) <= 1e-8
         elapsed = time.perf_counter() - t0
@@ -101,10 +100,10 @@ def test_c04_finite_pressure_convergence():
     with report(4, "finite pressure at N=2^14 within 0.01 of Q; gap non-increasing over 2^6..2^14"):
         t0 = time.perf_counter()
         dist, obs = preset("rademacher-product")
-        press = Pressure(dist, obs, B2, tol=1e-8)
+        press = Pressure(dist, obs, tol=1e-8)
         detail = press.detail(1.0)
         gaps = [
-            abs(finite_pressure(dist, obs, B2, 1.0, 2**k) - detail.value)
+            abs(finite_pressure(dist, obs, 1.0, 2**k) - detail.value)
             for k in range(6, 15)
         ]
         assert gaps[-1] < 0.01
@@ -115,10 +114,10 @@ def test_c04_finite_pressure_convergence():
             assert b <= a + slack
         # non-product observable: the same convergence without the collapse
         db, ob = preset("bernoulli-product")
-        pb = Pressure(db, ob, B2, tol=1e-10)
+        pb = Pressure(db, ob, tol=1e-10)
         det_b = pb.detail(1.0)
         gaps_b = [
-            abs(finite_pressure(db, ob, B2, 1.0, 2**k) - det_b.value)
+            abs(finite_pressure(db, ob, 1.0, 2**k) - det_b.value)
             for k in range(6, 15)
         ]
         assert gaps_b[-1] < 0.01
@@ -135,13 +134,13 @@ def test_c05_legendre_oracles():
         rate = CramerRate(dist, obs)
         for alpha in np.arange(0.1, 0.95, 0.1):
             assert abs(rate(float(alpha)) - rademacher_rate_closed(float(alpha))) <= 1e-8
-        press = Pressure(dist, obs, B2, tol=1e-8)
+        press = Pressure(dist, obs, tol=1e-8)
         conj = RateJ(press)
         for alpha in np.arange(0.1, 0.95, 0.1):
             assert abs(conj(float(alpha)) - rate(float(alpha))) <= 1e-5
         for name in ("rademacher-product", "bernoulli-product"):
             d1, o1 = preset(name, ell=1)
-            p1 = Pressure(d1, o1, B1, tol=1e-10)
+            p1 = Pressure(d1, o1, tol=1e-10)
             c1 = RateJ(p1)
             r1 = CramerRate(d1, o1)
             for u in np.linspace(-0.9 * o1.sup_neg, 0.9 * o1.sup_pos, 13):
@@ -152,7 +151,7 @@ def test_c06_rate_function_shape():
     with report(6, "J shape on a 200-point grid: zero at 0, convex, monotone, inf past caps"):
         t0 = time.perf_counter()
         dist, obs = preset("rademacher-product")
-        press = Pressure(dist, obs, B2, tol=1e-10)
+        press = Pressure(dist, obs, tol=1e-10)
         conj = RateJ(press)
         assert conj(0.0) == 0.0
         grid = np.linspace(-0.995, 0.995, 200)
@@ -185,7 +184,7 @@ def test_c07_brute_force_pressure_oracle():
         for N in (2, 4, 6, 8, 10):
             for lam in (-1.0, -0.5, 0.5, 1.0):
                 brute = enumerate_pair_dilation_mgf(lam, N)
-                product = math.exp(N * finite_pressure(dist, obs, B2, lam, N))
+                product = math.exp(N * finite_pressure(dist, obs, lam, N))
                 assert abs(brute - product) <= 1e-10 * max(1.0, abs(brute)), (N, lam)
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"runtime {elapsed:.1f}s over the 60s limit"

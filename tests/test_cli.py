@@ -180,7 +180,7 @@ class TestCurves:
         done, achievable = int(match[1]) - 1, float(match[2])
         assert achievable < 3.8e-4
         dist, obs = preset("rademacher-product", ell=3)
-        press = Pressure(dist, obs, primes_up_to(3), tol=1e-6)
+        press = Pressure(dist, obs, tol=1e-6)
         lam = achievable / (primes_up_to(3).r_const * obs.sup_abs * float(press._tail[done]))
         assert abs(lam - math.atanh(0.3)) < 0.1
 
@@ -498,8 +498,6 @@ class TestInputValidation:
             ("erlaw", "--alpha", "0.5", "--n", "100", "--seed-list", "1,nan"),
             ("rate-j", "--u", "0.5", "--lambda-cap", "0"),
             ("rate-j", "--u", "0.5", "--lambda-cap", "-1"),
-            ("rate-i", "--alpha", "0.5", "--t-cap", "0"),
-            ("rate-i", "--alpha", "0.5", "--t-cap", "-1"),
             ("ldp-check", "--N", "0", "--u", "0.3", "--replicas", "1000", "--skip-theory"),
             ("ldp-check", "--N", "-5", "--u", "0.3", "--replicas", "1000", "--skip-theory"),
             ("erlaw", "--alpha", "0.5", "--n", "100", "--ell", "0"),
@@ -509,6 +507,9 @@ class TestInputValidation:
             ("pressure", "--ell", "3", "--lambda", "0.5", "--budget", "-1"),
             ("pressure", "--lambda", "0.5", "--budget", "0"),
             ("rate-j", "--u", "0.5", "--budget", "0"),
+            # terms that read draws past the 2**64 - 1 of a stream
+            ("simulate", "--n", "1e19"),
+            ("ldp-check", "--N", "1e30", "--u", "0.3", "--replicas", "1000", "--skip-theory"),
         ],
     )
     def test_nan_grid_or_nonpositive_cap_is_input_error(self, argv):
@@ -565,6 +566,22 @@ class TestInputValidation:
             )
         assert (code, out) == (3, "")
         assert json.loads(err)["error"] == "CapacityError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--n", "1e16"),
+            ("erlaw", "--alpha", "0.5", "--n", "1e16"),
+            ("ldp-check", "--N", "1e16", "--u", "0.3", "--replicas", "1000", "--skip-theory"),
+        ],
+    )
+    def test_unallocatable_runs_are_capacity_error(self, argv):
+        # within the draw and sum ranges, but their arrays cannot be allocated
+        code, out, err = run_cli(*argv, "--preset", "rademacher-product", "--no-timestamp")
+        assert (code, out) == (3, "")
+        doc = json.loads(err)
+        assert doc["error"] == "CapacityError"
+        assert doc["message"]
 
     def test_infinite_grid_item_still_evaluates(self):
         code, out, _ = run_cli(

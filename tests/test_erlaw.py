@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from oracles import window_max_naive
 from ncsums.errors import DegenerateObservableError, InputError
 from ncsums.model import RADEMACHER, constant_observable, preset
 from ncsums.erlaw import ErPoint, b_window, experiment, window_max
-from ncsums.simulate import trajectory
+from ncsums.simulate import _BLOCK, trajectory
 
 
 class TestWindowMax:
@@ -23,6 +24,24 @@ class TestWindowMax:
             prefix = trajectory(dist, obs, seed, 10**4)
             for b in (1, 7, 105, 9999):
                 assert window_max(prefix, b) == window_max_naive(prefix.tolist(), b)
+
+    def test_windows_across_blocks_match_one_difference_array(self):
+        dist, obs = preset("bernoulli-product")
+        n = 2 * _BLOCK + 5
+        prefix = trajectory(dist, obs, 4, n, "iid")
+        for b in (1, 2, 61, _BLOCK - 1, _BLOCK, _BLOCK + 1, n - _BLOCK, n - 1, n):
+            assert window_max(prefix, b) == float((prefix[b:] - prefix[:-b]).max())
+
+    def test_memory_does_not_grow_with_n(self):
+        dist, obs = preset("rademacher-product")
+        prefix = trajectory(dist, obs, 1, 16 * _BLOCK)
+        peaks = []
+        for n in (2 * _BLOCK, 16 * _BLOCK):
+            tracemalloc.start()
+            window_max(prefix[: n + 1], 60)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 1024
 
     def test_errors(self):
         with pytest.raises(InputError):

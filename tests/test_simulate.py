@@ -283,6 +283,21 @@ class TestSumRange:
             ldp_estimate(dist, obs, N=3, u=0.3, replicas=1000, seed=1)
 
 
+
+class TestDrawRange:
+    """Terms 1..n read draws up to ell*n, which must stay below 2**64."""
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_past_the_last_draw_is_input_error(self, ell):
+        dist, obs = preset("rademacher-product", ell=ell)
+        n = simulate.MASK64 // ell + 1
+        with pytest.raises(InputError, match="2\\*\\*64"):
+            trajectory(dist, obs, 1, n)
+        with pytest.raises(InputError, match="2\\*\\*64"):
+            ldp_estimate(dist, obs, N=n, u=0.3, replicas=1000, seed=1)
+        simulate._check_draw_range(obs, n - 1)  # the longest run whose draws fit
+
+
 class TestIidTrajectory:
     def test_ell1_coincides_with_dilated(self):
         dist, _ = preset("rademacher-product")
@@ -421,7 +436,7 @@ class TestAllocatingOracle:
     def test_r_l_mc_bitwise(self, s, ell, lam):
         dist, obs = random_law(s, ell, seed=s * ell)
         l = 9
-        chain = chain_index_structure(primes_up_to(ell), ell, l)
+        chain = chain_index_structure(primes_up_to(ell), l)
         terms = [term[0] for term in chain.term_indices]
         est = r_l_mc(dist, obs, lam, l, replicas=5000, seed=17)
         want = oracles.r_l_mc(dist, obs, lam, terms, replicas=5000, seed=17)
@@ -440,7 +455,7 @@ class TestReplicaSums:
     )
     def test_bitwise(self, s, ell, mode):
         dist, obs = random_law(s, ell, seed=s + 10 * ell)
-        chain = chain_index_structure(primes_up_to(ell), ell, 40)
+        chain = chain_index_structure(primes_up_to(ell), 40)
         term_lists = {
             "N=60": range(1, 61),
             "chain": [term[0] for term in chain.term_indices],
