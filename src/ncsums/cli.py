@@ -6,6 +6,9 @@ json.dumps(indent=2) with non-finite floats spelled as strings.  simulate's
 (k, S_k) table, whose S_k are always finite, is written with the same bytes
 by one row template per format: "%d,%.9g" for CSV, and for JSON the indent-2
 layout of [k, S_k] with %r, which spells a Python float as json.dumps does.
+When every S_k is an integer below 1e9 in magnitude and none is -0.0 (any
+sum of integer terms, such as rademacher-product's), a numpy digit kernel
+writes those bytes instead, without a Python float or string per row.
 Outputs are byte-identical across runs and thread counts once --no-timestamp
 is passed.  Exit codes: 0 success, 2 input error, 3 capacity/budget (also an
 array too large to allocate), 4 tolerance unreachable.  Errors additionally
@@ -23,6 +26,8 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from itertools import chain
 
+import numpy as np
+
 from . import erlaw as erlaw_mod
 from . import lattice, model, rates, simulate
 from .errors import CapacityError, InputError, NcsumsError, ToleranceError
@@ -30,6 +35,9 @@ from .errors import CapacityError, InputError, NcsumsError, ToleranceError
 ENV_THREADS = "NCSUMS_THREADS"
 
 STRUCTURE_N_LIMIT = 10**7
+STRUCTURE_ELL_LIMIT = 10**5
+# A start:stop:step grid may hold at most this many points.
+GRID_POINT_LIMIT = 10**5
 
 # InputError is a ValueError; other ValueError and OverflowError are reported as
 # InputError, and MemoryError as CapacityError.
@@ -71,7 +79,8 @@ def _json_text(obj, **kw) -> str:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """A single value, a comma list, or start:stop:step (inclusive stop); no NaN."""
+    """A single value, a comma list, or start:stop:step (inclusive stop, counted
+    before it is built); no NaN."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -82,11 +91,14 @@ def _parse_grid(text: str) -> list[float]:
             raise InputError(f"grid {text!r} needs finite start, stop and step")
         if step <= 0:
             raise InputError("grid step must be positive")
+        last = stop + 1e-12 * max(1.0, abs(stop))
+        if not (last - start) / step < GRID_POINT_LIMIT:  # also inf
+            raise InputError(f"grid {text!r} has more than {GRID_POINT_LIMIT} points")
         out = []
         k = 0
         while True:
             v = start + k * step
-            if v > stop + 1e-12 * max(1.0, abs(stop)):
+            if v > last:
                 break
             out.append(v)
             k += 1
@@ -117,25 +129,102 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-# One (k, S_k) row: what _fmt, and json.dumps(indent=2) at depth 2, write for
-# an int k and a finite Python float S_k.
-_CSV_PAIR = "%d,%.9g"
-_JSON_PAIR = "    [\n      %d,\n      %r\n    ]"
+# simulate's (k, S_k) rows per format: (row template, digit parts, separator).
+# The template is what _fmt, and json.dumps(indent=2) at depth 2, write for an
+# int k and a finite Python float S_k.  The parts are the text before k,
+# between k and S_k, and after S_k, for an integral S_k that is not -0.0 and
+# is below _DIGIT_LIMIT in magnitude: %.9g writes it as %d does, %r as "%d.0".
+_ROWS = {
+    "csv": ("%d,%.9g", ("", ",", ""), "\n"),
+    "json": (
+        "    [\n      %d,\n      %r\n    ]",
+        ("    [\n      ", ",\n      ", ".0\n    ]"),
+        ",\n",
+    ),
+}
+_DIGIT_LIMIT = 1e9
+
+
+def _digit_field(grid, end: int, width: int, mags) -> None:
+    """Write the decimal digits of the non-negative ints ``mags`` right-aligned
+    into columns ``end - width`` to ``end - 1`` of ``grid``, and 0 before the
+    first digit of each row."""
+    q = mags.copy()
+    quot = np.empty_like(q)
+    digit = np.empty_like(q)
+    for p in range(width):
+        np.floor_divide(q, 10, out=quot)
+        np.multiply(quot, -10, out=digit)
+        digit += q  # q % 10, without numpy's slower remainder loop
+        # position p > 0 holds a digit only while q = mags // 10**p is not 0
+        np.add(digit, 48, out=digit, where=True if p == 0 else q != 0)  # "0"
+        grid[:, end - 1 - p] = digit
+        q, quot = quot, q
+
+
+def _digit_rows(ks, ints, parts: tuple[str, str, str], sep: str) -> str:
+    """``sep``-joined rows ``before + k + between + S_k + after`` for the ints
+    ``ks`` >= 0 (ascending) and int32 ``ints``, written with numpy.
+
+    Every row takes one line of a uint8 grid: the digits of k and of S_k fill
+    fields as wide as their longest value, S_k's field starts with a sign
+    column, and the parts and ``sep`` fill the columns between.  Unused bytes
+    stay 0 and are dropped by one mask, which leaves "-" just before the
+    first digit, and the bytes are decoded once as ASCII.
+    """
+    before, between, after = (p.encode() for p in parts)
+    mags = np.abs(ints)
+    k_width = len(str(int(ks[-1])))
+    v_width = len(str(int(mags.max())))
+    k_end = len(before) + k_width
+    v_start = k_end + len(between)
+    v_end = v_start + 1 + v_width
+    row = before + bytes(k_width) + between + bytes(1 + v_width) + after + sep.encode()
+    grid = np.tile(np.frombuffer(row, dtype=np.uint8), (ks.size, 1))
+    if ks[-1] <= np.iinfo(np.int32).max:
+        ks = ks.astype(np.int32)  # faster digits
+    _digit_field(grid, k_end, k_width, ks)
+    np.multiply(ints < 0, np.uint8(45), out=grid[:, v_start])  # "-"
+    _digit_field(grid, v_end, v_width, mags)
+    flat = grid.reshape(-1)
+    text = flat[flat != 0].tobytes().decode("ascii")
+    return text[: len(text) - len(sep)]
 
 
 @dataclass(frozen=True)
 class _Pairs:
-    """simulate's rows as two columns: ints ``ks`` and finite Python floats ``values``.
+    """simulate's rows as two columns: int64 ``ks`` and finite float64 ``values``.
 
+    ``text`` writes them in one format.  When every value is an integer below
+    1e9 in magnitude and none is -0.0 (every sum of integer terms, such as
+    rademacher-product's), _digit_rows builds the rows as bytes; otherwise
     ``fill`` formats every row with one template in a single % pass, so no
-    row tuple and no per-value string is built.
+    row tuple and no per-value string is built.  Both give the bytes of the
+    generic renderer.
     """
 
-    ks: range | list[int]
-    values: list[float]
+    ks: np.ndarray
+    values: np.ndarray
+
+    def text(self, fmt: str) -> str:
+        row, parts, sep = _ROWS[fmt]
+        ints = self.integers()
+        if ints is None:
+            return self.fill(row, sep)
+        return _digit_rows(self.ks, ints, parts, sep)
+
+    def integers(self) -> np.ndarray | None:
+        """``values`` as int32 if each is an integer in (-1e9, 1e9) and none is -0.0."""
+        v = self.values
+        if not (np.abs(v) < _DIGIT_LIMIT).all():  # also false for nan
+            return None
+        ints = v.astype(np.int32)
+        if np.array_equal(ints, v) and np.array_equal(ints < 0, np.signbit(v)):
+            return ints
+        return None
 
     def fill(self, row: str, sep: str) -> str:
-        pairs = chain.from_iterable(zip(self.ks, self.values))
+        pairs = chain.from_iterable(zip(self.ks.tolist(), self.values.tolist()))
         return sep.join([row] * len(self.values)) % tuple(pairs)
 
 
@@ -152,11 +241,11 @@ def _render(args, payload: dict, header, rows) -> str:
         if not pairs:
             return _json_text(payload, indent=2) + "\n"
         head = _json_text({**payload, "rows": []}, indent=2)  # ends with '[]\n}'
-        return head[:-3] + "\n" + rows.fill(_JSON_PAIR, ",\n") + "\n  ]\n}\n"
+        return head[:-3] + "\n" + rows.text("json") + "\n  ]\n}\n"
     lines = [] if args.no_timestamp else [f"# generated_at={_timestamp()}"]
     lines.append(",".join(header))
     if pairs:
-        lines.append(rows.fill(_CSV_PAIR, "\n"))
+        lines.append(rows.text("csv"))
     else:
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -194,6 +283,8 @@ def _cmd_structure(args):
     N = int(round(float(args.n)))
     if N < 1 or N > STRUCTURE_N_LIMIT:
         raise InputError(f"n must be in [1, {STRUCTURE_N_LIMIT}]")
+    if ell > STRUCTURE_ELL_LIMIT:
+        raise InputError(f"ell must be at most {STRUCTURE_ELL_LIMIT}")
     basis = lattice.primes_up_to(ell)
     fibers = lattice.fiber_histogram(basis, N)
     a_count = sum(c for _, c in fibers)  # every a <= N has a fiber of size >= 1
@@ -362,11 +453,11 @@ def _cmd_simulate(args):
     if stride < 1:
         raise InputError("stride must be >= 1")
     prefix = simulate.trajectory(dist, obs, seed, n, args.mode)
-    ks = range(0, n + 1, stride)
-    values = prefix[::stride].tolist()
+    ks = np.arange(0, n + 1, stride, dtype=np.int64)
+    values = prefix[::stride]
     if ks[-1] != n:  # the last row is always S_n
-        ks = [*ks, n]
-        values.append(prefix[n].item())
+        ks = np.append(ks, n)
+        values = np.append(values, prefix[n])
     payload = {
         "kind": "simulate",
         "ell": obs.ell,

@@ -36,12 +36,15 @@ class PrimeBasis:
 
 
 def primes_up_to(ell: int) -> PrimeBasis:
+    """The primes up to ell, by a sieve of Eratosthenes."""
     if ell < 1:
         raise InputError("ell must be >= 1")
-    primes = []
-    for n in range(2, ell + 1):
-        if all(n % p for p in primes):
-            primes.append(n)
+    sieve = np.ones(ell + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(ell) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    primes = np.flatnonzero(sieve).tolist()
     r = 1.0
     for p in primes:
         r *= 1.0 - 1.0 / p

@@ -92,14 +92,35 @@ class Observable:
         return code
 
 
-def tuple_weights(dist: FiniteDistribution, ell: int) -> np.ndarray:
-    """Product probabilities of all s**ell index tuples, flat row-major."""
+def _cells(s: int, ell: int, cap: int) -> int:
+    """s**ell for a table of ell >= 1 axes of s points, or cap + 1 once it passes cap.
+
+    The power is multiplied out with an early exit, so a huge ell costs no
+    more than a small one.
+    """
     if ell < 1:
         raise InputError("ell must be >= 1")
-    if dist.size**ell > TABLE_CELL_LIMIT:
-        raise CapacityError(
-            f"table with {dist.size}**{ell} cells exceeds limit {TABLE_CELL_LIMIT}"
-        )
+    if s == 1:
+        return 1
+    cells = 1
+    for _ in range(ell):
+        cells *= s
+        if cells > cap:
+            return cap + 1
+    return cells
+
+
+def _check_cells(s: int, ell: int) -> int:
+    """s**ell, or CapacityError when it passes TABLE_CELL_LIMIT."""
+    cells = _cells(s, ell, TABLE_CELL_LIMIT)
+    if cells > TABLE_CELL_LIMIT:
+        raise CapacityError(f"table with {s}**{ell} cells exceeds limit {TABLE_CELL_LIMIT}")
+    return cells
+
+
+def tuple_weights(dist: FiniteDistribution, ell: int) -> np.ndarray:
+    """Product probabilities of all s**ell index tuples, flat row-major."""
+    _check_cells(dist.size, ell)
     w = np.asarray(dist.probs, dtype=np.float64)
     out = w
     for _ in range(ell - 1):
@@ -110,8 +131,8 @@ def tuple_weights(dist: FiniteDistribution, ell: int) -> np.ndarray:
 def observable_from_table(dist: FiniteDistribution, ell: int, flat_table) -> Observable:
     flat = np.asarray(flat_table, dtype=np.float64).ravel()
     s = dist.size
-    if flat.size != s**ell:
-        raise InputError(f"table must have {s}**{ell} = {s**ell} entries, got {flat.size}")
+    if _cells(s, ell, flat.size) != flat.size:
+        raise InputError(f"table must have {s}**{ell} entries, got {flat.size}")
     if not np.isfinite(flat).all():
         raise InputError("table entries must be finite")
     w = tuple_weights(dist, ell)
@@ -142,17 +163,12 @@ def make_observable(
     dist: FiniteDistribution, ell: int, fn: Callable[..., float]
 ) -> Observable:
     """Materialize ``fn`` (a callback on support values) as a dense table."""
-    if ell < 1:
-        raise InputError("ell must be >= 1")
     s = dist.size
-    if s**ell > TABLE_CELL_LIMIT:
-        raise CapacityError(
-            f"table with {s}**{ell} cells exceeds limit {TABLE_CELL_LIMIT}"
-        )
+    cells = _check_cells(s, ell)
     vals = dist.values
-    flat = np.empty(s**ell, dtype=np.float64)
+    flat = np.empty(cells, dtype=np.float64)
     idx = [0] * ell
-    for code in range(s**ell):
+    for code in range(cells):
         c = code
         for j in range(ell - 1, -1, -1):
             idx[j] = c % s

@@ -2,20 +2,33 @@ import io
 import json
 import math
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import fmt_value, render_simulate
-from ncsums import simulate
-from ncsums.cli import _build_parser, _fmt, _with_config, main
+from ncsums import cli, simulate
+from ncsums.cli import (
+    GRID_POINT_LIMIT,
+    STRUCTURE_ELL_LIMIT,
+    _build_parser,
+    _fmt,
+    _parse_grid,
+    _with_config,
+    main,
+)
+from ncsums.errors import InputError
 from ncsums.lattice import primes_up_to
 from ncsums.model import preset
 from ncsums.rates import Pressure
+from ncsums.simulate import trajectory
 
 
 def run_cli(*argv):
@@ -277,15 +290,46 @@ def awkward_prefix():
     return np.concatenate([AWKWARD_VALUES, signs * mags, ints, rng.normal(size=50)])
 
 
-class TestSimulateRendering:
-    """The row templates give the bytes of the generic renderer (oracles.render_simulate)."""
+def integer_prefixes():
+    """Integer-valued prefixes by name, with the renderer each must take.
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("stride", [1, 7, "n"])
-    def test_matches_generic_renderer(self, fmt, stride, monkeypatch):
-        prefix = awkward_prefix()
+    The digit kernel serves integral values with |S_k| < 1e9 other than
+    -0.0; one value past that bound, one half-integer or one -0.0 sends the
+    whole table to the row templates.
+    """
+    rng = np.random.default_rng(5)
+    walk = np.concatenate([[0.0], np.cumsum(rng.choice([-1.0, 1.0], 400))])
+
+    def with_values(*values):  # at k = 140, 147, ..., which stride 7 keeps
+        out = walk.copy()
+        out[140 : 140 + 7 * len(values) : 7] = values
+        return out
+
+    long_walk = np.concatenate([[0.0], np.cumsum(rng.choice([-1.0, 1.0], 10**6 + 3))])
+    return {
+        "walk": (walk, True),
+        "largest": (with_values(1e9 - 1, -(1e9 - 1), 0.0, -10.0, 10.0), True),
+        "1e9": (with_values(1e9 - 1, 1e9), False),
+        "-1e9": (with_values(-1e9, 5.0), False),
+        "half": (with_values(0.5), False),
+        "-0.0": (with_values(-0.0), False),
+        "k past 1e6": (long_walk, True),
+    }
+
+
+INTEGER_PREFIXES = integer_prefixes()
+
+
+class TestSimulateRendering:
+    """simulate's tables against the generic renderer (oracles.render_simulate)."""
+
+    def render(self, monkeypatch, fmt, prefix, stride):
+        """(CLI output, generic output, whether the digit kernel wrote the rows)."""
         n = prefix.size - 1
         stride = n if stride == "n" else stride
+        kernel_calls = []
+        digit_rows = cli._digit_rows
+        monkeypatch.setattr(cli, "_digit_rows", lambda *a: kernel_calls.append(a) or digit_rows(*a))
         monkeypatch.setattr(simulate, "trajectory", lambda dist, obs, seed, n_, mode: prefix)
         code, out, err = run_cli(
             "simulate", "--preset", "rademacher-product", "--n", str(n), "--seed", "3",
@@ -296,7 +340,44 @@ class TestSimulateRendering:
             "kind": "simulate", "ell": 2, "observable": "rademacher-product",
             "mode": "nonconventional", "seed": 3, "n": n, "stride": stride,
         }
-        assert out == render_simulate(fmt, payload, prefix, stride)
+        return out, render_simulate(fmt, payload, prefix, stride), bool(kernel_calls)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("stride", [1, 7, "n"])
+    def test_matches_generic_renderer(self, fmt, stride, monkeypatch):
+        out, want, kernel = self.render(monkeypatch, fmt, awkward_prefix(), stride)
+        assert out == want
+        assert not kernel
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("stride", [1, 7, "n"])
+    @pytest.mark.parametrize("name", list(INTEGER_PREFIXES))
+    def test_integer_values_match_generic_renderer(self, name, fmt, stride, monkeypatch):
+        prefix, kernel_expected = INTEGER_PREFIXES[name]
+        out, want, kernel = self.render(monkeypatch, fmt, prefix, stride)
+        assert out == want
+        # stride n keeps only S_0 and S_n, which the edited values miss
+        assert kernel == (kernel_expected or stride == "n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_zero_keeps_its_sign(self, fmt, monkeypatch):
+        prefix, _ = INTEGER_PREFIXES["-0.0"]
+        out, _, _ = self.render(monkeypatch, fmt, prefix, 1)
+        row = {"csv": "\n140,-0\n", "json": "      140,\n      -0.0\n"}[fmt]
+        assert row in out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("stride", [1, 7, "n"])
+    def test_integer_walk_takes_the_digit_kernel(self, fmt, stride, monkeypatch):
+        # the row templates are the slow path; a rademacher-product table
+        # must never reach them
+        def no_template(self, row, sep):
+            raise AssertionError("row template used for an integer-valued table")
+
+        monkeypatch.setattr(cli._Pairs, "fill", no_template)
+        prefix = trajectory(*preset("rademacher-product"), 3, 3000)
+        out, want, kernel = self.render(monkeypatch, fmt, prefix, stride)
+        assert out == want and kernel
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_timestamp_is_one_extra_line(self, fmt):
@@ -600,6 +681,92 @@ class TestInputValidation:
         header, *rows = out.strip().splitlines()
         col = header.split(",").index("seed")
         assert [row.split(",")[col] for row in rows] == ["10", str(big)]
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run ``seconds`` (where SIGALRM exists)."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+THIRTY_DIGITS = "1" * 30
+PRESET = ("--preset", "rademacher-product")
+
+
+class TestBoundedTime:
+    """Flag values that once hung end in an exit code within a second."""
+
+    def run_within(self, seconds, *argv):
+        start = time.perf_counter()
+        with deadline(5 * seconds):
+            code, out, err = run_cli(*argv, "--no-timestamp")
+        assert time.perf_counter() - start < seconds
+        return code, out, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rate-i", *PRESET, "--alpha", "0:1:1e-300"),
+            ("pressure", *PRESET, "--lambda", "0:1:1e-300"),
+            ("rate-j", *PRESET, "--u", "0:1:1e-300"),
+            ("erlaw", *PRESET, "--alpha", "0:1:1e-300", "--n", "100"),
+            ("erlaw", *PRESET, "--alpha", "0.5", "--n", "0:1:1e-300"),
+            ("erlaw", *PRESET, "--alpha", "0.5", "--n", "100", "--seed-list", "0:1:1e-300"),
+            # 1e15 + k * 1e-6 stays below the stop's tolerance for about 1e9 steps
+            ("rate-i", *PRESET, "--alpha", "1e15:1e15:1e-6"),
+        ],
+    )
+    def test_tiny_grid_step_is_input_error(self, argv):
+        code, out, err = self.run_within(1.0, *argv)
+        assert (code, out) == (2, "")
+        grid = next(a for a in argv if ":" in a)
+        assert json.loads(err) == {
+            "error": "InputError",
+            "message": f"grid {grid!r} has more than {GRID_POINT_LIMIT} points",
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("structure", "--n", "10"),
+            ("rate-i", *PRESET, "--alpha", "0.5"),
+            ("pressure", *PRESET, "--lambda", "0.5"),
+            ("rate-j", *PRESET, "--u", "0.5"),
+            ("erlaw", *PRESET, "--alpha", "0.5", "--n", "100", "--seeds", "1"),
+            ("ldp-check", *PRESET, "--N", "10", "--u", "0.3", "--replicas", "1000"),
+            ("simulate", *PRESET, "--n", "10"),
+        ],
+    )
+    def test_thirty_digit_ell_is_rejected(self, argv):
+        code, out, err = self.run_within(1.0, *argv, "--ell", THIRTY_DIGITS)
+        assert code in (2, 3) and out == ""
+        assert json.loads(err)["error"] in ("InputError", "CapacityError")
+
+    def test_grid_point_limit_is_far_above_the_benchmark_grid(self):
+        assert len(_parse_grid("0.005:0.995:0.005")) == 199
+        assert len(_parse_grid(f"1:{GRID_POINT_LIMIT}:1")) == GRID_POINT_LIMIT
+        with pytest.raises(InputError):
+            _parse_grid(f"0:{GRID_POINT_LIMIT}:1")
+
+    def test_structure_ell_limit(self):
+        code, out, _ = self.run_within(2.0, "structure", "--ell", "100000", "--n", "100")
+        assert code == 0 and out.splitlines()[1] == "summary,100000,100,9592,0.0487529179,a_count=1"
+        code, out, err = self.run_within(1.0, "structure", "--ell", "100001", "--n", "100")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"] == f"ell must be at most {STRUCTURE_ELL_LIMIT}"
 
 
 def test_module_entrypoint_subprocess():

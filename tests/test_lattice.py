@@ -40,6 +40,16 @@ class TestPrimeBasis:
         with pytest.raises(InputError):
             primes_up_to(0)
 
+    def test_sieve_matches_trial_division(self):
+        primes = []
+        for n in range(2, 3001):
+            if all(n % p for p in primes):
+                primes.append(n)
+            b = primes_up_to(n)
+            assert b.primes == tuple(primes) and b.m == len(primes)
+            assert all(type(p) is int for p in b.primes[-1:])
+        assert b.r_const == math.prod(1.0 - 1.0 / p for p in primes)
+
 
 class TestSmoothNumbers:
     def test_powers_of_two(self):

@@ -8,6 +8,7 @@ from ncsums.errors import CapacityError, InputError
 from ncsums.model import (
     BERNOULLI,
     RADEMACHER,
+    TABLE_CELL_LIMIT,
     FiniteDistribution,
     center,
     constant_observable,
@@ -172,6 +173,26 @@ def test_table_budget_guard():
     d = FiniteDistribution(values=tuple(range(10)), probs=(0.1,) * 10)
     with pytest.raises(CapacityError):
         make_observable(d, 7, lambda *xs: 0.0)
+
+
+@pytest.mark.parametrize("s,ell", [(10, 6), (1000, 2), (2, 19), (10, 7), (1001, 2), (2, 20)])
+def test_cell_limit_boundary(s, ell):
+    # s**ell = TABLE_CELL_LIMIT is the largest table allowed
+    d = FiniteDistribution(values=tuple(range(s)), probs=(1.0 / s,) * s)
+    if s**ell <= TABLE_CELL_LIMIT:
+        assert tuple_weights(d, ell).size == s**ell
+    else:
+        with pytest.raises(CapacityError, match=rf"table with {s}\*\*{ell} cells exceeds limit"):
+            tuple_weights(d, ell)
+
+
+@pytest.mark.parametrize("ell", [7, 10**6, 10**30])
+def test_huge_ell_is_rejected_without_the_power(ell):
+    d = FiniteDistribution(values=tuple(range(10)), probs=(0.1,) * 10)
+    with pytest.raises(CapacityError):
+        make_observable(d, ell, lambda *xs: 0.0)
+    with pytest.raises(InputError, match="table must have"):  # wrong size before too large
+        observable_from_table(d, ell, [0.0] * 10)
 
 
 def test_indicator_equal_general_ell():

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -489,6 +490,32 @@ class TestReplicaSums:
         got = simulate.replica_sums(dist, obs, keys, terms, "nonconventional")
         want = oracles.replica_total(dist, obs, keys, terms, "nonconventional")
         assert same_bits(got, want)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_ldp_plans_its_draws_once(self, threads, monkeypatch):
+        # ten chunks of replicas share one plan, read by up to four threads
+        # that switch often; the count matches the sums of replica_sums on
+        # each chunk, which plans it afresh
+        dist, obs = preset("rademacher-product", ell=2)
+        N, u, replicas, seed = 60, 0.3, 300_000, 11
+        plans = []
+        draw_plan = simulate._draw_plan
+        monkeypatch.setattr(simulate, "_draw_plan", lambda *a: plans.append(a) or draw_plan(*a))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            est = ldp_estimate(dist, obs, N=N, u=u, replicas=replicas, seed=seed, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(plans) == 1
+        hits = 0
+        for r0 in range(0, replicas, simulate._LDP_CHUNK):
+            r1 = min(replicas, r0 + simulate._LDP_CHUNK)
+            keys = mix_batch(seed, np.arange(r0, r1, dtype=np.uint64))
+            total = simulate.replica_sums(dist, obs, keys, range(1, N + 1), "nonconventional")
+            hits += int(np.count_nonzero(total / N >= u))
+        assert len(plans) == 1 + 10
+        assert est.p_hat == hits / replicas
 
     def test_slots_are_fewer_than_distinct_draws(self):
         steps, slots = simulate._draw_plan(range(1, 61), 2, "nonconventional", 32)
