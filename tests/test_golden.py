@@ -4,7 +4,9 @@ Every command runs in-process with ``--no-timestamp``, so its bytes are
 reproducible.  The matrix covers every subcommand in both formats, the
 benchmark's commands at smoke size, the i.i.d. mode, fractional trajectories
 from a spec file, the stderr summary of ``erlaw``, seeds that wrap modulo
-2**64, and exit codes 2, 3 and 4.  An expectation changes only together with
+2**64, and exit codes 2, 3 and 4.  Trajectories that cross block boundaries
+are pinned both for a table whose sums are exact in float64 and for one
+that needs the compensated (Sum2) prefix.  An expectation changes only together with
 an intended output-schema change.  ``rate-j`` grids with both signs, zero,
 a repeated u and u past the endpoints are pinned, and so are a u so small
 that Q' rounds to 0 at every probe, the budget error a multi-u grid reports
@@ -101,6 +103,15 @@ MATRIX = BENCH + [
     ("simulate-spec-json",
      ("simulate", "--spec-file", "{tmp}/obs.json", "--center", "--n", "500", "--seed", "5",
       "--stride", "7", "--mode", "iid", "--format", "json")),
+    # Sum2 route (non-dyadic centred table) across block boundaries of the trajectory
+    ("erlaw-spec-blocks",
+     ("erlaw", "--spec-file", "{tmp}/obs.json", "--center", "--alpha", "0.5", "--n", "1000,40000",
+      "--seed-list", "4,5")),
+    ("simulate-spec-blocks",
+     ("simulate", "--spec-file", "{tmp}/obs.json", "--center", "--n", "70000", "--seed", "3",
+      "--stride", "997")),
+    # exact route (dyadic, non-integer terms) across block boundaries
+    ("simulate-bernoulli-blocks", ("simulate", "--n", "70000", "--seed", "3", "--stride", "997") + B),
     ("output-file", ("rate-j", "--u", "0.5", "--output", "{tmp}/out.txt") + R),
     ("exit2-structure-limit", ("structure", "--ell", "2", "--n", "1e9")),
     ("exit2-degenerate", ("rate-i", "--preset", "constant", "--alpha", "0.5")),
@@ -300,6 +311,21 @@ EXPECTED = {
     ),
     "simulate-spec-json": (
         "434f2815699df3f47a7862b87a0d479f8449784d0abb62daa4c1b30667f27293",
+        "",
+        0,
+    ),
+    "erlaw-spec-blocks": (
+        "a9be000f0fe6068ba87c118ac3990fec822bc699df66586880182156879ae5ee",
+        '{"summary": [{"alpha": 0.5, "n": 1000, "mean_statistic": 0.4254310344827587, "min_statistic": 0.3633620689655174, "max_statistic": 0.4875, "mean_abs_dev": 0.07456896551724129, "max_abs_dev": 0.13663793103448257}, {"alpha": 0.5, "n": 40000, "mean_statistic": 0.4541666666666667, "min_statistic": 0.44750000000000006, "max_statistic": 0.4608333333333334, "mean_abs_dev": 0.04583333333333328, "max_abs_dev": 0.052499999999999936}]}\n',
+        0,
+    ),
+    "simulate-spec-blocks": (
+        "1fa43e566fc19eacb2799c1c70d10ca84d0bd6d3143e242730288b077af1474f",
+        "",
+        0,
+    ),
+    "simulate-bernoulli-blocks": (
+        "87c887b1ab4dd4bfbc9bc9956c54a9aaef47885307bd93aebe694c8bb0a4319c",
         "",
         0,
     ),
