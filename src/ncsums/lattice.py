@@ -10,6 +10,7 @@ h_l marks where that count steps from l-1 to l.
 
 from __future__ import annotations
 
+import heapq
 import math
 import threading
 from bisect import bisect_right
@@ -51,35 +52,42 @@ def primes_up_to(ell: int) -> PrimeBasis:
     return PrimeBasis(ell=ell, primes=tuple(primes), m=len(primes), r_const=r)
 
 
-# Per-basis smooth prefix and its k-way merge heads, grown on demand.
-_smooth_cache: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+# Per-basis smooth prefix and its merge heap, grown on demand.
+_smooth_cache: dict[tuple[int, ...], tuple[list[int], list[tuple[int, int, int]]]] = {}
 _smooth_lock = threading.Lock()
 
 
 def _smooth_prefix(primes: tuple[int, ...], count: int = 0, bound: int = 0) -> list[int]:
-    """Increasing smooth numbers 1 = h_1 < h_2 < ... by cached k-way merge.
+    """Increasing smooth numbers 1 = h_1 < h_2 < ... by a cached heap merge.
 
-    Grows the per-basis prefix until it holds ``count`` values and its last
-    value exceeds ``bound``, or until the next value would pass SMOOTH_CAP.
-    Stopping at the cap raises only when ``bound`` is not yet exceeded; a
-    prefix shorter than ``count`` is left to the caller.  The returned list
-    is shared: callers slice it and never mutate it.
+    The heap holds one entry (p * h[k], i, k) per basis prime p = primes[i]:
+    the next multiple of p that the merge has not yet emitted.  Each new
+    value pops the entries that equal it and pushes their successors, so it
+    costs O(log m) per prime that produces it, not m, for a basis of m
+    primes.  Grows the per-basis prefix until it holds ``count`` values and
+    its last value exceeds ``bound``, or until the next value would pass
+    SMOOTH_CAP.  Stopping at the cap raises only when ``bound`` is not yet
+    exceeded; a prefix shorter than ``count`` is left to the caller.  The
+    returned list is shared: callers slice it and never mutate it.
     """
     if not primes:
         return [1]  # no primes: 1 is the only smooth number
     with _smooth_lock:
-        h, heads = _smooth_cache.setdefault(primes, ([1], [0] * len(primes)))
-        # heads[i]: next index of h to multiply by primes[i]
+        cached = _smooth_cache.get(primes)
+        if cached is None:
+            # ascending primes already form a heap
+            cached = _smooth_cache[primes] = ([1], [(p, i, 0) for i, p in enumerate(primes)])
+        h, heap = cached
         while len(h) < count or h[-1] <= bound:
-            nxt = min(p * h[heads[i]] for i, p in enumerate(primes))
+            nxt = heap[0][0]
             if nxt > SMOOTH_CAP:
                 if h[-1] <= bound:
                     raise CapacityError(f"smooth numbers up to {bound} exceed 128-bit capacity")
                 break
-            for i, p in enumerate(primes):
-                if p * h[heads[i]] == nxt:
-                    heads[i] += 1
             h.append(nxt)
+            while heap[0][0] == nxt:
+                _, i, k = heap[0]
+                heapq.heapreplace(heap, (primes[i] * h[k + 1], i, k + 1))
         return h
 
 

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from oracles import brute_smooth, lattice_count_recursion
+from ncsums import lattice
 from ncsums.errors import CapacityError, InputError
 from ncsums.lattice import (
     b_set,
@@ -66,6 +67,19 @@ class TestSmoothNumbers:
         expected = brute_smooth(basis.primes, 10**4)
         seq = smooth_numbers(basis, len(expected) - 1)
         assert list(seq.h) == expected
+
+    @pytest.mark.parametrize("ell", [2, 3, 7, 30, 97, 1000])
+    def test_merge_grown_by_count_then_by_bound(self, ell, monkeypatch):
+        # a fresh cache, grown first to a count and then on from its heap to a bound
+        monkeypatch.setattr(lattice, "_smooth_cache", {})
+        primes = primes_up_to(ell).primes
+        expected = brute_smooth(primes, 3000)
+        h = lattice._smooth_prefix(primes, count=len(expected) // 3)
+        assert h[: len(expected) // 3] == expected[: len(expected) // 3]
+        h = lattice._smooth_prefix(primes, bound=3000)
+        assert h[: len(expected)] == expected and h[len(expected)] > 3000
+        assert h[len(expected)] == min(p * v for p in primes for v in expected if p * v > 3000)
+        assert lattice._smooth_prefix(primes, count=5) is h  # the cached list
 
     def test_capacity_error_names_overflow(self):
         with pytest.raises(CapacityError):
