@@ -21,6 +21,11 @@ from .errors import CapacityError, InputError
 # Dense tables are capped; s**ell beyond this raises CapacityError.
 TABLE_CELL_LIMIT = 10**6
 
+# Past ell = 19 only a one-point support keeps s**ell under TABLE_CELL_LIMIT.
+# Its table has one cell at any ell, but building it, its weights and every
+# term of a trajectory still cost O(ell), so ell itself is capped there.
+ELL_LIMIT = 1000
+
 PROB_SUM_TOL = 1e-12
 
 
@@ -101,6 +106,8 @@ def _cells(s: int, ell: int, cap: int) -> int:
     if ell < 1:
         raise InputError("ell must be >= 1")
     if s == 1:
+        if ell > ELL_LIMIT:
+            raise CapacityError(f"ell={ell} on a one-point support exceeds limit {ELL_LIMIT}")
         return 1
     cells = 1
     for _ in range(ell):

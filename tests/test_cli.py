@@ -26,7 +26,7 @@ from ncsums.cli import (
 )
 from ncsums.errors import InputError
 from ncsums.lattice import primes_up_to
-from ncsums.model import preset
+from ncsums.model import ELL_LIMIT, preset
 from ncsums.rates import Pressure
 from ncsums.simulate import trajectory
 
@@ -754,6 +754,23 @@ class TestBoundedTime:
         code, out, err = self.run_within(1.0, *argv, "--ell", THIRTY_DIGITS)
         assert code in (2, 3) and out == ""
         assert json.loads(err)["error"] in ("InputError", "CapacityError")
+
+    @pytest.mark.parametrize("cmd", [("simulate", "--n", "10"), ("rate-i", "--alpha", "0.5")])
+    @pytest.mark.parametrize(
+        "kind,ell", [("table", int(THIRTY_DIGITS)), ("product", 10**9), ("product", ELL_LIMIT + 1)]
+    )
+    def test_huge_ell_on_a_one_point_support_is_rejected(self, kind, ell, cmd, tmp_path):
+        # one point keeps s**ell at 1, so the cell limit alone cannot stop it
+        spec = tmp_path / "one.json"
+        spec.write_text(json.dumps(
+            {"values": [1], "probs": [1], "ell": ell, "kind": kind, "table": [0.5]}
+        ))
+        code, out, err = self.run_within(1.0, *cmd, "--spec-file", str(spec))
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "CapacityError",
+            "message": f"ell={ell} on a one-point support exceeds limit {ELL_LIMIT}",
+        }
 
     def test_grid_point_limit_is_far_above_the_benchmark_grid(self):
         assert len(_parse_grid("0.005:0.995:0.005")) == 199

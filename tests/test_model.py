@@ -7,6 +7,7 @@ import pytest
 from ncsums.errors import CapacityError, InputError
 from ncsums.model import (
     BERNOULLI,
+    ELL_LIMIT,
     RADEMACHER,
     TABLE_CELL_LIMIT,
     FiniteDistribution,
@@ -193,6 +194,26 @@ def test_huge_ell_is_rejected_without_the_power(ell):
         make_observable(d, ell, lambda *xs: 0.0)
     with pytest.raises(InputError, match="table must have"):  # wrong size before too large
         observable_from_table(d, ell, [0.0] * 10)
+
+
+class TestOnePointSupport:
+    """One point gives one cell at any ell, so ell itself is capped."""
+
+    ONE = FiniteDistribution(values=(1.0,), probs=(1.0,))
+
+    def test_ell_at_the_limit_builds(self):
+        obs = from_spec({"values": [1], "probs": [1], "ell": ELL_LIMIT, "kind": "product"})[1]
+        assert obs.table.tolist() == [1.0] and obs.ell == ELL_LIMIT
+        assert tuple_weights(self.ONE, ELL_LIMIT).tolist() == [1.0]
+
+    @pytest.mark.parametrize("ell", [ELL_LIMIT + 1, 10**9, int("1" * 30)])
+    @pytest.mark.parametrize("kind", ["table", "product", "indicator_equal"])
+    def test_past_the_limit_is_capacity_error(self, kind, ell):
+        spec = {"values": [1], "probs": [1], "ell": ell, "kind": kind, "table": [0.5]}
+        with pytest.raises(CapacityError, match=f"ell={ell} on a one-point support"):
+            from_spec(spec)
+        with pytest.raises(CapacityError):
+            tuple_weights(self.ONE, ell)
 
 
 def test_indicator_equal_general_ell():
