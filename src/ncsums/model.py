@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -95,6 +96,23 @@ class Observable:
                 raise InputError(f"support index {i} out of range")
             code = code * self.support_size + i
         return code
+
+    @cached_property
+    def dyadic_exponent(self) -> int:
+        """The least q with every table entry an integer multiple of 2**-q.
+
+        An entry m * 2**e (np.frexp, 0.5 <= |m| < 1) is the integer k = m * 2**53
+        times 2**(e - 53), so with t trailing zero bits in k its own q is
+        53 - e - t.  The table's q is the largest over its nonzero entries, 0
+        when it has none; q may be negative.
+        """
+        nonzero = self.table[self.table != 0.0]
+        if nonzero.size == 0:
+            return 0
+        m, e = np.frexp(nonzero)
+        k = (m * 2.0**53).astype(np.int64)
+        _, t1 = np.frexp((k & -k).astype(np.float64))  # k & -k == 2**t, so t1 = t + 1
+        return int((54 - e - t1).max())
 
 
 def _cells(s: int, ell: int, cap: int) -> int:

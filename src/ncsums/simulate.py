@@ -20,15 +20,22 @@ and thread counts.
 
 ``trajectory`` returns the float64 prefix array S_0 = 0, ..., S_n, summed
 block by block with the compensated prefix form of Sum2 (see its docstring).
+When every partial sum is exact in float64, Sum2 is the plain float sum and
+one cumsum per block computes it: every entry of F is an integer multiple of
+2**-q for a least q, and with M = sup|F| * 2**q the sums of n terms are
+exact when n * M <= 2**53, which is decided once per call in exact integer
+arithmetic.
 
 The draw kernel (mix_batch, sample_indices, term_values) writes every
 intermediate array into a ``Workspace``: one reusable buffer per role, grown
 to the largest batch it has served.  A call without a workspace makes a fresh
-one.  ``trajectory`` keeps one workspace for the whole call and works in
-blocks of _BLOCK = 2**15 terms, so a block's working arrays (256 KB each)
-stay in a per-core L2 cache instead of being mapped and faulted in afresh on
-every block.  ``trajectory`` and ``replica_sums`` build the thresholds once
-per call and hand them to every batch.
+one.  A table code below 256 (size**ell <= 256) is counted and built in
+uint8 and widened once for the gather.  ``trajectory`` keeps one workspace
+for the whole call and works in blocks of _BLOCK = 2**15 terms, so a block's
+working arrays (256 KB each at most) stay in a per-core L2 cache instead of
+being mapped and faulted in afresh on every block.  ``trajectory`` and
+``replica_sums`` build the thresholds once per call and hand them to every
+batch.
 
 ``replica_sums``, the replica loop of ``ldp_estimate`` and ``rates.r_l_mc``,
 computes each distinct draw of its batch once while its draw table has
@@ -234,6 +241,45 @@ def _draw_numbers(ms: np.ndarray, j: int, ell: int, mode: str, out=None) -> np.n
     return out
 
 
+def _index_dtypes(dist: FiniteDistribution, ell: int) -> tuple[np.dtype, np.dtype]:
+    """The dtypes of one support index and of a row-major code of ell of them.
+
+    Each is uint8 while every value it holds is below 256, else int64.
+    """
+    small = dist.size <= 256
+    index = np.dtype(np.uint8 if small else np.int64)
+    code = index if small and dist.size**ell <= 256 else np.dtype(np.int64)
+    return index, code
+
+
+def _table_codes(dist, obs, keys, ms, mode, ws, thresholds) -> np.ndarray:
+    """The int64 table codes of term_values, in a buffer of the workspace ``ws``.
+
+    Factor j's support indices are counted straight into the code for j = 1
+    and into the "count" buffer after that.  A code that fits uint8 (see
+    _index_dtypes) is built in uint8 and widened once, into the "word"
+    buffer, which mix_batch no longer needs after the last draw.
+    """
+    _, code_dtype = _index_dtypes(dist, obs.ell)
+    ms = np.asarray(ms, dtype=np.uint64)
+    shape = np.broadcast_shapes(np.shape(keys), ms.shape)
+    counters = ws.take("counter", np.uint64, ms.shape)
+    code = ws.take("code", code_dtype, shape)
+    for j in range(1, obs.ell + 1):
+        _draw_numbers(ms, j, obs.ell, mode, out=counters)
+        if j == 1:
+            sample_indices(dist, keys, counters, ws, thresholds=thresholds, out=code)
+        else:
+            digit = ws.take("count", code_dtype, shape)
+            code *= dist.size
+            code += sample_indices(dist, keys, counters, ws, thresholds=thresholds, out=digit)
+    if code_dtype == np.int64:
+        return code
+    index = ws.take("word", np.int64, shape)
+    np.copyto(index, code)
+    return index
+
+
 def term_values(
     dist: FiniteDistribution,
     obs: Observable,
@@ -248,22 +294,12 @@ def term_values(
 
     Term m reads the ell draws that _draw_numbers addresses.  They share the
     workspace (and ``thresholds``, see sample_indices); their support indices
-    combine into a row-major table code in its "code" buffer, and the values
+    combine into a row-major table code (see _table_codes), and the values
     are gathered into its "value" buffer.
     """
     _check_mode(mode)
     ws = Workspace() if ws is None else ws
-    ms = np.asarray(ms, dtype=np.uint64)
-    counters = ws.take("counter", np.uint64, ms.shape)
-    for j in range(1, obs.ell + 1):
-        _draw_numbers(ms, j, obs.ell, mode, out=counters)
-        idx = sample_indices(dist, keys, counters, ws, thresholds=thresholds)
-        if j == 1:
-            code = ws.take("code", np.int64, idx.shape)
-            np.copyto(code, idx)
-        else:
-            code *= dist.size
-            code += idx
+    code = _table_codes(dist, obs, keys, ms, mode, ws, thresholds)
     # every code is below size**ell, so "clip" never clips; it only lets take
     # write straight into the buffer, where the default mode would buffer it
     return np.take(obs.table, code, out=ws.take("value", np.float64, code.shape), mode="clip")
@@ -322,11 +358,8 @@ class _ReplicaPlan:
     def __init__(self, dist: FiniteDistribution, obs: Observable, terms, mode: str, block: int):
         _check_mode(mode)
         self.dist, self.obs, self.block = dist, obs, max(1, block)
-        small = dist.size <= 256
-        self.dtype = np.dtype(np.uint8 if small else np.int64)
         # a code below 256 is built in uint8 and widened once for the gather
-        narrow = small and dist.size**obs.ell <= 256
-        self.code_dtype = self.dtype if narrow else np.dtype(np.int64)
+        self.dtype, self.code_dtype = _index_dtypes(dist, obs.ell)
         capacity = max(obs.ell, _TABLE_BYTES // (self.block * self.dtype.itemsize))
         self.steps, self.slots = _draw_plan(terms, obs.ell, mode, capacity)
         self.thresholds = _thresholds(dist)
@@ -377,36 +410,55 @@ def replica_sums(
     return _ReplicaPlan(dist, obs, terms, mode, min(_LDP_CHUNK, keys.size)).sums(keys)
 
 
-def trajectory(
-    dist: FiniteDistribution, obs: Observable, seed: int, n: int, mode: str = "nonconventional"
-) -> np.ndarray:
-    """Prefix sums S_0 = 0, S_1, ..., S_n of the sum that ``mode`` names (see term_values).
+def _sums_are_exact(obs: Observable, n: int) -> bool:
+    """Whether every sum of at most n terms of F is exact in float64.
 
-    In mode "nonconventional" term m reads draws m, 2m, ..., ell*m; in mode
-    "iid" each term reads a fresh ell-tuple of draws.  S_k is the prefix form
-    of Sum2 (Ogita, Rump and Oishi, "Accurate sum and dot product", 2005):
-    the running float sum plus the float sum of the exact TwoSum rounding
-    errors of its steps, as accurate as summing in twice the working
-    precision.  Both sums carry across blocks, so the result does not depend
-    on the block size; when every running sum is exact in float64 (integer
-    or dyadic terms) all errors are 0 and S_k is the plain float sum.  Every
-    S_k is finite: an n that could overflow raises CapacityError.  One
-    workspace serves the draws and the sums of every block.
+    Each term is an integer k times 2**-q, q = obs.dyadic_exponent, with
+    |k| <= M = sup|F| * 2**q.  A sum of at most n terms is then an integer
+    K times 2**-q with |K| <= n*M, exact in float64 while n*M <= 2**53: K
+    fits the significand, q <= 1074 keeps 2**-q in range, and SUM_LIMIT
+    keeps the sum finite.  Decided in exact integer arithmetic.
     """
-    if n < 1:
-        raise InputError("n must be >= 1")
-    _check_sum_range(obs, n)
-    _check_draw_range(obs, n)
-    ws = Workspace()
-    thresholds = _thresholds(dist)
-    prefix = np.empty(n + 1, dtype=np.float64)
-    prefix[0] = s = e = 0.0
+    a, b = obs.sup_abs.as_integer_ratio()  # sup|F| = a / b, b a power of two
+    q = obs.dyadic_exponent
+    return (n * a) << max(q, 0) <= b << (53 + max(-q, 0))
+
+
+def _blocks(n: int):
+    """(m0, m1, term numbers m0..m1-1 as uint64) per block of at most _BLOCK terms.
+
+    One array serves every block, so a block's view is valid until the next.
+    """
     terms = np.arange(1, min(n, _BLOCK) + 1, dtype=np.uint64)
     for m0 in range(1, n + 1, _BLOCK):
         m1 = min(n + 1, m0 + _BLOCK)
-        k = m1 - m0
-        x = term_values(dist, obs, seed, terms[:k], mode, ws, thresholds=thresholds)
+        yield m0, m1, terms[: m1 - m0]
         terms += np.uint64(_BLOCK)
+
+
+def _exact_prefix(dist, obs, seed, mode, prefix) -> None:
+    """Fill prefix[1:] by a plain running sum, for terms whose sums are exact.
+
+    Each block's values are gathered straight into prefix[m0:m1], and one
+    in-place cumsum over prefix[m0-1:m1] carries S_{m0-1} into them.
+    """
+    ws = Workspace()
+    thresholds = _thresholds(dist)
+    for m0, m1, ms in _blocks(prefix.size - 1):
+        code = _table_codes(dist, obs, seed, ms, mode, ws, thresholds)
+        np.take(obs.table, code, out=prefix[m0:m1], mode="clip")  # see term_values
+        run = prefix[m0 - 1 : m1]
+        np.cumsum(run, out=run)  # add.accumulate runs left to right
+
+
+def _sum2_prefix(dist, obs, seed, mode, prefix) -> None:
+    """Fill prefix[1:] by the prefix form of Sum2 (see trajectory)."""
+    ws = Workspace()
+    thresholds = _thresholds(dist)
+    s = e = 0.0
+    for m0, m1, ms in _blocks(prefix.size - 1):
+        k = m1 - m0
+        x = term_values(dist, obs, seed, ms, mode, ws, thresholds=thresholds)
         acc = ws.take("acc", np.float64, (k + 1,))
         comp = ws.take("comp", np.float64, (k + 1,))
         z = ws.take("twosum_z", np.float64, (k,))
@@ -426,6 +478,39 @@ def trajectory(
         np.cumsum(comp, out=comp)
         np.add(t, comp[1:], out=prefix[m0:m1])
         s, e = acc[-1], comp[-1]
+
+
+def trajectory(
+    dist: FiniteDistribution, obs: Observable, seed: int, n: int, mode: str = "nonconventional"
+) -> np.ndarray:
+    """Prefix sums S_0 = 0, S_1, ..., S_n of the sum that ``mode`` names (see term_values).
+
+    In mode "nonconventional" term m reads draws m, 2m, ..., ell*m; in mode
+    "iid" each term reads a fresh ell-tuple of draws.  S_k is the prefix form
+    of Sum2 (Ogita, Rump and Oishi, "Accurate sum and dot product", 2005):
+    the running float sum plus the float sum of the exact TwoSum rounding
+    errors of its steps, as accurate as summing in twice the working
+    precision.  Both sums carry across blocks, so the result does not depend
+    on the block size.
+
+    When every running sum is exact in float64 all errors are 0 and S_k is
+    the plain float sum (never -0.0, since S_0 = +0.0), which one cumsum per
+    block computes bit for bit.  The sums are exact when n * M <= 2**53,
+    where q is the least exponent with every table entry a multiple of
+    2**-q and M = sup|F| * 2**q (see _sums_are_exact): integer and dyadic
+    tables such as the presets', at any n this program runs.  Every S_k is
+    finite: an n that could overflow raises CapacityError.  One workspace
+    serves the draws and the sums of every block.
+    """
+    if n < 1:
+        raise InputError("n must be >= 1")
+    _check_sum_range(obs, n)
+    _check_draw_range(obs, n)
+    _check_mode(mode)
+    prefix = np.empty(n + 1, dtype=np.float64)
+    prefix[0] = 0.0
+    fill = _exact_prefix if _sums_are_exact(obs, n) else _sum2_prefix
+    fill(dist, obs, seed, mode, prefix)
     return prefix
 
 

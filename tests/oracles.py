@@ -31,6 +31,20 @@ def brute_smooth(primes, bound):
     return sorted(v for v in out if v <= bound)
 
 
+def dyadic_exponent(values):
+    """The least q with every value an integer multiple of 2**-q (0 if all are 0).
+
+    Each nonzero float is a / b in lowest terms with b = 2**k: its q is k,
+    or minus the trailing zero bits of a when b = 1.
+    """
+    qs = []
+    for x in values:
+        if x != 0:
+            a, b = float(x).as_integer_ratio()
+            qs.append(b.bit_length() - 1 if b > 1 else 1 - (a & -a).bit_length())
+    return max(qs, default=0)
+
+
 def make_lattice_counter(primes):
     """Counter x -> #{exponent tuples with prod p_i**n_i <= x}, recursion on primes.
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from ncsums.errors import CapacityError, InputError
 from ncsums.model import (
     BERNOULLI,
@@ -214,6 +215,38 @@ class TestOnePointSupport:
             from_spec(spec)
         with pytest.raises(CapacityError):
             tuple_weights(self.ONE, ell)
+
+
+class TestDyadicExponent:
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [1.0, 2.0**-50, 0.0, -0.0],
+            [0.55, -0.85, 0.95, 2.15],
+            [2.0**1000, -(2.0**1000), 0.0, 2.0**900],
+            [5e-324, 0.0, 1.0, 3 * 5e-324],
+            [0.0, -0.0, 0.0, 0.0],
+            [-3.0, 6.0, 12.0, 2.0**60 + 2.0**10],
+            [1.5, -0.25, 0.75, 7.0],
+            [float.fromhex("0x1.fffffffffffffp+1023"), 1.0, -1.0, 2.0],
+        ],
+    )
+    def test_matches_integer_ratio(self, table):
+        obs = observable_from_table(BERNOULLI, 2, table)
+        assert obs.dyadic_exponent == oracles.dyadic_exponent(table)
+
+    def test_random_tables(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            table = rng.normal(size=4) * 2.0 ** rng.integers(-1070, 1000)
+            table[rng.random(4) < 0.3] = np.round(table[0])
+            obs = observable_from_table(BERNOULLI, 2, table)
+            assert obs.dyadic_exponent == oracles.dyadic_exponent(table.tolist())
+
+    def test_presets(self):
+        assert preset("rademacher-product")[1].dyadic_exponent == 0
+        assert preset("bernoulli-product", ell=3)[1].dyadic_exponent == 3
+        assert negate(center(product_observable(RADEMACHER, 2), RADEMACHER)).dyadic_exponent == 0
 
 
 def test_indicator_equal_general_ell():

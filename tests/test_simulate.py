@@ -17,6 +17,7 @@ from ncsums.model import (
     FiniteDistribution,
     constant_observable,
     evaluate,
+    negate,
     observable_from_table,
     preset,
     product_observable,
@@ -262,6 +263,88 @@ class TestCompensatedPrefix:
         assert trajectory(dist, obs, 11, n, mode).tobytes() == plain.tobytes()
 
 
+def dyadic_law(s, ell, seed, bits):
+    """random_law with its table rounded to multiples of 2**-bits, so sums are exact."""
+    dist, obs = random_law(s, ell, seed)
+    return dist, observable_from_table(dist, ell, np.round(obs.table * 2.0**bits) / 2.0**bits)
+
+
+class TestExactRoute:
+    """trajectory's plain-cumsum route: where it runs, and its bits against Sum2."""
+
+    # q = 50 and sup|F| = 1, so M = 2**50 and n * M <= 2**53 exactly for n <= 8
+    Q50 = ((0.0, 1.0), (0.5, 0.5), [1.0, 2.0**-50, 2.0**-50, 1.0])
+
+    def traced(self, monkeypatch):
+        """The list that names each prefix route trajectory runs, in order."""
+        ran = []
+        for name in ("_exact_prefix", "_sum2_prefix"):
+            fill = getattr(simulate, name)
+            monkeypatch.setattr(
+                simulate, name, lambda *a, fill=fill, name=name: ran.append(name) or fill(*a)
+            )
+        return ran
+
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    def test_q50_table_switches_route_after_eight_terms(self, mode, monkeypatch):
+        dist, obs = table_observable(*self.Q50)
+        assert obs.dyadic_exponent == 50
+        ran = self.traced(monkeypatch)
+        ns = list(range(1, 18)) + [1000, simulate._BLOCK + 3]
+        for n in ns:
+            got = trajectory(dist, obs, 40 + n, n, mode)
+            want = oracles.trajectory(dist, obs, 40 + n, n, mode, block=1 << 18)
+            assert same_bits(got, want), n
+        assert ran == ["_exact_prefix" if n <= 8 else "_sum2_prefix" for n in ns]
+        # past 8 terms the plain sum does round, so the Sum2 route is needed
+        x = oracles.term_values(dist, obs, 1040, np.arange(1, 1001), mode)
+        assert not same_bits(trajectory(dist, obs, 1040, 1000, mode), np.cumsum(np.r_[0.0, x]))
+
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    @pytest.mark.parametrize("s,ell,bits", [(2, 2, 0), (3, 3, 6), (6, 2, 30), (2, 9, 12)])
+    def test_dyadic_tables_match_sum2_bitwise(self, s, ell, bits, mode, monkeypatch):
+        dist, obs = dyadic_law(s, ell, seed=s + ell, bits=bits)
+        ran = self.traced(monkeypatch)
+        B = simulate._BLOCK
+        for n in (1, B - 1, B, B + 1, 3 * B + 7):
+            got = trajectory(dist, obs, 7 + n, n, mode)
+            want = oracles.trajectory(dist, obs, 7 + n, n, mode, block=1 << 18)
+            assert same_bits(got, want), n
+        assert ran == ["_exact_prefix"] * 5
+
+    def test_negative_zero_terms_sum_to_positive_zero(self):
+        dist, obs = RADEMACHER, negate(constant_observable(RADEMACHER, 0.0, ell=2))
+        assert np.signbit(obs.table).all()
+        got = trajectory(dist, obs, 3, 100)
+        assert same_bits(got, oracles.trajectory(dist, obs, 3, 100, "nonconventional", block=7))
+        assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            Q50[2],
+            [1.0, -1.0, -1.0, 1.0],
+            [0.75, -0.25, -0.25, -0.25],
+            [0.55, -0.85, 0.95, 2.15],
+            [2.0**1000, -(2.0**1000), 0.0, 2.0**1000],
+            [5e-324, 0.0, 0.0, 1.0],
+            [3.0 * 2.0**-20, 5.0, -7.0, 2.0**-20],
+        ],
+    )
+    def test_exactness_bound_is_n_times_m_at_most_2_to_53(self, table):
+        _, obs = table_observable((0.0, 1.0), (0.5, 0.5), table)
+        m = Fraction(obs.sup_abs) * Fraction(2) ** oracles.dyadic_exponent(table)
+        assert m.denominator == 1
+        n_max = 2**53 // m.numerator  # the largest n with n * M <= 2**53
+        for n in (1, 2, n_max - 1, n_max, n_max + 1, 2 * n_max, 2 * n_max + 1):
+            if n >= 1:
+                assert simulate._sums_are_exact(obs, n) == (n * m <= 2**53), n
+
+    def test_zero_table_is_exact_at_any_n(self):
+        obs = constant_observable(RADEMACHER, 0.0, ell=2)
+        assert simulate._sums_are_exact(obs, simulate.MASK64)
+
+
 class TestSumRange:
     """n * sup|F| <= SUM_LIMIT keeps every sum finite; past it, CapacityError."""
 
@@ -418,6 +501,23 @@ class TestAllocatingOracle:
         assert np.array_equal(sample_indices(dist, keys, ms), oracles.sample_indices(dist, keys, ms))
         assert same_bits(
             term_values(dist, obs, keys, ms, mode), oracles.term_values(dist, obs, keys, ms, mode)
+        )
+
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    @pytest.mark.parametrize("s,ell", [(16, 2), (17, 2), (2, 8), (2, 9)])
+    def test_codes_either_side_of_256_bitwise(self, s, ell, mode):
+        # s**ell <= 256 builds uint8 codes, larger tables int64 codes
+        dist, obs = random_law(s, ell, seed=s * ell)
+        narrow = s**ell <= 256
+        assert simulate._index_dtypes(dist, ell) == (np.uint8, np.uint8 if narrow else np.int64)
+        keys = oracles.mix_batch(-5, np.arange(6, dtype=np.uint64))
+        ms = np.arange(1, 501, dtype=np.uint64)[:, None]
+        assert same_bits(
+            term_values(dist, obs, keys, ms, mode), oracles.term_values(dist, obs, keys, ms, mode)
+        )
+        ms = np.arange(1, 4001, dtype=np.uint64)
+        assert same_bits(
+            term_values(dist, obs, 9, ms, mode), oracles.term_values(dist, obs, 9, ms, mode)
         )
 
     @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
