@@ -29,13 +29,13 @@ arithmetic.
 The draw kernel (mix_batch, sample_indices, term_values) writes every
 intermediate array into a ``Workspace``: one reusable buffer per role, grown
 to the largest batch it has served.  A call without a workspace makes a fresh
-one.  A table code below 256 (size**ell <= 256) is counted and built in
-uint8 and widened once for the gather.  ``trajectory`` keeps one workspace
-for the whole call and works in blocks of _BLOCK = 2**15 terms, so a block's
-working arrays (256 KB each at most) stay in a per-core L2 cache instead of
-being mapped and faulted in afresh on every block.  ``trajectory`` and
-``replica_sums`` build the thresholds once per call and hand them to every
-batch.
+one.  Support indices are counted in uint8 while size <= 256, and a table
+code is built in uint8 while size**ell <= 256 and widened once for the
+gather.  ``trajectory`` keeps one workspace for the whole call and works in
+blocks of _BLOCK = 2**15 terms, so a block's working arrays (256 KB each at
+most) stay in a per-core L2 cache instead of being mapped and faulted in
+afresh on every block.  ``trajectory`` and ``replica_sums`` build the
+thresholds once per call and hand them to every batch.
 
 ``replica_sums``, the replica loop of ``ldp_estimate`` and ``rates.r_l_mc``,
 computes each distinct draw of its batch once while its draw table has
@@ -256,11 +256,11 @@ def _table_codes(dist, obs, keys, ms, mode, ws, thresholds) -> np.ndarray:
     """The int64 table codes of term_values, in a buffer of the workspace ``ws``.
 
     Factor j's support indices are counted straight into the code for j = 1
-    and into the "count" buffer after that.  A code that fits uint8 (see
-    _index_dtypes) is built in uint8 and widened once, into the "word"
-    buffer, which mix_batch no longer needs after the last draw.
+    and into the "count" buffer after that, both in the dtypes of
+    _index_dtypes.  A uint8 code is widened once, into the "word" buffer,
+    which mix_batch no longer needs after the last draw.
     """
-    _, code_dtype = _index_dtypes(dist, obs.ell)
+    index_dtype, code_dtype = _index_dtypes(dist, obs.ell)
     ms = np.asarray(ms, dtype=np.uint64)
     shape = np.broadcast_shapes(np.shape(keys), ms.shape)
     counters = ws.take("counter", np.uint64, ms.shape)
@@ -270,7 +270,7 @@ def _table_codes(dist, obs, keys, ms, mode, ws, thresholds) -> np.ndarray:
         if j == 1:
             sample_indices(dist, keys, counters, ws, thresholds=thresholds, out=code)
         else:
-            digit = ws.take("count", code_dtype, shape)
+            digit = ws.take("count", index_dtype, shape)
             code *= dist.size
             code += sample_indices(dist, keys, counters, ws, thresholds=thresholds, out=digit)
     if code_dtype == np.int64:

@@ -504,12 +504,12 @@ class TestAllocatingOracle:
         )
 
     @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
-    @pytest.mark.parametrize("s,ell", [(16, 2), (17, 2), (2, 8), (2, 9)])
+    @pytest.mark.parametrize("s,ell", [(16, 2), (17, 2), (2, 8), (2, 9), (256, 1), (300, 2)])
     def test_codes_either_side_of_256_bitwise(self, s, ell, mode):
-        # s**ell <= 256 builds uint8 codes, larger tables int64 codes
+        # indices below 256 are counted in uint8, and codes below 256 built in uint8
         dist, obs = random_law(s, ell, seed=s * ell)
-        narrow = s**ell <= 256
-        assert simulate._index_dtypes(dist, ell) == (np.uint8, np.uint8 if narrow else np.int64)
+        index, code = (np.dtype(np.uint8 if v <= 256 else np.int64) for v in (s, s**ell))
+        assert simulate._index_dtypes(dist, ell) == (index, code)
         keys = oracles.mix_batch(-5, np.arange(6, dtype=np.uint64))
         ms = np.arange(1, 501, dtype=np.uint64)[:, None]
         assert same_bits(
