@@ -497,10 +497,10 @@ def trajectory(
     the plain float sum (never -0.0, since S_0 = +0.0), which one cumsum per
     block computes bit for bit.  The sums are exact when n * M <= 2**53,
     where q is the least exponent with every table entry a multiple of
-    2**-q and M = sup|F| * 2**q (see _sums_are_exact): integer and dyadic
-    tables such as the presets', at any n this program runs.  Every S_k is
-    finite: an n that could overflow raises CapacityError.  One workspace
-    serves the draws and the sums of every block.
+    2**-q and M = sup|F| * 2**q (see _sums_are_exact): rademacher-product
+    passes up to n = 2**53, bernoulli-product up to 2**53 / (2**ell - 1).
+    Every S_k is finite: an n that could overflow raises CapacityError.  One
+    workspace serves the draws and the sums of every block.
     """
     if n < 1:
         raise InputError("n must be >= 1")
