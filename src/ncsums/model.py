@@ -101,17 +101,19 @@ class Observable:
     def dyadic_exponent(self) -> int:
         """The least q with every table entry an integer multiple of 2**-q.
 
-        An entry m * 2**e (np.frexp, 0.5 <= |m| < 1) is the integer k = m * 2**53
-        times 2**(e - 53), so with t trailing zero bits in k its own q is
-        53 - e - t.  The table's q is the largest over its nonzero entries, 0
-        when it has none; q may be negative.
+        An entry's magnitude m * 2**e (np.frexp, 0.5 <= m < 1) is the integer
+        k = m * 2**53 times 2**(e - 53), so with t trailing zero bits in k its
+        own q is 53 - e - t.  The table's q is the largest over its nonzero
+        entries, 0 when it has none; q may be negative.  The bit operations
+        run in uint64, whose loops the draw kernel already uses.
         """
         nonzero = self.table[self.table != 0.0]
         if nonzero.size == 0:
             return 0
-        m, e = np.frexp(nonzero)
-        k = (m * 2.0**53).astype(np.int64)
-        _, t1 = np.frexp((k & -k).astype(np.float64))  # k & -k == 2**t, so t1 = t + 1
+        m, e = np.frexp(np.abs(nonzero))
+        k = (m * 2.0**53).astype(np.uint64)
+        # k ^ (k - 1) == 2**(t + 1) - 1, below 2**53 and so exact in float64
+        _, t1 = np.frexp((k ^ (k - np.uint64(1))).astype(np.float64))
         return int((54 - e - t1).max())
 
 
