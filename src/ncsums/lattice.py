@@ -208,16 +208,32 @@ def b_set(basis: PrimeBasis, a: int, N: int) -> list[int]:
 
 
 def partition_check(basis: PrimeBasis, N: int) -> bool:
-    """True iff the fibers over the coprime skeleton tile {1..N} exactly once."""
+    """True iff the fibers over the coprime skeleton tile {1..N} exactly once.
+
+    The products a * h <= N of each smooth h with the a <= N // h are built
+    about 2**18 at a time, for a run of consecutive h: per h its count of a
+    by one searchsorted, then the first that many a of the skeleton.  Every
+    product is in 1..N, so they tile it exactly when there are N of them
+    and every b <= N is hit.
+    """
     a_arr = _coprime_array(basis, N)
     h = _smooth_prefix(basis.primes, bound=N)
-    counts = np.zeros(N + 1, dtype=np.int16)
-    for hv in h:
-        if hv > N:
-            break
-        sel = a_arr[: np.searchsorted(a_arr, N // hv, side="right")]
-        counts[sel * hv] += np.int16(1)
-    return bool((counts[1:] == 1).all())
+    h_arr = np.asarray(h[: bisect_right(h, N)], dtype=np.int64)
+    per_h = np.searchsorted(a_arr, N // h_arr, side="right")
+    ends = np.cumsum(per_h)
+    hit = np.zeros(N + 1, dtype=bool)
+    i = 0
+    while i < h_arr.size:
+        stop = int(np.searchsorted(ends, ends[i] - per_h[i] + (1 << 18), side="right"))
+        if stop <= i + 1:  # one h with many a
+            hit[a_arr[: per_h[i]] * h_arr[i]] = True
+            i += 1
+            continue
+        per = per_h[i:stop]
+        starts = np.repeat(np.cumsum(per) - per, per)
+        hit[a_arr[np.arange(starts.size) - starts] * np.repeat(h_arr[i:stop], per)] = True
+        i = stop
+    return int(ends[-1]) == N and bool(hit[1:].all())
 
 
 def fiber_sizes(basis: PrimeBasis, N: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,13 +6,15 @@ and per-fiber terms ln R_l.  R_l is the exact expectation of
 exp(lambda * sum of l chained observable terms); the chain shares draws
 between terms, so it is evaluated by sum-product elimination over the
 shared-index dependency graph rather than by brute enumeration.  For
-ell >= 3 the elimination order of each fiber length is a compiled
-elimination plan, built once per process from the chain structure alone
-and replayed per lambda.  The pressure is evaluated over batches of
-lambda: at ell = 2 one transfer recursion serves a whole batch, and the
-conjugate J runs the root searches of a u grid in lockstep, so that the
-lambdas of each round form one batch.  Those searches take Q' from a
-complex step through the same kernels.
+ell >= 3 one forward sweep over the chain terms in increasing h yields
+every length whose tables stay small; past that reach the elimination
+order of each fiber length is a compiled elimination plan, built once per
+process from the chain structure alone and replayed per lambda.  The
+pressure is evaluated over batches of lambda: at ell = 2 one transfer
+recursion serves a whole batch, and the conjugate J runs the root
+searches of a u grid in lockstep, so that the lambdas of each round form
+one batch.  Those searches take Q' from a complex step through the same
+kernels.
 
 Each entry point derives its prime basis from obs.ell, except
 log_r_sequence, whose signature the benchmark's span wrapper reads.
@@ -223,7 +225,8 @@ def chain_index_structure(basis: PrimeBasis, l: int) -> ChainStructure:
     return ChainStructure(indices=indices, term_indices=terms, term_positions=positions)
 
 
-# Elimination plans per (basis, l, s), built once per process and shared.
+# Elimination plans per (basis, l, s), built once per process and shared;
+# log_r_sequence builds them only for lengths past the sweep's reach.
 # A step is (axis, weight_shape, factor_ids, factor_shapes, keep); shape
 # tuples are pooled across plans, and no scopes or neighbour sets are kept.
 _Step = tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...], bool]
@@ -334,6 +337,117 @@ def _replay_log(
     return logscale
 
 
+# The sweep's largest step table, in bytes; past it each length replays its
+# plan.  Measured at ell = 3 on a 2-core host, real and complex: a step whose
+# table holds 4 MiB costs at most half its length's plan replay, one of
+# 8 MiB about as much, and one of 16 MiB more.
+_SWEEP_BYTES = 4 << 20
+
+# The sweep's most table axes, numpy's limit before numpy 2; only a
+# one-point law, whose tables hold one cell, gets near it.
+_SWEEP_AXES = 32
+
+
+class _SweepStep(NamedTuple):
+    """Chain term k of the forward sweep, at h = h_k, as axis bookkeeping.
+
+    The frontier table's axes are draws that an earlier term read and a
+    later term reads, and h_k is one of them.  ``perm`` orders them as
+    (j*h_k for j in ``shared``, h_k, the rest); ``shared`` are the j >= 2
+    whose draw is on the frontier and ``new`` the j >= 2 whose draw the
+    term reads first, both ascending.  ``union`` counts the step table's
+    axes: the frontier's and the new draws'.
+    """
+
+    perm: tuple[int, ...]
+    shared: tuple[int, ...]
+    new: tuple[int, ...]
+    union: int
+
+
+# Sweep steps per basis, grown on demand, with the frontier after the last.
+_sweeps: dict[PrimeBasis, tuple[list[_SweepStep], list[int]]] = {}
+_sweeps_lock = threading.Lock()
+
+
+def _sweep_step(frontier: list[int], h: int, ell: int) -> _SweepStep:
+    """Term h's step; moves ``frontier`` to the axes of the table after it."""
+    pos = {d: i for i, d in enumerate(frontier)}
+    shared = tuple(j for j in range(2, ell + 1) if j * h in pos)
+    new = tuple(j for j in range(2, ell + 1) if j * h not in pos)
+    read = {j * h for j in shared} | {h}
+    rest = [i for i, d in enumerate(frontier) if d not in read]
+    perm = tuple(pos[j * h] for j in shared) + (pos[h],) + tuple(rest)
+    union = len(frontier) + len(new)
+    frontier[:] = [j * h for j in shared + new] + [frontier[i] for i in rest]
+    return _SweepStep(perm, shared, new, union)
+
+
+def _sweep_steps(
+    basis: PrimeBasis, L: int, s: int, itemsize: int, budget: int
+) -> list[_SweepStep]:
+    """The sweep's steps for lengths 1..n, n < L only where length n + 1 is out of reach.
+
+    A length is in reach while the step tables through it hold at most
+    ``budget`` cells together, and its own table at most _SWEEP_BYTES bytes
+    and _SWEEP_AXES axes.  Cells count as in the plans.  From l = 3 on, the
+    running total is at least the largest plan's up to l (checked at
+    ell = 3 to 7 on two and three points, for l up to 34 or more), so
+    there a budget stops at the same length with or without the sweep.
+    """
+    with _sweeps_lock:
+        # the frontier before term 1 is draw h_1 = 1, which every chain reads
+        steps, frontier = _sweeps.setdefault(basis, ([], [1]))
+        cells, h = 0, None
+        for n in range(L):
+            if n == len(steps):
+                h = h or smooth_numbers_capped(basis, L).h
+                if n >= len(h):
+                    return steps[:n]  # past 128 bits: the plans raise
+                steps.append(_sweep_step(frontier, h[n], basis.ell))
+            union = steps[n].union
+            cells += s**union
+            if cells > budget or union > _SWEEP_AXES or s**union * itemsize > _SWEEP_BYTES:
+                return steps[:n]
+        return steps[:L]
+
+
+def _sweep_log(steps: list[_SweepStep], shaped: np.ndarray, probs: np.ndarray) -> list:
+    """ln R_l for l = 1..len(steps), by one forward sweep over the chain terms.
+
+    The frontier table starts at the weights of draw 1.  Term k weights its
+    new draws once, in the small term table, multiplies into the frontier
+    table with draw h_k summed out, a batched matmul over the shared
+    draws, and the new table's total c_k is the ratio R_k/R_{k-1}.  Each
+    term table is divided by Re c_{k-1}, so the frontier table stays
+    renormalized, and ln R_l = sum_{k<=l} ln Re c_k + i Im c_l/Re c_l, as in
+    _transfer_log_r; a complex table carries the complex step.
+    """
+    s, ell = probs.size, shaped.ndim
+    tab = probs.astype(shaped.dtype)
+    kernels: dict[tuple, np.ndarray] = {}
+    out = []
+    logscale, scale = 0.0, 1.0
+    for step in steps:
+        key = (step.shared, step.new)
+        kernel = kernels.get(key)
+        if kernel is None:
+            w = shaped
+            for j in step.new:
+                w = w * probs.reshape([s if i == j - 1 else 1 for i in range(ell)])
+            order = [j - 1 for j in step.shared + step.new] + [0]
+            kernel = w.transpose(order).reshape(s ** len(step.shared), s ** len(step.new), s)
+            kernels[key] = kernel
+        front = tab.reshape((s,) * len(step.perm)).transpose(step.perm)
+        front = front.reshape(s ** len(step.shared), s, -1)
+        tab = np.matmul(kernel / scale, front)
+        c = tab.sum().item()
+        scale = c.real
+        logscale += math.log(scale)
+        out.append(complex(logscale, c.imag / scale) if isinstance(c, complex) else logscale)
+    return out
+
+
 def _transfer_log_r(
     dist: FiniteDistribution, obs: Observable, lams: np.ndarray, L: int, budget: int
 ) -> np.ndarray:
@@ -387,10 +501,12 @@ def log_r_sequence(
 
     ell = 1 collapses to l * ln(mgf); ell = 2 chains are a pure transfer
     recursion over successive smooth indices (one forward pass yields all
-    lengths); larger ell replays each length's compiled elimination plan.
-    At ell = 2 ``lam`` may also be a 1-D array of nonzero lambdas: one
-    recursion then serves them all, and row i of the (B, L) array returned
-    is the sequence at lam[i].
+    lengths).  Larger ell takes one forward sweep over the chain terms for
+    every length in its reach (see _sweep_steps), and past it replays each
+    length's compiled elimination plan; the budget counts the sweep's cells
+    through a length, or that length's plan.  At ell = 2 ``lam`` may also
+    be a 1-D array of nonzero lambdas: one recursion then serves them all,
+    and row i of the (B, L) array returned is the sequence at lam[i].
 
     A complex ``lam`` = lambda + ih with a tiny step h (h * M << 1, for
     example 1e-30 / M) is a complex step (Squire & Trapp, SIAM Review 40,
@@ -417,8 +533,8 @@ def log_r_sequence(
     if obs.ell != basis.ell:
         raise InputError(f"ell={obs.ell} does not match basis ell={basis.ell}")
     shaped = np.exp(lam * obs.table).reshape((s,) * obs.ell)
-    out = []
-    for l in range(1, L + 1):
+    out = _sweep_log(_sweep_steps(basis, L, s, shaped.itemsize, budget), shaped, probs)
+    for l in range(len(out) + 1, L + 1):
         try:
             cells, steps = _plan(basis, l, s)
         except BudgetExceededError as exc:
@@ -512,8 +628,13 @@ class Pressure:
     r * M * |lambda| * sum_{l>L} l * w_l, evaluated exactly over the
     enumerated smooth range and analytically beyond it.
 
+    The tail is built once, from the enumerated smooth numbers; the weights
+    w_1..w_L are taken per evaluation, up to the largest L it needs.
+
     ``details`` evaluates a batch of lambdas; at ell = 2 they share one
-    transfer recursion.  ``detail`` and calling the object are batches of one.
+    transfer recursion, and at larger ell each lambda takes its own sweep
+    over the chain, with plans only past the sweep's reach.  ``detail`` and
+    calling the object are batches of one.
 
     ``details(lams, slope=True)`` also returns Q'(lambda), by a complex step
     through the same kernels, and takes Q from the real part of that run.
@@ -539,22 +660,19 @@ class Pressure:
         self.budget = int(budget)
         if basis.m == 0:
             # one term, ln R_1 = ln mgf, and nothing dropped at L = 1
-            self._weights: list[float] = [1.0]
+            self._smooth = None
             self._tail = np.zeros(2)
             return
-        smooth = smooth_numbers_capped(basis, MAX_TERMS)
-        h = smooth.h
-        n_h = len(h)
-        inv = [1.0 / hv for hv in h]
-        self._weights = [smooth.weight(l) for l in range(1, n_h)]
+        self._smooth = smooth = smooth_numbers_capped(basis, MAX_TERMS)
+        n_h = len(smooth.h)
+        inv = 1.0 / np.array(smooth.h, dtype=np.float64)
+        # tail[L] = sum_{l>L} l*w_l = (L+1)/h_{L+1} + sum_{l>=L+2} 1/h_l, the
+        # suffix summed from the analytic bound down to 1/h_{L+2}, in that order
         beyond = _beyond_enumeration_bound(basis.m, n_h)
-        # tail[L] = sum_{l>L} l*w_l = (L+1)/h_{L+1} + sum_{l>=L+2} 1/h_l
-        suffix = beyond
+        suffix = np.cumsum(np.concatenate(([beyond], inv[:0:-1])))
         tail = np.empty(n_h, dtype=np.float64)
-        for L in range(n_h - 1, 0, -1):
-            tail[L] = (L + 1) * inv[L] + suffix
-            suffix += inv[L]
-        tail[0] = inv[0] + suffix  # L = 0: whole series
+        tail[1:] = np.arange(2, n_h + 1) * inv[1:] + suffix[-2::-1]
+        tail[0] = inv[0] + suffix[-1]  # L = 0: whole series
         self._tail = tail
         # -tail[1:] as a running max, so bisect finds the first tail[L] < target
         # even where rounding leaves two adjacent tail entries out of order
@@ -580,11 +698,11 @@ class Pressure:
 
         Each distinct lambda is truncated in order and evaluated once; Q(0)
         = 0 needs no evaluation.  At ell = 2 they share one transfer
-        recursion up to the largest truncation length; larger ell replays
-        each lambda's plans up to its own length.  An error is the one the first failing lambda in
-        order raises when evaluated alone: truncation and budget both fail
-        monotonically in |lambda|, and no lambda after a truncation failure
-        is evaluated.
+        recursion up to the largest truncation length; larger ell evaluates
+        each lambda's sequence up to its own length.  An error is the one
+        the first failing lambda in order raises when evaluated alone:
+        truncation and budget both fail monotonically in |lambda|, and no
+        lambda after a truncation failure is evaluated.
         """
         lams = [float(lam) for lam in lams]
         if self.basis.m == 0:
@@ -630,7 +748,7 @@ class Pressure:
                 f"achievable tol is {achievable}",
                 achievable_tol=achievable,
             ) from exc
-        w = np.array(self._weights[:top])
+        w = self._series_weights(top)
         r = basis.r_const
         evals = []
         for (_, L, bound), row in zip(todo, lnr):
@@ -643,6 +761,12 @@ class Pressure:
             else:
                 evals.append(PressureEval(value, bound, L))
         return evals
+
+    def _series_weights(self, top: int) -> np.ndarray:
+        """The weights w_1..w_top, each the float nearest the exact rational."""
+        if self._smooth is None:
+            return np.ones(top)
+        return np.array([self._smooth.weight(l) for l in range(1, top + 1)])
 
     def detail(self, lam: float) -> PressureEval:
         return self.details([lam])[0]

@@ -124,6 +124,8 @@ def eliminate_log(probs, s, factors, cells=None):
     smallest wins (ties to the smallest variable).  Each new table is
     renormalized by its max, with the log of the scale accumulated.  When
     ``cells`` is a list, the size of every table built is appended to it.
+    Complex tables (a complex step) are renormalized by the max of their
+    real part, and the log of the last sum z is ln Re z + i Im z / Re z.
     """
     live = list(factors)
     variables = sorted({v for sc, _ in live for v in sc})
@@ -154,11 +156,15 @@ def eliminate_log(probs, s, factors, cells=None):
         new_scope = tuple(u for u in union if u != v)
         live = [f for f in live if v not in f[0]]
         if new_scope:
-            mx = float(new_tab.max())
+            mx = float(new_tab.real.max())
             logscale += math.log(mx)
             live.append((new_scope, new_tab / mx))
         else:
-            logscale += math.log(float(new_tab))
+            z = new_tab.item()
+            if isinstance(z, complex):
+                logscale += complex(math.log(z.real), z.imag / z.real)
+            else:
+                logscale += math.log(z)
         variables.remove(v)
     return logscale
 
@@ -183,6 +189,39 @@ def transfer_log_r(probs, table, lam, L):
         out.append(logacc)
         f = g / c
     return out
+
+
+def pressure_tail(h, beyond):
+    """tail[L] = sum_{l>L} l*w_l over the smooth numbers ``h``, one term at a time.
+
+    (L+1)/h_{L+1} plus the suffix sum of 1/h_l for l >= L+2, which starts
+    at ``beyond`` (the bound past h) and adds 1/h_l downwards from the last.
+    """
+    inv = [1.0 / hv for hv in h]
+    suffix = beyond
+    tail = np.empty(len(h), dtype=np.float64)
+    for L in range(len(h) - 1, 0, -1):
+        tail[L] = (L + 1) * inv[L] + suffix
+        suffix += inv[L]
+    tail[0] = inv[0] + suffix
+    return tail
+
+
+def partition_check(primes, N):
+    """True iff each b <= N is a * h once, a coprime to ``primes``, h a product of them.
+
+    One pass per smooth h: count a * h for every a <= N // h.
+    """
+    mask = np.ones(N + 1, dtype=bool)
+    mask[0] = False
+    for p in primes:
+        mask[p::p] = False
+    a_arr = np.nonzero(mask)[0]
+    counts = np.zeros(N + 1, dtype=np.int64)
+    for hv in brute_smooth(primes, N):
+        sel = a_arr[: np.searchsorted(a_arr, N // hv, side="right")]
+        counts[sel * hv] += 1
+    return bool((counts[1:] == 1).all())
 
 
 def first_below(tail, target):

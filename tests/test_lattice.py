@@ -2,10 +2,12 @@ import math
 
 import pytest
 
+import oracles
 from oracles import brute_smooth, lattice_count_recursion
 from ncsums import lattice
 from ncsums.errors import CapacityError, InputError
 from ncsums.lattice import (
+    PrimeBasis,
     b_set,
     coprime_set,
     d_count,
@@ -171,6 +173,22 @@ class TestCoprimeAndFibers:
         assert partition_check(basis, N)
         _, sizes = fiber_sizes(basis, N)
         assert int(sizes.sum()) == N
+
+    # past 2**18 products, (2, 10**6) takes h = 1 and 2 one at a time and
+    # (50, 300000) splits its run of h into two blocks
+    @pytest.mark.parametrize(
+        "ell,N", [(1, 50), (2, 1000), (2, 10**6), (3, 12345), (7, 10**5), (50, 300_000)]
+    )
+    def test_partition_matches_the_loop(self, ell, N):
+        basis = primes_up_to(ell)
+        assert partition_check(basis, N) == oracles.partition_check(basis.primes, N)
+
+    @pytest.mark.parametrize("primes", [(2, 6), (4, 6)])
+    def test_partition_fails_where_factorizations_repeat(self, primes):
+        # 12 = 3 * 4 = 2 * 6: a basis that is not prime counts some b twice
+        basis = PrimeBasis(ell=6, primes=primes, m=2, r_const=0.5)
+        assert not oracles.partition_check(primes, 200)
+        assert not partition_check(basis, 200)
 
 
 class TestWindows:

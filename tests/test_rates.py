@@ -16,6 +16,7 @@ from oracles import (
     golden_conjugate,
     grid_search_rate,
     pressure_l2,
+    pressure_tail,
     rademacher_rate_closed,
     transfer_log_r,
 )
@@ -297,15 +298,27 @@ def first_over_budget(dist, obs, basis, budget, L):
     return next(l for l, c in enumerate(cells, start=1) if c > budget)
 
 
-class TestEliminationPlan:
-    """Compiled plans replay exactly what the rescanning elimination computes."""
+@pytest.fixture
+def plans_only(monkeypatch):
+    """log_r_sequence with no sweep: every length replays its plan."""
+    monkeypatch.setattr(rates, "_SWEEP_BYTES", 0)
 
+
+class TestEliminationPlan:
+    """Compiled plans replay exactly what the rescanning elimination computes.
+
+    The bitwise tests turn the sweep off; the budget stops run with it on,
+    and every length past its reach takes the plans.
+    """
+
+    @pytest.mark.usefixtures("plans_only")
     @pytest.mark.parametrize("lam", [0.5, 1.0, -0.7])
     def test_rademacher_ell3_bitwise(self, lam):
         obs3 = product_observable(RADEMACHER, 3)
         got = log_r_sequence(RADEMACHER, obs3, B3, lam, 60)
         assert got == oracle_sequence(RADEMACHER, obs3, B3, lam, 60)
 
+    @pytest.mark.usefixtures("plans_only")
     def test_random_tables_ell3_three_values_bitwise(self):
         rng = np.random.default_rng(20151)
         dist = FiniteDistribution(values=(-1.0, 0.0, 2.0), probs=(0.2, 0.5, 0.3))
@@ -315,6 +328,7 @@ class TestEliminationPlan:
                 got = log_r_sequence(dist, obs, B3, lam, 24)
                 assert got == oracle_sequence(dist, obs, B3, lam, 24)
 
+    @pytest.mark.usefixtures("plans_only")
     def test_random_tables_ell5_bitwise(self):
         rng = np.random.default_rng(51)
         basis5 = primes_up_to(5)
@@ -337,6 +351,7 @@ class TestEliminationPlan:
         ok = log_r_sequence(RADEMACHER, obs3, B3, 0.5, stop - 1, budget=budget)
         assert len(ok) == stop - 1
 
+    @pytest.mark.usefixtures("plans_only")
     def test_each_plan_built_once_across_lambdas(self, monkeypatch):
         builds = Counter()
         build = rates._build_plan
@@ -355,6 +370,134 @@ class TestEliminationPlan:
         assert sorted(builds) == [(B3, l, 2) for l in range(1, longest + 1)]
         assert set(builds.values()) == {1}
         assert len(rates._plans) == longest
+
+
+def sweep_unions(basis, L):
+    """Axes of the sweep's step table at each length l = 1..L."""
+    frontier = [1]
+    h = smooth_numbers_capped(basis, L).h
+    return [rates._sweep_step(frontier, hv, basis.ell).union for hv in h[:L]]
+
+
+def assert_close(got, want, rel=1e-13):
+    """Entrywise relative agreement of real and of imaginary parts."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g, w = complex(g), complex(w)
+        assert abs(g.real - w.real) <= rel * abs(w.real), (g, w)
+        assert abs(g.imag - w.imag) <= rel * abs(w.imag), (g, w)
+
+
+THREE_POINT = FiniteDistribution(values=(-1.0, 0.0, 2.0), probs=(0.2, 0.5, 0.3))
+
+
+class TestSweep:
+    """The forward sweep agrees with the rescanning oracle and hands over to the plans."""
+
+    @pytest.mark.parametrize("ell,L", [(3, 40), (4, 20)])
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_matches_the_oracle(self, ell, L, s):
+        rng = np.random.default_rng(10 * ell + s)
+        basis = primes_up_to(ell)
+        if s == 2:
+            laws = [preset(name, ell=ell) for name in ("rademacher-product", "bernoulli-product")]
+            dist = FiniteDistribution(values=(-1.0, 1.0), probs=(0.35, 0.65))
+        else:
+            laws, dist = [], THREE_POINT
+        laws.append((dist, random_observable(rng, dist, ell)))
+        for dist, obs in laws:
+            h = rates.STEP_OVER_M / obs.sup_abs
+            for lam in (0.8, -1.3, complex(0.6, h), complex(-0.9, h)):
+                got = log_r_sequence(dist, obs, basis, lam, L)
+                assert_close(got, oracle_sequence(dist, obs, basis, lam, L))
+
+    def test_shallow_sequences_build_no_plan(self, monkeypatch):
+        monkeypatch.setattr(rates, "_plans", {})
+        dist, obs = preset("rademacher-product", ell=3)
+        assert len(log_r_sequence(dist, obs, B3, 1.0, 72)) == 72
+        assert len(log_r_sequence(dist, obs, B3, complex(0.5, 1e-30), 45)) == 45
+        press = Pressure(dist, obs, tol=2e-3)
+        assert [ev.truncation_l for ev in press.details([0.5, 1.0])] == [61, 72]
+        press.details([0.5, -1.0], slope=True)
+        assert rates._plans == {}
+
+    @pytest.mark.parametrize("lam", [0.7, complex(-0.7, 1e-30)])
+    def test_both_sides_of_the_switch(self, lam, monkeypatch):
+        monkeypatch.setattr(rates, "_plans", {})
+        dist, obs = preset("bernoulli-product", ell=3)
+        shaped = np.exp(lam * obs.table).reshape(2, 2, 2)
+        probs = np.asarray(dist.probs)
+        n = len(rates._sweep_steps(B3, 500, 2, shaped.itemsize, rates.DEFAULT_BUDGET))
+        assert 80 < n < 120
+        got = log_r_sequence(dist, obs, B3, lam, n + 2)
+        assert sorted(rates._plans) == [(B3, n + 1, 2), (B3, n + 2, 2)]
+        replay = [
+            rates._replay_log(rates._plan(B3, l, 2)[1], shaped, probs, l)
+            for l in range(n - 1, n + 3)
+        ]
+        assert_close(got[n - 2 : n], replay[:2])
+        assert got[n:] == replay[2:]
+
+    def test_switch_against_the_oracle(self, monkeypatch):
+        monkeypatch.setattr(rates, "_SWEEP_BYTES", 2048)
+        monkeypatch.setattr(rates, "_plans", {})
+        dist = THREE_POINT
+        obs = random_observable(np.random.default_rng(7), dist, 3)
+        for lam in (0.9, complex(-0.4, 1e-30)):
+            n = len(rates._sweep_steps(B3, 24, 3, 16 if isinstance(lam, complex) else 8, 10**7))
+            assert 2 < n < 10
+            got = log_r_sequence(dist, obs, B3, lam, 24)
+            assert_close(got, oracle_sequence(dist, obs, B3, lam, 24))
+        assert (B3, 24, 3) in rates._plans
+
+    @pytest.mark.parametrize("s,itemsize", [(2, 8), (2, 16), (3, 8)])
+    def test_reach_ends_at_the_byte_cap_or_budget(self, s, itemsize):
+        unions = sweep_unions(B3, 200)
+        steps = rates._sweep_steps(B3, 200, s, itemsize, 10**12)
+        assert [st.union for st in steps] == unions[: len(steps)]
+        assert all(s**u * itemsize <= rates._SWEEP_BYTES for u in unions[: len(steps)])
+        assert s ** unions[len(steps)] * itemsize > rates._SWEEP_BYTES
+        budget = sum(s**u for u in unions[:20])
+        assert len(rates._sweep_steps(B3, 200, s, itemsize, budget)) == 20
+        assert len(rates._sweep_steps(B3, 200, s, itemsize, budget - 1)) == 19
+
+    def test_one_point_law_stops_at_the_axis_cap(self, monkeypatch):
+        # one-cell tables never reach the byte cap; the frontier's axes grow
+        monkeypatch.setattr(rates, "_SWEEP_AXES", 6)
+        dist = FiniteDistribution(values=(1.0,), probs=(1.0,))
+        obs = observable_from_table(dist, 3, [0.5])
+        unions = sweep_unions(B3, 40)
+        n = len(rates._sweep_steps(B3, 40, 1, 8, 10**7))
+        assert max(unions[:n]) <= 6 < unions[n]
+        got = log_r_sequence(dist, obs, B3, 0.8, 40)
+        assert got == pytest.approx([0.4 * l for l in range(1, 41)], rel=1e-14)
+
+    @pytest.mark.parametrize("ell,L", [(3, 60), (4, 40)])
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_sweep_cells_cover_the_plans(self, ell, L, s):
+        basis = primes_up_to(ell)
+        swept = np.cumsum([s**u for u in sweep_unions(basis, L)]).tolist()
+        largest = 0
+        for l in range(1, L + 1):
+            largest = max(largest, rates._build_plan(basis, l, s)[0])
+            if l >= 3:
+                assert swept[l - 1] >= largest
+
+    @pytest.mark.parametrize(
+        "ell,s,budget",
+        [(3, 2, 26), (3, 2, 1000), (3, 3, 75), (3, 3, 20000),
+         (4, 2, 54), (4, 2, 20000), (4, 3, 228), (4, 3, 10**6)],
+    )
+    def test_budget_stops_where_the_plans_do(self, ell, s, budget):
+        basis = primes_up_to(ell)
+        dist = RADEMACHER if s == 2 else THREE_POINT
+        obs = random_observable(np.random.default_rng(budget), dist, ell)
+        stop = next(l for l in range(1, 41) if rates._build_plan(basis, l, s)[0] > budget)
+        assert stop > 2
+        with pytest.raises(BudgetExceededError) as err:
+            log_r_sequence(dist, obs, basis, 0.5, 40, budget=budget)
+        assert err.value.completed == stop - 1
+        assert len(log_r_sequence(dist, obs, basis, 0.5, stop - 1, budget=budget)) == stop - 1
 
 
 class TestRlMc:
@@ -487,13 +630,22 @@ class TestPressure:
         scale = B3.r_const * obs3.sup_abs * abs(lam)
         assert err.value.achievable_tol == scale * float(press._tail[done])
 
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    def test_tail_equals_the_term_by_term_sum(self, ell):
+        basis = primes_up_to(ell)
+        press = Pressure(RADEMACHER, product_observable(RADEMACHER, ell))
+        h = smooth_numbers_capped(basis, rates.MAX_TERMS).h
+        tail = pressure_tail(h, rates._beyond_enumeration_bound(basis.m, len(h)))
+        assert press._tail.tobytes() == tail.tobytes()
+        assert press._neg_tail == np.maximum.accumulate(-tail[1:]).tolist()
+
     @pytest.mark.parametrize("ell", [2, 3, 5, 7])
     def test_weights_equal_exact_rational(self, ell):
         basis = primes_up_to(ell)
         press = Pressure(RADEMACHER, product_observable(RADEMACHER, ell))
         h = smooth_numbers_capped(basis, rates.MAX_TERMS).h
         exact = [float(Fraction(1, h[i]) - Fraction(1, h[i + 1])) for i in range(len(h) - 1)]
-        assert press._weights == exact
+        assert press._series_weights(len(exact)).tolist() == exact
 
     def test_unreachable_tolerance_reports_achievable(self):
         dist = RADEMACHER
@@ -521,8 +673,11 @@ class TestPressure:
         assert got[3] == PressureEval(0.0, 0.0, 0)
 
     def test_concurrent_evaluations_share_one_result_per_lambda(self, monkeypatch):
-        # at ell = 3 the threads also race to build the elimination plans
+        # at ell = 3 the threads also race to grow the sweep's steps and, past
+        # its reach (cut to 8 lengths here, where L is 30 and 39), to build plans
         monkeypatch.setattr(rates, "_plans", {})
+        monkeypatch.setattr(rates, "_sweeps", {})
+        monkeypatch.setattr(rates, "_SWEEP_BYTES", 512)
         for ell, tol, lams in (
             (2, 1e-8, [0.1 * k for k in range(-8, 9) if k]),
             (3, 1e-2, [-0.6, -0.3, 0.3, 0.6]),
@@ -546,6 +701,7 @@ class TestPressure:
             fresh = Pressure(dist, obs, tol=tol)
             for got in results:
                 assert got == [fresh.detail(lam) for lam in lams]
+        assert sorted(rates._plans) == [(B3, l, 2) for l in range(9, 40)]
 
 
 class TestFinitePressure:
@@ -693,8 +849,9 @@ def random_law(rng, s):
 
 def scalar_pressure(press):
     """The one-lambda-at-a-time oracle of an ell = 2 Pressure's (value, tail bound, L)."""
+    weights = press._series_weights(len(press._tail) - 1)
     return lambda lam: pressure_l2(
-        press.dist.probs, press.obs.table, press._weights, press._tail,
+        press.dist.probs, press.obs.table, weights, press._tail,
         press.basis.r_const, press.obs.sup_abs, press.tol, lam,
     )
 
@@ -724,7 +881,7 @@ class TestComplexStep:
         press = Pressure(dist, obs, tol=1e-3)
         ev = press.details([lam], slope=True)[0]
         L, h = ev.truncation_l, 1e-4
-        w = press._weights[:L]
+        w = press._series_weights(L).tolist()
 
         def q_L(x):  # the real truncated pressure at the same L
             lnr = log_r_sequence(dist, obs, B3, x, L)
