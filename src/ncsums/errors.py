@@ -23,7 +23,7 @@ class CapacityError(NcsumsError):
 
 
 class BudgetExceededError(CapacityError):
-    """Exact evaluation would exceed the lookup budget; use the MC fallback.
+    """Exact evaluation would build more table cells than its budget allows.
 
     ``completed`` counts the fiber lengths 1..completed that were evaluated
     before the budget ran out.

@@ -100,7 +100,6 @@ class SmoothSequence:
     w_l = 1/h_l - 1/h_{l+1} is the float nearest the exact rational.
     """
 
-    basis: PrimeBasis
     h: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -139,7 +138,7 @@ def smooth_numbers(basis: PrimeBasis, count: int) -> SmoothSequence:
 def smooth_numbers_capped(basis: PrimeBasis, count: int) -> SmoothSequence:
     """Like smooth_numbers but quietly stops at the 128-bit capacity."""
     h = _smooth_prefix(basis.primes, count=count + 1)[: count + 1]
-    return SmoothSequence(basis=basis, h=tuple(h))
+    return SmoothSequence(h=tuple(h))
 
 
 def ln_int(x: int) -> float:
@@ -163,22 +162,6 @@ def d_count_int(basis: PrimeBasis, x: int) -> int:
     return bisect_right(_smooth_prefix(basis.primes, bound=x), x)
 
 
-def d_count(basis: PrimeBasis, rho: float) -> int:
-    """Lattice count |{(n_1..n_m) >= 0 : sum n_i ln r_i <= rho}|.
-
-    rho is resolved to the integer bound floor(e^rho) with a few-ulp guard
-    that snaps up when e^rho lands just below an integer, so rho = ln k
-    counts k itself.
-    """
-    if rho < 0:
-        raise InputError("rho must be >= 0")
-    t = math.exp(rho)
-    n = math.floor(t)
-    if n + 1 - t <= 8.0 * math.ulp(t):
-        n += 1
-    return d_count_int(basis, max(1, n))
-
-
 def _coprime_array(basis: PrimeBasis, N: int) -> np.ndarray:
     if N < 1:
         raise InputError("N must be >= 1")
@@ -187,24 +170,6 @@ def _coprime_array(basis: PrimeBasis, N: int) -> np.ndarray:
     for p in basis.primes:
         mask[p::p] = False
     return np.nonzero(mask)[0].astype(np.int64)
-
-
-def coprime_set(basis: PrimeBasis, N: int) -> list[int]:
-    """Sorted a <= N coprime to every basis prime."""
-    return _coprime_array(basis, N).tolist()
-
-
-def b_set(basis: PrimeBasis, a: int, N: int) -> list[int]:
-    """Sorted smooth multiples of a up to N; a must be coprime to the basis."""
-    a = int(a)
-    if a < 1:
-        raise InputError("a must be >= 1")
-    if any(a % p == 0 for p in basis.primes):
-        raise InputError(f"a={a} is not coprime to the prime basis {basis.primes}")
-    if a > N:
-        return []
-    h = _smooth_prefix(basis.primes, bound=N // a)
-    return [a * v for v in h[: bisect_right(h, N // a)]]
 
 
 def partition_check(basis: PrimeBasis, N: int) -> bool:
@@ -250,29 +215,3 @@ def fiber_histogram(basis: PrimeBasis, N: int) -> list[tuple[int, int]]:
     _, sizes = fiber_sizes(basis, N)
     counts = np.bincount(sizes)
     return [(int(l), int(c)) for l, c in enumerate(counts) if l > 0 and c > 0]
-
-
-def window_index_set(m: int, b: int, ell: int) -> set[int]:
-    """All dilated indices j*k with m < k <= m+b and 1 <= j <= ell."""
-    if m < 0 or b < 1 or ell < 1:
-        raise InputError("need m >= 0, b >= 1, ell >= 1")
-    return {j * k for k in range(m + 1, m + b + 1) for j in range(1, ell + 1)}
-
-
-def windows_iid(m: int, b: int, ell: int) -> bool:
-    """True iff no dilated index is shared by two window positions.
-
-    Window summands over k in (m, m+b] read the draws at j*k for j <= ell;
-    they are i.i.d. exactly when no equality i*k = j*k' with k != k' occurs.
-    That holds whenever m > (ell-1)*b.
-    """
-    if m < 0 or b < 1 or ell < 1:
-        raise InputError("need m >= 0, b >= 1, ell >= 1")
-    owner: dict[int, int] = {}
-    for k in range(m + 1, m + b + 1):
-        for j in range(1, ell + 1):
-            idx = j * k
-            prev = owner.setdefault(idx, k)
-            if prev != k:
-                return False
-    return True

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -78,24 +78,12 @@ class Observable:
     """
 
     ell: int
-    support_size: int
     table: np.ndarray
     mean: float
     variance: float
     sup_abs: float
     sup_pos: float
     sup_neg: float
-
-    def flat_index(self, indices: Sequence[int]) -> int:
-        if len(indices) != self.ell:
-            raise InputError(f"expected {self.ell} indices, got {len(indices)}")
-        code = 0
-        for i in indices:
-            i = int(i)
-            if not 0 <= i < self.support_size:
-                raise InputError(f"support index {i} out of range")
-            code = code * self.support_size + i
-        return code
 
     @cached_property
     def dyadic_exponent(self) -> int:
@@ -176,7 +164,6 @@ def observable_from_table(dist: FiniteDistribution, ell: int, flat_table) -> Obs
     flat.setflags(write=False)
     return Observable(
         ell=ell,
-        support_size=s,
         table=flat,
         mean=mean,
         variance=variance,
@@ -219,24 +206,6 @@ def constant_observable(dist: FiniteDistribution, c: float, ell: int = 2) -> Obs
 def center(obs: Observable, dist: FiniteDistribution) -> Observable:
     """Subtract the mean cell-wise; the result has mean 0 and the same variance."""
     return observable_from_table(dist, obs.ell, obs.table - obs.mean)
-
-
-def negate(obs: Observable) -> Observable:
-    """Flip the sign of F; sup_pos and sup_neg swap exactly."""
-    table = (-obs.table).copy()
-    table.setflags(write=False)
-    return replace(
-        obs,
-        table=table,
-        mean=-obs.mean,
-        sup_pos=obs.sup_neg,
-        sup_neg=obs.sup_pos,
-    )
-
-
-def evaluate(obs: Observable, indices: Sequence[int]) -> float:
-    """Table entry at a tuple of support indices."""
-    return float(obs.table[obs.flat_index(indices)])
 
 
 def value_distribution(

@@ -98,7 +98,7 @@ class CramerRate:
     Where |t|*M <= SMALL_TF, ln(mgf) and the tilted mean come from sums that
     do not cancel and t is bisected to a relative width, so I(alpha) keeps
     its relative accuracy for small alpha.  Expectations are exactly rounded
-    sums, so I(-a) of F equals I(a) of negate(F) bit for bit.
+    sums, so I(-a) of F equals I(a) of -F bit for bit.
     """
 
     def __init__(self, dist: FiniteDistribution, obs: Observable):
@@ -113,7 +113,7 @@ class CramerRate:
         self._mean = self._expect(vals)
 
     def _expect(self, x: np.ndarray) -> float:
-        """E of per-value ``x``, exactly rounded: negate(obs) lists the values reversed."""
+        """E of per-value ``x``, exactly rounded: -F lists the values reversed."""
         return math.fsum((self._probs * x).tolist())
 
     def log_mgf(self, t: float) -> float:
@@ -541,52 +541,11 @@ def log_r_sequence(
             raise BudgetExceededError(str(exc), completed=l - 1) from None
         if cells > budget:
             raise BudgetExceededError(
-                f"elimination needs more than {budget} table cells; "
-                "raise the budget or fall back to r_l_mc",
+                f"elimination needs more than {budget} table cells; raise the budget",
                 completed=l - 1,
             )
         out.append(_replay_log(steps, shaped, probs, l))
     return out
-
-
-def r_l(
-    dist: FiniteDistribution, obs: Observable, lam: float, l: int, budget: int = DEFAULT_BUDGET
-) -> float:
-    """Exact E exp(lam * sum of the l-term fiber chain)."""
-    if l < 1:
-        raise InputError("l must be >= 1")
-    basis = lattice.primes_up_to(obs.ell)
-    return math.exp(log_r_sequence(dist, obs, basis, lam, l, budget=budget)[-1])
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    value: float
-    stderr: float
-
-
-def r_l_mc(
-    dist: FiniteDistribution, obs: Observable, lam: float, l: int, replicas: int, seed: int
-) -> McEstimate:
-    """Unbiased Monte-Carlo estimate of R_l with its sample standard error.
-
-    Replica r draws from stream mix64(seed, r); chain term k is the
-    nonconventional term number h_k of that stream, so it reads draws
-    h_k, 2*h_k, ..., ell*h_k.
-    """
-    if replicas < 1000:
-        raise InputError("replicas must be >= 1000")
-    chain = chain_index_structure(lattice.primes_up_to(obs.ell), l)
-    from . import simulate  # deferred: simulate has no rates dependency
-
-    terms = [term[0] for term in chain.term_indices]
-    simulate._check_draw_range(obs, terms[-1])
-    keys = simulate.mix_batch(seed, np.arange(replicas, dtype=np.uint64))
-    total = simulate.replica_sums(dist, obs, keys, terms, "nonconventional")
-    sample = np.exp(lam * total)
-    value = float(sample.mean())
-    stderr = float(sample.std(ddof=1) / math.sqrt(replicas))
-    return McEstimate(value=value, stderr=stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +608,8 @@ class Pressure:
         tol: float = 1e-8,
         budget: int = DEFAULT_BUDGET,
     ):
-        if not tol > 0:
-            raise InputError("tol must be positive")
+        if not 0 < tol < math.inf:
+            raise InputError("tol must be positive and finite")
         if int(budget) < 1:
             raise InputError("budget must be a positive integer")
         self.dist = dist
@@ -740,9 +699,11 @@ class Pressure:
                 ]
         except BudgetExceededError as exc:
             done = exc.completed
+            if done < 1:
+                msg = f"no fiber length fits the budget of {self.budget}"
+                raise ToleranceError(f"budget exhausted at fiber length 1; {msg}") from exc
             lam = next(lam for lam, L, _ in todo if L > done)
-            scale = basis.r_const * obs.sup_abs * abs(lam)
-            achievable = scale * float(self._tail[done]) if done >= 1 else None
+            achievable = basis.r_const * obs.sup_abs * abs(lam) * float(self._tail[done])
             raise ToleranceError(
                 f"budget exhausted at fiber length {done + 1}; "
                 f"achievable tol is {achievable}",
@@ -773,26 +734,6 @@ class Pressure:
 
     def __call__(self, lam: float) -> float:
         return self.detail(lam).value
-
-
-def finite_pressure(
-    dist: FiniteDistribution, obs: Observable, lam: float, N: int, budget: int = DEFAULT_BUDGET
-) -> float:
-    """(1/N) ln E exp(lam * S_N), exact through per-fiber factorization.
-
-    Fibers over distinct coprime a never share a dilated index (the coprime
-    part of j*a*h is a), so the expectation is the product of R over fiber
-    sizes.
-    """
-    if N < 1:
-        raise InputError("N must be >= 1")
-    basis = lattice.primes_up_to(obs.ell)
-    _, sizes = lattice.fiber_sizes(basis, N)
-    counts = np.bincount(sizes)
-    L = int(sizes.max())
-    lnr = log_r_sequence(dist, obs, basis, lam, L, budget=budget)
-    total = math.fsum(float(counts[l]) * lnr[l - 1] for l in range(1, L + 1) if counts[l])
-    return total / N
 
 
 # ---------------------------------------------------------------------------

@@ -34,28 +34,27 @@ code is built in uint8 while size**ell <= 256 and widened once for the
 gather.  ``trajectory`` keeps one workspace for the whole call and works in
 blocks of _BLOCK = 2**15 terms, so a block's working arrays (256 KB each at
 most) stay in a per-core L2 cache instead of being mapped and faulted in
-afresh on every block.  ``trajectory`` and ``replica_sums`` build the
-thresholds once per call and hand them to every batch.
+afresh on every block.  ``trajectory`` and ``_ReplicaPlan`` build the
+thresholds once and hand them to every batch.
 
-``replica_sums``, the replica loop of ``ldp_estimate`` and ``rates.r_l_mc``,
-computes each distinct draw of its batch once while its draw table has
-room.  Dilated terms share draws:
-at ell = 2, terms 1..60 read 120 draws, of which 90 are distinct.  A plan
-gives each distinct draw a slot of a small-int table; the draw is computed
-just before the first term that reads it, and its slot is freed once the
-last term that reads it has been added, so those terms need 17 slots (28
-at ell = 3).  Each term gathers its table code from its slots, and the
-terms are added in the given order, so every sum equals the per-term
-loop's bit for bit.  The keys are walked in column blocks of _LDP_CHUNK and
-the table is capped at _TABLE_BYTES (1 MiB, 32 slots of a block): when the
-terms would hold more draws at once, a draw that finds the table full is
-computed again by its next reader.  Narrowing the blocks instead would
-keep every draw once, but their per-call cost grows with N: at ell = 2,
-N = 3000 a 2**15-key chunk took 4.3 s that way, against 2.1 s for the
-per-term loop and 1.3 s for the capped table (2-core x86 host).
-``ldp_estimate`` plans the table once (_ReplicaPlan) and sums every chunk of
-replicas, on every thread, through that plan, which at ell = 2, N = 1e5
-takes 0.67 s to build.
+``_ReplicaPlan``, the replica loop of ``ldp_estimate``, computes each
+distinct draw of its batch once while its draw table has room.  Dilated
+terms share draws: at ell = 2, terms 1..60 read 120 draws, of which 90
+are distinct.  A plan gives each distinct draw a slot of a small-int
+table; the draw is computed just before the first term that reads it,
+and its slot is freed once the last term that reads it has been added,
+so those terms need 17 slots (28 at ell = 3).  Each term gathers its
+table code from its slots, and the terms are added in the given order,
+so every sum equals the per-term loop's bit for bit.  The keys are
+walked in column blocks of _LDP_CHUNK and the table is capped at
+_TABLE_BYTES (1 MiB, 32 slots of a block): when the terms would hold
+more draws at once, a draw that finds the table full is computed again
+by its next reader.  Narrowing the blocks instead would keep every draw
+once, but their per-call cost grows with N: at ell = 2, N = 3000 a
+2**15-key chunk took 4.3 s that way, against 2.1 s for the per-term loop
+and 1.3 s for the capped table (2-core x86 host).  ``ldp_estimate`` plans
+the table once and sums every chunk of replicas, on every thread,
+through that plan, which at ell = 2, N = 1e5 takes 0.67 s to build.
 """
 
 from __future__ import annotations
@@ -348,11 +347,16 @@ def _draw_plan(terms, ell: int, mode: str, slots: int) -> tuple[list, int]:
 
 
 class _ReplicaPlan:
-    """The draw table of replica_sums for ``terms``, planned once for batches
-    of at most ``block`` keys.
+    """The draw table of the replica loop for ``terms``, planned once for
+    batches of at most ``block`` keys.
 
-    ``sums`` reads the plan and nothing else that it does not build itself,
-    so one plan serves any number of batches and threads.
+    ``sums`` walks its keys in column blocks of ``block`` and adds the terms
+    in the given order, each from a draw table of at most _TABLE_BYTES (see
+    _draw_plan) whose slots hold support indices, as uint8 while the
+    support has at most 256 points: a term gathers its table code from its
+    slots.  All draws of a call share one workspace.  ``sums`` reads the
+    plan and nothing else that it does not build itself, so one plan
+    serves any number of batches and threads.
     """
 
     def __init__(self, dist: FiniteDistribution, obs: Observable, terms, mode: str, block: int):
@@ -394,20 +398,6 @@ class _ReplicaPlan:
                 # see term_values for mode="clip"
                 part += np.take(obs.table, index, out=value, mode="clip")
         return total
-
-
-def replica_sums(
-    dist: FiniteDistribution, obs: Observable, keys: np.ndarray, terms, mode: str
-) -> np.ndarray:
-    """Per key of the 1-d array ``keys``, the sum of F over the term numbers ``terms``.
-
-    The keys are walked in column blocks of _LDP_CHUNK.  The terms are added
-    in the given order, each from a draw table of at most _TABLE_BYTES (see
-    _draw_plan) whose slots hold support indices, as uint8 while the support
-    has at most 256 points: a term gathers its table code from its slots.
-    All draws of the call share one workspace.
-    """
-    return _ReplicaPlan(dist, obs, terms, mode, min(_LDP_CHUNK, keys.size)).sums(keys)
 
 
 def _sums_are_exact(obs: Observable, n: int) -> bool:

@@ -3,7 +3,8 @@
 Everything here recomputes target quantities by a different route than the
 library: brute-force enumeration, naive loops, dense grid search, exact
 rational arithmetic.  Keep these free of library internals beyond the plain
-data types.
+data types; ``finite_pressure`` alone composes library parts, because it
+is the finite-N reference for the pressure series, not for its kernels.
 """
 
 from __future__ import annotations
@@ -475,3 +476,21 @@ def r_l_mc(dist, obs, lam, terms, replicas, seed):
     keys = mix_batch(seed, np.arange(replicas, dtype=np.uint64))
     sample = np.exp(lam * replica_total(dist, obs, keys, terms, "nonconventional"))
     return float(sample.mean()), float(sample.std(ddof=1) / math.sqrt(replicas))
+
+
+def finite_pressure(dist, obs, lam, N):
+    """(1/N) ln E exp(lam * S_N), exact through per-fiber factorization.
+
+    Fibers over distinct coprime a never share a dilated index (the coprime
+    part of j*a*h is a), so the expectation is the product of R over fiber
+    sizes, each from the library's exact ln R_l.
+    """
+    from ncsums import lattice, rates
+
+    basis = lattice.primes_up_to(obs.ell)
+    _, sizes = lattice.fiber_sizes(basis, N)
+    counts = np.bincount(sizes)
+    L = int(sizes.max())
+    lnr = rates.log_r_sequence(dist, obs, basis, lam, L)
+    total = math.fsum(float(counts[l]) * lnr[l - 1] for l in range(1, L + 1) if counts[l])
+    return total / N

@@ -21,6 +21,7 @@ import pytest
 from oracles import (
     binomial_tail_at_least,
     enumerate_pair_dilation_mgf,
+    finite_pressure,
     make_lattice_counter,
     rademacher_rate_closed,
 )
@@ -33,7 +34,7 @@ from ncsums.lattice import (
     smooth_numbers_capped,
 )
 from ncsums.model import RADEMACHER, constant_observable, preset, product_observable
-from ncsums.rates import CramerRate, Pressure, RateJ, finite_pressure
+from ncsums.rates import CramerRate, Pressure, RateJ
 from ncsums.simulate import ldp_estimate
 from ncsums.erlaw import experiment
 

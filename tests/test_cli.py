@@ -197,6 +197,23 @@ class TestCurves:
         lam = achievable / (primes_up_to(3).r_const * obs.sup_abs * float(press._tail[done]))
         assert abs(lam - math.atanh(0.3)) < 0.1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pressure", "--preset", "bernoulli-product", "--lambda", "0.5"),
+            ("rate-j", "--preset", "rademacher-product", "--u", "0.5"),
+        ],
+    )
+    def test_budget_below_the_first_fiber_length(self, argv):
+        # no length is evaluated, so no tolerance is achievable: the message says so
+        code, out, err = run_cli(*argv, "--budget", "1", "--no-timestamp")
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {
+            "error": "ToleranceError",
+            "message": "budget exhausted at fiber length 1; "
+            "no fiber length fits the budget of 1",
+        }
+
     def test_tolerance_exit_code(self):
         code, _, err = run_cli(
             "pressure",
@@ -576,6 +593,11 @@ class TestInputValidation:
             ("rate-i", "--alpha", "0:inf:0.5"),
             ("rate-j", "--u", "nan"),
             ("pressure", "--lambda", "nan"),
+            # an infinite tolerance certifies nothing, and a nan one is no bound
+            ("pressure", "--lambda", "1", "--tol", "inf"),
+            ("pressure", "--lambda", "1", "--tol", "nan"),
+            ("rate-j", "--u", "0.5", "--tol", "inf"),
+            ("ldp-check", "--N", "60", "--u", "0.3", "--replicas", "1000", "--theory-tol", "inf"),
             ("erlaw", "--alpha", "0.5", "--n", "100", "--seed-list", "1,nan"),
             ("rate-j", "--u", "0.5", "--lambda-cap", "0"),
             ("rate-j", "--u", "0.5", "--lambda-cap", "-1"),

@@ -13,14 +13,19 @@ that Q' rounds to 0 at every probe, the budget error a multi-u grid reports
 and the rejection of a budget below 1.
 Negative grids use the ``--flag=-1,...`` form so argparse does not read them
 as options.
+
+The package's public names are pinned the same way: adding or removing one
+is an edit of PUBLIC_NAMES.
 """
 
 import hashlib
 import io
 import json
+import types
 
 import pytest
 
+import ncsums
 from ncsums.cli import main
 
 R = ("--preset", "rademacher-product")
@@ -398,3 +403,23 @@ def test_matrix_is_fully_pinned():
 @pytest.mark.parametrize("case_id,argv", MATRIX, ids=[case_id for case_id, _ in MATRIX])
 def test_golden_output(case_id, argv, tmp_path):
     assert run_case(argv, tmp_path) == EXPECTED[case_id]
+
+
+# Every public name of the ncsums package, sorted; its submodules are not counted.
+PUBLIC_NAMES = [
+    "BudgetExceededError", "CapacityError", "CramerRate", "DegenerateObservableError",
+    "ErPoint", "ExperimentResult", "FiniteDistribution", "InputError", "LdpEstimate",
+    "NcsumsError", "Observable", "Pressure", "PrimeBasis", "RateJ", "SmoothSequence",
+    "ToleranceError", "b_window", "center", "chain_index_structure", "d_count_int",
+    "experiment", "ldp_estimate", "load_spec", "make_observable", "mgf", "mix64",
+    "partition_check", "preset", "primes_up_to", "product_observable", "smooth_numbers",
+    "trajectory", "window_max", "x_value",
+]
+
+
+def test_public_names_are_pinned():
+    names = sorted(
+        name for name, value in vars(ncsums).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES

@@ -8,9 +8,6 @@ from ncsums import lattice
 from ncsums.errors import CapacityError, InputError
 from ncsums.lattice import (
     PrimeBasis,
-    b_set,
-    coprime_set,
-    d_count,
     d_count_int,
     fiber_sizes,
     ln_int,
@@ -18,8 +15,6 @@ from ncsums.lattice import (
     primes_up_to,
     smooth_numbers,
     smooth_numbers_capped,
-    window_index_set,
-    windows_iid,
 )
 
 LN2 = math.log(2.0)
@@ -117,14 +112,15 @@ class TestRhoBounds:
 
 class TestDCount:
     def test_examples(self):
-        assert d_count(primes_up_to(2), math.log(8)) == 4
-        assert d_count(primes_up_to(3), math.log(6)) == 5
-        assert d_count(primes_up_to(5), 0.0) == 1
-        assert d_count(primes_up_to(1), 3.7) == 1
+        assert d_count_int(primes_up_to(2), 8) == 4
+        assert d_count_int(primes_up_to(3), 6) == 5
+        assert d_count_int(primes_up_to(5), 1) == 1
+        assert d_count_int(primes_up_to(1), 40) == 1
 
     def test_negative_rho(self):
+        # a bound x < 1 is a negative rho = ln x
         with pytest.raises(InputError):
-            d_count(primes_up_to(2), -0.1)
+            d_count_int(primes_up_to(2), 0)
 
     @pytest.mark.parametrize("ell", [2, 3, 5])
     def test_against_recursion_oracle(self, ell):
@@ -133,9 +129,13 @@ class TestDCount:
             assert d_count_int(basis, k) == lattice_count_recursion(basis.primes, k)
 
     def test_real_rho_at_integers(self):
+        # the rho brackets of SmoothSequence count as the integers do: at
+        # rho = ln k exactly d_count_int(k) of the rho_min(l) are <= rho
         basis = primes_up_to(3)
+        seq = smooth_numbers(basis, 60)
         for k in range(1, 200):
-            assert d_count(basis, math.log(k)) == d_count_int(basis, k)
+            rho = ln_int(k)
+            assert sum(seq.rho_min(l) <= rho for l in range(1, 61)) == d_count_int(basis, k)
 
     def test_counts_step_at_smooth_numbers(self):
         basis = primes_up_to(3)
@@ -146,26 +146,33 @@ class TestDCount:
 
 class TestCoprimeAndFibers:
     def test_coprime_examples(self):
-        assert coprime_set(primes_up_to(2), 10) == [1, 3, 5, 7, 9]
-        assert coprime_set(primes_up_to(3), 10) == [1, 5, 7]
-        assert coprime_set(primes_up_to(1), 4) == [1, 2, 3, 4]
+        assert fiber_sizes(primes_up_to(2), 10)[0].tolist() == [1, 3, 5, 7, 9]
+        assert fiber_sizes(primes_up_to(3), 10)[0].tolist() == [1, 5, 7]
+        assert fiber_sizes(primes_up_to(1), 4)[0].tolist() == [1, 2, 3, 4]
 
     def test_b_set_examples(self):
-        assert b_set(primes_up_to(2), 1, 10) == [1, 2, 4, 8]
-        assert b_set(primes_up_to(2), 3, 10) == [3, 6]
-        assert b_set(primes_up_to(3), 1, 12) == [1, 2, 3, 4, 6, 8, 9, 12]
-        assert b_set(primes_up_to(1), 3, 10) == [3]  # no primes: each fiber is {a}
+        # B_10(1) = {1, 2, 4, 8}, B_10(3) = {3, 6}, B_10(5) = {5, 10}
+        assert fiber_sizes(primes_up_to(2), 10)[1].tolist() == [4, 2, 2, 1, 1]
+        # B_12(1) = {1, 2, 3, 4, 6, 8, 9, 12}, B_12(5) = {5, 10}
+        assert fiber_sizes(primes_up_to(3), 12)[1].tolist() == [8, 2, 1, 1]
+        # no primes: each fiber is {a}
+        assert fiber_sizes(primes_up_to(1), 10)[1].tolist() == [1] * 10
 
     def test_b_set_rejects_non_coprime(self):
-        with pytest.raises(InputError):
-            b_set(primes_up_to(3), 6, 20)
+        # B_N(a) is defined for a coprime to the basis only: 6 has no fiber
+        a, _ = fiber_sizes(primes_up_to(3), 20)
+        assert a.tolist() == [1, 5, 7, 11, 13, 17, 19]
 
     @pytest.mark.parametrize("ell", [2, 3, 5])
     def test_fiber_size_equals_d_count(self, ell):
         basis = primes_up_to(ell)
         N = 500
-        for a in coprime_set(basis, N):
-            assert len(b_set(basis, a, N)) == d_count_int(basis, N // a)
+        smooth = brute_smooth(basis.primes, N)
+        a_arr, sizes = fiber_sizes(basis, N)
+        coprime = [a for a in range(1, N + 1) if math.gcd(a, math.prod(basis.primes)) == 1]
+        assert a_arr.tolist() == coprime
+        for a, size in zip(a_arr.tolist(), sizes.tolist()):
+            assert size == sum(1 for h in smooth if a * h <= N) == d_count_int(basis, N // a)
 
     @pytest.mark.parametrize("ell,N", [(2, 100), (3, 1000), (5, 10**4), (1, 50)])
     def test_partition(self, ell, N):
@@ -191,9 +198,20 @@ class TestCoprimeAndFibers:
         assert not partition_check(basis, 200)
 
 
+def window_reads(m, b, ell):
+    """The draws j*k, j <= ell, that window positions m < k <= m + b read, with repeats."""
+    return [j * k for k in range(m + 1, m + b + 1) for j in range(1, ell + 1)]
+
+
+def windows_iid(m, b, ell):
+    """True iff no draw is read by two window positions, by brute force."""
+    reads = window_reads(m, b, ell)
+    return len(set(reads)) == len(reads)
+
+
 class TestWindows:
     def test_index_set(self):
-        assert window_index_set(10, 3, 2) == {11, 12, 13, 22, 24, 26}
+        assert set(window_reads(10, 3, 2)) == {11, 12, 13, 22, 24, 26}
 
     def test_examples(self):
         assert windows_iid(10, 3, 2)  # m > (ell-1)*b

@@ -14,12 +14,10 @@ from ncsums.model import (
     FiniteDistribution,
     center,
     constant_observable,
-    evaluate,
     from_spec,
     indicator_equal_observable,
     is_degenerate,
     make_observable,
-    negate,
     observable_from_table,
     preset,
     product_observable,
@@ -127,40 +125,44 @@ class TestCenter:
         assert abs(again.variance - obs.variance) <= 1e-12
 
 
+def negated(dist, obs):
+    """-F, from the negated table: the means negate and the sup-norms swap exactly."""
+    return observable_from_table(dist, obs.ell, -obs.table)
+
+
+def entry(dist, obs, indices):
+    """F at a tuple of support indices, read from the row-major table."""
+    return float(obs.table[np.ravel_multi_index(indices, (dist.size,) * obs.ell)])
+
+
 class TestNegate:
     def test_involution_and_sup_swap(self):
         dist, obs = preset("bernoulli-product")
-        neg = negate(obs)
+        neg = negated(dist, obs)
         assert neg.sup_pos == obs.sup_neg == 0.25
         assert neg.sup_neg == obs.sup_pos == 0.75
         assert neg.sup_abs == obs.sup_abs
-        back = negate(neg)
+        assert neg.mean == -obs.mean and neg.variance == obs.variance
+        back = negated(dist, neg)
         assert np.array_equal(back.table, obs.table)
         assert back.mean == obs.mean
 
     def test_rademacher_sups_unchanged(self):
         dist, obs = preset("rademacher-product")
-        neg = negate(obs)
+        neg = negated(dist, obs)
         assert neg.sup_pos == neg.sup_neg == 1.0
 
 
 class TestEvaluate:
     def test_product_entries(self):
         obs = product_observable(RADEMACHER, 2)
-        assert evaluate(obs, (0, 0)) == 1.0  # (-1)(-1)
-        assert evaluate(obs, (0, 1)) == -1.0
-        assert evaluate(obs, (1, 1)) == 1.0
+        assert entry(RADEMACHER, obs, (0, 0)) == 1.0  # (-1)(-1)
+        assert entry(RADEMACHER, obs, (0, 1)) == -1.0
+        assert entry(RADEMACHER, obs, (1, 1)) == 1.0
 
     def test_indicator_match_entry(self):
-        _, obs = preset("indicator-match")
-        assert evaluate(obs, (1, 1)) == 0.5
-
-    def test_errors(self):
-        obs = product_observable(RADEMACHER, 2)
-        with pytest.raises(InputError):
-            evaluate(obs, (0,))
-        with pytest.raises(InputError):
-            evaluate(obs, (0, 2))
+        dist, obs = preset("indicator-match")
+        assert entry(dist, obs, (1, 1)) == 0.5
 
 
 def test_value_distribution_aggregates():
@@ -246,13 +248,14 @@ class TestDyadicExponent:
     def test_presets(self):
         assert preset("rademacher-product")[1].dyadic_exponent == 0
         assert preset("bernoulli-product", ell=3)[1].dyadic_exponent == 3
-        assert negate(center(product_observable(RADEMACHER, 2), RADEMACHER)).dyadic_exponent == 0
+        neg = negated(RADEMACHER, center(product_observable(RADEMACHER, 2), RADEMACHER))
+        assert neg.dyadic_exponent == 0
 
 
 def test_indicator_equal_general_ell():
     obs = indicator_equal_observable(RADEMACHER, 3)
-    assert evaluate(obs, (0, 0, 0)) == 1.0
-    assert evaluate(obs, (0, 1, 0)) == 0.0
+    assert entry(RADEMACHER, obs, (0, 0, 0)) == 1.0
+    assert entry(RADEMACHER, obs, (0, 1, 0)) == 0.0
 
 
 class TestSpecFiles:

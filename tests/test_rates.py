@@ -12,11 +12,13 @@ import pytest
 from oracles import (
     eliminate_log,
     enumerate_chain_expectation,
+    finite_pressure,
     first_below,
     golden_conjugate,
     grid_search_rate,
     pressure_l2,
     pressure_tail,
+    r_l_mc,
     rademacher_rate_closed,
     transfer_log_r,
 )
@@ -34,7 +36,6 @@ from ncsums.model import (
     FiniteDistribution,
     center,
     constant_observable,
-    negate,
     observable_from_table,
     preset,
     product_observable,
@@ -45,16 +46,24 @@ from ncsums.rates import (
     PressureEval,
     RateJ,
     chain_index_structure,
-    finite_pressure,
     log_r_sequence,
     mgf,
-    r_l,
-    r_l_mc,
 )
 
 B1 = primes_up_to(1)
 B2 = primes_up_to(2)
 B3 = primes_up_to(3)
+
+
+def r_l(dist, obs, lam, l, budget=rates.DEFAULT_BUDGET):
+    """Exact R_l, from the last of the library's ln R_1..ln R_l."""
+    basis = primes_up_to(obs.ell)
+    return math.exp(log_r_sequence(dist, obs, basis, lam, l, budget=budget)[-1])
+
+
+def chain_terms(ell, l):
+    """Term numbers h_1..h_l of the l-term chain: term k reads draws j*h_k."""
+    return [term[0] for term in chain_index_structure(primes_up_to(ell), l).term_indices]
 
 
 def asymmetric_pair():
@@ -178,7 +187,8 @@ class TestCramerRate:
         dist = FiniteDistribution(values=(0.0, 1.0, 2.0), probs=(0.2, 0.3, 0.5))
         for _ in range(8):
             obs = center(random_observable(rng, dist, 2), dist)
-            rate, mirror = CramerRate(dist, obs), CramerRate(dist, negate(obs))
+            neg = observable_from_table(dist, 2, -obs.table)
+            rate, mirror = CramerRate(dist, obs), CramerRate(dist, neg)
             small = obs.variance * rates.SMALL_TF / obs.sup_abs  # where t* M is near SMALL_TF
             for a in (1e-9 * small, 0.5 * small, 2.0 * small, 0.5 * obs.sup_neg,
                       obs.sup_neg * (1 - 1e-12), obs.sup_neg * (1 - 1e-15), obs.sup_neg,
@@ -501,36 +511,46 @@ class TestSweep:
 
 
 class TestRlMc:
+    """The exact R_l against the Monte-Carlo oracle of tests/oracles.py."""
+
     def test_lambda_zero_exact(self):
         dist, obs = preset("bernoulli-product")
-        est = r_l_mc(dist, obs, 0.0, 5, replicas=1000, seed=3)
-        assert est.value == 1.0 and est.stderr == 0.0
+        value, stderr = r_l_mc(dist, obs, 0.0, chain_terms(2, 5), replicas=1000, seed=3)
+        assert value == 1.0 and stderr == 0.0
 
     def test_rademacher_within_stderr(self):
         dist, obs = preset("rademacher-product")
-        est = r_l_mc(dist, obs, 1.0, 5, replicas=200_000, seed=11)
-        assert abs(est.value - math.cosh(1.0) ** 5) <= 3 * est.stderr
+        value, stderr = r_l_mc(dist, obs, 1.0, chain_terms(2, 5), replicas=200_000, seed=11)
+        assert abs(value - math.cosh(1.0) ** 5) <= 3 * stderr
 
     @pytest.mark.parametrize("lam", [-1.0, -0.5, 0.5, 1.0])
     def test_agreement_with_exact(self, lam):
         dist, obs = preset("bernoulli-product")
         for l in range(1, 9):
             exact = r_l(dist, obs, lam, l)
-            est = r_l_mc(dist, obs, lam, l, replicas=40_000, seed=100 + l)
-            assert abs(est.value - exact) <= 4 * est.stderr, (lam, l)
+            value, stderr = r_l_mc(dist, obs, lam, chain_terms(2, l), replicas=40_000, seed=100 + l)
+            assert abs(value - exact) <= 4 * stderr, (lam, l)
 
-    def test_replica_floor(self):
-        dist, obs = preset("bernoulli-product")
-        with pytest.raises(InputError):
-            r_l_mc(dist, obs, 1.0, 3, replicas=10, seed=1)
-
-    def test_chain_must_fit_the_counter_range(self):
-        # at ell = 2 the chain of length l reads draws up to 2 * 2**(l-1)
-        dist, obs = preset("rademacher-product")
-        est = r_l_mc(dist, obs, 0.5, 63, replicas=1000, seed=1)
-        assert est.value > 0.0
-        with pytest.raises(InputError):
-            r_l_mc(dist, obs, 0.5, 64, replicas=1000, seed=1)
+    # rademacher is left out: its chain terms are i.i.d. signs at every ell,
+    # so a kernel that dropped the shared draws would still agree
+    @pytest.mark.parametrize("route", ["sweep", "plans"])
+    @pytest.mark.parametrize("law", ["bernoulli-product", "three-point"])
+    def test_agreement_with_exact_ell3(self, law, route, monkeypatch):
+        if route == "plans":
+            monkeypatch.setattr(rates, "_SWEEP_BYTES", 0)
+        replays = []
+        replay = rates._replay_log
+        monkeypatch.setattr(rates, "_replay_log", lambda *a: replays.append(a[-1]) or replay(*a))
+        if law == "three-point":
+            dist, obs = THREE_POINT, random_observable(np.random.default_rng(3), THREE_POINT, 3)
+        else:
+            dist, obs = preset(law, ell=3)
+        for lam in (-1.0, -0.5, 0.5, 1.0):
+            for l in range(1, 9):
+                exact = math.exp(log_r_sequence(dist, obs, B3, lam, l)[-1])
+                value, stderr = r_l_mc(dist, obs, lam, chain_terms(3, l), 40_000, seed=100 + l)
+                assert abs(value - exact) <= 4 * stderr, (lam, l)
+        assert bool(replays) == (route == "plans")
 
 
 class TestPressure:

@@ -16,13 +16,11 @@ from ncsums.model import (
     RADEMACHER,
     FiniteDistribution,
     constant_observable,
-    evaluate,
-    negate,
     observable_from_table,
     preset,
     product_observable,
 )
-from ncsums.rates import chain_index_structure, r_l_mc
+from ncsums.rates import chain_index_structure
 from ncsums.simulate import (
     TRAJECTORY_MODES,
     LdpEstimate,
@@ -140,7 +138,8 @@ def scalar_term(dist, obs, key, m, mode):
         counters = [j * m for j in range(1, ell + 1)]
     else:
         counters = [(m - 1) * ell + j for j in range(1, ell + 1)]
-    return evaluate(obs, [x_value(dist, key, c) for c in counters])
+    indices = [x_value(dist, key, c) for c in counters]
+    return float(obs.table[np.ravel_multi_index(indices, (dist.size,) * ell)])
 
 
 class TestTermValues:
@@ -313,7 +312,8 @@ class TestExactRoute:
         assert ran == ["_exact_prefix"] * 5
 
     def test_negative_zero_terms_sum_to_positive_zero(self):
-        dist, obs = RADEMACHER, negate(constant_observable(RADEMACHER, 0.0, ell=2))
+        zero = constant_observable(RADEMACHER, 0.0, ell=2)
+        dist, obs = RADEMACHER, observable_from_table(RADEMACHER, 2, -zero.table)
         assert np.signbit(obs.table).all()
         got = trajectory(dist, obs, 3, 100)
         assert same_bits(got, oracles.trajectory(dist, obs, 3, 100, "nonconventional", block=7))
@@ -532,16 +532,11 @@ class TestAllocatingOracle:
             est = ldp_estimate(dist, obs, N=N, u=u, replicas=replicas, seed=31, mode=mode)
             assert est.p_hat == want / replicas, replicas
 
-    @pytest.mark.parametrize("lam", [-0.7, 0.45])
-    @pytest.mark.parametrize("s,ell", [(2, 2), (3, 3)])
-    def test_r_l_mc_bitwise(self, s, ell, lam):
-        dist, obs = random_law(s, ell, seed=s * ell)
-        l = 9
-        chain = chain_index_structure(primes_up_to(ell), l)
-        terms = [term[0] for term in chain.term_indices]
-        est = r_l_mc(dist, obs, lam, l, replicas=5000, seed=17)
-        want = oracles.r_l_mc(dist, obs, lam, terms, replicas=5000, seed=17)
-        assert (est.value.hex(), est.stderr.hex()) == tuple(v.hex() for v in want)
+
+def replica_sums(dist, obs, keys, terms, mode):
+    """Per key, F summed over ``terms`` by a plan for blocks of the size ldp_estimate uses."""
+    block = min(simulate._LDP_CHUNK, keys.size)
+    return simulate._ReplicaPlan(dist, obs, terms, mode, block).sums(keys)
 
 
 class TestReplicaSums:
@@ -568,7 +563,7 @@ class TestReplicaSums:
             runs += [(1000, "N=600"), (big, "N=60"), (big, "chain")]
         for replicas, name in runs:
             keys = mix_batch(s * ell, np.arange(replicas, dtype=np.uint64))
-            got = simulate.replica_sums(dist, obs, keys, term_lists[name], mode)
+            got = replica_sums(dist, obs, keys, term_lists[name], mode)
             want = oracles.replica_total(dist, obs, keys, term_lists[name], mode)
             assert same_bits(got, want), (replicas, name)
 
@@ -587,15 +582,15 @@ class TestReplicaSums:
         drawn = [d for new, _ in steps for _, d in new]
         assert slots <= capacity < needed and len(set(drawn)) < len(drawn)
         keys = mix_batch(s * ell, np.arange(replicas, dtype=np.uint64))
-        got = simulate.replica_sums(dist, obs, keys, terms, "nonconventional")
+        got = replica_sums(dist, obs, keys, terms, "nonconventional")
         want = oracles.replica_total(dist, obs, keys, terms, "nonconventional")
         assert same_bits(got, want)
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_ldp_plans_its_draws_once(self, threads, monkeypatch):
         # ten chunks of replicas share one plan, read by up to four threads
-        # that switch often; the count matches the sums of replica_sums on
-        # each chunk, which plans it afresh
+        # that switch often; the count matches the sums of a fresh plan on
+        # each chunk
         dist, obs = preset("rademacher-product", ell=2)
         N, u, replicas, seed = 60, 0.3, 300_000, 11
         plans = []
@@ -612,7 +607,7 @@ class TestReplicaSums:
         for r0 in range(0, replicas, simulate._LDP_CHUNK):
             r1 = min(replicas, r0 + simulate._LDP_CHUNK)
             keys = mix_batch(seed, np.arange(r0, r1, dtype=np.uint64))
-            total = simulate.replica_sums(dist, obs, keys, range(1, N + 1), "nonconventional")
+            total = replica_sums(dist, obs, keys, range(1, N + 1), "nonconventional")
             hits += int(np.count_nonzero(total / N >= u))
         assert len(plans) == 1 + 10
         assert est.p_hat == hits / replicas
@@ -636,20 +631,6 @@ class TestReplicaSums:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.9e6 + simulate._TABLE_BYTES, (N, peak)
-
-    def test_r_l_mc_works_in_column_blocks(self):
-        # r_l_mc passes every replica as one batch; besides its keys, sums,
-        # sample and the deviations of std (four replica-sized arrays), the
-        # draws hold only block-sized buffers
-        dist, obs = preset("rademacher-product", ell=2)
-        replicas = 200_000
-        tracemalloc.start()
-        try:
-            r_l_mc(dist, obs, 0.3, 9, replicas=replicas, seed=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * 8 * replicas, peak
 
 
 class TestWorkspace:
