@@ -13,7 +13,6 @@ from .model import (
     Observable,
     center,
     load_spec,
-    make_observable,
     preset,
     product_observable,
 )

@@ -417,6 +417,10 @@ def _cmd_erlaw(args):
 
 def _cmd_ldp_check(args):
     dist, obs, obs_id = _resolve_observable(args)
+    # the theory's inputs are checked before any replica is simulated
+    if not args.skip_theory:
+        rate = rates.CramerRate(dist, obs)
+        conj = rates.RateJ(rates.Pressure(dist, obs, tol=float(args.theory_tol)))
     est = simulate.ldp_estimate(
         dist,
         obs,
@@ -430,10 +434,8 @@ def _cmd_ldp_check(args):
     theory_i: float | str = ""
     theory_j: float | str = ""
     if not args.skip_theory:
-        rate = rates.CramerRate(dist, obs)
         theory_i = rate(est.u)
-        press = rates.Pressure(dist, obs, tol=float(args.theory_tol))
-        theory_j = rates.RateJ(press)(est.u)
+        theory_j = conj(est.u)
     fields = {**asdict(est), "theory_J": theory_j, "theory_I": theory_i}
     payload = {
         "kind": "ldp-check",

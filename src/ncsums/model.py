@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -133,14 +132,20 @@ def _check_cells(s: int, ell: int) -> int:
     return cells
 
 
+def _outer_power(vector, ell: int) -> np.ndarray:
+    """Flat row-major cells (v[i_1] * v[i_2]) * ... * v[i_ell] of ``vector``
+    v, or inf where a product overflows."""
+    _check_cells(len(vector), ell)
+    out = v = np.asarray(vector, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        for _ in range(ell - 1):
+            out = np.multiply.outer(out, v).ravel()
+    return out
+
+
 def tuple_weights(dist: FiniteDistribution, ell: int) -> np.ndarray:
     """Product probabilities of all s**ell index tuples, flat row-major."""
-    _check_cells(dist.size, ell)
-    w = np.asarray(dist.probs, dtype=np.float64)
-    out = w
-    for _ in range(ell - 1):
-        out = np.multiply.outer(out, w).ravel()
-    return out
+    return _outer_power(dist.probs, ell)
 
 
 def observable_from_table(dist: FiniteDistribution, ell: int, flat_table) -> Observable:
@@ -173,34 +178,20 @@ def observable_from_table(dist: FiniteDistribution, ell: int, flat_table) -> Obs
     )
 
 
-def make_observable(
-    dist: FiniteDistribution, ell: int, fn: Callable[..., float]
-) -> Observable:
-    """Materialize ``fn`` (a callback on support values) as a dense table."""
-    s = dist.size
-    cells = _check_cells(s, ell)
-    vals = dist.values
-    flat = np.empty(cells, dtype=np.float64)
-    idx = [0] * ell
-    for code in range(cells):
-        c = code
-        for j in range(ell - 1, -1, -1):
-            idx[j] = c % s
-            c //= s
-        flat[code] = fn(*(vals[i] for i in idx))
-    return observable_from_table(dist, ell, flat)
-
-
 def product_observable(dist: FiniteDistribution, ell: int = 2) -> Observable:
-    return make_observable(dist, ell, lambda *xs: math.prod(xs))
+    return observable_from_table(dist, ell, _outer_power(dist.values, ell))
 
 
 def indicator_equal_observable(dist: FiniteDistribution, ell: int = 2) -> Observable:
-    return make_observable(dist, ell, lambda *xs: 1.0 if len(set(xs)) == 1 else 0.0)
+    s = dist.size
+    table = np.zeros(_check_cells(s, ell))
+    # the cell (i, ..., i) has the row-major code i * (1 + s + ... + s**(ell-1))
+    table[np.arange(s) * sum(s**j for j in range(ell))] = 1.0
+    return observable_from_table(dist, ell, table)
 
 
 def constant_observable(dist: FiniteDistribution, c: float, ell: int = 2) -> Observable:
-    return make_observable(dist, ell, lambda *xs: float(c))
+    return observable_from_table(dist, ell, np.full(_check_cells(dist.size, ell), float(c)))
 
 
 def center(obs: Observable, dist: FiniteDistribution) -> Observable:

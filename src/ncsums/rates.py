@@ -60,6 +60,9 @@ STEP_OVER_M = 1e-30
 
 LN2 = math.log(2.0)
 
+# ln(DBL_MAX): exp(lambda * F) is finite while |lambda| * sup|F| stays below it.
+LN_MAX = math.log(np.finfo(np.float64).max)
+
 # At |t|*M <= SMALL_TF, CramerRate.log_mgf sums e^{tF} - 1 - tF as a Taylor
 # series, whose terms past x**9/9! are below 1e-16 of its first.
 SMALL_TF = 1e-2
@@ -532,7 +535,11 @@ def log_r_sequence(
         return _transfer_log_r(dist, obs, np.array([lam], dtype=dtype), L, budget)[0].tolist()
     if obs.ell != basis.ell:
         raise InputError(f"ell={obs.ell} does not match basis ell={basis.ell}")
-    shaped = np.exp(lam * obs.table).reshape((s,) * obs.ell)
+    # a step multiplies up to ell tables; past ln(DBL_MAX) / ell they are
+    # exp(lam * F - c), c the largest Re(lam) * F, and ln R_l gains l * c
+    big = abs(lam) * obs.sup_abs * obs.ell > LN_MAX
+    c = float(np.max(lam.real * obs.table)) if big else 0.0
+    shaped = np.exp(lam * obs.table - c).reshape((s,) * obs.ell)
     out = _sweep_log(_sweep_steps(basis, L, s, shaped.itemsize, budget), shaped, probs)
     for l in range(len(out) + 1, L + 1):
         try:
@@ -545,7 +552,7 @@ def log_r_sequence(
                 completed=l - 1,
             )
         out.append(_replay_log(steps, shaped, probs, l))
-    return out
+    return [v + l * c for l, v in enumerate(out, 1)] if c else out
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +668,13 @@ class Pressure:
         each lambda's sequence up to its own length.  An error is the one
         the first failing lambda in order raises when evaluated alone:
         truncation and budget both fail monotonically in |lambda|, and no
-        lambda after a truncation failure is evaluated.
+        lambda after a truncation failure is evaluated.  A |lambda| past
+        ln(DBL_MAX) / sup|F|, where exp(lambda * F) overflows, is an InputError.
         """
         lams = [float(lam) for lam in lams]
+        M = self.obs.sup_abs
+        if max(map(abs, lams), default=0.0) * M > LN_MAX:
+            raise InputError(f"|lambda| may not exceed ln(DBL_MAX) / sup|F| = {LN_MAX / M:.9g}")
         if self.basis.m == 0:
             return self._evaluate([(lam, 1, 0.0) for lam in lams], slope)
         found = {0.0: PressureEval(0.0, 0.0, 0)}
@@ -799,6 +810,8 @@ class RateJ:
         )
         if not (math.isfinite(self.lambda_cap) and self.lambda_cap > 0):
             raise InputError("lambda_cap must be finite and positive")
+        if self.lambda_cap * M > LN_MAX:
+            raise InputError(f"lambda_cap may not exceed ln(DBL_MAX) / sup|F| = {LN_MAX / M:.9g}")
 
     @property
     def l_plus(self) -> float:

@@ -18,15 +18,16 @@ order-independent.  Dilated sums need draws at indices up to ell*n; counter
 addressing keeps that O(1) in memory and identical across runs, platforms,
 and thread counts.
 
-``trajectory`` returns the float64 prefix array S_0 = 0, ..., S_n, summed
-block by block with the compensated prefix form of Sum2 (see its docstring).
-When every partial sum is exact in float64, Sum2 is the plain float sum and
-one cumsum per block computes it: every entry of F is an integer multiple of
-2**-q for a least q, and with M = sup|F| * 2**q the sums of n terms are
-exact when n * M <= 2**53, which is decided once per call in exact integer
-arithmetic.
+``trajectory`` returns the float64 prefix array S_0 = 0, ..., S_n.  One
+loop over blocks of terms gathers each block's values straight into the
+prefix array and sums them there, with the compensated prefix form of Sum2
+(see its docstring).  When every partial sum is exact in float64, Sum2 is
+the plain float sum and one in-place cumsum per block computes it: every
+entry of F is an integer multiple of 2**-q for a least q, and with
+M = sup|F| * 2**q the sums of n terms are exact when n * M <= 2**53, which
+is decided once per call in exact integer arithmetic.
 
-The draw kernel (mix_batch, sample_indices, term_values) writes every
+The draw kernel (mix_batch, sample_indices, _table_codes) writes every
 intermediate array into a ``Workspace``: one reusable buffer per role, grown
 to the largest batch it has served.  A call without a workspace makes a fresh
 one.  Support indices are counted in uint8 while size <= 256, and a table
@@ -45,11 +46,11 @@ table; the draw is computed just before the first term that reads it,
 and its slot is freed once the last term that reads it has been added,
 so those terms need 17 slots (28 at ell = 3).  Each term gathers its
 table code from its slots, and the terms are added in the given order,
-so every sum equals the per-term loop's bit for bit.  The keys are
-walked in column blocks of _LDP_CHUNK and the table is capped at
-_TABLE_BYTES (1 MiB, 32 slots of a block): when the terms would hold
-more draws at once, a draw that finds the table full is computed again
-by its next reader.  Narrowing the blocks instead would keep every draw
+so every sum equals the per-term loop's bit for bit.  ``ldp_estimate``
+hands the plan one chunk of at most _LDP_CHUNK keys at a time, and the
+table is capped at _TABLE_BYTES (1 MiB, 32 slots of a chunk): when the
+terms would hold more draws at once, a draw that finds the table full is
+computed again by its next reader.  Narrowing the chunks instead would keep every draw
 once, but their per-call cost grows with N: at ell = 2, N = 3000 a
 2**15-key chunk took 4.3 s that way, against 2.1 s for the per-term loop
 and 1.3 s for the capped table (2-core x86 host).  ``ldp_estimate`` plans
@@ -252,12 +253,16 @@ def _index_dtypes(dist: FiniteDistribution, ell: int) -> tuple[np.dtype, np.dtyp
 
 
 def _table_codes(dist, obs, keys, ms, mode, ws, thresholds) -> np.ndarray:
-    """The int64 table codes of term_values, in a buffer of the workspace ``ws``.
+    """The int64 table codes of the terms ``ms`` of streams ``keys``, broadcast
+    against ``ms``, in a buffer of the workspace ``ws``.
 
-    Factor j's support indices are counted straight into the code for j = 1
-    and into the "count" buffer after that, both in the dtypes of
-    _index_dtypes.  A uint8 code is widened once, into the "word" buffer,
-    which mix_batch no longer needs after the last draw.
+    Term m reads the ell draws that _draw_numbers addresses, sharing the
+    workspace (and ``thresholds``, see sample_indices), and its code is the
+    row-major index of their support indices in obs.table.  Factor j's
+    support indices are counted straight into the code for j = 1 and into
+    the "count" buffer after that, both in the dtypes of _index_dtypes.  A
+    uint8 code is widened once, into the "word" buffer, which mix_batch no
+    longer needs after the last draw.
     """
     index_dtype, code_dtype = _index_dtypes(dist, obs.ell)
     ms = np.asarray(ms, dtype=np.uint64)
@@ -277,31 +282,6 @@ def _table_codes(dist, obs, keys, ms, mode, ws, thresholds) -> np.ndarray:
     index = ws.take("word", np.int64, shape)
     np.copyto(index, code)
     return index
-
-
-def term_values(
-    dist: FiniteDistribution,
-    obs: Observable,
-    keys,
-    ms,
-    mode: str,
-    ws: Workspace | None = None,
-    *,
-    thresholds: np.ndarray | None = None,
-) -> np.ndarray:
-    """F at 1-based term numbers ``ms`` of streams ``keys``, broadcast against ``ms``.
-
-    Term m reads the ell draws that _draw_numbers addresses.  They share the
-    workspace (and ``thresholds``, see sample_indices); their support indices
-    combine into a row-major table code (see _table_codes), and the values
-    are gathered into its "value" buffer.
-    """
-    _check_mode(mode)
-    ws = Workspace() if ws is None else ws
-    code = _table_codes(dist, obs, keys, ms, mode, ws, thresholds)
-    # every code is below size**ell, so "clip" never clips; it only lets take
-    # write straight into the buffer, where the default mode would buffer it
-    return np.take(obs.table, code, out=ws.take("value", np.float64, code.shape), mode="clip")
 
 
 def _draw_plan(terms, ell: int, mode: str, slots: int) -> tuple[list, int]:
@@ -350,53 +330,50 @@ class _ReplicaPlan:
     """The draw table of the replica loop for ``terms``, planned once for
     batches of at most ``block`` keys.
 
-    ``sums`` walks its keys in column blocks of ``block`` and adds the terms
-    in the given order, each from a draw table of at most _TABLE_BYTES (see
-    _draw_plan) whose slots hold support indices, as uint8 while the
-    support has at most 256 points: a term gathers its table code from its
-    slots.  All draws of a call share one workspace.  ``sums`` reads the
-    plan and nothing else that it does not build itself, so one plan
-    serves any number of batches and threads.
+    ``sums`` adds the terms over one batch of keys in the given order, each
+    from a draw table of at most _TABLE_BYTES (see _draw_plan) whose slots
+    hold support indices, as uint8 while the support has at most 256
+    points: a term gathers its table code from its slots.  All draws of a
+    call share one workspace.  ``sums`` reads the plan and nothing else
+    that it does not build itself, so one plan serves any number of
+    batches and threads.
     """
 
     def __init__(self, dist: FiniteDistribution, obs: Observable, terms, mode: str, block: int):
         _check_mode(mode)
-        self.dist, self.obs, self.block = dist, obs, max(1, block)
+        self.dist, self.obs = dist, obs
         # a code below 256 is built in uint8 and widened once for the gather
         self.dtype, self.code_dtype = _index_dtypes(dist, obs.ell)
-        capacity = max(obs.ell, _TABLE_BYTES // (self.block * self.dtype.itemsize))
+        capacity = max(obs.ell, _TABLE_BYTES // (max(1, block) * self.dtype.itemsize))
         self.steps, self.slots = _draw_plan(terms, obs.ell, mode, capacity)
         self.thresholds = _thresholds(dist)
 
     def sums(self, keys: np.ndarray) -> np.ndarray:
-        """Per key of the 1-d array ``keys``, the sum of F over the planned terms."""
-        dist, obs, block, thresholds = self.dist, self.obs, self.block, self.thresholds
-        dtype, code_dtype, steps, slots = self.dtype, self.code_dtype, self.steps, self.slots
+        """Per key of the 1-d array ``keys``, at most ``block`` of them, the sum
+        of F over the planned terms."""
+        dist, obs, thresholds = self.dist, self.obs, self.thresholds
         ws = Workspace()
         total = np.zeros(keys.shape, dtype=np.float64)
-        for c0 in range(0, keys.size, block):
-            kb = keys[c0 : c0 + block]
-            part = total[c0 : c0 + block]
-            # a buffer per slot: one table-sized buffer (557 KB at ell = 2,
-            # N = 60) raised glibc's mmap threshold, and the tail-mc job then
-            # peaked 0.5 MB higher in RSS than with per-slot buffers
-            table = [ws.take(f"slot {i}", dtype, kb.shape) for i in range(slots)]
-            code = ws.take("code", code_dtype, kb.shape)
-            # mix_batch's "word" and "shifted" buffers are dead from a term's
-            # last draw to the next term's first; the gather reuses them
-            index = code if code_dtype == np.int64 else ws.take("shifted", np.int64, kb.shape)
-            value = ws.take("word", np.float64, kb.shape)
-            for new, reads in steps:
-                for slot, d in new:
-                    sample_indices(dist, kb, d, ws, thresholds=thresholds, out=table[slot])
-                np.copyto(code, table[reads[0]])
-                for slot in reads[1:]:
-                    code *= dist.size
-                    code += table[slot]
-                if index is not code:
-                    np.copyto(index, code)
-                # see term_values for mode="clip"
-                part += np.take(obs.table, index, out=value, mode="clip")
+        # a buffer per slot: one table-sized buffer (557 KB at ell = 2,
+        # N = 60) raised glibc's mmap threshold, and the tail-mc job then
+        # peaked 0.5 MB higher in RSS than with per-slot buffers
+        table = [ws.take(f"slot {i}", self.dtype, keys.shape) for i in range(self.slots)]
+        code = ws.take("code", self.code_dtype, keys.shape)
+        # mix_batch's "word" and "shifted" buffers are dead from a term's
+        # last draw to the next term's first; the gather reuses them
+        index = code if code.dtype == np.int64 else ws.take("shifted", np.int64, keys.shape)
+        value = ws.take("word", np.float64, keys.shape)
+        for new, reads in self.steps:
+            for slot, d in new:
+                sample_indices(dist, keys, d, ws, thresholds=thresholds, out=table[slot])
+            np.copyto(code, table[reads[0]])
+            for slot in reads[1:]:
+                code *= dist.size
+                code += table[slot]
+            if index is not code:
+                np.copyto(index, code)
+            # see _fill_prefix for mode="clip"
+            total += np.take(obs.table, index, out=value, mode="clip")
         return total
 
 
@@ -414,48 +391,39 @@ def _sums_are_exact(obs: Observable, n: int) -> bool:
     return (n * a) << max(q, 0) <= b << (53 + max(-q, 0))
 
 
-def _blocks(n: int):
-    """(m0, m1, term numbers m0..m1-1 as uint64) per block of at most _BLOCK terms.
+def _fill_prefix(dist, obs, seed, mode, prefix, exact: bool) -> None:
+    """Fill prefix[1:] in blocks of at most _BLOCK terms (see trajectory).
 
-    One array serves every block, so a block's view is valid until the next.
+    Block m0..m1-1 gathers its values straight into prefix[m0:m1].  When the
+    sums are ``exact``, one in-place cumsum over prefix[m0-1:m1] carries
+    S_{m0-1} into them; otherwise the prefix form of Sum2 runs on the block,
+    carrying the running sum s and error e across blocks.
     """
-    terms = np.arange(1, min(n, _BLOCK) + 1, dtype=np.uint64)
+    n = prefix.size - 1
+    ws = Workspace()
+    thresholds = _thresholds(dist)
+    terms = np.arange(1, min(n, _BLOCK) + 1, dtype=np.uint64)  # advanced block by block
+    s = e = 0.0
     for m0 in range(1, n + 1, _BLOCK):
         m1 = min(n + 1, m0 + _BLOCK)
-        yield m0, m1, terms[: m1 - m0]
+        x = prefix[m0:m1]
+        code = _table_codes(dist, obs, seed, terms[: m1 - m0], mode, ws, thresholds)
         terms += np.uint64(_BLOCK)
-
-
-def _exact_prefix(dist, obs, seed, mode, prefix) -> None:
-    """Fill prefix[1:] by a plain running sum, for terms whose sums are exact.
-
-    Each block's values are gathered straight into prefix[m0:m1], and one
-    in-place cumsum over prefix[m0-1:m1] carries S_{m0-1} into them.
-    """
-    ws = Workspace()
-    thresholds = _thresholds(dist)
-    for m0, m1, ms in _blocks(prefix.size - 1):
-        code = _table_codes(dist, obs, seed, ms, mode, ws, thresholds)
-        np.take(obs.table, code, out=prefix[m0:m1], mode="clip")  # see term_values
-        run = prefix[m0 - 1 : m1]
-        np.cumsum(run, out=run)  # add.accumulate runs left to right
-
-
-def _sum2_prefix(dist, obs, seed, mode, prefix) -> None:
-    """Fill prefix[1:] by the prefix form of Sum2 (see trajectory)."""
-    ws = Workspace()
-    thresholds = _thresholds(dist)
-    s = e = 0.0
-    for m0, m1, ms in _blocks(prefix.size - 1):
+        # every code is below size**ell, so "clip" never clips; it only lets
+        # take write straight into x, where the default mode would buffer it
+        np.take(obs.table, code, out=x, mode="clip")
+        if exact:
+            run = prefix[m0 - 1 : m1]
+            np.cumsum(run, out=run)  # add.accumulate runs left to right
+            continue
         k = m1 - m0
-        x = term_values(dist, obs, seed, ms, mode, ws, thresholds=thresholds)
         acc = ws.take("acc", np.float64, (k + 1,))
         comp = ws.take("comp", np.float64, (k + 1,))
         z = ws.take("twosum_z", np.float64, (k,))
         r = ws.take("twosum_r", np.float64, (k,))
         acc[0] = s
         acc[1:] = x
-        np.cumsum(acc, out=acc)  # add.accumulate runs left to right
+        np.cumsum(acc, out=acc)
         prev, t = acc[:-1], acc[1:]
         # TwoSum, so that prev + x == t + err exactly:
         # z = t - prev;  err = (prev - (t - z)) + (x - z)
@@ -466,17 +434,17 @@ def _sum2_prefix(dist, obs, seed, mode, prefix) -> None:
         comp[0] = e
         np.add(r, z, out=comp[1:])
         np.cumsum(comp, out=comp)
-        np.add(t, comp[1:], out=prefix[m0:m1])
+        np.add(t, comp[1:], out=x)
         s, e = acc[-1], comp[-1]
 
 
 def trajectory(
     dist: FiniteDistribution, obs: Observable, seed: int, n: int, mode: str = "nonconventional"
 ) -> np.ndarray:
-    """Prefix sums S_0 = 0, S_1, ..., S_n of the sum that ``mode`` names (see term_values).
+    """Prefix sums S_0 = 0, S_1, ..., S_n of the sum that ``mode`` names.
 
     In mode "nonconventional" term m reads draws m, 2m, ..., ell*m; in mode
-    "iid" each term reads a fresh ell-tuple of draws.  S_k is the prefix form
+    "iid" each term reads a fresh ell-tuple of draws (see _draw_numbers).  S_k is the prefix form
     of Sum2 (Ogita, Rump and Oishi, "Accurate sum and dot product", 2005):
     the running float sum plus the float sum of the exact TwoSum rounding
     errors of its steps, as accurate as summing in twice the working
@@ -499,8 +467,7 @@ def trajectory(
     _check_mode(mode)
     prefix = np.empty(n + 1, dtype=np.float64)
     prefix[0] = 0.0
-    fill = _exact_prefix if _sums_are_exact(obs, n) else _sum2_prefix
-    fill(dist, obs, seed, mode, prefix)
+    _fill_prefix(dist, obs, seed, mode, prefix, _sums_are_exact(obs, n))
     return prefix
 
 
@@ -537,6 +504,8 @@ def ldp_estimate(
         raise InputError("N must be >= 1")
     if replicas < 1000:
         raise InputError("replicas must be >= 1000")
+    if replicas - 1 > MASK64:
+        raise InputError("replicas may not exceed 2**64: replica r + 2**64 would be replica r")
     if not u > 0:
         raise InputError("u must be positive")
     _check_sum_range(obs, N)

@@ -388,6 +388,23 @@ def render_simulate(fmt, payload, prefix, stride):
     return "\n".join(lines) + "\n"
 
 
+def cell_table(dist, ell, fn):
+    """The flat row-major table of ``fn`` on support values, one call per cell.
+
+    Each code is decoded into its ell support indices digit by digit.
+    """
+    s, vals = dist.size, dist.values
+    flat = np.empty(s**ell, dtype=np.float64)
+    idx = [0] * ell
+    for code in range(s**ell):
+        c = code
+        for j in range(ell - 1, -1, -1):
+            idx[j] = c % s
+            c //= s
+        flat[code] = fn(*(vals[i] for i in idx))
+    return flat
+
+
 # The allocating draw kernel, kept as the reference for the in-place one in
 # ncsums.simulate: every step returns a fresh array, and the trajectory block
 # size is an argument.

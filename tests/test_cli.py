@@ -593,6 +593,10 @@ class TestInputValidation:
             ("rate-i", "--alpha", "0:inf:0.5"),
             ("rate-j", "--u", "nan"),
             ("pressure", "--lambda", "nan"),
+            # exp(lambda * F) overflows past |lambda| * sup|F| = ln(DBL_MAX)
+            ("pressure", "--lambda", "720", "--tol", "1e-3"),
+            ("pressure", "--ell", "1", "--lambda", "720"),
+            ("rate-j", "--u", "0.99,1.0", "--lambda-cap", "1e30"),
             # an infinite tolerance certifies nothing, and a nan one is no bound
             ("pressure", "--lambda", "1", "--tol", "inf"),
             ("pressure", "--lambda", "1", "--tol", "nan"),
@@ -619,6 +623,44 @@ class TestInputValidation:
         code, out, err = run_cli(*argv, "--preset", "rademacher-product", "--no-timestamp")
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "InputError"
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            (("--theory-tol", "inf"), "tol must be positive and finite"),
+            (("--theory-tol", "0"), "tol must be positive and finite"),
+            ((), "observable must be centered"),
+        ],
+    )
+    def test_ldp_check_checks_the_theory_before_simulating(
+        self, fault, message, tmp_path, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ldp_estimate ran")
+
+        monkeypatch.setattr(simulate, "ldp_estimate", refuse)
+        spec = tmp_path / "uncentred.json"
+        table = [0.3, -1.1, 0.7, 1.9] if not fault else [1.0, -1.0, -1.0, 1.0]
+        spec.write_text(json.dumps(
+            {"values": [-1, 1], "probs": [0.5, 0.5], "ell": 2, "kind": "table", "table": table}
+        ))
+        code, out, err = run_cli(
+            "ldp-check", "--spec-file", str(spec), "--N", "60", "--u", "0.3",
+            "--replicas", "300000", *fault, "--no-timestamp",
+        )
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["error"] == "InputError" and message in doc["message"]
+
+    def test_pressure_at_large_lambda_and_ell3(self):
+        # three unshifted exp(300 * F) tables would overflow
+        code, out, _ = run_cli(
+            "pressure", "--preset", "rademacher-product", "--ell", "3", "--lambda", "300",
+            "--tol", "1e-2", "--no-timestamp",
+        )
+        assert code == 0
+        x, value, is_infinite, tol, L = out.splitlines()[1].split(",")
+        assert abs(float(value) - math.log(math.cosh(300.0))) <= 1e-2
 
     @pytest.mark.parametrize("const_value", [None, "inf", "nan"])
     def test_nonfinite_table_is_input_error(self, const_value, tmp_path):
@@ -794,6 +836,18 @@ class TestBoundedTime:
             "message": f"ell={ell} on a one-point support exceeds limit {ELL_LIMIT}",
         }
 
+    @pytest.mark.parametrize("replicas", ["1e30", "1e308", THIRTY_DIGITS])
+    def test_replicas_past_two_to_the_64_are_rejected(self, replicas):
+        # replica r + 2**64 would repeat replica r's stream
+        code, out, err = self.run_within(
+            1.0, "ldp-check", *PRESET, "--N", "10", "--u", "0.3", "--replicas", replicas
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "InputError",
+            "message": "replicas may not exceed 2**64: replica r + 2**64 would be replica r",
+        }
+
     def test_grid_point_limit_is_far_above_the_benchmark_grid(self):
         assert len(_parse_grid("0.005:0.995:0.005")) == 199
         assert len(_parse_grid(f"1:{GRID_POINT_LIMIT}:1")) == GRID_POINT_LIMIT
@@ -806,6 +860,52 @@ class TestBoundedTime:
         code, out, err = self.run_within(1.0, "structure", "--ell", "100001", "--n", "100")
         assert (code, out) == (2, "")
         assert json.loads(err)["message"] == f"ell must be at most {STRUCTURE_ELL_LIMIT}"
+
+
+# The edge values of the flag sweep, each given to one flag at a time.
+EDGE_VALUES = [
+    "0", "-1", "-0", "inf", "-inf", "nan", "1e30", "1e308", "1e-320", THIRTY_DIGITS,
+    "abc", "1,,2", "1:0:1", "0:1:1e-300", "0.5",
+]
+
+# A small valid argv per subcommand; a swept flag given after it wins.
+SWEEP_BASES = {
+    "structure": ("--ell", "2", "--n", "10"),
+    "rate-i": (*PRESET, "--alpha", "0.5"),
+    "pressure": (*PRESET, "--lambda", "0.5"),
+    "rate-j": (*PRESET, "--u", "0.5"),
+    "erlaw": (*PRESET, "--alpha", "0.5", "--n", "100", "--seeds", "1"),
+    "ldp-check": (*PRESET, "--N", "10", "--u", "0.3", "--replicas", "1000"),
+    "simulate": (*PRESET, "--n", "10"),
+}
+
+
+def swept_flags(command):
+    """The flags of ``command`` that take a value, without the choice and path flags."""
+    actions = _build_parser().commands[command]._actions
+    return [
+        a.option_strings[0] for a in actions
+        if a.option_strings and a.nargs != 0 and not a.choices
+        and a.dest not in ("output", "config", "spec_file")
+    ]
+
+
+@pytest.mark.parametrize("command", list(SWEEP_BASES))
+def test_every_flag_value_ends_in_an_exit_code(command):
+    """Each edge value of each flag exits 0, 2, 3 or 4 in bounded time, with no
+    RuntimeWarning."""
+    flags = swept_flags(command)
+    assert "--threads" in flags and len(flags) >= 3
+    for flag in flags:
+        for value in EDGE_VALUES:
+            argv = [command, *SWEEP_BASES[command], f"{flag}={value}", "--no-timestamp"]
+            try:
+                with deadline(10.0), warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
+            except Exception as exc:
+                pytest.fail(f"{argv} raised {exc!r}")
+            assert code in (0, 2, 3, 4), argv
 
 
 def test_module_entrypoint_subprocess():

@@ -411,7 +411,7 @@ PUBLIC_NAMES = [
     "ErPoint", "ExperimentResult", "FiniteDistribution", "InputError", "LdpEstimate",
     "NcsumsError", "Observable", "Pressure", "PrimeBasis", "RateJ", "SmoothSequence",
     "ToleranceError", "b_window", "center", "chain_index_structure", "d_count_int",
-    "experiment", "ldp_estimate", "load_spec", "make_observable", "mgf", "mix64",
+    "experiment", "ldp_estimate", "load_spec", "mgf", "mix64",
     "partition_check", "preset", "primes_up_to", "product_observable", "smooth_numbers",
     "trajectory", "window_max", "x_value",
 ]

@@ -17,7 +17,6 @@ from ncsums.model import (
     from_spec,
     indicator_equal_observable,
     is_degenerate,
-    make_observable,
     observable_from_table,
     preset,
     product_observable,
@@ -173,10 +172,42 @@ def test_value_distribution_aggregates():
     assert math.fsum(probs.tolist()) == pytest.approx(1.0, abs=1e-14)
 
 
+CELL_FUNCTIONS = {
+    "product": lambda *xs: math.prod(xs),
+    "indicator_equal": lambda *xs: 1.0 if len(set(xs)) == 1 else 0.0,
+    "constant": lambda *xs: -0.0,
+}
+
+
+@pytest.mark.parametrize("ell", range(1, 7))
+@pytest.mark.parametrize("s", range(1, 6))
+def test_tables_match_the_per_cell_loop(s, ell):
+    # support points -0.0 and 2.5 give product cells -0.0 and +0.0
+    rng = np.random.default_rng(10 * s + ell)
+    values = np.sort(np.r_[-0.0, 2.5, rng.uniform(-3.0, 3.0, max(0, s - 2))][:s])
+    dist = FiniteDistribution(values=tuple(values), probs=(1.0 / s,) * s)
+    built = {
+        "product": product_observable(dist, ell),
+        "indicator_equal": indicator_equal_observable(dist, ell),
+        "constant": constant_observable(dist, -0.0, ell),
+    }
+    for kind, obs in built.items():
+        want = oracles.cell_table(dist, ell, CELL_FUNCTIONS[kind])
+        assert obs.table.tobytes() == want.tobytes(), kind
+    product = built["product"].table
+    assert s == 1 or np.signbit(product[product == 0.0]).any()
+
+
+def test_overflowing_product_table_is_input_error():
+    d = FiniteDistribution(values=(1e200, 1e300), probs=(0.5, 0.5))
+    with pytest.raises(InputError, match="must be finite"):
+        product_observable(d, 2)  # and no overflow warning
+
+
 def test_table_budget_guard():
     d = FiniteDistribution(values=tuple(range(10)), probs=(0.1,) * 10)
     with pytest.raises(CapacityError):
-        make_observable(d, 7, lambda *xs: 0.0)
+        constant_observable(d, 0.0, 7)
 
 
 @pytest.mark.parametrize("s,ell", [(10, 6), (1000, 2), (2, 19), (10, 7), (1001, 2), (2, 20)])
@@ -194,7 +225,7 @@ def test_cell_limit_boundary(s, ell):
 def test_huge_ell_is_rejected_without_the_power(ell):
     d = FiniteDistribution(values=tuple(range(10)), probs=(0.1,) * 10)
     with pytest.raises(CapacityError):
-        make_observable(d, ell, lambda *xs: 0.0)
+        constant_observable(d, 0.0, ell)
     with pytest.raises(InputError, match="table must have"):  # wrong size before too large
         observable_from_table(d, ell, [0.0] * 10)
 

@@ -576,6 +576,41 @@ class TestPressure:
             assert q >= -1e-12
             assert q <= obs.sup_abs * abs(lam) + 1e-12
 
+    def test_ell3_past_the_exp_range_of_a_product(self):
+        # 300 * sup|F| * ell passes ln(DBL_MAX), where an unshifted product of
+        # three exp(lambda * F) tables overflows; ln cosh 300 is exact here
+        dist, obs = preset("rademacher-product", ell=3)
+        d = Pressure(dist, obs, tol=1e-2).detail(300.0)
+        assert d.tail_bound < 1e-2
+        assert abs(d.value - math.log(math.cosh(300.0))) <= d.tail_bound
+
+    @pytest.mark.parametrize("sweep_bytes", [rates._SWEEP_BYTES, 0])
+    def test_shifted_tables_agree_with_unshifted(self, sweep_bytes, monkeypatch):
+        # with the limit lowered, lambdas below the real one take the shifted
+        # tables: through the sweep, and (sweep_bytes = 0) through the plans
+        rng = np.random.default_rng(31)
+        dist = FiniteDistribution(values=(-1.0, 0.0, 2.0), probs=(0.2, 0.5, 0.3))
+        obs = center(observable_from_table(dist, 3, rng.normal(size=27)), dist)
+        monkeypatch.setattr(rates, "_SWEEP_BYTES", sweep_bytes)
+        for lam in (0.7, -1.3, complex(0.9, 1e-30)):
+            want = np.array(log_r_sequence(dist, obs, B3, lam, 12))
+            with monkeypatch.context() as patch:
+                patch.setattr(rates, "LN_MAX", 0.5)
+                got = np.array(log_r_sequence(dist, obs, B3, lam, 12))
+            np.testing.assert_allclose(got.real, want.real, rtol=1e-13)
+            np.testing.assert_allclose(got.imag, want.imag, rtol=1e-13)
+            assert not np.array_equal(got, want)  # the shifted route ran
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_lambda_past_the_exp_range_is_input_error(self, ell):
+        dist, obs = preset("bernoulli-product", ell=ell)
+        press = Pressure(dist, obs, tol=1e-1)
+        limit = rates.LN_MAX / obs.sup_abs
+        with pytest.raises(InputError, match=f"= {limit:.9g}$"):
+            press.details([0.5, -math.nextafter(limit, math.inf)])
+        if ell < 3:
+            assert math.isfinite(press(limit)) and math.isfinite(press(-limit))
+
     def test_certificate_fields(self):
         dist, obs = preset("rademacher-product")
         press = Pressure(dist, obs, tol=1e-6)
@@ -757,6 +792,13 @@ class TestRateJ:
         dist, obs = preset("rademacher-product")
         with pytest.raises(InputError):
             RateJ(Pressure(dist, obs, tol=1e-8), lambda_cap=cap)
+
+    def test_lambda_cap_past_the_exp_range_is_input_error(self):
+        dist, obs = preset("rademacher-product")
+        press = Pressure(dist, obs, tol=1e-8)
+        with pytest.raises(InputError, match="lambda_cap may not exceed"):
+            RateJ(press, lambda_cap=1e30)
+        assert RateJ(press, lambda_cap=rates.LN_MAX).lambda_cap == rates.LN_MAX
 
     def test_rademacher_matches_cramer(self):
         dist, obs = preset("rademacher-product")

@@ -29,7 +29,6 @@ from ncsums.simulate import (
     mix64,
     mix_batch,
     sample_indices,
-    term_values,
     trajectory,
     x_value,
 )
@@ -129,6 +128,13 @@ class TestDrawKernel:
         assert [mix64(0, c) for c in counters] == words
         got = sample_indices(dist, 0, np.array(counters, dtype=np.uint64))
         assert got.tolist() == [x_value(dist, 0, c) for c in counters]
+
+
+def term_values(dist, obs, keys, ms, mode, ws=None):
+    """F at term numbers ``ms`` of streams ``keys``, read through the table
+    codes that trajectory gathers."""
+    ws = Workspace() if ws is None else ws
+    return obs.table[simulate._table_codes(dist, obs, keys, ms, mode, ws, None)]
 
 
 def scalar_term(dist, obs, key, m, mode):
@@ -275,13 +281,10 @@ class TestExactRoute:
     Q50 = ((0.0, 1.0), (0.5, 0.5), [1.0, 2.0**-50, 2.0**-50, 1.0])
 
     def traced(self, monkeypatch):
-        """The list that names each prefix route trajectory runs, in order."""
+        """The list of the ``exact`` flags that trajectory passes to _fill_prefix, in order."""
         ran = []
-        for name in ("_exact_prefix", "_sum2_prefix"):
-            fill = getattr(simulate, name)
-            monkeypatch.setattr(
-                simulate, name, lambda *a, fill=fill, name=name: ran.append(name) or fill(*a)
-            )
+        fill = simulate._fill_prefix
+        monkeypatch.setattr(simulate, "_fill_prefix", lambda *a: ran.append(a[-1]) or fill(*a))
         return ran
 
     @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
@@ -294,7 +297,7 @@ class TestExactRoute:
             got = trajectory(dist, obs, 40 + n, n, mode)
             want = oracles.trajectory(dist, obs, 40 + n, n, mode, block=1 << 18)
             assert same_bits(got, want), n
-        assert ran == ["_exact_prefix" if n <= 8 else "_sum2_prefix" for n in ns]
+        assert ran == [n <= 8 for n in ns]
         # past 8 terms the plain sum does round, so the Sum2 route is needed
         x = oracles.term_values(dist, obs, 1040, np.arange(1, 1001), mode)
         assert not same_bits(trajectory(dist, obs, 1040, 1000, mode), np.cumsum(np.r_[0.0, x]))
@@ -309,7 +312,7 @@ class TestExactRoute:
             got = trajectory(dist, obs, 7 + n, n, mode)
             want = oracles.trajectory(dist, obs, 7 + n, n, mode, block=1 << 18)
             assert same_bits(got, want), n
-        assert ran == ["_exact_prefix"] * 5
+        assert ran == [True] * 5
 
     def test_negative_zero_terms_sum_to_positive_zero(self):
         zero = constant_observable(RADEMACHER, 0.0, ell=2)
@@ -454,6 +457,8 @@ class TestLdpEstimate:
             ldp_estimate(dist, obs, N=0, u=0.3, replicas=2000, seed=1)
         with pytest.raises(InputError):
             ldp_estimate(dist, obs, N=10, u=0.3, replicas=2000, seed=1, mode="bogus")
+        with pytest.raises(InputError, match="replicas may not exceed 2\\*\\*64"):
+            ldp_estimate(dist, obs, N=10, u=0.3, replicas=2**64 + 1, seed=1)
 
     def test_fields(self):
         dist, obs = preset("rademacher-product")
@@ -534,9 +539,10 @@ class TestAllocatingOracle:
 
 
 def replica_sums(dist, obs, keys, terms, mode):
-    """Per key, F summed over ``terms`` by a plan for blocks of the size ldp_estimate uses."""
-    block = min(simulate._LDP_CHUNK, keys.size)
-    return simulate._ReplicaPlan(dist, obs, terms, mode, block).sums(keys)
+    """Per key, F summed over ``terms`` by one plan, in chunks of keys as ldp_estimate sums them."""
+    chunk = simulate._LDP_CHUNK
+    plan = simulate._ReplicaPlan(dist, obs, terms, mode, min(chunk, keys.size))
+    return np.concatenate([plan.sums(keys[c0 : c0 + chunk]) for c0 in range(0, keys.size, chunk)])
 
 
 class TestReplicaSums:
