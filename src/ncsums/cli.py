@@ -24,6 +24,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -255,11 +256,16 @@ def _resolve_observable(args):
     """(dist, obs, identifier) from --preset or --spec-file."""
     if args.spec_file and args.preset:
         raise InputError("give either --preset or --spec-file, not both")
+    if args.const_value is not None and args.preset != "constant":
+        raise InputError("--const-value is read only by --preset constant")
     if args.spec_file:
         dist, obs = model.load_spec(args.spec_file)
         obs_id = os.path.basename(args.spec_file)
+        if args.ell is not None and args.ell != obs.ell:
+            raise InputError(f"--ell {args.ell} differs from the spec's ell = {obs.ell}")
     elif args.preset:
-        dist, obs = model.preset(args.preset, ell=args.ell, c=args.const_value)
+        c = 1.0 if args.const_value is None else args.const_value
+        dist, obs = model.preset(args.preset, ell=args.ell, c=c)
         obs_id = args.preset
     else:
         raise InputError("an observable is required: --preset NAME or --spec-file PATH")
@@ -392,10 +398,12 @@ def _cmd_erlaw(args):
     dist, obs, obs_id = _resolve_observable(args)
     alphas = _parse_grid(args.alpha)
     ns = sorted(_parse_int_list(args.n))
+    if args.seed_list is not None and args.seeds is not None:
+        raise InputError("give either --seeds or --seed-list, not both")
     if args.seed_list:
         seeds = _parse_int_list(args.seed_list)
     else:
-        seeds = list(range(1, args.seeds + 1))
+        seeds = list(range(1, (5 if args.seeds is None else args.seeds) + 1))
     result = erlaw_mod.experiment(
         dist, obs, alphas, ns, seeds, mode=args.mode, threads=_threads(args)
     )
@@ -476,91 +484,85 @@ def _cmd_simulate(args):
 # Parser assembly
 
 
-def _build_parser() -> _Parser:
-    """The one declaration of every subcommand's flags, defaults and handler."""
+# The one declaration of every subcommand: name -> (handler, help, flags),
+# each flag a (name, add_argument keywords) pair.  A subcommand's parser takes
+# its flags and then _COMMON's.
+_OBSERVABLE = (
+    ("--preset", dict(choices=model.PRESET_NAMES, default=None)),
+    ("--spec-file", dict(default=None)),
+    ("--ell", dict(type=int, default=None)),
+    ("--const-value", dict(type=float, default=None)),
+    ("--center", dict(action="store_true", help="replace F by F - mean(F) after loading")),
+)
+_COMMON = (
+    ("--format", dict(choices=("csv", "json"), default="csv")),
+    ("--output", dict(default=None, help="write to file instead of stdout")),
+    ("--threads", dict(type=int, default=None, help=f"default ${ENV_THREADS}, or 1")),
+    ("--config", dict(default=None, help="JSON object of flag values by dest")),
+    ("--no-timestamp", dict(
+        action="store_true", help="suppress the generated_at field for byte-stable output"
+    )),
+)
+_MODE = ("--mode", dict(choices=simulate.TRAJECTORY_MODES, default="nonconventional"))
+_COMMANDS = {
+    "structure": (_cmd_structure, "coprime skeleton, fibers, smooth numbers", (
+        ("--ell", dict(type=int, required=True)),
+        ("--n", dict(required=True)),
+    )),
+    "rate-i": (_cmd_rate_i, "Cramér rate curve", _OBSERVABLE + (
+        ("--alpha", dict(required=True, help="value, comma list, or start:stop:step")),
+        ("--tol", dict(type=float, default=1e-9)),
+    )),
+    "pressure": (_cmd_pressure, "pressure curve with certified truncation", _OBSERVABLE + (
+        ("--lambda", dict(dest="lam", required=True)),
+        ("--tol", dict(type=float, default=1e-8)),
+        ("--budget", dict(type=int, default=rates.DEFAULT_BUDGET)),
+    )),
+    "rate-j": (_cmd_rate_j, "conjugate of the pressure", _OBSERVABLE + (
+        ("--u", dict(required=True)),
+        ("--tol", dict(type=float, default=1e-8)),
+        ("--lambda-cap", dict(type=float, default=None)),
+        ("--budget", dict(type=int, default=rates.DEFAULT_BUDGET)),
+    )),
+    "erlaw": (_cmd_erlaw, "sliding-window law experiment", _OBSERVABLE + (
+        ("--alpha", dict(required=True)),
+        ("--n", dict(required=True, help="n grid, e.g. 1e4,1e6")),
+        ("--seeds", dict(type=int, default=None, help="use seeds 1..K")),
+        ("--seed-list", dict(default=None)),
+        _MODE,
+    )),
+    "ldp-check": (_cmd_ldp_check, "Monte-Carlo tail vs rate functions", _OBSERVABLE + (
+        ("--N", dict(required=True)),
+        ("--u", dict(type=float, required=True)),
+        ("--replicas", dict(required=True)),
+        ("--seed", dict(type=int, default=1)),
+        _MODE,
+        ("--theory-tol", dict(type=float, default=1e-6)),
+        ("--skip-theory", dict(action="store_true")),
+    )),
+    "simulate": (_cmd_simulate, "dump a trajectory as (k, S_k)", _OBSERVABLE + (
+        ("--n", dict(required=True)),
+        ("--seed", dict(type=int, default=1)),
+        ("--stride", dict(type=int, default=1)),
+        _MODE,
+    )),
+}
+
+
+@cache
+def _build_parser(name: str | None = None) -> _Parser:
+    """The parser of subcommand ``name`` alone, or of every subcommand when
+    ``name`` is None or unknown; built once per process for each ``name``."""
     parser = _Parser(prog="ncsums", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # subcommand name -> its parser
-
-    def command(name, run, help):
-        p = sub.add_parser(name, help=help)
+    for command, (run, help, flags) in _COMMANDS.items():
+        if name in _COMMANDS and command != name:
+            continue
+        p = sub.add_parser(command, help=help)
         p.set_defaults(run=run)
-        return p
-
-    def common(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--output", default=None, help="write to file instead of stdout")
-        p.add_argument("--threads", type=int, default=None, help=f"default ${ENV_THREADS}, or 1")
-        p.add_argument("--config", default=None, help="JSON object of flag values by dest")
-        p.add_argument(
-            "--no-timestamp",
-            action="store_true",
-            help="suppress the generated_at field for byte-stable output",
-        )
-
-    def observable(p):
-        p.add_argument("--preset", choices=model.PRESET_NAMES, default=None)
-        p.add_argument("--spec-file", default=None)
-        p.add_argument("--ell", type=int, default=None)
-        p.add_argument("--const-value", type=float, default=1.0)
-        p.add_argument(
-            "--center", action="store_true", help="replace F by F - mean(F) after loading"
-        )
-
-    p = command("structure", _cmd_structure, "coprime skeleton, fibers, smooth numbers")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--n", required=True)
-    common(p)
-
-    p = command("rate-i", _cmd_rate_i, "Cramér rate curve")
-    observable(p)
-    p.add_argument("--alpha", required=True, help="value, comma list, or start:stop:step")
-    p.add_argument("--tol", type=float, default=1e-9)
-    common(p)
-
-    p = command("pressure", _cmd_pressure, "pressure curve with certified truncation")
-    observable(p)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--budget", type=int, default=rates.DEFAULT_BUDGET)
-    common(p)
-
-    p = command("rate-j", _cmd_rate_j, "conjugate of the pressure")
-    observable(p)
-    p.add_argument("--u", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--lambda-cap", type=float, default=None)
-    p.add_argument("--budget", type=int, default=rates.DEFAULT_BUDGET)
-    common(p)
-
-    p = command("erlaw", _cmd_erlaw, "sliding-window law experiment")
-    observable(p)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--n", required=True, help="n grid, e.g. 1e4,1e6")
-    p.add_argument("--seeds", type=int, default=5, help="use seeds 1..K")
-    p.add_argument("--seed-list", default=None)
-    p.add_argument("--mode", choices=simulate.TRAJECTORY_MODES, default="nonconventional")
-    common(p)
-
-    p = command("ldp-check", _cmd_ldp_check, "Monte-Carlo tail vs rate functions")
-    observable(p)
-    p.add_argument("--N", required=True)
-    p.add_argument("--u", type=float, required=True)
-    p.add_argument("--replicas", required=True)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--mode", choices=simulate.TRAJECTORY_MODES, default="nonconventional")
-    p.add_argument("--theory-tol", type=float, default=1e-6)
-    p.add_argument("--skip-theory", action="store_true")
-    common(p)
-
-    p = command("simulate", _cmd_simulate, "dump a trajectory as (k, S_k)")
-    observable(p)
-    p.add_argument("--n", required=True)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--mode", choices=simulate.TRAJECTORY_MODES, default="nonconventional")
-    common(p)
-
+        for flag, kw in flags + _COMMON:
+            p.add_argument(flag, **kw)
     return parser
 
 
@@ -605,9 +607,10 @@ def _with_config(parser: _Parser, argv: list[str]) -> list[str]:
 def main(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no arguments, --help and an unknown name get every subcommand's parser
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        argv = sys.argv[1:] if argv is None else list(argv)
         args = parser.parse_args(_with_config(parser, argv))
         payload, header, rows = args.run(args)
         text = _render(args, payload, header, rows)

@@ -9,7 +9,6 @@ reused across all smaller n.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +141,8 @@ def experiment(
         return out
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: ~7 ms
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(rows_for_seed, seeds))
     else:

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -522,6 +521,8 @@ def ldp_estimate(
 
     starts = range(0, replicas, _LDP_CHUNK)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: ~7 ms
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             counts = list(pool.map(chunk_count, starts))
     else:

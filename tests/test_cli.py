@@ -652,6 +652,66 @@ class TestInputValidation:
         doc = json.loads(err)
         assert doc["error"] == "InputError" and message in doc["message"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("pressure", "--lambda", "0.5"), ("simulate", "--n", "50"),
+         ("erlaw", "--alpha", "0.5", "--n", "100", "--seeds", "1")],
+    )
+    def test_ell_that_differs_from_the_spec_is_input_error(self, argv, tmp_path):
+        # the rademacher product at ell = 2; --ell 3 once ran it at ell = 2 with exit 0
+        spec = tmp_path / "obs.json"
+        spec.write_text(json.dumps(
+            {"values": [-1, 1], "probs": [0.5, 0.5], "ell": 2, "kind": "product"}
+        ))
+        base = (*argv, "--spec-file", str(spec), "--no-timestamp")
+        code, out, err = run_cli(*base, "--ell", "3")
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["error"] == "InputError"
+        assert doc["message"] == "--ell 3 differs from the spec's ell = 2"
+        assert run_cli(*base)[0] == 0
+        assert run_cli(*base, "--ell", "2") == run_cli(*base)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("erlaw", "--alpha", "0.5", "--n", "100", "--seeds", "7", "--seed-list", "1"),
+             "give either --seeds or --seed-list, not both"),
+            (("erlaw", "--alpha", "0.5", "--n", "100", "--seed-list", "1", "--seeds", "5"),
+             "give either --seeds or --seed-list, not both"),
+            (("rate-i", "--alpha", "0.5", "--const-value", "nan"),
+             "--const-value is read only by --preset constant"),
+            (("simulate", "--n", "10", "--const-value", "1"),
+             "--const-value is read only by --preset constant"),
+        ],
+    )
+    def test_flags_that_would_be_dropped_are_input_error(self, argv, message):
+        code, out, err = run_cli(*argv, "--preset", "rademacher-product", "--no-timestamp")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "InputError", "message": message}
+
+    def test_const_value_with_a_spec_file_is_input_error(self, tmp_path):
+        spec = tmp_path / "obs.json"
+        spec.write_text(json.dumps(
+            {"values": [-1, 1], "probs": [0.5, 0.5], "ell": 2, "kind": "product"}
+        ))
+        code, out, err = run_cli(
+            "simulate", "--spec-file", str(spec), "--n", "10", "--const-value", "2"
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"] == "--const-value is read only by --preset constant"
+
+    def test_seeds_and_const_value_keep_their_defaults_when_not_given(self):
+        erlaw = ("erlaw", "--preset", "rademacher-product", "--alpha", "0.5", "--n", "200",
+                 "--no-timestamp")
+        assert run_cli(*erlaw) == run_cli(*erlaw, "--seeds", "5")
+        assert run_cli(*erlaw) == run_cli(*erlaw, "--seed-list", "1:5:1")
+        constant = ("simulate", "--preset", "constant", "--n", "10", "--no-timestamp")
+        code, out, _ = run_cli(*constant)
+        assert code == 0 and out.splitlines()[-1] == "10,10"
+        assert run_cli(*constant, "--const-value", "1") == (code, out, "")
+        assert run_cli(*constant, "--const-value", "2")[1].splitlines()[-1] == "10,20"
+
     def test_pressure_at_large_lambda_and_ell3(self):
         # three unshifted exp(300 * F) tables would overflow
         code, out, _ = run_cli(
@@ -874,7 +934,7 @@ SWEEP_BASES = {
     "rate-i": (*PRESET, "--alpha", "0.5"),
     "pressure": (*PRESET, "--lambda", "0.5"),
     "rate-j": (*PRESET, "--u", "0.5"),
-    "erlaw": (*PRESET, "--alpha", "0.5", "--n", "100", "--seeds", "1"),
+    "erlaw": (*PRESET, "--alpha", "0.5", "--n", "100"),
     "ldp-check": (*PRESET, "--N", "10", "--u", "0.3", "--replicas", "1000"),
     "simulate": (*PRESET, "--n", "10"),
 }
@@ -906,6 +966,80 @@ def test_every_flag_value_ends_in_an_exit_code(command):
             except Exception as exc:
                 pytest.fail(f"{argv} raised {exc!r}")
             assert code in (0, 2, 3, 4), argv
+
+
+# The fields that make two argparse actions declare the same flag.
+ACTION_FIELDS = ("dest", "option_strings", "default", "type", "choices", "required", "nargs", "help")
+
+
+def declared(parser):
+    return [tuple(getattr(a, f) for f in ACTION_FIELDS) for a in parser._actions], parser._defaults
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_named_parser_declares_what_the_full_parser_does(command):
+    named = _build_parser(command)
+    assert list(named.commands) == [command]
+    assert named is _build_parser(command)  # built once per process
+    assert declared(named.commands[command]) == declared(_build_parser().commands[command])
+
+
+def cli_subprocess(*argv):
+    """(exit code, stdout, stderr) of ``python -m ncsums *argv`` in a fresh
+    process, in UTF-8 on an 80-column terminal."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncsums", *argv],
+        capture_output=True,
+        env={"PYTHONPATH": str(root / "src"), "COLUMNS": "80", "PYTHONIOENCODING": "utf-8"},
+        cwd=root,
+    )
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [((), 2), (("--help",), 0), (("bogus",), 2), (("pressure", "--help"), 0),
+     (("rate-j", "--help"), 0)],
+)
+def test_help_and_usage_errors_match_the_full_parser(argv, code, monkeypatch, capsys):
+    # main as it was when every call built every subcommand's parser; help
+    # goes to sys.stdout, not to main's stdout
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda name=None: full)
+    err = io.StringIO()
+    expected = (main(list(argv), stderr=err), capsys.readouterr().out, err.getvalue())
+    assert expected[0] == code
+    assert cli_subprocess(*argv) == expected
+    if argv == ("bogus",):
+        assert all(name in expected[2] for name in cli._COMMANDS)
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path):
+    base = ("pressure", "--preset", "rademacher-product", "--lambda", "0.5", "--no-timestamp")
+    plain = run_cli(*base)
+    assert plain[0] == 0 and plain[1].startswith("x,value")
+    assert json.loads(run_cli(*base, "--format", "json")[1])["kind"] == "pressure"
+    assert run_cli(*base) == plain
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "json", "tol": 1e-4, "ell": 3}))
+    assert json.loads(run_cli(*base, "--config", str(cfg))[1])["ell"] == 3
+    assert run_cli(*base) == plain
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures (and logging with it) loads only where --threads > 1
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ncsums.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(root / "src")},
+        cwd=root,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_module_entrypoint_subprocess():
