@@ -425,7 +425,9 @@ def _cmd_erlaw(args):
 
 def _cmd_ldp_check(args):
     dist, obs, obs_id = _resolve_observable(args)
-    # the theory's inputs are checked before any replica is simulated
+    # the theory's inputs are checked before any replica is simulated, and
+    # --theory-tol whether or not the theory runs
+    rates.check_tol(float(args.theory_tol))
     if not args.skip_theory:
         rate = rates.CramerRate(dist, obs)
         conj = rates.RateJ(rates.Pressure(dist, obs, tol=float(args.theory_tol)))

@@ -587,6 +587,12 @@ def _beyond_enumeration_bound(m: int, n: int) -> float:
     return 2.0 * m / LN2**m * gamma_upper
 
 
+def check_tol(tol: float) -> None:
+    """Raise InputError unless the tolerance ``tol`` is positive and finite."""
+    if not 0 < tol < math.inf:
+        raise InputError("tol must be positive and finite")
+
+
 class Pressure:
     """Evaluable Q(lambda) = r * sum_l w_l * ln R_l with tail certified < tol.
 
@@ -615,8 +621,7 @@ class Pressure:
         tol: float = 1e-8,
         budget: int = DEFAULT_BUDGET,
     ):
-        if not 0 < tol < math.inf:
-            raise InputError("tol must be positive and finite")
+        check_tol(tol)
         if int(budget) < 1:
             raise InputError("budget must be a positive integer")
         self.dist = dist

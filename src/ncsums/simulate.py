@@ -14,22 +14,28 @@ batch path never forms u: u is exact and cum_i * 2**53 is exact, so
 cum_i <= u exactly when the word z reaches T_i = ceil(cum_i * 2**53) * 2**11,
 and the index is the number of integer thresholds T_i <= z.  Replica seeds
 derive the same way, seed_r = fin(root + r*GAMMA), so replicas are
-order-independent.  Dilated sums need draws at indices up to ell*n; counter
-addressing keeps that O(1) in memory and identical across runs, platforms,
-and thread counts.
+order-independent.  Dilated sums read draws at indices up to ell*n; counter
+addressing keeps them identical across runs, platforms, and thread counts.
 
-``trajectory`` returns the float64 prefix array S_0 = 0, ..., S_n.  One
-loop over blocks of terms gathers each block's values straight into the
-prefix array and sums them there, with the compensated prefix form of Sum2
-(see its docstring).  When every partial sum is exact in float64, Sum2 is
+``trajectory`` returns the float64 prefix array S_0 = 0, ..., S_n.  Dilated
+terms share draws (draw 2m is factor 2 of term m and factor 1 of term 2m),
+so ``trajectory`` first computes draws 1..n once, block by block, into the
+last w*(n+1) bytes of the prefix array itself, w the itemsize of a support
+index: nothing is allocated for them.  One loop over blocks of terms then
+reads each term's draws up to n from that store, draws only those past n,
+and gathers the block's values straight into the prefix array and sums
+them there, with the compensated prefix form of Sum2 (see its docstring).
+Block m0..m1-1 writes bytes below 8*m1 of the array, which hold no store
+entry at or past m1 because m1 <= n + 1, and every term m reads draws
+at or past m.  When every partial sum is exact in float64, Sum2 is
 the plain float sum and one in-place cumsum per block computes it: every
 entry of F is an integer multiple of 2**-q for a least q, and with
 M = sup|F| * 2**q the sums of n terms are exact when n * M <= 2**53, which
 is decided once per call in exact integer arithmetic.
 
-The draw kernel (mix_batch, sample_indices, _table_codes) writes every
-intermediate array into a ``Workspace``: one reusable buffer per role, grown
-to the largest batch it has served.  A call without a workspace makes a fresh
+The draw kernel (mix_batch, sample_indices) writes every intermediate
+array into a ``Workspace``: one reusable buffer per role, grown to the
+largest batch it has served.  A call without a workspace makes a fresh
 one.  Support indices are counted in uint8 while size <= 256, and a table
 code is built in uint8 while size**ell <= 256 and widened once for the
 gather.  ``trajectory`` keeps one workspace for the whole call and works in
@@ -226,17 +232,22 @@ def _check_mode(mode: str) -> None:
         raise InputError(f"mode must be one of {TRAJECTORY_MODES}")
 
 
-def _draw_numbers(ms: np.ndarray, j: int, ell: int, mode: str, out=None) -> np.ndarray:
-    """The draw that factor j of each term in ``ms`` reads: the addressing contract.
+def _draw_step(j: int, ell: int, mode: str) -> tuple[int, int]:
+    """The (a, c) with which factor j of term m reads draw a*m - c: the
+    addressing contract.
 
     For j = 1..ell a nonconventional term m reads draw j*m, an i.i.d. term
-    reads draw (m-1)*ell + j.  ``ms`` is a uint64 array.
+    reads draw (m-1)*ell + j.
     """
-    if mode == "nonconventional":
-        return np.multiply(ms, np.uint64(j), out=out)
-    out = np.subtract(ms, np.uint64(1), out=out)
-    out *= np.uint64(ell)
-    out += np.uint64(j)
+    return (j, 0) if mode == "nonconventional" else (ell, ell - j)
+
+
+def _draw_numbers(ms: np.ndarray, j: int, ell: int, mode: str, out=None) -> np.ndarray:
+    """The draws that factor j of the uint64 term numbers ``ms`` reads (see _draw_step)."""
+    a, c = _draw_step(j, ell, mode)
+    out = np.multiply(ms, np.uint64(a), out=out)
+    if c:
+        out -= np.uint64(c)
     return out
 
 
@@ -249,38 +260,6 @@ def _index_dtypes(dist: FiniteDistribution, ell: int) -> tuple[np.dtype, np.dtyp
     index = np.dtype(np.uint8 if small else np.int64)
     code = index if small and dist.size**ell <= 256 else np.dtype(np.int64)
     return index, code
-
-
-def _table_codes(dist, obs, keys, ms, mode, ws, thresholds) -> np.ndarray:
-    """The int64 table codes of the terms ``ms`` of streams ``keys``, broadcast
-    against ``ms``, in a buffer of the workspace ``ws``.
-
-    Term m reads the ell draws that _draw_numbers addresses, sharing the
-    workspace (and ``thresholds``, see sample_indices), and its code is the
-    row-major index of their support indices in obs.table.  Factor j's
-    support indices are counted straight into the code for j = 1 and into
-    the "count" buffer after that, both in the dtypes of _index_dtypes.  A
-    uint8 code is widened once, into the "word" buffer, which mix_batch no
-    longer needs after the last draw.
-    """
-    index_dtype, code_dtype = _index_dtypes(dist, obs.ell)
-    ms = np.asarray(ms, dtype=np.uint64)
-    shape = np.broadcast_shapes(np.shape(keys), ms.shape)
-    counters = ws.take("counter", np.uint64, ms.shape)
-    code = ws.take("code", code_dtype, shape)
-    for j in range(1, obs.ell + 1):
-        _draw_numbers(ms, j, obs.ell, mode, out=counters)
-        if j == 1:
-            sample_indices(dist, keys, counters, ws, thresholds=thresholds, out=code)
-        else:
-            digit = ws.take("count", index_dtype, shape)
-            code *= dist.size
-            code += sample_indices(dist, keys, counters, ws, thresholds=thresholds, out=digit)
-    if code_dtype == np.int64:
-        return code
-    index = ws.take("word", np.int64, shape)
-    np.copyto(index, code)
-    return index
 
 
 def _draw_plan(terms, ell: int, mode: str, slots: int) -> tuple[list, int]:
@@ -393,21 +372,51 @@ def _sums_are_exact(obs: Observable, n: int) -> bool:
 def _fill_prefix(dist, obs, seed, mode, prefix, exact: bool) -> None:
     """Fill prefix[1:] in blocks of at most _BLOCK terms (see trajectory).
 
-    Block m0..m1-1 gathers its values straight into prefix[m0:m1].  When the
-    sums are ``exact``, one in-place cumsum over prefix[m0-1:m1] carries
-    S_{m0-1} into them; otherwise the prefix form of Sum2 runs on the block,
+    Draws 1..n go first into ``store``, the prefix array's tail bytes.
+    Block m0..m1-1 reads its draws up to n from there, draws the rest, and
+    gathers its values straight into prefix[m0:m1].  When the sums are
+    ``exact``, one in-place cumsum over prefix[m0-1:m1] carries S_{m0-1}
+    into them; otherwise the prefix form of Sum2 runs on the block,
     carrying the running sum s and error e across blocks.
     """
     n = prefix.size - 1
+    index_dtype, code_dtype = _index_dtypes(dist, obs.ell)
+    store = prefix.view(np.uint8)[(8 - index_dtype.itemsize) * (n + 1) :].view(index_dtype)
     ws = Workspace()
     thresholds = _thresholds(dist)
     terms = np.arange(1, min(n, _BLOCK) + 1, dtype=np.uint64)  # advanced block by block
+    for d0 in range(1, n + 1, _BLOCK):
+        # draw d0 - 1 + t of stream seed is draw t of key seed + (d0 - 1)*GAMMA
+        d1 = min(n + 1, d0 + _BLOCK)
+        key = seed + (d0 - 1) * GAMMA
+        sample_indices(dist, key, terms[: d1 - d0], ws, thresholds=thresholds, out=store[d0:d1])
     s = e = 0.0
     for m0 in range(1, n + 1, _BLOCK):
         m1 = min(n + 1, m0 + _BLOCK)
+        k = m1 - m0
         x = prefix[m0:m1]
-        code = _table_codes(dist, obs, seed, terms[: m1 - m0], mode, ws, thresholds)
+        code = ws.take("code", code_dtype, (k,))
+        digit = ws.take("count", index_dtype, (k,))
+        counters = ws.take("counter", np.uint64, (k,))
+        for j in range(1, obs.ell + 1):
+            a, c = _draw_step(j, obs.ell, mode)
+            stored = store[a * m0 - c :: a][:k]  # the block's draws up to n
+            h = stored.size
+            if h < k:
+                _draw_numbers(terms[h:k], j, obs.ell, mode, out=counters[h:])
+                sample_indices(dist, seed, counters[h:], ws, thresholds=thresholds, out=digit[h:])
+            if j == 1:
+                code[:h] = stored
+                code[h:] = digit[h:]
+            else:
+                code *= dist.size
+                code[:h] += stored
+                code[h:] += digit[h:]
         terms += np.uint64(_BLOCK)
+        if code_dtype != np.int64:  # widened once, into mix_batch's dead "word" buffer
+            index = ws.take("word", np.int64, (k,))
+            np.copyto(index, code)
+            code = index
         # every code is below size**ell, so "clip" never clips; it only lets
         # take write straight into x, where the default mode would buffer it
         np.take(obs.table, code, out=x, mode="clip")
@@ -443,12 +452,12 @@ def trajectory(
     """Prefix sums S_0 = 0, S_1, ..., S_n of the sum that ``mode`` names.
 
     In mode "nonconventional" term m reads draws m, 2m, ..., ell*m; in mode
-    "iid" each term reads a fresh ell-tuple of draws (see _draw_numbers).  S_k is the prefix form
-    of Sum2 (Ogita, Rump and Oishi, "Accurate sum and dot product", 2005):
-    the running float sum plus the float sum of the exact TwoSum rounding
-    errors of its steps, as accurate as summing in twice the working
-    precision.  Both sums carry across blocks, so the result does not depend
-    on the block size.
+    "iid" each term reads a fresh ell-tuple of draws (see _draw_step).  S_k
+    is the prefix form of Sum2 (Ogita, Rump and Oishi, "Accurate sum and dot
+    product", 2005): the running float sum plus the float sum of the exact
+    TwoSum rounding errors of its steps, as accurate as summing in twice the
+    working precision.  Both sums carry across blocks, so the result does
+    not depend on the block size.
 
     When every running sum is exact in float64 all errors are 0 and S_k is
     the plain float sum (never -0.0, since S_0 = +0.0), which one cumsum per
@@ -458,6 +467,14 @@ def trajectory(
     passes up to n = 2**53, bernoulli-product up to 2**53 / (2**ell - 1).
     Every S_k is finite: an n that could overflow raises CapacityError.  One
     workspace serves the draws and the sums of every block.
+
+    Each of draws 1..n is computed once and kept, until the last term that
+    reads it has been built, in the output's own tail bytes: draw d is
+    entry d of the last w*(n+1) bytes viewed as w-byte support indices.
+    Filling block m0..m1-1 writes bytes below 8*m1 only, and so only entries
+    below (8*m1 - (8-w)*(n+1)) / w <= m1, while every later term m >= m1
+    reads draws at or past m.  So dilated terms make n + sum_{j=2..ell}
+    (n - floor(n/j)) draws, and i.i.d. terms ell*n.
     """
     if n < 1:
         raise InputError("n must be >= 1")

@@ -56,7 +56,11 @@ def test_erlaw_draws_all_pass_through_traced_sample_indices(ell, mode, monkeypat
         code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
     assert code == 0
     draws = [s["count"] for s in tracer.spans if s["name"] == "simulate.draw"]
-    assert sum(draws) == ell * n_max * len(seeds)
+    # draws 1..n_max once, then the dilated reads j*m past n_max for j = 2..ell
+    per_seed = n_max + sum(n_max - n_max // j for j in range(2, ell + 1))
+    want = {"nonconventional": per_seed, "iid": ell * n_max}[mode] * len(seeds)
+    assert sum(draws) == want
+    assert mode == "iid" or want == {2: 196_624, 3: 284_012}[ell]
 
 
 def test_ldp_draws_all_pass_through_traced_sample_indices(monkeypatch):

@@ -652,6 +652,20 @@ class TestInputValidation:
         doc = json.loads(err)
         assert doc["error"] == "InputError" and message in doc["message"]
 
+    @pytest.mark.parametrize("tol", ["inf", "0", "-1", "nan"])
+    def test_theory_tol_is_checked_when_the_theory_is_skipped(self, tol, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ldp_estimate ran")
+
+        base = ("ldp-check", "--preset", "rademacher-product", "--N", "60", "--u", "0.3",
+                "--replicas", "1000", "--skip-theory", "--no-timestamp")
+        assert run_cli(*base, "--theory-tol", "1e-3")[0] == 0
+        monkeypatch.setattr(simulate, "ldp_estimate", refuse)
+        code, out, err = run_cli(*base, "--theory-tol", tol)
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["error"] == "InputError" and doc["message"] == "tol must be positive and finite"
+
     @pytest.mark.parametrize(
         "argv",
         [("pressure", "--lambda", "0.5"), ("simulate", "--n", "50"),

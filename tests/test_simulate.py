@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from oracles import binomial_tail_at_least, ks_statistic, prefix_fsum, unmix_counter
-from ncsums import simulate
+from ncsums import erlaw, simulate
 from ncsums.errors import CapacityError, InputError
 from ncsums.lattice import primes_up_to
 from ncsums.model import (
@@ -130,13 +130,6 @@ class TestDrawKernel:
         assert got.tolist() == [x_value(dist, 0, c) for c in counters]
 
 
-def term_values(dist, obs, keys, ms, mode, ws=None):
-    """F at term numbers ``ms`` of streams ``keys``, read through the table
-    codes that trajectory gathers."""
-    ws = Workspace() if ws is None else ws
-    return obs.table[simulate._table_codes(dist, obs, keys, ms, mode, ws, None)]
-
-
 def scalar_term(dist, obs, key, m, mode):
     """Term m of stream key, one x_value draw at a time."""
     ell = obs.ell
@@ -153,8 +146,10 @@ class TestTermValues:
     @pytest.mark.parametrize("seed", [7, -1, 2**64 + 3])
     def test_scalar_seed_matches_x_value(self, mode, seed):
         dist, obs = preset("bernoulli-product", ell=3)
-        got = term_values(dist, obs, seed, np.arange(1, 61), mode)
-        assert got.tolist() == [scalar_term(dist, obs, seed, m, mode) for m in range(1, 61)]
+        want = [scalar_term(dist, obs, seed, m, mode) for m in range(1, 61)]
+        assert oracles.term_values(dist, obs, seed, np.arange(1, 61), mode).tolist() == want
+        # trajectory's terms, read from its draw store and from the kernel
+        assert np.diff(trajectory(dist, obs, seed, 60, mode)).tolist() == want
 
     @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
     @pytest.mark.parametrize("seed", [-1, 2**64 + 3])
@@ -162,7 +157,7 @@ class TestTermValues:
         dist, obs = preset("bernoulli-product", ell=3)
         keys = mix_batch(seed, np.arange(6, dtype=np.uint64))
         ms = np.arange(1, 21)[:, None]
-        got = term_values(dist, obs, keys, ms, mode)
+        got = oracles.term_values(dist, obs, keys, ms, mode)
         assert got.shape == (20, 6)
         for r, key in enumerate(keys.tolist()):
             assert key == mix64(seed, r)
@@ -245,7 +240,7 @@ class TestCompensatedPrefix:
         dist, obs = table_observable(values, probs, table)
         n = 10**5
         prefix = trajectory(dist, obs, 11, n, mode)
-        x = term_values(dist, obs, 11, np.arange(1, n + 1), mode).tolist()
+        x = oracles.term_values(dist, obs, 11, np.arange(1, n + 1), mode).tolist()
         ks = [n * j // 20 for j in range(1, 21)]
         for k, want in zip(ks, prefix_fsum(x, ks)):
             assert abs(prefix[k] - want) <= 2 * math.ulp(want), (k, prefix[k], want)
@@ -263,7 +258,7 @@ class TestCompensatedPrefix:
     def test_exact_terms_give_plain_cumsum(self, name, mode):
         dist, obs = preset(name)
         n = 20_000
-        x = term_values(dist, obs, 11, np.arange(1, n + 1), mode)
+        x = oracles.term_values(dist, obs, 11, np.arange(1, n + 1), mode)
         plain = np.concatenate(([0.0], np.cumsum(x)))
         assert trajectory(dist, obs, 11, n, mode).tobytes() == plain.tobytes()
 
@@ -307,12 +302,11 @@ class TestExactRoute:
     def test_dyadic_tables_match_sum2_bitwise(self, s, ell, bits, mode, monkeypatch):
         dist, obs = dyadic_law(s, ell, seed=s + ell, bits=bits)
         ran = self.traced(monkeypatch)
-        B = simulate._BLOCK
-        for n in (1, B - 1, B, B + 1, 3 * B + 7):
+        for n in BLOCK_EDGES:
             got = trajectory(dist, obs, 7 + n, n, mode)
             want = oracles.trajectory(dist, obs, 7 + n, n, mode, block=1 << 18)
             assert same_bits(got, want), n
-        assert ran == [True] * 5
+        assert ran == [True] * len(BLOCK_EDGES)
 
     def test_negative_zero_terms_sum_to_positive_zero(self):
         zero = constant_observable(RADEMACHER, 0.0, ell=2)
@@ -475,6 +469,11 @@ def random_law(s, ell, seed):
     return dist, observable_from_table(dist, ell, table)
 
 
+# trajectory lengths either side of the block edges, where the draw store's reads change block
+BLOCK_EDGES = (1, 2, 3, simulate._BLOCK - 1, simulate._BLOCK, simulate._BLOCK + 1,
+               3 * simulate._BLOCK + 17)
+
+
 def same_bits(got, want):
     return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -487,8 +486,7 @@ class TestAllocatingOracle:
     @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
     def test_trajectory_bitwise(self, s, ell, mode):
         dist, obs = random_law(s, ell, seed=10 * s + ell)
-        B = simulate._BLOCK
-        for n in (1, B - 1, B, B + 1, 3 * B + 7):
+        for n in BLOCK_EDGES:
             got = trajectory(dist, obs, 1000 + n, n, mode)
             want = oracles.trajectory(dist, obs, 1000 + n, n, mode, block=1 << 18)
             assert same_bits(got, want), n
@@ -499,14 +497,14 @@ class TestAllocatingOracle:
     @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
     @pytest.mark.parametrize("s,ell", [(2, 2), (3, 3), (6, 2)])
     def test_broadcast_kernel_bitwise(self, s, ell, mode):
-        dist, obs = random_law(s, ell, seed=s + ell)
+        dist, _ = random_law(s, ell, seed=s + ell)
         keys = oracles.mix_batch(-5, np.arange(6, dtype=np.uint64))
         ms = np.arange(1, 21, dtype=np.uint64)[:, None]
         assert same_bits(mix_batch(keys, ms), oracles.mix_batch(keys, ms))
-        assert np.array_equal(sample_indices(dist, keys, ms), oracles.sample_indices(dist, keys, ms))
-        assert same_bits(
-            term_values(dist, obs, keys, ms, mode), oracles.term_values(dist, obs, keys, ms, mode)
-        )
+        for j in range(1, ell + 1):
+            counters = simulate._draw_numbers(ms, j, ell, mode)
+            got = sample_indices(dist, keys, counters)
+            assert np.array_equal(got, oracles.sample_indices(dist, keys, counters))
 
     @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
     @pytest.mark.parametrize("s,ell", [(16, 2), (17, 2), (2, 8), (2, 9), (256, 1), (300, 2)])
@@ -515,15 +513,9 @@ class TestAllocatingOracle:
         dist, obs = random_law(s, ell, seed=s * ell)
         index, code = (np.dtype(np.uint8 if v <= 256 else np.int64) for v in (s, s**ell))
         assert simulate._index_dtypes(dist, ell) == (index, code)
-        keys = oracles.mix_batch(-5, np.arange(6, dtype=np.uint64))
-        ms = np.arange(1, 501, dtype=np.uint64)[:, None]
-        assert same_bits(
-            term_values(dist, obs, keys, ms, mode), oracles.term_values(dist, obs, keys, ms, mode)
-        )
-        ms = np.arange(1, 4001, dtype=np.uint64)
-        assert same_bits(
-            term_values(dist, obs, 9, ms, mode), oracles.term_values(dist, obs, 9, ms, mode)
-        )
+        for n in (1, 2, simulate._BLOCK + 1):
+            want = oracles.trajectory(dist, obs, 9 + n, n, mode, block=1 << 18)
+            assert same_bits(trajectory(dist, obs, 9 + n, n, mode), want), n
 
     @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
     @pytest.mark.parametrize("s,ell", [(2, 2), (3, 3), (4, 2)])
@@ -536,6 +528,40 @@ class TestAllocatingOracle:
             assert 0 < want < replicas
             est = ldp_estimate(dist, obs, N=N, u=u, replicas=replicas, seed=31, mode=mode)
             assert est.p_hat == want / replicas, replicas
+
+
+def dilated_draws(n, ell):
+    """Distinct draws of dilated terms 1..n: draws 1..n, then j*m > n for j = 2..ell."""
+    return n + sum(n - n // j for j in range(2, ell + 1))
+
+
+class TestDrawStore:
+    """trajectory keeps draws 1..n in its output's tail bytes and reads each term's draws up to
+    n from there; TestAllocatingOracle and TestExactRoute compare its bits at BLOCK_EDGES."""
+
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    def test_erlaw_points_unchanged(self, mode):
+        dist, obs = preset("rademacher-product", ell=3)
+        ns, seeds = [100, simulate._BLOCK + 7, 3 * simulate._BLOCK + 17], [1, 2]
+        result = erlaw.experiment(dist, obs, [0.3, 0.5], ns, seeds, mode=mode)
+        prefixes = {s: oracles.trajectory(dist, obs, s, ns[-1], mode, block=1 << 18) for s in seeds}
+        for p in result.points:
+            want = oracles.window_max_naive(prefixes[p.seed][: p.n + 1], p.b_n)
+            assert p.max_increment == want, p
+
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4])
+    def test_each_stored_draw_is_drawn_once(self, ell, mode, monkeypatch):
+        draws = []
+        draw = simulate.sample_indices
+        monkeypatch.setattr(
+            simulate, "sample_indices", lambda *a, **k: draws.append(k["out"].size) or draw(*a, **k)
+        )
+        dist, obs = preset("rademacher-product", ell=ell)
+        for n in (1, 7, 2 * simulate._BLOCK + 5):
+            draws.clear()
+            trajectory(dist, obs, 3, n, mode)
+            assert sum(draws) == (dilated_draws(n, ell) if mode == "nonconventional" else ell * n)
 
 
 def replica_sums(dist, obs, keys, terms, mode):
@@ -656,11 +682,10 @@ class TestWorkspace:
             (big, 3, np.arange(1, 5001), "iid"),
         ]
         for (dist, obs), k, ms, mode in calls:
-            got = term_values(dist, obs, k, ms, mode, ws).copy()
-            assert same_bits(got, term_values(dist, obs, k, ms, mode))
-            counters = np.asarray(ms, dtype=np.uint64)
-            got = sample_indices(dist, k, counters, ws).copy()
-            assert np.array_equal(got, sample_indices(dist, k, counters))
+            for j in range(1, obs.ell + 1):
+                counters = simulate._draw_numbers(np.asarray(ms, np.uint64), j, obs.ell, mode)
+                got = sample_indices(dist, k, counters, ws).copy()
+                assert np.array_equal(got, sample_indices(dist, k, counters))
 
     @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
     def test_trajectory_memory_is_one_block(self, mode):
@@ -677,3 +702,6 @@ class TestWorkspace:
             excess.append(peak - prefix.nbytes)
         assert abs(excess[1] - excess[0]) <= 64 * 1024, excess
         assert max(excess) < 16 * 8 * simulate._BLOCK, excess
+        # about 1.1 MB of block buffers: draws 1..n are kept in the output's
+        # tail bytes, where a store of their own would add 1 MB at n = 1e6
+        assert excess[1] < 1.5e6, excess
