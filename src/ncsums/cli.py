@@ -115,15 +115,28 @@ def _parse_grid(text: str) -> list[float]:
     return out
 
 
+def integer(text: str) -> int:
+    """The one reader of an integer flag or item: a digit string with an
+    optional sign is read exactly; any other literal through float, and only
+    a finite integral value such as 1e6 is accepted.  argparse names the
+    type in its error message by this function's name: "invalid integer value"."""
+    text = text.strip()
+    if (text[1:] if text[:1] in "+-" else text).isdecimal():
+        return int(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():  # also inf and nan
+        raise InputError(f"{text!r} is not an integer")
+    return int(value)
+
+
 def _parse_int_list(text: str) -> list[int]:
-    """Like _parse_grid, but an integer literal is read exactly, not through float."""
+    """Like _parse_grid, but each item, and each point of a range, is read by integer."""
     if ":" in text:
-        return [int(round(v)) for v in _parse_grid(text)]
-    return [
-        int(p) if p.strip().lstrip("+-").isdecimal() else int(round(_parse_grid(p)[0]))
-        for p in text.split(",")
-        if p.strip()
-    ]
+        return [integer(repr(v)) for v in _parse_grid(text)]
+    return [integer(p) for p in text.split(",") if p.strip()]
 
 
 def _timestamp() -> str:
@@ -274,19 +287,12 @@ def _resolve_observable(args):
     return dist, obs, obs_id
 
 
-def _threads(args) -> int:
-    """--threads, or else NCSUMS_THREADS, or else 1."""
-    threads = os.environ.get(ENV_THREADS) if args.threads is None else args.threads
-    return max(1, int(threads or 1))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def _cmd_structure(args):
-    ell = args.ell
-    N = int(round(float(args.n)))
+    ell, N = args.ell, args.n
     if N < 1 or N > STRUCTURE_N_LIMIT:
         raise InputError(f"n must be in [1, {STRUCTURE_N_LIMIT}]")
     if ell > STRUCTURE_ELL_LIMIT:
@@ -328,33 +334,31 @@ def _cmd_structure(args):
     return payload, header, rows
 
 
-def _curve(kind, obs, obs_id, tol, rows, extra=(), **meta):
-    """Output of rate-i, pressure and rate-j from rows (x, value, is_infinite, tol, *extra).
+def _curve(kind, obs, obs_id, rows, extra=(), **meta):
+    """Output of rate-i, pressure and rate-j from rows (x, value, is_infinite, *extra).
 
-    JSON rows drop the tol column, which the payload carries once; ``meta``
-    fields come before the rows.
+    With a ``tol`` in ``meta``, each row holds it after is_infinite: CSV
+    writes it as a column and JSON once in the payload.  ``meta`` fields
+    come before the rows.
     """
     keys = ("x", "value", "is_infinite", *extra)
+    tol = ("tol",) if "tol" in meta else ()
     payload = {
         "kind": kind,
         "ell": obs.ell,
         "observable": obs_id,
-        "tol": tol,
         **meta,
-        "rows": [dict(zip(keys, row[:3] + row[4:])) for row in rows],
+        "rows": [dict(zip(keys, row[:3] + row[3 + len(tol) :])) for row in rows],
     }
-    return payload, ["x", "value", "is_infinite", "tol", *extra], rows
+    return payload, [*keys[:3], *tol, *extra], rows
 
 
 def _cmd_rate_i(args):
     dist, obs, obs_id = _resolve_observable(args)
-    tol, grid = args.tol, _parse_grid(args.alpha)
+    grid = _parse_grid(args.alpha)
     rate = rates.CramerRate(dist, obs)
-    rows = []
-    for a in grid:
-        v = rate(a)
-        rows.append((a, v, math.isinf(v), tol))
-    return _curve("rate-i", obs, obs_id, tol, rows)
+    rows = [(a, v, math.isinf(v)) for a, v in zip(grid, map(rate, grid))]
+    return _curve("rate-i", obs, obs_id, rows)
 
 
 def _cmd_pressure(args):
@@ -365,8 +369,8 @@ def _cmd_pressure(args):
         (lam, d.value, False, tol, d.truncation_l) for lam, d in zip(grid, press.details(grid))
     ]
     return _curve(
-        "pressure", obs, obs_id, tol, rows, extra=("truncation_l",),
-        L_truncation=max(r[4] for r in rows),
+        "pressure", obs, obs_id, rows, extra=("truncation_l",),
+        tol=tol, L_truncation=max(r[4] for r in rows),
     )
 
 
@@ -376,7 +380,7 @@ def _cmd_rate_j(args):
     press = rates.Pressure(dist, obs, tol=tol, budget=args.budget)
     conj = rates.RateJ(press, lambda_cap=args.lambda_cap)
     rows = [(u, v, math.isinf(v), tol) for u, v in zip(grid, conj.grid(grid))]
-    return _curve("rate-j", obs, obs_id, tol, rows, lambda_cap=conj.lambda_cap)
+    return _curve("rate-j", obs, obs_id, rows, tol=tol, lambda_cap=conj.lambda_cap)
 
 
 _ERLAW_COLUMNS = (
@@ -405,7 +409,7 @@ def _cmd_erlaw(args):
     else:
         seeds = list(range(1, (5 if args.seeds is None else args.seeds) + 1))
     result = erlaw_mod.experiment(
-        dist, obs, alphas, ns, seeds, mode=args.mode, threads=_threads(args)
+        dist, obs, alphas, ns, seeds, mode=args.mode, threads=args.threads
     )
     rows = [
         (obs.ell, obs_id, p.alpha, p.i_alpha, p.n, p.b_n, p.seed, p.mode,
@@ -427,19 +431,13 @@ def _cmd_ldp_check(args):
     dist, obs, obs_id = _resolve_observable(args)
     # the theory's inputs are checked before any replica is simulated, and
     # --theory-tol whether or not the theory runs
-    rates.check_tol(float(args.theory_tol))
+    rates.check_tol(args.theory_tol)
     if not args.skip_theory:
         rate = rates.CramerRate(dist, obs)
-        conj = rates.RateJ(rates.Pressure(dist, obs, tol=float(args.theory_tol)))
+        conj = rates.RateJ(rates.Pressure(dist, obs, tol=args.theory_tol))
     est = simulate.ldp_estimate(
-        dist,
-        obs,
-        int(round(float(args.N))),
-        float(args.u),
-        int(round(float(args.replicas))),
-        seed=args.seed,
-        mode=args.mode,
-        threads=_threads(args),
+        dist, obs, args.N, args.u, args.replicas, seed=args.seed, mode=args.mode,
+        threads=args.threads,
     )
     theory_i: float | str = ""
     theory_j: float | str = ""
@@ -460,8 +458,7 @@ def _cmd_ldp_check(args):
 
 def _cmd_simulate(args):
     dist, obs, obs_id = _resolve_observable(args)
-    n = int(round(float(args.n)))
-    stride, seed = args.stride, args.seed
+    n, stride, seed = args.n, args.stride, args.seed
     if stride < 1:
         raise InputError("stride must be >= 1")
     prefix = simulate.trajectory(dist, obs, seed, n, args.mode)
@@ -492,14 +489,14 @@ def _cmd_simulate(args):
 _OBSERVABLE = (
     ("--preset", dict(choices=model.PRESET_NAMES, default=None)),
     ("--spec-file", dict(default=None)),
-    ("--ell", dict(type=int, default=None)),
+    ("--ell", dict(type=integer, default=None)),
     ("--const-value", dict(type=float, default=None)),
     ("--center", dict(action="store_true", help="replace F by F - mean(F) after loading")),
 )
 _COMMON = (
     ("--format", dict(choices=("csv", "json"), default="csv")),
     ("--output", dict(default=None, help="write to file instead of stdout")),
-    ("--threads", dict(type=int, default=None, help=f"default ${ENV_THREADS}, or 1")),
+    ("--threads", dict(type=integer, default=None, help=f"default ${ENV_THREADS}, or 1")),
     ("--config", dict(default=None, help="JSON object of flag values by dest")),
     ("--no-timestamp", dict(
         action="store_true", help="suppress the generated_at field for byte-stable output"
@@ -508,44 +505,43 @@ _COMMON = (
 _MODE = ("--mode", dict(choices=simulate.TRAJECTORY_MODES, default="nonconventional"))
 _COMMANDS = {
     "structure": (_cmd_structure, "coprime skeleton, fibers, smooth numbers", (
-        ("--ell", dict(type=int, required=True)),
-        ("--n", dict(required=True)),
+        ("--ell", dict(type=integer, required=True)),
+        ("--n", dict(type=integer, required=True)),
     )),
     "rate-i": (_cmd_rate_i, "Cramér rate curve", _OBSERVABLE + (
         ("--alpha", dict(required=True, help="value, comma list, or start:stop:step")),
-        ("--tol", dict(type=float, default=1e-9)),
     )),
     "pressure": (_cmd_pressure, "pressure curve with certified truncation", _OBSERVABLE + (
         ("--lambda", dict(dest="lam", required=True)),
         ("--tol", dict(type=float, default=1e-8)),
-        ("--budget", dict(type=int, default=rates.DEFAULT_BUDGET)),
+        ("--budget", dict(type=integer, default=rates.DEFAULT_BUDGET)),
     )),
     "rate-j": (_cmd_rate_j, "conjugate of the pressure", _OBSERVABLE + (
         ("--u", dict(required=True)),
         ("--tol", dict(type=float, default=1e-8)),
         ("--lambda-cap", dict(type=float, default=None)),
-        ("--budget", dict(type=int, default=rates.DEFAULT_BUDGET)),
+        ("--budget", dict(type=integer, default=rates.DEFAULT_BUDGET)),
     )),
     "erlaw": (_cmd_erlaw, "sliding-window law experiment", _OBSERVABLE + (
         ("--alpha", dict(required=True)),
         ("--n", dict(required=True, help="n grid, e.g. 1e4,1e6")),
-        ("--seeds", dict(type=int, default=None, help="use seeds 1..K")),
+        ("--seeds", dict(type=integer, default=None, help="use seeds 1..K")),
         ("--seed-list", dict(default=None)),
         _MODE,
     )),
     "ldp-check": (_cmd_ldp_check, "Monte-Carlo tail vs rate functions", _OBSERVABLE + (
-        ("--N", dict(required=True)),
+        ("--N", dict(type=integer, required=True)),
         ("--u", dict(type=float, required=True)),
-        ("--replicas", dict(required=True)),
-        ("--seed", dict(type=int, default=1)),
+        ("--replicas", dict(type=integer, required=True)),
+        ("--seed", dict(type=integer, default=1)),
         _MODE,
         ("--theory-tol", dict(type=float, default=1e-6)),
         ("--skip-theory", dict(action="store_true")),
     )),
     "simulate": (_cmd_simulate, "dump a trajectory as (k, S_k)", _OBSERVABLE + (
-        ("--n", dict(required=True)),
-        ("--seed", dict(type=int, default=1)),
-        ("--stride", dict(type=int, default=1)),
+        ("--n", dict(type=integer, required=True)),
+        ("--seed", dict(type=integer, default=1)),
+        ("--stride", dict(type=integer, default=1)),
         _MODE,
     )),
 }
@@ -614,6 +610,10 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(_with_config(parser, argv))
+        if args.threads is None:  # NCSUMS_THREADS, or else 1
+            args.threads = integer(os.environ.get(ENV_THREADS) or "1")
+        if args.threads < 1:
+            raise InputError(f"threads must be at least 1, not {args.threads}")
         payload, header, rows = args.run(args)
         text = _render(args, payload, header, rows)
         if args.output:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InputError
 from .model import FiniteDistribution, Observable
 from .rates import CramerRate
-from .simulate import _BLOCK, trajectory
+from .simulate import _BLOCK, _thread_map, trajectory
 
 
 def window_max(prefix, b: int) -> float:
@@ -140,13 +140,7 @@ def experiment(
                 )
         return out
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # loads logging: ~7 ms
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(rows_for_seed, seeds))
-    else:
-        chunks = [rows_for_seed(s) for s in seeds]
+    chunks = _thread_map(rows_for_seed, seeds, threads)
     points = sorted(
         (p for chunk in chunks for p in chunk), key=lambda p: (p.alpha, p.n, p.seed)
     )

@@ -499,6 +499,16 @@ class LdpEstimate:
     zero_count: bool
 
 
+def _thread_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], on a pool of ``threads`` threads when threads > 1."""
+    if threads <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: ~7 ms
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def ldp_estimate(
     dist: FiniteDistribution,
     obs: Observable,
@@ -536,15 +546,7 @@ def ldp_estimate(
         total = plan.sums(keys)
         return int(np.count_nonzero((total / N) >= u))
 
-    starts = range(0, replicas, _LDP_CHUNK)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # loads logging: ~7 ms
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(chunk_count, starts))
-    else:
-        counts = [chunk_count(r0) for r0 in starts]
-    hits = sum(counts)
+    hits = sum(_thread_map(chunk_count, range(0, replicas, _LDP_CHUNK), threads))
     p_hat = hits / replicas
     zero = hits == 0
     rate_hat = math.inf if zero else -math.log(p_hat) / N

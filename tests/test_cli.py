@@ -43,7 +43,7 @@ def config_sample(action):
         return True
     if action.choices:
         return next(c for c in action.choices if c != action.default)
-    return {int: 3, float: 0.25}.get(action.type, "0.5")
+    return {cli.integer: 3, float: 0.25}.get(action.type, "0.5")
 
 
 def flag_token(action, value):
@@ -807,7 +807,7 @@ class TestInputValidation:
             "rate-i", "--preset", "rademacher-product", "--alpha", "inf", "--no-timestamp"
         )
         assert code == 0
-        assert out.splitlines()[1] == "inf,inf,true,1e-09"
+        assert out.splitlines()[1] == "inf,inf,true"
 
     def test_seed_list_integers_are_exact(self):
         big = 2**53 + 1  # float(big) == 2**53
@@ -982,6 +982,64 @@ def test_every_flag_value_ends_in_an_exit_code(command):
             assert code in (0, 2, 3, 4), argv
 
 
+# A small valid argv per subcommand, without its observable.
+EFFECT_BASES = {
+    "structure": ("--ell", "2", "--n", "10"),
+    "rate-i": ("--alpha", "0.5"),
+    "pressure": ("--lambda", "0.5"),
+    "rate-j": ("--u", "0.5"),
+    "erlaw": ("--alpha", "0.5", "--n", "100"),
+    "ldp-check": ("--N", "10", "--u", "0.3", "--replicas", "1000"),
+    "simulate": ("--n", "10"),
+}
+# The Bernoulli product, unlike the Rademacher one, changes its law with ell,
+# so --ell shows in every CSV.  The spec file holds the same observable.
+BERNOULLI_SPEC = {
+    "values": [0, 1], "probs": [0.5, 0.5], "ell": 2, "kind": "table",
+    "table": [-0.25, -0.25, -0.25, 0.75],
+}
+RADEMACHER_SPEC = {"values": [-1, 1], "probs": [0.5, 0.5], "ell": 2, "kind": "product"}
+# One valid value per flag, not its default; a new flag needs an entry here.
+EFFECT_VALUES = {
+    "preset": "rademacher-product", "ell": "1", "const_value": "2", "format": "json",
+    "n": "200", "alpha": "0.25", "lam": "0.25", "u": "0.25", "tol": "1e-3", "budget": "40",
+    "lambda_cap": "0.5", "seeds": "2", "seed_list": "1,2", "mode": "iid", "N": "12",
+    "replicas": "2000", "seed": "2", "theory_tol": "0.5", "stride": "3", "threads": "2",
+}
+
+
+@pytest.mark.parametrize("command", list(EFFECT_BASES))
+def test_every_flag_value_is_read(command, tmp_path):
+    """From a preset and from a spec file, each value flag at a valid
+    non-default value changes stdout or exits 2; --threads 2 leaves stdout
+    as it is, and --output moves it into the file."""
+    (tmp_path / "bernoulli.json").write_text(json.dumps(BERNOULLI_SPEC))
+    (tmp_path / "rademacher.json").write_text(json.dumps(RADEMACHER_SPEC))
+    values = {**EFFECT_VALUES, "spec_file": str(tmp_path / "rademacher.json")}
+    actions = [
+        a for a in _build_parser().commands[command]._actions
+        if a.option_strings and a.nargs != 0 and a.dest not in ("help", "config")
+    ]
+    sources = [("--preset", "bernoulli-product"), ("--spec-file", str(tmp_path / "bernoulli.json"))]
+    for source in sources if command != "structure" else [()]:
+        base = (command, *EFFECT_BASES[command], *source, "--no-timestamp")
+        code, out, _ = run_cli(*base)
+        assert code == 0 and out, base
+        for action in actions:
+            flag = action.option_strings[0]
+            if action.dest == "output":
+                target = tmp_path / "out.txt"
+                assert run_cli(*base, f"{flag}={target}")[:2] == (0, "")
+                assert target.read_text() == out
+                continue
+            argv = (*base, f"{flag}={values[action.dest]}")
+            got = run_cli(*argv)
+            if action.dest == "threads":
+                assert got[:2] == (0, out), argv
+            else:
+                assert got[0] == 2 or got[1] != out, argv
+
+
 # The fields that make two argparse actions declare the same flag.
 ACTION_FIELDS = ("dest", "option_strings", "default", "type", "choices", "required", "nargs", "help")
 
@@ -1070,3 +1128,121 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "0,0,false,1e-08"
+
+
+# Every flag whose value is an integer, by subcommand.
+INTEGER_FLAGS = {
+    "structure": ["--ell", "--n", "--threads"],
+    "rate-i": ["--ell", "--threads"],
+    "pressure": ["--ell", "--budget", "--threads"],
+    "rate-j": ["--ell", "--budget", "--threads"],
+    "erlaw": ["--ell", "--seeds", "--threads"],
+    "ldp-check": ["--ell", "--N", "--replicas", "--seed", "--threads"],
+    "simulate": ["--ell", "--n", "--seed", "--stride", "--threads"],
+}
+
+
+def test_integer_flags_are_read_by_the_one_integer_reader():
+    for command, sub in _build_parser().commands.items():
+        read = [a.option_strings[0] for a in sub._actions if a.type is cli.integer]
+        assert read == INTEGER_FLAGS[command], command
+        assert not any(a.type is int for a in sub._actions), command
+
+
+@pytest.mark.parametrize(
+    "command,flag", [(c, f) for c, flags in INTEGER_FLAGS.items() for f in flags]
+)
+def test_integer_flag_takes_integral_literals_only(command, flag):
+    base = (command, *SWEEP_BASES[command], "--no-timestamp")
+    code, out, err = run_cli(*base, f"{flag}=10.5")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "InputError", "message": f"argument {flag}: invalid integer value: '10.5'"
+    }
+    # a pool starts one thread per task, and --seeds K builds K trajectories
+    small = flag in ("--threads", "--seeds")
+    digits, literal = ("3", "3e0") if small else ("1000", "1e3")
+    assert run_cli(*base, f"{flag}={literal}")[:2] == run_cli(*base, f"{flag}={digits}")[:2]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("simulate", *PRESET, "--n", "10.5"), "argument --n: invalid integer value: '10.5'"),
+        (("ldp-check", *PRESET, "--N", "40.4", "--u", "0.3", "--replicas", "1000"),
+         "argument --N: invalid integer value: '40.4'"),
+        (("ldp-check", *PRESET, "--N", "40", "--u", "0.3", "--replicas", "1000.4"),
+         "argument --replicas: invalid integer value: '1000.4'"),
+        (("erlaw", *PRESET, "--alpha", "0.5", "--n", "1000.5"), "'1000.5' is not an integer"),
+        (("erlaw", *PRESET, "--alpha", "0.5", "--n", "100", "--seed-list", "2.5"),
+         "'2.5' is not an integer"),
+        # once ran seed 0 twice
+        (("erlaw", *PRESET, "--alpha", "0.5", "--n", "100", "--seed-list", "0:1:0.5"),
+         "'0.5' is not an integer"),
+        (("erlaw", *PRESET, "--alpha", "0.5", "--n", "100", "--seed-list", "1,1e400"),
+         "'1e400' is not an integer"),
+        (("structure", "--ell", "2", "--n", "10.5"), "argument --n: invalid integer value: '10.5'"),
+        (("rate-i", *PRESET, "--alpha", "0.5", "--tol", "1e-6"),
+         "unrecognized arguments: --tol 1e-6"),
+    ],
+)
+def test_fractional_counts_are_input_errors(argv, message):
+    code, out, err = run_cli(*argv, "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "InputError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [("7", 7), ("+7", 7), ("-7", -7), (" 12 ", 12), ("1e3", 1000), ("1e16", 10**16),
+     ("-0", 0), ("2.0", 2), (THIRTY_DIGITS, int(THIRTY_DIGITS)), (str(2**64 + 1), 2**64 + 1)],
+)
+def test_integer_reads_digits_exactly_and_integral_floats(text, value):
+    assert cli.integer(text) == value
+
+
+@pytest.mark.parametrize("text", ["10.5", "1e-320", "inf", "-inf", "nan", "1e400", "abc", "",
+                                  "+-5", "0x10"])
+def test_integer_rejects_every_other_literal(text):
+    with pytest.raises(InputError, match="is not an integer"):
+        cli.integer(text)
+
+
+@pytest.mark.parametrize("command", list(SWEEP_BASES))
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_thread_count_below_one_is_input_error(command, threads, monkeypatch):
+    base = (command, *SWEEP_BASES[command], "--no-timestamp")
+    message = f"threads must be at least 1, not {int(threads)}"
+    code, out, err = run_cli(*base, "--threads", threads)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "InputError", "message": message}
+    monkeypatch.setenv("NCSUMS_THREADS", threads)
+    code, out, err = run_cli(*base)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "InputError", "message": message}
+    assert run_cli(*base, "--threads", "1")[0] == 0  # the flag wins over the variable
+
+
+@pytest.mark.parametrize(
+    "argv,target,index",
+    [
+        (("simulate", *PRESET, "--n", "{big}"), "trajectory", 3),
+        (("simulate", *PRESET, "--n", "10", "--seed", "{big}"), "trajectory", 2),
+        (("ldp-check", *PRESET, "--N", "{big}", "--u", "0.3", "--replicas", "1000",
+          "--skip-theory"), "ldp_estimate", 2),
+        (("ldp-check", *PRESET, "--N", "10", "--u", "0.3", "--replicas", "{big}",
+          "--skip-theory"), "ldp_estimate", 4),
+    ],
+)
+def test_integer_flags_reach_the_library_unrounded(argv, target, index, monkeypatch):
+    big = 2**53 + 1  # float(big) == 2**53
+    seen = []
+
+    def capture(*args, **kwargs):
+        seen.append(args[index])
+        raise InputError("captured")
+
+    monkeypatch.setattr(simulate, target, capture)
+    code, _, err = run_cli(*(a.replace("{big}", str(big)) for a in argv))
+    assert (code, json.loads(err)["message"]) == (2, "captured")
+    assert seen == [big]
