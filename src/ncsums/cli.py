@@ -132,11 +132,18 @@ def integer(text: str) -> int:
     return int(value)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Like _parse_grid, but each item, and each point of a range, is read by integer."""
-    if ":" in text:
-        return [integer(repr(v)) for v in _parse_grid(text)]
-    return [integer(p) for p in text.split(",") if p.strip()]
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    """Like _parse_grid, but each item, and each point of a range, is read by
+    integer; an item it refuses is named with ``flag``, as argparse names a
+    refused value of an integer flag."""
+    items = [repr(v) for v in _parse_grid(text)] if ":" in text else text.split(",")
+    out = []
+    for item in filter(str.strip, items):
+        try:
+            out.append(integer(item))
+        except ValueError:  # also Python's limit on the digits of an int
+            raise InputError(f"argument {flag}: invalid integer value: {item.strip()!r}") from None
+    return out
 
 
 def _timestamp() -> str:
@@ -401,11 +408,11 @@ _ERLAW_COLUMNS = (
 def _cmd_erlaw(args):
     dist, obs, obs_id = _resolve_observable(args)
     alphas = _parse_grid(args.alpha)
-    ns = sorted(_parse_int_list(args.n))
+    ns = sorted(_parse_int_list(args.n, "--n"))
     if args.seed_list is not None and args.seeds is not None:
         raise InputError("give either --seeds or --seed-list, not both")
     if args.seed_list:
-        seeds = _parse_int_list(args.seed_list)
+        seeds = _parse_int_list(args.seed_list, "--seed-list")
     else:
         seeds = list(range(1, (5 if args.seeds is None else args.seeds) + 1))
     result = erlaw_mod.experiment(

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InputError
 from .model import FiniteDistribution, Observable
 from .rates import CramerRate
-from .simulate import _BLOCK, _thread_map, trajectory
+from .simulate import _BLOCK, MASK64, _thread_map, trajectory
 
 
 def window_max(prefix, b: int) -> float:
@@ -108,6 +108,14 @@ def experiment(
         raise InputError("alpha_grid, n_grid and seeds must be non-empty")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise InputError("n_grid must be strictly increasing")
+    # a repeat would be run again and counted twice; seed s + 2**64 is seed s
+    streams = [s & MASK64 for s in seeds]
+    for name, grid, keys in (("alpha_grid", alpha_grid, alpha_grid), ("seeds", seeds, streams)):
+        first = {}
+        for v, k in zip(grid, keys):
+            if k in first:
+                raise InputError(f"{name} must not repeat a value, but {v} repeats {first[k]}")
+            first[k] = v
     rate = CramerRate(dist, obs)  # rejects zero-variance observables
     i_of: dict[float, float] = {}
     for a in alpha_grid:

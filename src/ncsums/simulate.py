@@ -12,7 +12,12 @@ with all arithmetic modulo 2**64 and GAMMA = 0x9E3779B97F4A7C15.  The top
 support index #{i : cum_i <= u} through the cumulative probabilities.  The
 batch path never forms u: u is exact and cum_i * 2**53 is exact, so
 cum_i <= u exactly when the word z reaches T_i = ceil(cum_i * 2**53) * 2**11,
-and the index is the number of integer thresholds T_i <= z.  Replica seeds
+and the index is the number of integer thresholds T_i <= z.  The last
+round flips bits 32..0 of z only, so no compare with a T_i whose low 33
+bits are 0 can see it: z ^ (z >> 31) >= T_i exactly when z >= T_i, as
+both compare the top 31 bits.  When every T_i is such a word (every cum_i
+a multiple of 2**-31, as in every preset) the draws skip that round; the
+words of mix_batch, replica seeds among them, keep it.  Replica seeds
 derive the same way, seed_r = fin(root + r*GAMMA), so replicas are
 order-independent.  Dilated sums read draws at indices up to ell*n; counter
 addressing keeps them identical across runs, platforms, and thread counts.
@@ -47,19 +52,27 @@ thresholds once and hand them to every batch.
 ``_ReplicaPlan``, the replica loop of ``ldp_estimate``, computes each
 distinct draw of its batch once while its draw table has room.  Dilated
 terms share draws: at ell = 2, terms 1..60 read 120 draws, of which 90
-are distinct.  A plan gives each distinct draw a slot of a small-int
-table; the draw is computed just before the first term that reads it,
-and its slot is freed once the last term that reads it has been added,
-so those terms need 17 slots (28 at ell = 3).  Each term gathers its
-table code from its slots, and the terms are added in the given order,
-so every sum equals the per-term loop's bit for bit.  ``ldp_estimate``
-hands the plan one chunk of at most _LDP_CHUNK keys at a time, and the
-table is capped at _TABLE_BYTES (1 MiB, 32 slots of a chunk): when the
-terms would hold more draws at once, a draw that finds the table full is
-computed again by its next reader.  Narrowing the chunks instead would keep every draw
-once, but their per-call cost grows with N: at ell = 2, N = 3000 a
-2**15-key chunk took 4.3 s that way, against 2.1 s for the per-term loop
-and 1.3 s for the capped table (2-core x86 host).  ``ldp_estimate`` plans
+are distinct.  When every sum of the terms is exact in float64 (the test
+above), the loop adds g consecutive terms with one gather: a group's code
+is built by Horner over its g*ell slot digits and indexes a table of
+group sums, F summed over g terms, built by np.add.outer.  g is the most
+terms whose code still fits uint8, (size**ell)**g <= 256: 4 at ell = 2
+and 2 at ell = 3 on two points, and a short last group has its own
+table.  Exact sums take one value in any order and the total starts at
++0.0, so every sum equals the per-term loop's bit for bit.  Otherwise g
+is 1 and each term gathers its own code, in the given order.  A plan
+gives each distinct draw a slot of a small-int table; the draw is
+computed just before the first group that reads it, and its slot is
+freed once the last group that reads it has been added, so terms 1..60
+need 20 slots at ell = 2 (17 one term at a time) and 30 at ell = 3 (28).
+``ldp_estimate`` hands the plan one chunk of at most _LDP_CHUNK keys at a
+time, and the table is capped at _TABLE_BYTES (1 MiB, 32 slots of a
+chunk): when the groups would hold more draws at once, a draw that finds
+the table full is computed again by its next reader.  Narrowing the
+chunks instead would keep every draw once, but their per-call cost grows
+with N: at ell = 2, N = 3000 a 2**15-key chunk took 4.3 s that way,
+against 2.1 s for the per-term loop and 1.3 s for the capped table, one
+term per gather (2-core x86 host).  ``ldp_estimate`` plans
 the table once and sums every chunk of replicas, on every thread,
 through that plan, which at ell = 2, N = 1e5 takes 0.67 s to build.
 """
@@ -81,6 +94,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _U_GAMMA = np.uint64(GAMMA)
+_LOW33 = (1 << 33) - 1
 
 TRAJECTORY_MODES = ("nonconventional", "iid")
 
@@ -137,7 +151,12 @@ def mix_batch(keys, counters, ws: Workspace | None = None) -> np.ndarray:
     The words are built in the workspace's "word" buffer and the finalizer
     rounds run on it in place, with the "shifted" buffer as scratch.
     """
-    ws = Workspace() if ws is None else ws
+    return _mix(keys, counters, Workspace() if ws is None else ws, last_round=True)
+
+
+def _mix(keys, counters, ws: Workspace, last_round: bool) -> np.ndarray:
+    """mix_batch's words, without the last round z ^= z >> 31 unless
+    ``last_round`` (see _thresholds for when no compare can see it)."""
     if isinstance(keys, int):
         keys = np.uint64(keys & MASK64)
     keys = np.asarray(keys, dtype=np.uint64)
@@ -154,7 +173,8 @@ def mix_batch(keys, counters, ws: Workspace | None = None) -> np.ndarray:
     z *= _MIX1
     z ^= np.right_shift(z, np.uint64(27), out=shifted)
     z *= _MIX2
-    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    if last_round:
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
 
 
@@ -167,15 +187,20 @@ def x_value(dist: FiniteDistribution, seed: int, i: int) -> int:
     return bisect_right(cum, u)
 
 
-def _thresholds(dist: FiniteDistribution) -> np.ndarray:
-    """Words T_i = ceil(cum_i * 2**53) * 2**11, dropping those that reach 2**64.
+def _thresholds(dist: FiniteDistribution) -> tuple[np.ndarray, bool]:
+    """Words T_i = ceil(cum_i * 2**53) * 2**11, dropping those that reach
+    2**64, and whether a compare with them needs the mixer's last round.
 
     cum_i * 2**53 is exact (a power-of-two scaling), so T_i is exact too.
     A dropped T_i belongs to a cum_i >= 1 (the pinned last entry, or a partial
-    sum that rounded up to 1), which no u < 1 reaches.
+    sum that rounded up to 1), which no u < 1 reaches.  The last round is
+    not needed when every T_i has its low 33 bits 0 (see the module
+    docstring).
     """
     words = [math.ceil(c * 2.0**53) << 11 for c in dist.cumulative().tolist()]
-    return np.array([w for w in words if w <= MASK64], dtype=np.uint64)
+    words = [w for w in words if w <= MASK64]
+    last_round = any(w & _LOW33 for w in words)
+    return np.array(words, dtype=np.uint64), last_round
 
 
 def sample_indices(
@@ -184,28 +209,28 @@ def sample_indices(
     counters,
     ws: Workspace | None = None,
     *,
-    thresholds: np.ndarray | None = None,
+    thresholds: tuple[np.ndarray, bool] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Support indices of draws ``counters`` of streams ``keys`` (see mix_batch).
 
     Each index is #{i : z >= T_i} over the integer thresholds of _thresholds,
     which a caller drawing many batches builds once and passes as
-    ``thresholds``.  The indices are counted into ``out``, or else into the
+    ``thresholds``; the mixer's last round runs only when a threshold can
+    see it.  The indices are counted into ``out``, or else into the
     workspace's int64 "count" buffer, with one in-place compare per threshold;
     a uint8 ``out`` takes the first compare as its initial count.  Each
     index equals x_value's float rule (see the module docstring).
     """
     ws = Workspace() if ws is None else ws
-    if thresholds is None:
-        thresholds = _thresholds(dist)
-    z = mix_batch(keys, counters, ws)
+    words, last_round = _thresholds(dist) if thresholds is None else thresholds
+    z = _mix(keys, counters, ws, last_round)
     count = ws.take("count", np.int64, z.shape) if out is None else out
     hit = ws.take("hit", np.bool_, z.shape)
-    rest = thresholds
-    if count.dtype == np.uint8 and thresholds.size:
-        np.greater_equal(z, thresholds[0], out=count.view(np.bool_))
-        rest = thresholds[1:]
+    rest = words
+    if count.dtype == np.uint8 and words.size:
+        np.greater_equal(z, words[0], out=count.view(np.bool_))
+        rest = words[1:]
     else:
         count.fill(0)
     for t in rest:
@@ -262,22 +287,25 @@ def _index_dtypes(dist: FiniteDistribution, ell: int) -> tuple[np.dtype, np.dtyp
     return index, code
 
 
-def _draw_plan(terms, ell: int, mode: str, slots: int) -> tuple[list, int]:
-    """How a draw table of ``slots`` slots serves ``terms`` in order.
+def _draw_plan(terms, ell: int, mode: str, slots: int, group: int = 1) -> tuple[list, int]:
+    """How a draw table of ``slots`` slots serves ``terms`` in order, in
+    groups of ``group`` consecutive terms (the last group may be shorter).
 
-    Per term the plan lists the (slot, draw number) pairs to compute before
-    the term and the slots of the term's ell draws, and it returns the
-    number of slots it uses.  A new draw with a later reader stays in its
-    slot until its last reader has been planned while fewer than
-    ``slots - ell`` draws are so held; otherwise its slot is freed after
-    this term and its next reader draws it again.  So when ``slots`` is
-    large enough every distinct draw is computed once.  ``slots`` must be
-    at least ell.
+    Per group the plan lists the (slot, draw number) pairs to compute before
+    the group and the slots of its group*ell draws, term by term, and it
+    returns the number of slots it uses.  A new draw with a later reader
+    stays in its slot until its last reader has been planned while fewer
+    than ``slots - group*ell`` draws are so held; otherwise its slot is freed
+    after this group and its next reader draws it again.  So when ``slots``
+    is large enough every distinct draw is computed once.  ``slots`` must be
+    at least group*ell.
     """
     ms = np.asarray(terms, dtype=np.uint64)
-    reads = np.stack(
+    width = group * ell
+    flat = np.stack(
         [_draw_numbers(ms, j, ell, mode) for j in range(1, ell + 1)], axis=-1
-    ).tolist()
+    ).ravel().tolist()
+    reads = [flat[i : i + width] for i in range(0, len(flat), width)]
     last = {d: t for t, row in enumerate(reads) for d in row}
     slot_of: dict[int, int] = {}
     held: set[int] = set()
@@ -294,7 +322,7 @@ def _draw_plan(terms, ell: int, mode: str, slots: int) -> tuple[list, int]:
                     slot_of[d] = used
                     used += 1
                 new.append((slot_of[d], d))
-                if last[d] > t and len(held) < slots - ell:
+                if last[d] > t and len(held) < slots - width:
                     held.add(d)
         steps.append((new, [slot_of[d] for d in row]))
         for d in dict.fromkeys(row):
@@ -304,32 +332,56 @@ def _draw_plan(terms, ell: int, mode: str, slots: int) -> tuple[list, int]:
     return steps, used
 
 
-class _ReplicaPlan:
-    """The draw table of the replica loop for ``terms``, planned once for
-    batches of at most ``block`` keys.
+def _group_size(dist: FiniteDistribution, obs: Observable, n: int) -> int:
+    """How many consecutive terms of ``n`` the replica loop adds with one gather.
 
-    ``sums`` adds the terms over one batch of keys in the given order, each
-    from a draw table of at most _TABLE_BYTES (see _draw_plan) whose slots
-    hold support indices, as uint8 while the support has at most 256
-    points: a term gathers its table code from its slots.  All draws of a
-    call share one workspace.  ``sums`` reads the plan and nothing else
-    that it does not build itself, so one plan serves any number of
-    batches and threads.
+    When every sum of at most n terms is exact (see _sums_are_exact), a
+    group's sum is one float whatever the order of its terms, so the group
+    gathers it from a table of group sums at its code, the row-major code
+    of its terms' codes.  The group is the largest, up to 8 terms, whose
+    code is below 256 and so built in uint8: (size**ell)**g <= 256.
+    Otherwise every term is its own group.
+    """
+    cells = dist.size**obs.ell
+    g = 1
+    if _sums_are_exact(obs, n):
+        while g < min(n, 8) and cells ** (g + 1) <= 256:
+            g += 1
+    return g
+
+
+class _ReplicaPlan:
+    """The draw table of the replica loop for the sequence ``terms``,
+    planned once for batches of at most ``block`` keys.
+
+    ``sums`` adds the terms over one batch of keys in the given order, in
+    groups of _group_size terms, each group from a draw table of at most
+    _TABLE_BYTES (see _draw_plan) whose slots hold support indices, as uint8
+    while the support has at most 256 points: a group builds its code from
+    its slots and gathers its sum.  All draws of a call share one
+    workspace.  ``sums`` reads the plan and nothing else that it does not
+    build itself, so one plan serves any number of batches and threads.
     """
 
     def __init__(self, dist: FiniteDistribution, obs: Observable, terms, mode: str, block: int):
         _check_mode(mode)
-        self.dist, self.obs = dist, obs
+        self.dist = dist
         # a code below 256 is built in uint8 and widened once for the gather
         self.dtype, self.code_dtype = _index_dtypes(dist, obs.ell)
-        capacity = max(obs.ell, _TABLE_BYTES // (max(1, block) * self.dtype.itemsize))
-        self.steps, self.slots = _draw_plan(terms, obs.ell, mode, capacity)
+        group = _group_size(dist, obs, len(terms))
+        width = group * obs.ell
+        capacity = max(width, _TABLE_BYTES // (max(1, block) * self.dtype.itemsize))
+        self.steps, self.slots = _draw_plan(terms, obs.ell, mode, capacity, group)
+        # group_sums[w]: F summed over w // ell terms, at the code of their w draws
+        self.group_sums = {obs.ell: obs.table}
+        for w in range(2 * obs.ell, width + 1, obs.ell):
+            self.group_sums[w] = np.add.outer(self.group_sums[w - obs.ell], obs.table).ravel()
         self.thresholds = _thresholds(dist)
 
     def sums(self, keys: np.ndarray) -> np.ndarray:
         """Per key of the 1-d array ``keys``, at most ``block`` of them, the sum
         of F over the planned terms."""
-        dist, obs, thresholds = self.dist, self.obs, self.thresholds
+        dist, thresholds, group_sums = self.dist, self.thresholds, self.group_sums
         ws = Workspace()
         total = np.zeros(keys.shape, dtype=np.float64)
         # a buffer per slot: one table-sized buffer (557 KB at ell = 2,
@@ -337,8 +389,8 @@ class _ReplicaPlan:
         # peaked 0.5 MB higher in RSS than with per-slot buffers
         table = [ws.take(f"slot {i}", self.dtype, keys.shape) for i in range(self.slots)]
         code = ws.take("code", self.code_dtype, keys.shape)
-        # mix_batch's "word" and "shifted" buffers are dead from a term's
-        # last draw to the next term's first; the gather reuses them
+        # mix_batch's "word" and "shifted" buffers are dead from a group's
+        # last draw to the next group's first; the gather reuses them
         index = code if code.dtype == np.int64 else ws.take("shifted", np.int64, keys.shape)
         value = ws.take("word", np.float64, keys.shape)
         for new, reads in self.steps:
@@ -351,7 +403,7 @@ class _ReplicaPlan:
             if index is not code:
                 np.copyto(index, code)
             # see _fill_prefix for mode="clip"
-            total += np.take(obs.table, index, out=value, mode="clip")
+            total += np.take(group_sums[len(reads)], index, out=value, mode="clip")
         return total
 
 

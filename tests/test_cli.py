@@ -1173,14 +1173,16 @@ def test_integer_flag_takes_integral_literals_only(command, flag):
          "argument --N: invalid integer value: '40.4'"),
         (("ldp-check", *PRESET, "--N", "40", "--u", "0.3", "--replicas", "1000.4"),
          "argument --replicas: invalid integer value: '1000.4'"),
-        (("erlaw", *PRESET, "--alpha", "0.5", "--n", "1000.5"), "'1000.5' is not an integer"),
+        # an item of a list flag is named with its flag, as a flag value is
+        (("erlaw", *PRESET, "--alpha", "0.5", "--n", "1000.5"),
+         "argument --n: invalid integer value: '1000.5'"),
         (("erlaw", *PRESET, "--alpha", "0.5", "--n", "100", "--seed-list", "2.5"),
-         "'2.5' is not an integer"),
+         "argument --seed-list: invalid integer value: '2.5'"),
         # once ran seed 0 twice
         (("erlaw", *PRESET, "--alpha", "0.5", "--n", "100", "--seed-list", "0:1:0.5"),
-         "'0.5' is not an integer"),
+         "argument --seed-list: invalid integer value: '0.5'"),
         (("erlaw", *PRESET, "--alpha", "0.5", "--n", "100", "--seed-list", "1,1e400"),
-         "'1e400' is not an integer"),
+         "argument --seed-list: invalid integer value: '1e400'"),
         (("structure", "--ell", "2", "--n", "10.5"), "argument --n: invalid integer value: '10.5'"),
         (("rate-i", *PRESET, "--alpha", "0.5", "--tol", "1e-6"),
          "unrecognized arguments: --tol 1e-6"),
@@ -1188,6 +1190,35 @@ def test_integer_flag_takes_integral_literals_only(command, flag):
 )
 def test_fractional_counts_are_input_errors(argv, message):
     code, out, err = run_cli(*argv, "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "InputError", "message": message}
+
+
+@pytest.mark.parametrize("flag", ["--n", "--seed-list"])
+@pytest.mark.parametrize("item", ["2.5", "9" * 5000], ids=["fraction", "5000-digits"])
+def test_list_flag_items_are_named_with_their_flag(flag, item):
+    # 5000 digits pass Python's limit on the digits of an int from a string,
+    # whose own message named neither the flag nor the item
+    argv = {"--n": ("--n", f"100, {item}"), "--seed-list": ("--n", "100", flag, f"1, {item}")}
+    code, out, err = run_cli("erlaw", *PRESET, "--alpha", "0.5", *argv[flag], "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "InputError", "message": f"argument {flag}: invalid integer value: {item!r}"
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--n", "100", "--seed-list", "1,2,1"), "seeds must not repeat a value, but 1 repeats 1"),
+        (("--alpha", "0.25,0.5,0.5", "--seeds", "1"),
+         "alpha_grid must not repeat a value, but 0.5 repeats 0.5"),
+    ],
+)
+def test_erlaw_repeated_seed_or_alpha_is_input_error(argv, message):
+    # each was run again and counted twice in the summary, with exit 0
+    base = ("erlaw", *PRESET, "--alpha", "0.5", "--n", "100")
+    code, out, err = run_cli(*base, *argv, "--no-timestamp")
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "InputError", "message": message}
 

@@ -93,6 +93,17 @@ class TestExperiment:
         with pytest.raises(InputError):
             experiment(dist, obs, [0.5], [100, 100], [1])
 
+    def test_seeds_and_alphas_must_not_repeat(self):
+        dist, obs = preset("rademacher-product")
+        with pytest.raises(InputError, match="seeds must not repeat a value, but 1 repeats 1$"):
+            experiment(dist, obs, [0.5], [100], [1, 2, 1])
+        # seed s + 2**64 addresses the stream of seed s
+        with pytest.raises(InputError, match=f"but {2**64 + 2} repeats 2$"):
+            experiment(dist, obs, [0.5], [100], [2, 3, 2**64 + 2])
+        with pytest.raises(InputError, match="alpha_grid must not repeat a value, but 0.5"):
+            experiment(dist, obs, [0.5, 0.25, 0.5], [100], [1])
+        assert len(experiment(dist, obs, [0.5], [100], [1, 2**64 - 1]).points) == 2
+
     def test_point_fields(self):
         dist, obs = preset("rademacher-product")
         res = experiment(dist, obs, [0.5], [1000, 5000], [1, 2])

@@ -130,6 +130,45 @@ class TestDrawKernel:
         assert got.tolist() == [x_value(dist, 0, c) for c in counters]
 
 
+# Every threshold of the first law has its low 33 bits 0 (its cum_i are
+# multiples of 2**-31, the least one 2**-31 itself), so its draws skip the
+# mixer's last round; the second law's threshold does not.
+LAST_ROUND_LAWS = {
+    "multiples-of-2**-31": (
+        FiniteDistribution(
+            values=(0, 1, 2, 3), probs=(2**-31, 0.5 - 2**-31, 0.25 + 2**-31, 0.25 - 2**-31)
+        ),
+        False,
+    ),
+    "thirds": (FiniteDistribution(values=(0, 1), probs=(1 / 3, 2 / 3)), True),
+}
+
+
+class TestLastRound:
+    @pytest.mark.parametrize("name", list(LAST_ROUND_LAWS))
+    def test_sample_indices_match_x_value_near_thresholds(self, name):
+        dist, last_round = LAST_ROUND_LAWS[name]
+        words, needed = simulate._thresholds(dist)
+        assert needed is last_round
+        # final words at, and words whose value before the last round is at,
+        # a threshold, one below it and 2**33 either side of it
+        finals = []
+        for t in words.tolist():
+            for z in (t - 2**33, t - 2**33 + 1, t - 1, t, t + 1, t + 2**33 - 1, t + 2**33):
+                z &= simulate.MASK64
+                finals += [z, z ^ (z >> 31)]
+        counters = [unmix_counter(w, key=1) for w in finals]
+        assert [mix64(1, c) for c in counters] == finals and min(counters) > 0
+        got = sample_indices(dist, 1, np.array(counters, dtype=np.uint64))
+        assert got.tolist() == [x_value(dist, 1, c) for c in counters]
+        got = sample_indices(dist, 5, np.arange(1, 3001, dtype=np.uint64))
+        assert got.tolist() == [x_value(dist, 5, i) for i in range(1, 3001)]
+
+    def test_every_preset_skips_the_last_round(self):
+        for name in ("rademacher-product", "bernoulli-product", "indicator-match"):
+            assert simulate._thresholds(preset(name)[0])[1] is False, name
+
+
 def scalar_term(dist, obs, key, m, mode):
     """Term m of stream key, one x_value draw at a time."""
     ell = obs.ell
@@ -663,6 +702,65 @@ class TestReplicaSums:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.9e6 + simulate._TABLE_BYTES, (N, peak)
+
+
+# terms per gather with exact sums: the most g with (s**ell)**g <= 256
+GROUPS = {(2, 1): 8, (2, 2): 4, (2, 3): 2, (3, 1): 5, (3, 2): 2, (3, 3): 1}
+
+
+class TestGroupedSums:
+    """Groups of terms gathered from a table of group sums, against the per-term loop."""
+
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    @pytest.mark.parametrize("s,ell", list(GROUPS))
+    def test_bitwise(self, s, ell, mode):
+        dist, obs = dyadic_law(s, ell, seed=s + 10 * ell, bits=20)
+        g = GROUPS[s, ell]
+        # N = 61 leaves a short last group; 600 terms on a full chunk and one
+        # more key run out of table slots, so some draws are drawn again
+        runs = [(60, 1000), (61, 1000)]
+        if mode == "nonconventional":
+            runs.append((600, simulate._LDP_CHUNK + 1))
+        for N, replicas in runs:
+            terms = range(1, N + 1)
+            block = min(replicas, simulate._LDP_CHUNK)
+            plan = simulate._ReplicaPlan(dist, obs, terms, mode, block)
+            assert plan.slots <= simulate._TABLE_BYTES // block
+            widths = [len(reads) for _, reads in plan.steps]
+            assert widths == [g * ell] * (N // g) + [N % g * ell] * (N % g > 0), N
+            drawn = [d for new, _ in plan.steps for _, d in new]
+            assert (len(set(drawn)) < len(drawn)) == (N == 600 and ell > 1), N
+            keys = mix_batch(s * ell, np.arange(replicas, dtype=np.uint64))
+            got = replica_sums(dist, obs, keys, terms, mode)
+            want = oracles.replica_total(dist, obs, keys, terms, mode)
+            assert same_bits(got, want), N
+
+    def test_preset_group_sizes(self):
+        for ell, g, slots in ((1, 8, 8), (2, 4, 20), (3, 2, 30)):
+            dist, obs = preset("rademacher-product", ell=ell)
+            plan = simulate._ReplicaPlan(dist, obs, range(1, 61), "nonconventional", 1 << 15)
+            assert len(plan.steps) == 60 // g + (60 % g > 0), ell
+            assert plan.slots == slots, ell
+            # each distinct draw once: 60, 90 and 120 of them
+            drawn = [d for new, _ in plan.steps for _, d in new]
+            distinct = {j * m for j in range(1, ell + 1) for m in range(1, 61)}
+            assert sorted(drawn) == sorted(distinct)
+
+    def test_inexact_sums_keep_one_term_per_gather(self):
+        dist, obs = random_law(2, 2, seed=3)  # Gaussian table: sums of 60 terms round
+        assert simulate._group_size(dist, obs, 60) == 1
+        plan = simulate._ReplicaPlan(dist, obs, range(1, 61), "nonconventional", 1 << 15)
+        assert [len(reads) for _, reads in plan.steps] == [2] * 60
+        # exact up to n = 2**53 terms of |F| <= 1, and no further
+        dist, obs = preset("rademacher-product", ell=2)
+        assert simulate._group_size(dist, obs, 2**53) == 4
+        assert simulate._group_size(dist, obs, 2**53 + 1) == 1
+
+    def test_one_point_support_caps_the_group(self):
+        dist = FiniteDistribution(values=(1.0,), probs=(1.0,))
+        obs = observable_from_table(dist, 2, [0.5])
+        assert simulate._group_size(dist, obs, 60) == 8
+        assert simulate._group_size(dist, obs, 3) == 3
 
 
 class TestWorkspace:
