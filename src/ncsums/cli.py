@@ -24,8 +24,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from functools import cache
-from itertools import chain
+from functools import cache, partial
+from itertools import chain, count, takewhile
 
 import numpy as np
 
@@ -79,39 +79,46 @@ def _json_text(obj, **kw) -> str:
         return json.dumps(_json_safe(obj), **kw)
 
 
-def _parse_grid(text: str) -> list[float]:
-    """A single value, a comma list, or start:stop:step (inclusive stop, counted
-    before it is built); no NaN."""
+class _GridError(InputError, argparse.ArgumentTypeError):
+    """A refused grid: argparse writes its message after the name of the flag."""
+
+
+def _parse_grid(text: str, item=float) -> list:
+    """The one reader of a grid flag: a single value, a comma list, or
+    start:stop:step with an inclusive stop, each value read by ``item``
+    (float or integer).  An integer range is exact; a float range carries a
+    1e-12 relative slack past its stop.  A range's points are counted before
+    it is built.  An empty grid and NaN are refused."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise InputError(f"grid {text!r} must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if not all(math.isfinite(v) for v in (start, stop, step)):
-            raise InputError(f"grid {text!r} needs finite start, stop and step")
+    ranged = ":" in text
+    parts = text.split(":") if ranged else [p for p in text.split(",") if p.strip()]
+    if ranged and len(parts) != 3:
+        raise _GridError(f"grid {text!r} must be start:stop:step")
+    out = []
+    for part in parts:
+        try:
+            out.append(item(part))
+        except ValueError:  # also Python's limit on the digits of an int
+            raise _GridError(f"invalid {item.__name__} value: {part.strip()!r}") from None
+    if ranged:
+        start, stop, step = out
+        if not all(-math.inf < v < math.inf for v in out):  # ints of any size
+            raise _GridError(f"grid {text!r} needs finite start, stop and step")
         if step <= 0:
-            raise InputError("grid step must be positive")
-        last = stop + 1e-12 * max(1.0, abs(stop))
-        if not (last - start) / step < GRID_POINT_LIMIT:  # also inf
-            raise InputError(f"grid {text!r} has more than {GRID_POINT_LIMIT} points")
-        out = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > last:
-                break
-            out.append(v)
-            k += 1
-        if not out:
-            raise InputError(f"grid {text!r} is empty")
-        return out
-    try:
-        out = [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise InputError(f"cannot parse grid {text!r}: {exc}") from exc
-    if any(math.isnan(v) for v in out):
-        raise InputError(f"grid {text!r} holds NaN")
+            raise _GridError("grid step must be positive")
+        if item is integer:
+            span, points = (stop - start) // step, range(start, stop + 1, step)
+        else:
+            last = stop + 1e-12 * max(1.0, abs(stop))
+            span = (last - start) / step
+            points = takewhile(lambda v: v <= last, (start + k * step for k in count()))
+        if not span < GRID_POINT_LIMIT:  # also inf
+            raise _GridError(f"grid {text!r} has more than {GRID_POINT_LIMIT} points")
+        out = list(points)
+    elif any(v != v for v in out):
+        raise _GridError(f"grid {text!r} holds NaN")
+    if not out:
+        raise _GridError(f"grid {text!r} is empty")
     return out
 
 
@@ -130,20 +137,6 @@ def integer(text: str) -> int:
     if not value.is_integer():  # also inf and nan
         raise InputError(f"{text!r} is not an integer")
     return int(value)
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    """Like _parse_grid, but each item, and each point of a range, is read by
-    integer; an item it refuses is named with ``flag``, as argparse names a
-    refused value of an integer flag."""
-    items = [repr(v) for v in _parse_grid(text)] if ":" in text else text.split(",")
-    out = []
-    for item in filter(str.strip, items):
-        try:
-            out.append(integer(item))
-        except ValueError:  # also Python's limit on the digits of an int
-            raise InputError(f"argument {flag}: invalid integer value: {item.strip()!r}") from None
-    return out
 
 
 def _timestamp() -> str:
@@ -362,15 +355,14 @@ def _curve(kind, obs, obs_id, rows, extra=(), **meta):
 
 def _cmd_rate_i(args):
     dist, obs, obs_id = _resolve_observable(args)
-    grid = _parse_grid(args.alpha)
     rate = rates.CramerRate(dist, obs)
-    rows = [(a, v, math.isinf(v)) for a, v in zip(grid, map(rate, grid))]
+    rows = [(a, v, math.isinf(v)) for a, v in zip(args.alpha, map(rate, args.alpha))]
     return _curve("rate-i", obs, obs_id, rows)
 
 
 def _cmd_pressure(args):
     dist, obs, obs_id = _resolve_observable(args)
-    tol, grid = args.tol, _parse_grid(args.lam)
+    tol, grid = args.tol, args.lam
     press = rates.Pressure(dist, obs, tol=tol, budget=args.budget)
     rows = [
         (lam, d.value, False, tol, d.truncation_l) for lam, d in zip(grid, press.details(grid))
@@ -383,7 +375,7 @@ def _cmd_pressure(args):
 
 def _cmd_rate_j(args):
     dist, obs, obs_id = _resolve_observable(args)
-    tol, grid = args.tol, _parse_grid(args.u)
+    tol, grid = args.tol, args.u
     press = rates.Pressure(dist, obs, tol=tol, budget=args.budget)
     conj = rates.RateJ(press, lambda_cap=args.lambda_cap)
     rows = [(u, v, math.isinf(v), tol) for u, v in zip(grid, conj.grid(grid))]
@@ -407,16 +399,13 @@ _ERLAW_COLUMNS = (
 
 def _cmd_erlaw(args):
     dist, obs, obs_id = _resolve_observable(args)
-    alphas = _parse_grid(args.alpha)
-    ns = sorted(_parse_int_list(args.n, "--n"))
-    if args.seed_list is not None and args.seeds is not None:
-        raise InputError("give either --seeds or --seed-list, not both")
-    if args.seed_list:
-        seeds = _parse_int_list(args.seed_list, "--seed-list")
-    else:
+    seeds = args.seed_list
+    if seeds is None:
         seeds = list(range(1, (5 if args.seeds is None else args.seeds) + 1))
+    elif args.seeds is not None:
+        raise InputError("give either --seeds or --seed-list, not both")
     result = erlaw_mod.experiment(
-        dist, obs, alphas, ns, seeds, mode=args.mode, threads=args.threads
+        dist, obs, args.alpha, args.n, seeds, mode=args.mode, threads=args.threads
     )
     rows = [
         (obs.ell, obs_id, p.alpha, p.i_alpha, p.n, p.b_n, p.seed, p.mode,
@@ -509,6 +498,7 @@ _COMMON = (
         action="store_true", help="suppress the generated_at field for byte-stable output"
     )),
 )
+_INTEGER_GRID = partial(_parse_grid, item=integer)
 _MODE = ("--mode", dict(choices=simulate.TRAJECTORY_MODES, default="nonconventional"))
 _COMMANDS = {
     "structure": (_cmd_structure, "coprime skeleton, fibers, smooth numbers", (
@@ -516,24 +506,25 @@ _COMMANDS = {
         ("--n", dict(type=integer, required=True)),
     )),
     "rate-i": (_cmd_rate_i, "Cramér rate curve", _OBSERVABLE + (
-        ("--alpha", dict(required=True, help="value, comma list, or start:stop:step")),
+        ("--alpha", dict(type=_parse_grid, required=True,
+                         help="value, comma list, or start:stop:step")),
     )),
     "pressure": (_cmd_pressure, "pressure curve with certified truncation", _OBSERVABLE + (
-        ("--lambda", dict(dest="lam", required=True)),
+        ("--lambda", dict(dest="lam", type=_parse_grid, required=True)),
         ("--tol", dict(type=float, default=1e-8)),
         ("--budget", dict(type=integer, default=rates.DEFAULT_BUDGET)),
     )),
     "rate-j": (_cmd_rate_j, "conjugate of the pressure", _OBSERVABLE + (
-        ("--u", dict(required=True)),
+        ("--u", dict(type=_parse_grid, required=True)),
         ("--tol", dict(type=float, default=1e-8)),
         ("--lambda-cap", dict(type=float, default=None)),
         ("--budget", dict(type=integer, default=rates.DEFAULT_BUDGET)),
     )),
     "erlaw": (_cmd_erlaw, "sliding-window law experiment", _OBSERVABLE + (
-        ("--alpha", dict(required=True)),
-        ("--n", dict(required=True, help="n grid, e.g. 1e4,1e6")),
+        ("--alpha", dict(type=_parse_grid, required=True)),
+        ("--n", dict(type=_INTEGER_GRID, required=True, help="n grid, e.g. 1e4,1e6")),
         ("--seeds", dict(type=integer, default=None, help="use seeds 1..K")),
-        ("--seed-list", dict(default=None)),
+        ("--seed-list", dict(type=_INTEGER_GRID, default=None)),
         _MODE,
     )),
     "ldp-check": (_cmd_ldp_check, "Monte-Carlo tail vs rate functions", _OBSERVABLE + (

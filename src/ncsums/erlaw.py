@@ -97,25 +97,25 @@ def experiment(
 ) -> ExperimentResult:
     """Window statistics over an (alpha, n, seed) grid.
 
-    One trajectory per seed is built at max(n_grid); smaller n reuse its
-    prefix.  Rows are sorted by (alpha, n, seed), so the output does not
-    depend on the thread count.
+    No grid may repeat a value.  One trajectory per seed is built at
+    max(n_grid); smaller n reuse its prefix.  Rows are sorted by (alpha, n,
+    seed), so the output depends on neither the grids' order nor the threads.
     """
     alpha_grid = [float(a) for a in alpha_grid]
     n_grid = [int(n) for n in n_grid]
     seeds = [int(s) for s in seeds]
     if not alpha_grid or not n_grid or not seeds:
         raise InputError("alpha_grid, n_grid and seeds must be non-empty")
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise InputError("n_grid must be strictly increasing")
     # a repeat would be run again and counted twice; seed s + 2**64 is seed s
     streams = [s & MASK64 for s in seeds]
-    for name, grid, keys in (("alpha_grid", alpha_grid, alpha_grid), ("seeds", seeds, streams)):
+    for name, grid, keys in (("alpha_grid", alpha_grid, alpha_grid), ("n_grid", n_grid, n_grid),
+                             ("seeds", seeds, streams)):
         first = {}
         for v, k in zip(grid, keys):
             if k in first:
                 raise InputError(f"{name} must not repeat a value, but {v} repeats {first[k]}")
             first[k] = v
+        grid.sort()
     rate = CramerRate(dist, obs)  # rejects zero-variance observables
     i_of: dict[float, float] = {}
     for a in alpha_grid:
@@ -148,24 +148,23 @@ def experiment(
                 )
         return out
 
-    chunks = _thread_map(rows_for_seed, seeds, threads)
-    points = sorted(
-        (p for chunk in chunks for p in chunk), key=lambda p: (p.alpha, p.n, p.seed)
-    )
+    # each seed's rows in (alpha, n) order, so zip yields each (alpha, n) by seed
+    groups = list(zip(*_thread_map(rows_for_seed, seeds, threads)))
     summaries = []
-    for a in sorted(alpha_grid):
-        for n in n_grid:
-            stats = [p.statistic for p in points if p.alpha == a and p.n == n]
-            devs = [abs(x - a) for x in stats]
-            summaries.append(
-                ErSummary(
-                    alpha=a,
-                    n=n,
-                    mean_statistic=math.fsum(stats) / len(stats),
-                    min_statistic=min(stats),
-                    max_statistic=max(stats),
-                    mean_abs_dev=math.fsum(devs) / len(devs),
-                    max_abs_dev=max(devs),
-                )
+    for group in groups:
+        a, n = group[0].alpha, group[0].n
+        stats = [p.statistic for p in group]
+        devs = [abs(x - a) for x in stats]
+        summaries.append(
+            ErSummary(
+                alpha=a,
+                n=n,
+                mean_statistic=math.fsum(stats) / len(stats),
+                min_statistic=min(stats),
+                max_statistic=max(stats),
+                mean_abs_dev=math.fsum(devs) / len(devs),
+                max_abs_dev=max(devs),
             )
-    return ExperimentResult(points=tuple(points), summaries=tuple(summaries))
+        )
+    points = tuple(p for group in groups for p in group)
+    return ExperimentResult(points=points, summaries=tuple(summaries))

@@ -317,6 +317,29 @@ def window_max_naive(prefix, b):
     return best
 
 
+def erlaw_summaries_naive(points, alpha_grid, n_grid):
+    """The points sorted by (alpha, n, seed), and one summary dict per
+    (alpha, n) in increasing order, each taken by a filter over every point."""
+    points = sorted(points, key=lambda p: (p.alpha, p.n, p.seed))
+    summaries = []
+    for a in sorted(alpha_grid):
+        for n in sorted(n_grid):
+            stats = [p.statistic for p in points if p.alpha == a and p.n == n]
+            devs = [abs(x - a) for x in stats]
+            summaries.append(
+                dict(
+                    alpha=a,
+                    n=n,
+                    mean_statistic=math.fsum(stats) / len(stats),
+                    min_statistic=min(stats),
+                    max_statistic=max(stats),
+                    mean_abs_dev=math.fsum(devs) / len(devs),
+                    max_abs_dev=max(devs),
+                )
+            )
+    return points, summaries
+
+
 def binomial_tail_at_least(n, k):
     """P(Binomial(n, 1/2) >= k), exact."""
     return Fraction(sum(math.comb(n, j) for j in range(k, n + 1)), 2**n)

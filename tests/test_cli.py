@@ -43,7 +43,7 @@ def config_sample(action):
         return True
     if action.choices:
         return next(c for c in action.choices if c != action.default)
-    return {cli.integer: 3, float: 0.25}.get(action.type, "0.5")
+    return {cli.integer: 3, float: 0.25}.get(action.type, "3")  # also an integer grid
 
 
 def flag_token(action, value):
@@ -870,11 +870,12 @@ class TestBoundedTime:
     def test_tiny_grid_step_is_input_error(self, argv):
         code, out, err = self.run_within(1.0, *argv)
         assert (code, out) == (2, "")
-        grid = next(a for a in argv if ":" in a)
-        assert json.loads(err) == {
-            "error": "InputError",
-            "message": f"grid {grid!r} has more than {GRID_POINT_LIMIT} points",
-        }
+        flag, grid = next(pair for pair in zip(argv, argv[1:]) if ":" in pair[1])
+        # an integer grid refuses the step itself
+        refusal = "invalid integer value: '1e-300'" if flag in ("--n", "--seed-list") else (
+            f"grid {grid!r} has more than {GRID_POINT_LIMIT} points"
+        )
+        assert json.loads(err) == {"error": "InputError", "message": f"argument {flag}: {refusal}"}
 
     @pytest.mark.parametrize(
         "argv",
@@ -927,6 +928,8 @@ class TestBoundedTime:
         assert len(_parse_grid(f"1:{GRID_POINT_LIMIT}:1")) == GRID_POINT_LIMIT
         with pytest.raises(InputError):
             _parse_grid(f"0:{GRID_POINT_LIMIT}:1")
+        with pytest.raises(InputError, match=f"has more than {GRID_POINT_LIMIT} points"):
+            _parse_grid("1e15:1e15:1e-6")
 
     def test_structure_ell_limit(self):
         code, out, _ = self.run_within(2.0, "structure", "--ell", "100000", "--n", "100")
@@ -1213,6 +1216,8 @@ def test_list_flag_items_are_named_with_their_flag(flag, item):
         (("--n", "100", "--seed-list", "1,2,1"), "seeds must not repeat a value, but 1 repeats 1"),
         (("--alpha", "0.25,0.5,0.5", "--seeds", "1"),
          "alpha_grid must not repeat a value, but 0.5 repeats 0.5"),
+        (("--n", "200,100,200", "--seeds", "1"),
+         "n_grid must not repeat a value, but 200 repeats 200"),
     ],
 )
 def test_erlaw_repeated_seed_or_alpha_is_input_error(argv, message):
@@ -1277,3 +1282,72 @@ def test_integer_flags_reach_the_library_unrounded(argv, target, index, monkeypa
     code, _, err = run_cli(*(a.replace("{big}", str(big)) for a in argv))
     assert (code, json.loads(err)["message"]) == (2, "captured")
     assert seen == [big]
+
+
+# The points start + k * step up to a 1e-12 relative slack past the stop, as
+# float ranges have always been read; the first two are the rate-j --u grids
+# of the benchmark's tail-mc workload and of its smoke run.
+FLOAT_GRIDS = {
+    "0.005:0.995:0.005": [
+        0.005, 0.01, 0.015, 0.02, 0.025, 0.030000000000000002, 0.034999999999999996, 0.04, 0.045,
+        0.049999999999999996, 0.055, 0.06, 0.065, 0.07, 0.07500000000000001, 0.08, 0.085,
+        0.09000000000000001, 0.095, 0.1, 0.10500000000000001, 0.11, 0.115, 0.12000000000000001,
+        0.125, 0.13, 0.135, 0.14, 0.14500000000000002, 0.15, 0.155, 0.16, 0.165, 0.17,
+        0.17500000000000002, 0.18000000000000002, 0.185, 0.19, 0.195, 0.2, 0.20500000000000002,
+        0.21000000000000002, 0.215, 0.22, 0.225, 0.23, 0.23500000000000001, 0.24000000000000002,
+        0.245, 0.25, 0.255, 0.26, 0.265, 0.27, 0.275, 0.28, 0.28500000000000003,
+        0.29000000000000004, 0.295, 0.3, 0.305, 0.31, 0.315, 0.32, 0.325, 0.33, 0.335, 0.34,
+        0.34500000000000003, 0.35000000000000003, 0.35500000000000004, 0.36, 0.365, 0.37, 0.375,
+        0.38, 0.385, 0.39, 0.395, 0.4, 0.405, 0.41000000000000003, 0.41500000000000004,
+        0.42000000000000004, 0.425, 0.43, 0.435, 0.44, 0.445, 0.45, 0.455, 0.46, 0.465,
+        0.47000000000000003, 0.47500000000000003, 0.48000000000000004, 0.485, 0.49, 0.495, 0.5,
+        0.505, 0.51, 0.515, 0.52, 0.525, 0.53, 0.535, 0.54, 0.545, 0.55, 0.555, 0.56,
+        0.5650000000000001, 0.5700000000000001, 0.5750000000000001, 0.5800000000000001, 0.585,
+        0.59, 0.595, 0.6, 0.605, 0.61, 0.615, 0.62, 0.625, 0.63, 0.635, 0.64, 0.645, 0.65, 0.655,
+        0.66, 0.665, 0.67, 0.675, 0.68, 0.685, 0.6900000000000001, 0.6950000000000001,
+        0.7000000000000001, 0.7050000000000001, 0.71, 0.715, 0.72, 0.725, 0.73, 0.735, 0.74, 0.745,
+        0.75, 0.755, 0.76, 0.765, 0.77, 0.775, 0.78, 0.785, 0.79, 0.795, 0.8, 0.805, 0.81,
+        0.8150000000000001, 0.8200000000000001, 0.8250000000000001, 0.8300000000000001,
+        0.8350000000000001, 0.84, 0.845, 0.85, 0.855, 0.86, 0.865, 0.87, 0.875, 0.88, 0.885, 0.89,
+        0.895, 0.9, 0.905, 0.91, 0.915, 0.92, 0.925, 0.93, 0.935, 0.9400000000000001,
+        0.9450000000000001, 0.9500000000000001, 0.9550000000000001, 0.9600000000000001, 0.965,
+        0.97, 0.975, 0.98, 0.985, 0.99, 0.995,
+    ],
+    "0.1:0.9:0.2": [0.1, 0.30000000000000004, 0.5, 0.7000000000000001, 0.9],
+    "0.5:1.5:0.5": [0.5, 1.0, 1.5],
+}
+
+
+@pytest.mark.parametrize("text", list(FLOAT_GRIDS))
+def test_float_ranges_keep_their_points(text):
+    assert _parse_grid(text) == FLOAT_GRIDS[text]
+
+
+# Every grid flag, by subcommand, with the type of its items.
+GRID_FLAGS = [
+    ("rate-i", "--alpha", "float"),
+    ("pressure", "--lambda", "float"),
+    ("rate-j", "--u", "float"),
+    ("erlaw", "--alpha", "float"),
+    ("erlaw", "--n", "integer"),
+    ("erlaw", "--seed-list", "integer"),
+]
+
+
+@pytest.mark.parametrize("command,flag,item", GRID_FLAGS)
+@pytest.mark.parametrize(
+    "value,refusal",
+    [
+        (",", "grid ',' is empty"),
+        ("", "grid '' is empty"),
+        ("0:x:0.1", "invalid {item} value: 'x'"),
+        ("1:2", "grid '1:2' must be start:stop:step"),
+    ],
+)
+def test_grid_flag_refusals_name_the_flag(command, flag, item, value, refusal):
+    code, out, err = run_cli(command, *SWEEP_BASES[command], flag, value, "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "InputError",
+        "message": f"argument {flag}: {refusal.format(item=item)}",
+    }

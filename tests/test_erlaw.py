@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from oracles import window_max_naive
+from oracles import erlaw_summaries_naive, window_max_naive
 from ncsums.errors import DegenerateObservableError, InputError
 from ncsums.model import RADEMACHER, constant_observable, preset
 from ncsums.erlaw import ErPoint, b_window, experiment, window_max
@@ -88,10 +89,11 @@ class TestExperiment:
             with pytest.raises(InputError):
                 experiment(dist, obs, [bad], [100], [1])
 
-    def test_n_grid_must_increase(self):
+    def test_n_grid_may_be_unsorted_but_must_not_repeat(self):
         dist, obs = preset("rademacher-product")
-        with pytest.raises(InputError):
-            experiment(dist, obs, [0.5], [100, 100], [1])
+        with pytest.raises(InputError, match="n_grid must not repeat a value, but 100 repeats"):
+            experiment(dist, obs, [0.5], [100, 200, 100], [1])
+        assert [p.n for p in experiment(dist, obs, [0.5], [500, 100], [1]).points] == [100, 500]
 
     def test_seeds_and_alphas_must_not_repeat(self):
         dist, obs = preset("rademacher-product")
@@ -135,6 +137,21 @@ class TestExperiment:
         assert a == b
         keys = [(p.alpha, p.n, p.seed) for p in a.points]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_unsorted_grids_match_the_naive_summaries(self, threads):
+        dist, obs = preset("rademacher-product")
+        alphas, ns, seeds = [0.5, 0.3, 0.7], [800, 200, 500], [4, -7, 2**64 - 2, -1]
+        res = experiment(dist, obs, alphas, ns, seeds, threads=threads)
+        # each point on its own, from a trajectory of its own length
+        alone = [
+            experiment(dist, obs, [a], [n], [s]).points[0]
+            for a in alphas for n in ns for s in seeds
+        ]
+        points, summaries = erlaw_summaries_naive(alone, alphas, ns)
+        # repr spells every float's bits
+        assert repr(res.points) == repr(tuple(points))
+        assert repr([asdict(s) for s in res.summaries]) == repr(summaries)
 
     def test_iid_mode(self):
         dist, obs = preset("rademacher-product")
