@@ -401,7 +401,11 @@ def _cmd_erlaw(args):
     dist, obs, obs_id = _resolve_observable(args)
     seeds = args.seed_list
     if seeds is None:
-        seeds = list(range(1, (5 if args.seeds is None else args.seeds) + 1))
+        k = 5 if args.seeds is None else args.seeds
+        # seeds 1..K is a grid; --seeds keeps the one integer reader as its type
+        if not 1 <= k <= GRID_POINT_LIMIT:
+            raise InputError(f"argument --seeds: K must be from 1 to {GRID_POINT_LIMIT}, not {k}")
+        seeds = list(range(1, k + 1))
     elif args.seeds is not None:
         raise InputError("give either --seeds or --seed-list, not both")
     result = erlaw_mod.experiment(

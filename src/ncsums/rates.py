@@ -6,15 +6,16 @@ and per-fiber terms ln R_l.  R_l is the exact expectation of
 exp(lambda * sum of l chained observable terms); the chain shares draws
 between terms, so it is evaluated by sum-product elimination over the
 shared-index dependency graph rather than by brute enumeration.  For
-ell >= 3 one forward sweep over the chain terms in increasing h yields
-every length whose tables stay small; past that reach the elimination
-order of each fiber length is a compiled elimination plan, built once per
-process from the chain structure alone and replayed per lambda.  The
-pressure is evaluated over batches of lambda: at ell = 2 one transfer
-recursion serves a whole batch, and the conjugate J runs the root
-searches of a u grid in lockstep, so that the lambdas of each round form
-one batch.  Those searches take Q' from a complex step through the same
-kernels.
+ell >= 2 one forward sweep over the chain terms in increasing h yields
+every length whose tables stay small, for a whole batch of lambdas at
+once; at ell = 2 each of its steps is one s x s transfer.  Past that
+reach the elimination order of each fiber length is a compiled
+elimination plan, built once per process from the chain structure alone
+and replayed per lambda.  The pressure is evaluated over batches of
+lambda: at ell = 2 one sweep serves a whole batch, and the conjugate J
+runs the root searches of a u grid in lockstep, so that the lambdas of
+each round form one batch.  Those searches take Q' from a complex step
+through the same kernels.
 
 Each entry point derives its prime basis from obs.ell, except
 log_r_sequence, whose signature the benchmark's span wrapper reads.
@@ -340,10 +341,11 @@ def _replay_log(
     return logscale
 
 
-# The sweep's largest step table, in bytes; past it each length replays its
-# plan.  Measured at ell = 3 on a 2-core host, real and complex: a step whose
-# table holds 4 MiB costs at most half its length's plan replay, one of
-# 8 MiB about as much, and one of 16 MiB more.
+# The sweep's largest step table, in bytes, unless one term's table of
+# s**ell cells is larger; past it each length replays its plan.  Measured at
+# ell = 3 on a 2-core host, real and complex: a step whose table holds 4 MiB
+# costs at most half its length's plan replay, one of 8 MiB about as much,
+# and one of 16 MiB more.  Every plan builds a table of s**ell cells.
 _SWEEP_BYTES = 4 << 20
 
 # The sweep's most table axes, numpy's limit before numpy 2; only a
@@ -354,12 +356,13 @@ _SWEEP_AXES = 32
 class _SweepStep(NamedTuple):
     """Chain term k of the forward sweep, at h = h_k, as axis bookkeeping.
 
-    The frontier table's axes are draws that an earlier term read and a
-    later term reads, and h_k is one of them.  ``perm`` orders them as
-    (j*h_k for j in ``shared``, h_k, the rest); ``shared`` are the j >= 2
-    whose draw is on the frontier and ``new`` the j >= 2 whose draw the
-    term reads first, both ascending.  ``union`` counts the step table's
-    axes: the frontier's and the new draws'.
+    The frontier table's axes are a lambda axis and then draws that an
+    earlier term read and a later term reads, and h_k is one of them.
+    ``perm`` orders them as (lambda, j*h_k for j in ``shared``, h_k, the
+    rest); ``shared`` are the j >= 2 whose draw is on the frontier and
+    ``new`` the j >= 2 whose draw the term reads first, both ascending.
+    ``union`` counts the step table's draw axes: the frontier's and the new
+    draws'.
     """
 
     perm: tuple[int, ...]
@@ -374,15 +377,15 @@ _sweeps_lock = threading.Lock()
 
 
 def _sweep_step(frontier: list[int], h: int, ell: int) -> _SweepStep:
-    """Term h's step; moves ``frontier`` to the axes of the table after it."""
-    pos = {d: i for i, d in enumerate(frontier)}
+    """Term h's step; moves ``frontier`` to the draw axes of the table after it."""
+    pos = {d: i + 1 for i, d in enumerate(frontier)}
     shared = tuple(j for j in range(2, ell + 1) if j * h in pos)
     new = tuple(j for j in range(2, ell + 1) if j * h not in pos)
     read = {j * h for j in shared} | {h}
-    rest = [i for i, d in enumerate(frontier) if d not in read]
-    perm = tuple(pos[j * h] for j in shared) + (pos[h],) + tuple(rest)
+    rest = [i for i, d in enumerate(frontier, 1) if d not in read]
+    perm = (0,) + tuple(pos[j * h] for j in shared) + (pos[h],) + tuple(rest)
     union = len(frontier) + len(new)
-    frontier[:] = [j * h for j in shared + new] + [frontier[i] for i in rest]
+    frontier[:] = [j * h for j in shared + new] + [frontier[i - 1] for i in rest]
     return _SweepStep(perm, shared, new, union)
 
 
@@ -391,13 +394,19 @@ def _sweep_steps(
 ) -> list[_SweepStep]:
     """The sweep's steps for lengths 1..n, n < L only where length n + 1 is out of reach.
 
-    A length is in reach while the step tables through it hold at most
-    ``budget`` cells together, and its own table at most _SWEEP_BYTES bytes
-    and _SWEEP_AXES axes.  Cells count as in the plans.  From l = 3 on, the
-    running total is at least the largest plan's up to l (checked at
-    ell = 3 to 7 on two and three points, for l up to 34 or more), so
-    there a budget stops at the same length with or without the sweep.
+    Reach is decided for one lambda, whatever the batch.  A length is in
+    reach while the step tables through it hold at most ``budget`` cells
+    together, and its own table at most _SWEEP_BYTES bytes (or s**ell
+    cells, where that is more) and _SWEEP_AXES axes.  At ell = 2 every step
+    table has s**2 cells, so only the budget ends the sweep.  Cells count
+    as in the plans.  At ell >= 3 and from l = 3 on, the running total is
+    at least the largest plan's up to l (checked at ell = 3 to 7 on two and
+    three points, for l up to 34 or more), so a budget stops at the same
+    length with or without the sweep.  At ell = 2 the total through l is
+    l * s**2 and the plan of length l builds l * s**2 + s cells, so no plan
+    runs within a budget that ends the sweep.
     """
+    cap = max(_SWEEP_BYTES, s**basis.ell * itemsize)
     with _sweeps_lock:
         # the frontier before term 1 is draw h_1 = 1, which every chain reads
         steps, frontier = _sweeps.setdefault(basis, ([], [1]))
@@ -410,83 +419,52 @@ def _sweep_steps(
                 steps.append(_sweep_step(frontier, h[n], basis.ell))
             union = steps[n].union
             cells += s**union
-            if cells > budget or union > _SWEEP_AXES or s**union * itemsize > _SWEEP_BYTES:
+            if cells > budget or union > _SWEEP_AXES or s**union * itemsize > cap:
                 return steps[:n]
         return steps[:L]
 
 
-def _sweep_log(steps: list[_SweepStep], shaped: np.ndarray, probs: np.ndarray) -> list:
-    """ln R_l for l = 1..len(steps), by one forward sweep over the chain terms.
+def _sweep_log(steps: list[_SweepStep], shaped: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """ln R_l for l = 1..len(steps) at each of B lambdas, by one forward sweep over the chain terms.
 
-    The frontier table starts at the weights of draw 1.  Term k weights its
-    new draws once, in the small term table, multiplies into the frontier
-    table with draw h_k summed out, a batched matmul over the shared
-    draws, and the new table's total c_k is the ratio R_k/R_{k-1}.  Each
-    term table is divided by Re c_{k-1}, so the frontier table stays
-    renormalized, and ln R_l = sum_{k<=l} ln Re c_k + i Im c_l/Re c_l, as in
-    _transfer_log_r; a complex table carries the complex step.
+    ``shaped`` holds B tables exp(lambda * F), one per row, and row i of the
+    (B, len(steps)) array returned has the bits of the same sweep of row i
+    alone.  The frontier table starts at the weights of draw 1.  Term k
+    weights its new draws once, in the small term table, multiplies into
+    the frontier table with draw h_k summed out, a batched matmul over the
+    shared draws, and the new table's total c_k is the ratio R_k/R_{k-1}.
+    Each term table is divided by its row's Re c_{k-1}, so the frontier
+    table stays renormalized, and ln R_l = sum_{k<=l} ln Re c_k
+    + i Im c_l/Re c_l, the logs taken once at the end by math.log (np.log
+    can differ in the last bit) and summed in order; a complex table
+    carries the complex step.
     """
-    s, ell = probs.size, shaped.ndim
-    tab = probs.astype(shaped.dtype)
+    B, s, ell = len(shaped), probs.size, shaped.ndim - 1
+    tab = np.empty((B, s), dtype=shaped.dtype)
+    tab[:] = probs
     kernels: dict[tuple, np.ndarray] = {}
-    out = []
-    logscale, scale = 0.0, 1.0
-    for step in steps:
+    sums = np.empty((len(steps), B), dtype=shaped.dtype)
+    scale = 1.0
+    for k, step in enumerate(steps):
         key = (step.shared, step.new)
         kernel = kernels.get(key)
         if kernel is None:
             w = shaped
             for j in step.new:
-                w = w * probs.reshape([s if i == j - 1 else 1 for i in range(ell)])
-            order = [j - 1 for j in step.shared + step.new] + [0]
-            kernel = w.transpose(order).reshape(s ** len(step.shared), s ** len(step.new), s)
+                w = w * probs.reshape([s if i == j else 1 for i in range(ell + 1)])
+            order = [0, *step.shared, *step.new, 1]
+            kernel = w.transpose(order).reshape(B, s ** len(step.shared), s ** len(step.new), s)
             kernels[key] = kernel
-        front = tab.reshape((s,) * len(step.perm)).transpose(step.perm)
-        front = front.reshape(s ** len(step.shared), s, -1)
+        front = tab.reshape((B,) + (s,) * (len(step.perm) - 1)).transpose(step.perm)
+        front = front.reshape(B, s ** len(step.shared), s, -1)
         tab = np.matmul(kernel / scale, front)
-        c = tab.sum().item()
-        scale = c.real
-        logscale += math.log(scale)
-        out.append(complex(logscale, c.imag / scale) if isinstance(c, complex) else logscale)
-    return out
-
-
-def _transfer_log_r(
-    dist: FiniteDistribution, obs: Observable, lams: np.ndarray, L: int, budget: int
-) -> np.ndarray:
-    """ln R_l for l = 1..L of ell = 2 chains at each of B lambdas, as a (B, L) array.
-
-    One forward pass serves every length and every lambda: f starts at the
-    marginal weights, each step multiplies by the kernel exp(lambda * F)
-    and the weights again, and renormalizes by the real part of the sum c,
-    whose logs accumulate.  Row i has the bits of the same recursion run on
-    lams[i] alone: a (1, s) @ (s, s) matmul per lambda, math.log per sum
-    (np.log can differ in the last bit) and a sequential cumsum.  The budget
-    counts the cells of one lambda.
-
-    Complex lambdas + ih give a complex array.  The renormalized f then
-    carries the whole step, so ln R_l = sum_{k<=l} ln Re c_k + i Im c_l/Re c_l.
-    """
-    s = dist.size
-    if L * s * s > budget:
-        raise BudgetExceededError(
-            f"transfer recursion needs {L * s * s} cells, over budget {budget}",
-            completed=budget // (s * s),
-        )
-    probs = np.asarray(dist.probs, dtype=np.float64)
-    kernel = np.exp(lams[:, None] * obs.table).reshape(-1, s, s)
-    f = np.tile(probs, (len(lams), 1, 1))
-    sums = np.empty((L, len(lams)), dtype=kernel.dtype)
-    for l in range(L):
-        g = np.matmul(f, kernel) * probs
-        c = g.sum(axis=2, keepdims=True)
-        sums[l] = c[:, 0, 0]
-        f = g / c.real
+        c = np.add.reduce(tab.reshape(B, -1), 1, out=sums[k])
+        scale = c.real[:, None, None, None]
     logs = np.fromiter(map(math.log, sums.real.ravel().tolist()), np.float64, sums.size)
-    out = np.cumsum(logs.reshape(sums.shape), axis=0).T
-    if np.iscomplexobj(sums):
-        return out + 1j * (sums.imag / sums.real).T
-    return out
+    out = np.add.accumulate(logs.reshape(sums.shape)).astype(sums.dtype, copy=False)
+    if out.dtype.kind == "c":
+        out.imag = sums.imag / sums.real
+    return out.T
 
 
 def log_r_sequence(
@@ -502,14 +480,15 @@ def log_r_sequence(
     ``basis`` must be primes_up_to(obs.ell); it stays an argument because
     perfbench/spans.py unpacks the ``L`` that follows it.
 
-    ell = 1 collapses to l * ln(mgf); ell = 2 chains are a pure transfer
-    recursion over successive smooth indices (one forward pass yields all
-    lengths).  Larger ell takes one forward sweep over the chain terms for
-    every length in its reach (see _sweep_steps), and past it replays each
-    length's compiled elimination plan; the budget counts the sweep's cells
-    through a length, or that length's plan.  At ell = 2 ``lam`` may also
-    be a 1-D array of nonzero lambdas: one recursion then serves them all,
-    and row i of the (B, L) array returned is the sequence at lam[i].
+    ell = 1 collapses to l * ln(mgf).  Larger ell takes one forward sweep
+    over the chain terms for every length in its reach (see _sweep_steps),
+    and past it replays each length's compiled elimination plan; the budget
+    counts the sweep's cells through a length, or that length's plan, for
+    one lambda.  At ell = 2 every step is one s x s transfer and the reach
+    is the budget's.  ``lam`` may also be a 1-D array of lambdas: one sweep
+    then serves them all, each replays its own plans past the reach, and
+    row i of the (B, L) array returned has the bits of the list at lam[i]
+    alone.
 
     A complex ``lam`` = lambda + ih with a tiny step h (h * M << 1, for
     example 1e-30 / M) is a complex step (Squire & Trapp, SIAM Review 40,
@@ -517,42 +496,43 @@ def log_r_sequence(
     ln R_l at lambda and whose imaginary part divided by h is d ln R_l/dlambda,
     with no cancellation.
     """
-    dtype = np.complex128 if np.iscomplexobj(lam) else np.float64
-    if np.ndim(lam):
-        if obs.ell != 2:
-            raise InputError("a batch of lambdas needs ell = 2")
-        return _transfer_log_r(dist, obs, np.asarray(lam, dtype=dtype), L, budget)
-    if L < 1:
-        return []
-    if lam == 0.0:
-        return [0.0] * L
-    s = dist.size
-    probs = np.asarray(dist.probs, dtype=np.float64)
-    if obs.ell == 1:
-        lphi = _log(mgf(dist, obs, lam))
-        return [k * lphi for k in range(1, L + 1)]
-    if obs.ell == 2:
-        return _transfer_log_r(dist, obs, np.array([lam], dtype=dtype), L, budget)[0].tolist()
     if obs.ell != basis.ell:
         raise InputError(f"ell={obs.ell} does not match basis ell={basis.ell}")
-    # a step multiplies up to ell tables; past ln(DBL_MAX) / ell they are
-    # exp(lam * F - c), c the largest Re(lam) * F, and ln R_l gains l * c
-    big = abs(lam) * obs.sup_abs * obs.ell > LN_MAX
-    c = float(np.max(lam.real * obs.table)) if big else 0.0
-    shaped = np.exp(lam * obs.table - c).reshape((s,) * obs.ell)
-    out = _sweep_log(_sweep_steps(basis, L, s, shaped.itemsize, budget), shaped, probs)
-    for l in range(len(out) + 1, L + 1):
-        try:
-            cells, steps = _plan(basis, l, s)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(str(exc), completed=l - 1) from None
-        if cells > budget:
-            raise BudgetExceededError(
-                f"elimination needs more than {budget} table cells; raise the budget",
-                completed=l - 1,
-            )
-        out.append(_replay_log(steps, shaped, probs, l))
-    return [v + l * c for l, v in enumerate(out, 1)] if c else out
+    lams = np.array(lam, dtype=np.result_type(lam, np.float64), ndmin=1)
+    s, ell = dist.size, obs.ell
+    probs = np.asarray(dist.probs, dtype=np.float64)
+    if ell == 1:
+        lphi = np.array([_log(mgf(dist, obs, x)) for x in lams.tolist()])
+        out = lphi[:, None] * np.arange(1, L + 1)
+    else:
+        x = lams[:, None] * obs.table
+        # a step multiplies up to ell tables; past ln(DBL_MAX) / ell they are
+        # exp(lam * F - c), c the largest Re(lam) * F, and ln R_l gains l * c
+        shift = {
+            i: float(np.max(lams[i].real * obs.table))
+            for i, v in enumerate(lams.tolist())
+            if abs(v) * obs.sup_abs * ell > LN_MAX
+        }
+        for i, c in shift.items():
+            x[i] -= c
+        shaped = np.exp(x).reshape((-1,) + (s,) * ell)
+        n = len(steps := _sweep_steps(basis, L, s, shaped.itemsize, budget))
+        out = np.empty((len(lams), L), dtype=shaped.dtype)
+        out[:, :n] = _sweep_log(steps, shaped, probs)
+        for l in range(n + 1, L + 1):
+            try:
+                cells, steps = _plan(basis, l, s)
+            except BudgetExceededError as exc:
+                raise BudgetExceededError(str(exc), completed=l - 1) from None
+            if cells > budget:
+                raise BudgetExceededError(
+                    f"elimination needs more than {budget} table cells; raise the budget",
+                    completed=l - 1,
+                )
+            out[:, l - 1] = [_replay_log(steps, row, probs, l) for row in shaped]
+        for i, c in shift.items():
+            out[i] += np.arange(1, L + 1) * c
+    return out if np.ndim(lam) else out[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +584,9 @@ class Pressure:
     w_1..w_L are taken per evaluation, up to the largest L it needs.
 
     ``details`` evaluates a batch of lambdas; at ell = 2 they share one
-    transfer recursion, and at larger ell each lambda takes its own sweep
-    over the chain, with plans only past the sweep's reach.  ``detail`` and
-    calling the object are batches of one.
+    sweep over the chain, and at larger ell each lambda takes its own, with
+    plans only past the sweep's reach.  ``detail`` and calling the object
+    are batches of one.
 
     ``details(lams, slope=True)`` also returns Q'(lambda), by a complex step
     through the same kernels, and takes Q from the real part of that run.
@@ -668,9 +648,9 @@ class Pressure:
         """PressureEval at each lambda of ``lams``, in order, with Q' if ``slope``.
 
         Each distinct lambda is truncated in order and evaluated once; Q(0)
-        = 0 needs no evaluation.  At ell = 2 they share one transfer
-        recursion up to the largest truncation length; larger ell evaluates
-        each lambda's sequence up to its own length.  An error is the one
+        = 0 needs no evaluation.  At ell = 2 they share one sweep up to the
+        largest truncation length; larger ell evaluates each lambda's
+        sequence up to its own length.  An error is the one
         the first failing lambda in order raises when evaluated alone:
         truncation and budget both fail monotonically in |lambda|, and no
         lambda after a truncation failure is evaluated.  A |lambda| past
@@ -709,6 +689,9 @@ class Pressure:
             if obs.ell == 2:
                 lnr = log_r_sequence(dist, obs, basis, np.array(args), top, budget=self.budget)
             else:
+                # a batch would run every lambda to the top L; at ell >= 3 the
+                # extra lengths are the costliest cells, and past the sweep's
+                # reach every row replays its own plans, so each runs alone
                 lnr = [
                     log_r_sequence(dist, obs, basis, arg, L, budget=self.budget)
                     for arg, (_, L, _) in zip(args, todo)

@@ -174,8 +174,9 @@ def transfer_log_r(probs, table, lam, L):
     """ln R_l for l = 1..L of an ell = 2 chain, one lambda and one step at a time.
 
     f starts at the marginal weights; each step multiplies by the kernel
-    exp(lam * F) and the weights again, then renormalizes by the sum c,
-    whose logs accumulate.
+    exp(lam * F) and the weights again, then renormalizes by the real part
+    of the sum c, whose logs accumulate.  A complex lam + ih carries the
+    complex step: ln R_l = sum_{k<=l} ln Re c_k + i Im c_l/Re c_l.
     """
     probs = np.asarray(probs, dtype=np.float64)
     s = probs.size
@@ -185,10 +186,10 @@ def transfer_log_r(probs, table, lam, L):
     out = []
     for _ in range(L):
         g = (f @ kernel) * probs
-        c = float(g.sum())
-        logacc += math.log(c)
-        out.append(logacc)
-        f = g / c
+        c = g.sum().item()
+        logacc += math.log(c.real)
+        out.append(complex(logacc, c.imag / c.real) if isinstance(c, complex) else logacc)
+        f = g / c.real
     return out
 
 

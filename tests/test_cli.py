@@ -15,6 +15,7 @@ import pytest
 
 from oracles import fmt_value, render_simulate
 from ncsums import cli, simulate
+from ncsums import erlaw as erlaw_module
 from ncsums.cli import (
     GRID_POINT_LIMIT,
     STRUCTURE_ELL_LIMIT,
@@ -703,6 +704,21 @@ class TestInputValidation:
         code, out, err = run_cli(*argv, "--preset", "rademacher-product", "--no-timestamp")
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "InputError", "message": message}
+
+    @pytest.mark.parametrize("k", ["0", "-3", "1e30", "1e8"])
+    def test_seeds_out_of_range_is_input_error(self, k, monkeypatch):
+        # 0 and -3 were refused without the flag's name, 1e30 with Python's
+        # "int too large", and 1e8 would have run 1e8 trajectories
+        runs = []
+        monkeypatch.setattr(erlaw_module, "trajectory", lambda *a, **kw: runs.append(a))
+        code, out, err = run_cli("erlaw", "--preset", "rademacher-product", "--alpha", "0.5",
+                                 "--n", "100", "--seeds", k, "--no-timestamp")
+        assert (code, out, runs) == (2, "", [])
+        limit = cli.GRID_POINT_LIMIT
+        assert json.loads(err) == {
+            "error": "InputError",
+            "message": f"argument --seeds: K must be from 1 to {limit}, not {cli.integer(k)}",
+        }
 
     def test_const_value_with_a_spec_file_is_input_error(self, tmp_path):
         spec = tmp_path / "obs.json"

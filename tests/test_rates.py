@@ -311,7 +311,7 @@ def first_over_budget(dist, obs, basis, budget, L):
 @pytest.fixture
 def plans_only(monkeypatch):
     """log_r_sequence with no sweep: every length replays its plan."""
-    monkeypatch.setattr(rates, "_SWEEP_BYTES", 0)
+    monkeypatch.setattr(rates, "_SWEEP_AXES", 0)
 
 
 class TestEliminationPlan:
@@ -387,6 +387,13 @@ def sweep_unions(basis, L):
     frontier = [1]
     h = smooth_numbers_capped(basis, L).h
     return [rates._sweep_step(frontier, hv, basis.ell).union for hv in h[:L]]
+
+
+def assert_near(got, want, rel=1e-13):
+    """Entrywise agreement within rel * max(1, |want|): absolute near ln R = 0, relative above."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= rel * max(1.0, abs(w)), (g, w)
 
 
 def assert_close(got, want, rel=1e-13):
@@ -508,6 +515,56 @@ class TestSweep:
             log_r_sequence(dist, obs, basis, 0.5, 40, budget=budget)
         assert err.value.completed == stop - 1
         assert len(log_r_sequence(dist, obs, basis, 0.5, stop - 1, budget=budget)) == stop - 1
+
+
+    @pytest.mark.parametrize("ell,L", [(3, 40), (4, 20), (3, 35), (4, 14)])
+    def test_batch_rows_equal_batches_of_one(self, ell, L):
+        # at L = 35 and 14 a budget of 2000 ends the sweep early, and each
+        # row replays its own plans up to the last length within the budget
+        budget = 2000 if L in (35, 14) else rates.DEFAULT_BUDGET
+        basis = primes_up_to(ell)
+        dist, obs = preset("bernoulli-product", ell=ell)
+        big = 0.9 * rates.LN_MAX / obs.sup_abs  # its tables take the shift
+        h = rates.STEP_OVER_M / obs.sup_abs
+        for lams in (np.array([0.8, 0.0, -1.3, big]), np.array([0.8, -1.3, big]) + 1j * h):
+            n = len(rates._sweep_steps(basis, L, 2, lams.itemsize, budget))
+            assert (n < L) == (budget == 2000)
+            batch = log_r_sequence(dist, obs, basis, lams, L, budget)
+            assert batch.shape == (len(lams), L) and batch.dtype == lams.dtype
+            for i, lam in enumerate(lams.tolist()):
+                assert batch[i].tolist() == log_r_sequence(dist, obs, basis, lam, L, budget)
+                alone = log_r_sequence(dist, obs, basis, lams[i : i + 1], L, budget)
+                assert batch[i].tolist() == alone[0].tolist()
+            assert batch[1].tolist() == [0.0] * L or lams.dtype.kind == "c"
+            with pytest.raises(BudgetExceededError):
+                log_r_sequence(dist, obs, basis, lams, L + 1, 2000)
+
+    @pytest.mark.parametrize("lam", [0.5, np.array([0.5, -1.0])])
+    def test_basis_must_match_ell(self, lam):
+        dist, obs = preset("rademacher-product", ell=2)
+        with pytest.raises(InputError, match="ell=2 does not match basis ell=3"):
+            log_r_sequence(dist, obs, B3, lam, 4)
+
+    @pytest.mark.parametrize("lam", [0.7, complex(-0.4, 1e-30)])
+    def test_ell2_reach_is_the_budget_on_600_points(self, lam, monkeypatch):
+        # a complex 600-point step table holds 5.8 MB, past _SWEEP_BYTES; at
+        # ell = 2 it is one term's table, so only the budget ends the sweep
+        monkeypatch.setattr(rates, "_plans", {})
+        rng = np.random.default_rng(600)
+        s = 600
+        probs = rng.uniform(0.5, 1.0, size=s)
+        dist = FiniteDistribution(values=tuple(range(s)), probs=tuple(probs / probs.sum()))
+        obs = center(observable_from_table(dist, 2, rng.uniform(-1.0, 1.0, size=s * s)), dist)
+        L = rates.DEFAULT_BUDGET // s**2
+        itemsize = 16 if isinstance(lam, complex) else 8
+        assert (s**2 * itemsize > rates._SWEEP_BYTES) == (itemsize == 16)
+        assert len(rates._sweep_steps(B2, L + 5, s, itemsize, rates.DEFAULT_BUDGET)) == L
+        got = log_r_sequence(dist, obs, B2, lam, L)
+        assert rates._plans == {}
+        assert_close(got, transfer_log_r(dist.probs, obs.table, lam, L))
+        with pytest.raises(BudgetExceededError) as err:
+            log_r_sequence(dist, obs, B2, lam, L + 1)
+        assert err.value.completed == L
 
 
 class TestRlMc:
@@ -667,7 +724,7 @@ class TestPressure:
             Pressure(dist, obs3, tol=1e-8, budget=80)(1.0)
         assert err.value.achievable_tol is not None
         assert 0.0 < err.value.achievable_tol < 1.0
-        # ell = 2: the transfer recursion completes budget // s**2 fiber lengths
+        # ell = 2: the sweep completes budget // s**2 fiber lengths
         budget, lam = 40, 1.0
         obs2 = product_observable(dist, 2)
         press = Pressure(dist, obs2, tol=1e-12, budget=budget)
@@ -992,20 +1049,19 @@ class TestComplexStep:
 
 
 class TestLockstepAgainstScalarOracle:
-    """Batches equal the scalar transfer recursion bitwise; grids agree with the golden section."""
+    """Batch rows equal batches of one bitwise and the scalar transfer recursion
+    to 1e-13; grids agree with the golden section."""
 
     def test_transfer_batch_rows_equal_one_lambda_recursions(self):
         for dist, obs in LAWS:
             lams = np.array([-2.5, -0.3, 0.01, 0.7, 4.0])
             batch = log_r_sequence(dist, obs, B2, lams, 40)
             assert batch.shape == (5, 40)
-            for lam, row in zip(lams, batch):
+            for i, (lam, row) in enumerate(zip(lams, batch)):
+                assert row.tolist() == log_r_sequence(dist, obs, B2, float(lam), 40)
+                assert row.tolist() == log_r_sequence(dist, obs, B2, lams[i : i + 1], 40)[0].tolist()
                 want = transfer_log_r(dist.probs, obs.table, float(lam), 40)
-                assert row.tolist() == want
-                assert log_r_sequence(dist, obs, B2, float(lam), 40) == want
-        obs3 = product_observable(RADEMACHER, 3)
-        with pytest.raises(InputError):
-            log_r_sequence(RADEMACHER, obs3, B3, np.array([0.5, 1.0]), 5)
+                assert_near(row, want)
 
     @pytest.mark.parametrize("law", range(len(LAWS)))
     def test_pressure_batches(self, law):
@@ -1015,7 +1071,10 @@ class TestLockstepAgainstScalarOracle:
         lams = [-30 / M, -0.4 / M, 0.0, 0.01 / M, 0.4 / M, 0.4 / M, 3 / M, 60 / M, -0.4 / M]
         oracle = scalar_pressure(press)
         got = [(e.value, e.tail_bound, e.truncation_l) for e in press.details(lams)]
-        assert got == [oracle(lam) for lam in lams]
+        assert got == [(e.value, e.tail_bound, e.truncation_l) for e in map(press.detail, lams)]
+        want = [oracle(lam) for lam in lams]
+        assert [g[1:] for g in got] == [w[1:] for w in want]
+        assert_near([g[0] for g in got], [w[0] for w in want])
         assert len({L for _, _, L in got}) >= 4  # the batch spans several truncation lengths
         assert press.details(lams[::-1]) == press.details(lams)[::-1]
 
