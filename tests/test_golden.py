@@ -235,7 +235,7 @@ EXPECTED = {
         0,
     ),
     "rate-j-json": (
-        "7dd59c8fa81b6b2546633c6abe47c23949f69fc51a2b051e6df4bd0da42f8d30",
+        "9b2adddfb455fe89bd74af241edbdfda016298b6d98328723f61ffc05e1c7f19",
         "",
         0,
     ),
@@ -245,7 +245,7 @@ EXPECTED = {
         0,
     ),
     "rate-j-grid-json": (
-        "4660640eba4f5a887d0a5409095aac724f803c66adc18cd084bf808988b47092",
+        "9a7cafb6d7888340765f1b9ccd7a4f9db6d5a65394f17ca7de1a3388c99df41b",
         "",
         0,
     ),
