@@ -425,7 +425,7 @@ def _sweep_steps(
 
 
 def _sweep_log(steps: list[_SweepStep], shaped: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """ln R_l for l = 1..len(steps) at each of B lambdas, by one forward sweep over the chain terms.
+    """ln R_l for l = 1..len(steps) at each of B lambdas, by one sweep over the chain terms.
 
     ``shaped`` holds B tables exp(lambda * F), one per row, and row i of the
     (B, len(steps)) array returned has the bits of the same sweep of row i
@@ -500,11 +500,11 @@ def log_r_sequence(
         raise InputError(f"ell={obs.ell} does not match basis ell={basis.ell}")
     lams = np.array(lam, dtype=np.result_type(lam, np.float64), ndmin=1)
     s, ell = dist.size, obs.ell
-    probs = np.asarray(dist.probs, dtype=np.float64)
     if ell == 1:
         lphi = np.array([_log(mgf(dist, obs, x)) for x in lams.tolist()])
         out = lphi[:, None] * np.arange(1, L + 1)
     else:
+        probs = np.asarray(dist.probs, dtype=np.float64)
         x = lams[:, None] * obs.table
         # a step multiplies up to ell tables; past ln(DBL_MAX) / ell they are
         # exp(lam * F - c), c the largest Re(lam) * F, and ln R_l gains l * c

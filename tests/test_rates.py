@@ -516,11 +516,11 @@ class TestSweep:
         assert err.value.completed == stop - 1
         assert len(log_r_sequence(dist, obs, basis, 0.5, stop - 1, budget=budget)) == stop - 1
 
-
     @pytest.mark.parametrize("ell,L", [(3, 40), (4, 20), (3, 35), (4, 14)])
     def test_batch_rows_equal_batches_of_one(self, ell, L):
         # at L = 35 and 14 a budget of 2000 ends the sweep early, and each
-        # row replays its own plans up to the last length within the budget
+        # row replays its own plans up to the last length within the budget,
+        # which counts the cells of one lambda
         budget = 2000 if L in (35, 14) else rates.DEFAULT_BUDGET
         basis = primes_up_to(ell)
         dist, obs = preset("bernoulli-product", ell=ell)
@@ -535,9 +535,6 @@ class TestSweep:
                 assert batch[i].tolist() == log_r_sequence(dist, obs, basis, lam, L, budget)
                 alone = log_r_sequence(dist, obs, basis, lams[i : i + 1], L, budget)
                 assert batch[i].tolist() == alone[0].tolist()
-            assert batch[1].tolist() == [0.0] * L or lams.dtype.kind == "c"
-            with pytest.raises(BudgetExceededError):
-                log_r_sequence(dist, obs, basis, lams, L + 1, 2000)
 
     @pytest.mark.parametrize("lam", [0.5, np.array([0.5, -1.0])])
     def test_basis_must_match_ell(self, lam):
@@ -1059,7 +1056,8 @@ class TestLockstepAgainstScalarOracle:
             assert batch.shape == (5, 40)
             for i, (lam, row) in enumerate(zip(lams, batch)):
                 assert row.tolist() == log_r_sequence(dist, obs, B2, float(lam), 40)
-                assert row.tolist() == log_r_sequence(dist, obs, B2, lams[i : i + 1], 40)[0].tolist()
+                alone = log_r_sequence(dist, obs, B2, lams[i : i + 1], 40)
+                assert row.tolist() == alone[0].tolist()
                 want = transfer_log_r(dist.probs, obs.table, float(lam), 40)
                 assert_near(row, want)
 
