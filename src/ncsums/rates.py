@@ -1,4 +1,4 @@
-"""Rate functions: the Cramér transform, the fiber pressure series, and its conjugate.
+"""Rate functions: the fiber pressure series, and one certified conjugate for J and Cramér's I.
 
 The pressure Q(lambda) of a dilation sum is a weighted series over fiber
 lengths l, with weights 1/h_l - 1/h_{l+1} from the smooth-number sequence
@@ -62,7 +62,8 @@ STEP_OVER_M = 1e-30
 LN2 = math.log(2.0)
 
 # ln(DBL_MAX): exp(lambda * F) is finite while |lambda| * sup|F| stays below it.
-LN_MAX = math.log(np.finfo(np.float64).max)
+DBL_MAX = float(np.finfo(np.float64).max)
+LN_MAX = math.log(DBL_MAX)
 
 # At |t|*M <= SMALL_TF, CramerRate.log_mgf sums e^{tF} - 1 - tF as a Taylor
 # series, whose terms past x**9/9! are below 1e-16 of its first.
@@ -92,17 +93,18 @@ def _require_centered(obs: Observable) -> None:
 
 
 class CramerRate:
-    """Convex conjugate of ln(mgf), evaluated by derivative bisection.
+    """Convex conjugate of ln(mgf), by RateJ's certified search over the exact ln phi.
 
-    The tilted mean t -> phi'(t)/phi(t) is strictly increasing when the
-    observable has positive variance, so the supremum over t is located by
-    bisection on it.  Since the observable is centered, one search over
-    s >= 0 at t = sgn(alpha) * s serves both signs of alpha, up to the cap
-    |t| <= CAP_OVER_M / M, which only matters within a few ulps of sup F.
+    For 0 < |alpha| < sup F on alpha's side, RateJ searches the pressure
+    ln phi, whose value is ``log_mgf``, slope ``tilted_mean`` and tails 0,
+    with no lambda cap: their shifted exps never overflow.  It stops at a
+    gap of 1e-13 * 2 alpha**2 / (sup F - inf F)**2, at most 1e-13 * I(alpha)
+    by Hoeffding's inequality.  alpha = 0 and |alpha| >= sup F are exact.
     Where |t|*M <= SMALL_TF, ln(mgf) and the tilted mean come from sums that
-    do not cancel and t is bisected to a relative width, so I(alpha) keeps
-    its relative accuracy for small alpha.  Expectations are exactly rounded
-    sums, so I(-a) of F equals I(a) of -F bit for bit.
+    do not cancel, so small alpha keep their relative accuracy.  Top values
+    within about 1e-12 * M of each other put t* out of the search's reach,
+    and it raises ToleranceError.  Expectations are exactly rounded sums, so
+    I(-a) of F equals I(a) of -F bit for bit.
     """
 
     def __init__(self, dist: FiniteDistribution, obs: Observable):
@@ -154,37 +156,27 @@ class CramerRate:
         if alpha == 0.0:
             return 0.0
         obs = self.obs
-        a, sgn = abs(alpha), (1.0 if alpha > 0 else -1.0)
         sup = obs.sup_pos if alpha > 0 else obs.sup_neg
-        if a > sup:
+        if abs(alpha) > sup:
             return math.inf
-        if a == sup:  # alpha is the extreme value of F on its side
+        if abs(alpha) == sup:  # alpha is the extreme value of F on its side
             return -math.log(self._mass_at(alpha))
+        # 1e-13 * 2 alpha**2 / (sup F - inf F)**2, over half the range, which cannot overflow
+        tol = 5e-14 * (alpha / (0.5 * obs.sup_pos + 0.5 * obs.sup_neg)) ** 2
+        return RateJ(_LogMgf(self, tol), lambda_cap=math.inf).grid([alpha])[0]
 
-        def below(s: float) -> bool:
-            return sgn * self.tilted_mean(sgn * s) < a
 
-        cap = CAP_OVER_M / obs.sup_abs
-        lo, hi = 0.0, min(1.0, cap)
-        while below(hi) and hi < cap:
-            hi = min(2.0 * hi, cap)
-        if below(hi):
-            # alpha within ulps of the sup; the objective is flat past here
-            return max(0.0, hi * a - self.log_mgf(sgn * hi))
-        floor, small = min(1.0, 1.0 / obs.sup_abs), SMALL_TF / obs.sup_abs
-        # enough halvings to take the bracket from 1 down to the smallest subnormal
-        for _ in range(1100):
-            mid = 0.5 * (lo + hi)
-            if below(mid):
-                lo = mid
-            else:
-                hi = mid
-            # the optimal t scales as 1/M: the width is relative to |t| down to
-            # min(1, 1/M), and to |t| alone once log_mgf takes its series
-            if hi - lo <= 1e-13 * max(hi, 0.0 if hi <= small else floor):
-                break
-        s = 0.5 * (lo + hi)
-        return max(0.0, s * a - self.log_mgf(sgn * s))
+class _LogMgf:
+    """ln phi as the pressure that RateJ searches for one I(alpha): exact, so both tails are 0."""
+
+    lambda_max = math.inf  # log_mgf and tilted_mean shift their exps
+
+    def __init__(self, rate: CramerRate, tol: float):
+        self.obs, self.tol, self._rate = rate.obs, tol, rate
+
+    def details(self, lams, slope: bool = False) -> list[PressureEval]:
+        rate = self._rate
+        return [PressureEval(rate.log_mgf(x), 0.0, 1, rate.tilted_mean(x), 0.0) for x in lams]
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +601,8 @@ class Pressure:
         self.basis = basis = lattice.primes_up_to(obs.ell)
         self.tol = float(tol)
         self.budget = int(budget)
+        # exp(lambda * F) is finite up to |lambda| = lambda_max, and at every lambda for F = 0
+        self.lambda_max = LN_MAX / obs.sup_abs if obs.sup_abs > 0 else DBL_MAX
         if basis.m == 0:
             # one term, ln R_1 = ln mgf, and nothing dropped at L = 1
             self._smooth = None
@@ -650,16 +644,17 @@ class Pressure:
         Each distinct lambda is truncated in order and evaluated once; Q(0)
         = 0 needs no evaluation.  At ell = 2 they share one sweep up to the
         largest truncation length; larger ell evaluates each lambda's
-        sequence up to its own length.  An error is the one
-        the first failing lambda in order raises when evaluated alone:
-        truncation and budget both fail monotonically in |lambda|, and no
-        lambda after a truncation failure is evaluated.  A |lambda| past
-        ln(DBL_MAX) / sup|F|, where exp(lambda * F) overflows, is an InputError.
+        sequence up to its own length.  A truncation failure is the one the
+        first failing lambda in order raises alone, and no lambda after it is
+        evaluated.  The budget stops every lambda at the same fiber length,
+        and its error reports the tol that length achieves at the largest
+        |lambda| past it, so the batch re-run at that tol passes.  A |lambda|
+        past lambda_max, where exp(lambda * F) overflows, is an InputError.
         """
         lams = [float(lam) for lam in lams]
-        M = self.obs.sup_abs
-        if max(map(abs, lams), default=0.0) * M > LN_MAX:
-            raise InputError(f"|lambda| may not exceed ln(DBL_MAX) / sup|F| = {LN_MAX / M:.9g}")
+        top = self.lambda_max
+        if max(map(abs, lams), default=0.0) > top:
+            raise InputError(f"|lambda| may not exceed ln(DBL_MAX) / sup|F| = {top:.9g}")
         if self.basis.m == 0:
             return self._evaluate([(lam, 1, 0.0) for lam in lams], slope)
         found = {0.0: PressureEval(0.0, 0.0, 0)}
@@ -701,8 +696,9 @@ class Pressure:
             if done < 1:
                 msg = f"no fiber length fits the budget of {self.budget}"
                 raise ToleranceError(f"budget exhausted at fiber length 1; {msg}") from exc
-            lam = next(lam for lam, L, _ in todo if L > done)
-            achievable = basis.r_const * obs.sup_abs * abs(lam) * float(self._tail[done])
+            # the reach is the same at every lambda, so the largest |lambda| past it decides
+            lam = max(abs(lam) for lam, L, _ in todo if L > done)
+            achievable = basis.r_const * obs.sup_abs * lam * float(self._tail[done])
             raise ToleranceError(
                 f"budget exhausted at fiber length {done + 1}; "
                 f"achievable tol is {achievable}",
@@ -786,20 +782,20 @@ class RateJ:
 
     ``grid`` runs the searches of a whole u grid in lockstep, so each round's
     lambdas reach the pressure as one batch; calling the object is a grid of
-    one u.
+    one u.  ``pressure`` is a Pressure, or CramerRate's exact ln phi: any
+    object with ``obs``, ``tol``, ``details`` and ``lambda_max``, the largest
+    cap it takes.  The cap defaults to CAP_OVER_M / M.
     """
 
     def __init__(self, pressure: Pressure, lambda_cap: float | None = None):
         _require_centered(pressure.obs)
         self.pressure = pressure
-        M = pressure.obs.sup_abs
-        self.lambda_cap = (
-            float(lambda_cap) if lambda_cap is not None else CAP_OVER_M / M if M > 0 else CAP_OVER_M
-        )
-        if not (math.isfinite(self.lambda_cap) and self.lambda_cap > 0):
-            raise InputError("lambda_cap must be finite and positive")
-        if self.lambda_cap * M > LN_MAX:
-            raise InputError(f"lambda_cap may not exceed ln(DBL_MAX) / sup|F| = {LN_MAX / M:.9g}")
+        M, top = pressure.obs.sup_abs or 1.0, pressure.lambda_max
+        self.lambda_cap = CAP_OVER_M / M if lambda_cap is None else float(lambda_cap)
+        if not self.lambda_cap > 0:
+            raise InputError("lambda_cap must be positive")
+        if self.lambda_cap > top:
+            raise InputError(f"lambda_cap may not exceed ln(DBL_MAX) / sup|F| = {top:.9g}")
 
     @property
     def l_plus(self) -> float:
@@ -852,7 +848,9 @@ class RateJ:
                 )
             return max(0.0, best.g)
 
-        t = min(cap, a / (self.pressure.obs.sup_abs or 1.0) ** 2)
+        M = self.pressure.obs.sup_abs or 1.0
+        # M**2 raises OverflowError past M ~ 1.3e154, and M * M can differ from it in the last bit
+        t = min(cap, a / M**2 if math.isfinite(M * M) else a / M / M)
         while True:
             if len(probes) > MAX_EVALS:
                 # Q' can read 0 at every probe (exp(+-lambda F) rounds to 1 below

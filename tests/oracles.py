@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -89,6 +90,57 @@ def grid_search_rate(dist, obs, alpha, t_max=40.0, steps=400000):
     shift = tv.max(axis=1, keepdims=True)
     log_phi = np.log(np.exp(tv - shift) @ probs) + shift[:, 0]
     return float(np.max(ts * alpha - log_phi))
+
+
+def cramer_rate(vals, probs, alpha):
+    """Cramer's I(alpha) = sup_t (t*alpha - ln E exp(tF)) in 60-digit decimals, with t uncapped.
+
+    ``vals`` are F's values and ``probs`` their probabilities, read exactly
+    and then normalized.
+    The root of the tilted mean m(t) = alpha is bracketed by doubling |t|
+    from 1, then found by Newton steps on m (m' is the tilted variance),
+    each replaced by a bisection when it leaves the bracket.  The exps are
+    shifted by max t*F, so no t is too large.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        v = [Decimal(float(x)) for x in vals]
+        p = [Decimal(float(q)) for q in probs]
+        p = [q / sum(p) for q in p]  # float probabilities may sum to 1 +- an ulp
+        a = Decimal(float(alpha))
+        if not min(v) <= a <= max(v):
+            return math.inf
+        if a in (min(v), max(v)):
+            return float(-sum(q for q, x in zip(p, v) if x == a).ln())
+
+        def tilt(t):
+            """(ln E exp(tF), tilted mean, tilted variance)."""
+            c = max(t * x for x in v)
+            w = [q * (t * x - c).exp() for q, x in zip(p, v)]
+            z = sum(w)
+            m = sum(wi * x for wi, x in zip(w, v)) / z
+            return c + z.ln(), m, sum(wi * (x - m) ** 2 for wi, x in zip(w, v)) / z
+
+        mean = tilt(Decimal(0))[1]
+        if a == mean:
+            return 0.0
+        sgn = 1 if a > mean else -1
+        near, far = Decimal(0), Decimal(sgn)
+        while sgn * (tilt(far)[1] - a) < 0:
+            near, far = far, 2 * far
+        lo, hi = min(near, far), max(near, far)
+        t = (lo + hi) / 2
+        for _ in range(1000):
+            _, m, var = tilt(t)
+            if m == a:
+                break
+            lo, hi = (t, hi) if m < a else (lo, t)
+            newton = t + (a - m) / var
+            step = newton if lo < newton < hi else (lo + hi) / 2
+            if abs(step - t) <= Decimal("1e-50") * abs(step):
+                break
+            t = step
+        return float(t * a - tilt(t)[0])
 
 
 def enumerate_chain_expectation(dist, obs, lam, chain):

@@ -215,6 +215,27 @@ class TestCurves:
             "no fiber length fits the budget of 1",
         }
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--ell", "4", "--lambda", "0.3,0.5", "--tol", "1e-4"),
+            ("--ell", "2", "--lambda", "0.3,1,-0.7", "--tol", "1e-9", "--budget", "80"),
+        ],
+    )
+    def test_a_grid_reports_a_tol_that_it_achieves(self, argv):
+        # the budget stops every lambda at the same fiber length, so the tol
+        # reported is that of the largest |lambda| past it, not the first in order
+        base = ["pressure", "--preset", "bernoulli-product", "--center", *argv, "--no-timestamp"]
+        code, out, err = run_cli(*base)
+        assert (code, out) == (4, "")
+        match = re.fullmatch(
+            r"budget exhausted at fiber length \d+; achievable tol is (\S+)",
+            json.loads(err)["message"],
+        )
+        base[base.index("--tol") + 1] = repr(1.001 * float(match[1]))
+        code, out, err = run_cli(*base)
+        assert (code, err) == (0, "")
+
     def test_tolerance_exit_code(self):
         code, _, err = run_cli(
             "pressure",

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    cramer_rate,
     eliminate_log,
     enumerate_chain_expectation,
     finite_pressure,
@@ -23,6 +24,7 @@ from oracles import (
     transfer_log_r,
 )
 from ncsums import rates
+from ncsums.erlaw import b_window
 from ncsums.errors import (
     BudgetExceededError,
     DegenerateObservableError,
@@ -143,7 +145,7 @@ class TestCramerRate:
         with pytest.raises(InputError):
             CramerRate(BERNOULLI, obs)
 
-    @pytest.mark.parametrize("c", [1.0, 1e3, 1e12, 1e14, 1e50, 1e100])
+    @pytest.mark.parametrize("c", [1.0, 1e3, 1e12, 1e14, 1e50, 1e100, 1e200, 1e300])
     def test_scale_free_on_large_values(self, c):
         # F = c * X * Y on coins takes the values +-c, so I(0.5 c) is the coin's I(0.5)
         obs = observable_from_table(RADEMACHER, 2, [c, -c, -c, c])
@@ -174,12 +176,66 @@ class TestCramerRate:
         "alpha", [1e-40, 1e-20, 1e-12, -1e-12, -1e-20, 1e-60, 1e-100, -1e-100, 1e-150]
     )
     def test_tiny_alpha_is_quadratic(self, name, alpha):
-        # I(alpha) = alpha^2 / (2 Var F) + O(alpha^3); below alpha ~ 1e-50,
-        # t* = alpha / Var F lies hundreds of halvings under the bracket's start at 1
+        # I(alpha) = alpha^2 / (2 Var F) + O(alpha^3); the search starts at
+        # t = alpha / M**2, near t* = alpha / Var F, however small alpha is
         dist, obs = preset(name)
         rate = CramerRate(dist, obs)
         var = float(np.dot(rate._probs, rate._vals**2))
         assert rate(alpha) == pytest.approx(alpha**2 / (2 * var), rel=1e-12, abs=0.0)
+
+    def test_against_the_decimal_oracle_on_random_laws(self):
+        # where |t| M > SMALL_TF, ln phi is the log of a sum near 1, rounded
+        # to about an ulp of 1: hence the absolute allowance
+        rng = np.random.default_rng(27)
+        for _ in range(12):
+            s = int(rng.integers(3, 6))
+            probs = rng.dirichlet(np.ones(s))
+            dist = FiniteDistribution(
+                values=tuple(np.sort(rng.normal(size=s)).tolist()),
+                probs=tuple((probs / probs.sum()).tolist()),
+            )
+            obs = center(product_observable(dist, 1), dist)
+            rate = CramerRate(dist, obs)
+            for frac in (0.05, 0.3, 0.6, 0.9):
+                for a in (frac * obs.sup_pos, -frac * obs.sup_neg):
+                    want = cramer_rate(rate._vals, rate._probs, a)
+                    assert rate(a) == pytest.approx(want, rel=1e-12, abs=2**-52), (s, a)
+
+    @staticmethod
+    def close_top_law(delta):
+        """The centred law of -1, 1 - delta, 1 with probabilities 1/2, 1/4, 1/4."""
+        dist = FiniteDistribution(values=(-1.0, 1.0 - delta, 1.0), probs=(0.5, 0.25, 0.25))
+        return dist, center(product_observable(dist, 1), dist)
+
+    def test_close_top_values_are_not_capped(self):
+        # t* = 2197 at alpha = 1.00015, where the bisection's cap 60/M read 0.7167
+        dist, obs = self.close_top_law(1e-3)
+        i = CramerRate(dist, obs)(1.00015)
+        assert f"{i:.9g}" == "1.06121139"
+        assert b_window(1000, i) == 6
+
+    @pytest.mark.parametrize("delta,rel", [(1e-3, 1e-12), (1e-6, 1e-10)])
+    def test_close_top_values_against_the_decimal_oracle(self, delta, rel):
+        # t* grows like 1/delta near the top, and I loses about |t*| M ulps to
+        # the rounding of t*F in ln phi
+        dist, obs = self.close_top_law(delta)
+        rate = CramerRate(dist, obs)
+        for a in (obs.sup_pos - 10 * delta, obs.sup_pos - delta / 10):
+            want = cramer_rate(rate._vals, rate._probs, a)
+            assert rate(a) == pytest.approx(want, rel=rel), a
+
+    def test_top_values_too_close_give_a_close_value_or_tolerance_error(self):
+        # at 1e-13 * M apart the optimal t passes 1e13 and the search runs out
+        # of evaluations; it must never return a finite value far off
+        dist, obs = self.close_top_law(1e-13)
+        rate = CramerRate(dist, obs)
+        for a in (obs.sup_pos - 1e-12, obs.sup_pos - 1e-14):
+            want = cramer_rate(rate._vals, rate._probs, a)
+            try:
+                got = rate(a)
+            except ToleranceError:
+                continue
+            assert got == pytest.approx(want, rel=1e-6), a
 
     def test_negative_alpha_mirrors_the_negated_observable(self):
         # I_F(-a) = I_{-F}(a), bit for bit: one search serves both signs
@@ -953,6 +1009,8 @@ class TestRateJ:
         RateJ(Pressure(dist, center(raw, dist)))
         zero = observable_from_table(dist, 2, [0.0] * 4)
         assert RateJ(Pressure(dist, zero))(0.5) == math.inf
+        with pytest.raises(InputError):  # exp(lambda * 0) is finite, but the cap must be
+            RateJ(Pressure(dist, zero), lambda_cap=math.inf)
 
 
 def random_law(rng, s):
