@@ -205,12 +205,12 @@ EXPECTED = {
         0,
     ),
     "rate-i-json": (
-        "6b178ae7c9dc85f2517270db5ee6a8afd2643dece9bdd949e2e40db8af6f7834",
+        "7a571c6b010cc952d8816180f2dcf32822dce88edc5ff97321268f057baf06c1",
         "",
         0,
     ),
     "rate-i-spec-json": (
-        "8795841d7dff2981fdb8812ba8ba1eec7ed86112e594cc5e189e7639de0c82a1",
+        "26447124fdf57201555620c31454d89541b2097c1ec4a1709e5e4c94c3bd693d",
         "",
         0,
     ),
@@ -255,7 +255,7 @@ EXPECTED = {
         0,
     ),
     "erlaw-json": (
-        "16b464662eab5e7621caf2851ce397abb356c4eaf7b470d4565ade8afdb82f57",
+        "eaff8253972be7d2987d48c67f4e12e2758d903c3d79436bcddf78a23f98f750",
         "",
         0,
     ),
@@ -265,7 +265,7 @@ EXPECTED = {
         0,
     ),
     "ldp-check-json": (
-        "72189197a743c1ba791e5a1db4668395761795a1b03a29afe867f6c1ca119d9d",
+        "cd65bd645bff0bc14ee2cc5fdf1dc0f33dca0e439e50f171ef193323477f3b59",
         "",
         0,
     ),
