@@ -743,20 +743,6 @@ SLOPE_TOL = 1e-4
 MAX_EVALS = 64
 
 
-class _Probe(NamedTuple):
-    """One evaluation of the search for J(u), at lambda = sgn * t with t >= 0.
-
-    ``g`` = t*|u| - Q, ``f`` = sgn*Q' - |u| (the objective's slope, negated),
-    ``slope_bound`` the tail of Q' at its truncation and ``tail_bound`` that of Q.
-    """
-
-    t: float
-    g: float
-    f: float
-    slope_bound: float
-    tail_bound: float
-
-
 class RateJ:
     """Conjugate J(u) = sup (lambda*u - Q(lambda)) over [0, lambda_cap], certified to tol.
 
@@ -778,6 +764,9 @@ class RateJ:
     runs Brent's method (Brent, *Algorithms for Minimization without
     Derivatives*, 1973, ch. 4), each step moving at least half the width
     the best probe's gap allows, so the last steps straddle the root.
+    Each probe keeps its bracket, under its own truncation, and its gap: a
+    new probe takes its bracket from the probes before it and tightens
+    theirs with its sign, so a round costs one pass over the probes.
     ``l_plus``/``l_minus`` are Q'(+-lambda_cap) within their tail bound.
 
     ``grid`` runs the searches of a whole u grid in lockstep, so each round's
@@ -808,92 +797,123 @@ class RateJ:
         return -self.pressure.details([-self.lambda_cap], slope=True)[0].slope
 
     def _search(self, u: float) -> Generator[float, PressureEval, float]:
-        """The certified search for J(u): yields each lambda it needs, is sent its evaluation."""
+        """The certified search for J(u): yields each lambda it needs, is sent its evaluation.
+
+        Probe i is the floats ts[i], gs[i] = t*|u| - Q, fs[i] = sgn*Q' - |u|
+        (the objective's slope, negated), sbs[i] and tbs[i], the tail bounds
+        of Q' and Q at its truncation, and its bracket [los[i], his[i]] of
+        the root under that truncation with the gap it certifies, gaps[i].
+        A new probe's bracket is taken from the probes before it, and its
+        sign tightens theirs, one margin per pair.
+        """
         if u == 0.0:
             return 0.0
         a, sgn = abs(u), (1.0 if u > 0 else -1.0)
         tol, cap = self.pressure.tol, self.lambda_cap
-        # Q'(0) = E F = 0 exactly, whatever the truncation; as the probe whose
-        # gap is taken, the origin stands for the untruncated Q (no tail)
-        origin = _Probe(0.0, 0.0, -a, 0.0, 0.0)
-        probes = [origin]
+        # probe 0 is the origin: Q'(0) = E F = 0 exactly, whatever the
+        # truncation, so its own sign takes no margin; as the probe whose gap
+        # is taken, it stands for the untruncated Q (no tail)
+        ts, gs, fs, sbs, tbs = [0.0], [0.0], [-a], [0.0], [0.0]
+        los, his, gaps = [0.0], [cap], [a * cap]
+        # the largest t with f < 0 and the smallest with f > 0: Brent's bracket
+        lo_t, hi_t = 0.0, math.inf
 
-        def probe(t: float) -> Generator[float, PressureEval, _Probe]:
-            ev = yield sgn * t
-            p = _Probe(t, t * a - ev.value, sgn * ev.slope - a, ev.slope_bound, ev.tail_bound)
-            probes.append(p)
-            return p
+        def add(t: float, ev: PressureEval) -> float:
+            """Record the probe at t, with its bracket, and tighten the earlier brackets."""
+            nonlocal lo_t, hi_t
+            f, sb, tb = sgn * ev.slope - a, ev.slope_bound, ev.tail_bound
+            lo, hi = 0.0, cap  # the origin's sign is -1 under every truncation
+            for i, (tq, fq, sq) in enumerate(zip(ts, fs, sbs)):
+                # the sign of Q_L' - |u| at one probe, for the truncation L of
+                # the other, is resolved beyond the difference of their tails;
+                # first probe i's sign under the new truncation
+                m = abs(sq - sb)
+                if fq > m:
+                    if tq < hi:
+                        hi = tq
+                elif fq < -m and tq > lo:
+                    lo = tq
+                # then the new probe's sign under probe i's truncation
+                if f > m:
+                    if t >= his[i]:
+                        continue
+                    his[i] = t
+                elif f < -m:
+                    if t <= los[i]:
+                        continue
+                    los[i] = t
+                else:
+                    continue
+                gaps[i] = abs(fq) * max(his[i] - tq, tq - los[i]) + tbs[i]
+            # its own sign takes no margin
+            if f < 0.0:
+                lo, lo_t = max(lo, t), max(lo_t, t)
+            elif f > 0.0:
+                hi, hi_t = min(hi, t), min(hi_t, t)
+            ts.append(t)
+            gs.append(t * a - ev.value)
+            fs.append(f)
+            sbs.append(sb)
+            tbs.append(tb)
+            los.append(lo)
+            his.append(hi)
+            gaps.append(abs(f) * max(hi - t, t - lo) + tb)
+            return f
 
-        def sign(q: _Probe, p: _Probe) -> int:
-            """The sign of Q_L' - |u| at q, for the truncation L of p; 0 when unresolved."""
-            margin = 0.0 if q is origin else abs(q.slope_bound - p.slope_bound)
-            return 1 if q.f > margin else -1 if q.f < -margin else 0
-
-        def bracket(p: _Probe) -> tuple[float, float]:
-            lo = max(q.t for q in probes if sign(q, p) < 0)
-            hi = min([cap] + [q.t for q in probes if sign(q, p) > 0])
-            return lo, hi
-
-        def gap(p: _Probe) -> float:
-            lo, hi = bracket(p)
-            return abs(p.f) * max(hi - p.t, p.t - lo) + p.tail_bound
-
-        def settle(best: _Probe) -> float:
+        def settle(best: int) -> float:
             """The objective at the best probe, if its gap is within tol; else out of evaluations."""
-            if gap(best) > tol:
+            if gaps[best] > tol:
                 raise ToleranceError(
-                    f"conjugate search at u={u} reached gap {gap(best):.3e} "
+                    f"conjugate search at u={u} reached gap {gaps[best]:.3e} "
                     f"after {MAX_EVALS} pressure evaluations, over tol={tol}",
-                    achievable_tol=gap(best),
+                    achievable_tol=gaps[best],
                 )
-            return max(0.0, best.g)
+            return max(0.0, gs[best])
 
         M = self.pressure.obs.sup_abs or 1.0
         # M**2 raises OverflowError past M ~ 1.3e154, and M * M can differ from it in the last bit
         t = min(cap, a / M**2 if math.isfinite(M * M) else a / M / M)
         while True:
-            if len(probes) > MAX_EVALS:
+            if len(ts) > MAX_EVALS:
                 # Q' can read 0 at every probe (exp(+-lambda F) rounds to 1 below
                 # |lambda| ~ 1e-16/M), while the gap may already be within tol
-                return settle(min(probes, key=gap))
-            p = yield from probe(t)
-            if p.f > 0.0:
+                return settle(min(range(len(gaps)), key=gaps.__getitem__))
+            f = add(t, (yield sgn * t))
+            if f > 0.0:
                 break
             if t == cap:
                 # below its tail bound, Q' at the cap is certainly below |u| - SLOPE_TOL;
                 # otherwise the capped supremum is the objective at the cap
-                if -p.f - p.slope_bound >= SLOPE_TOL:
+                if -f - sbs[-1] >= SLOPE_TOL:
                     return math.inf
-                return max(0.0, p.g)
+                return max(0.0, gs[-1])
             # double, or step to twice the secant's root when that is nearer
-            x = _interpolate(probes[-2:])
+            x = _interpolate(ts[-2:], fs[-2:])
             t = min(cap, 2.0 * t, 2.0 * x - t if x is not None and x > t else math.inf)
 
         widths = [math.inf, math.inf]
         while True:
-            best = min(probes, key=gap)
-            if gap(best) <= tol or len(probes) > MAX_EVALS:
+            best = min(range(len(gaps)), key=gaps.__getitem__)
+            if gaps[best] <= tol or len(ts) > MAX_EVALS:
                 return settle(best)
             # Brent's step inside the bracket of the estimated signs: inverse
             # quadratic (or secant) interpolation through the last three
             # probes while the bracket halves every two steps, else bisection
-            lo = max((q for q in probes if q.f < 0.0), key=lambda q: q.t)
-            hi = min((q for q in probes if q.f > 0.0), key=lambda q: q.t)
             x = None
-            if hi.t - lo.t <= 0.5 * widths[-2]:
-                x = _interpolate(probes[-3:])
-            if x is None or not lo.t < x < hi.t:
-                x = 0.5 * (lo.t + hi.t)
-            widths.append(hi.t - lo.t)
+            if hi_t - lo_t <= 0.5 * widths[-2]:
+                x = _interpolate(ts[-3:], fs[-3:])
+            if x is None or not lo_t < x < hi_t:
+                x = 0.5 * (lo_t + hi_t)
+            widths.append(hi_t - lo_t)
             # but step at least half the width the best probe's gap allows,
             # towards the root, unless that repeats a probe
-            step = 0.5 * (tol - best.tail_bound) / abs(best.f)
-            toward = -1.0 if best.f > 0.0 else 1.0
-            if toward * (x - best.t) < step:
-                forced = min(cap, max(0.0, best.t + toward * step))
-                if all(q.t != forced for q in probes):
+            step = 0.5 * (tol - tbs[best]) / abs(fs[best])
+            toward = -1.0 if fs[best] > 0.0 else 1.0
+            if toward * (x - ts[best]) < step:
+                forced = min(cap, max(0.0, ts[best] + toward * step))
+                if forced not in ts:
                     x = forced
-            yield from probe(x)
+            add(x, (yield sgn * x))
 
     def grid(self, us) -> list[float]:
         """J at each u of ``us``, every search advanced one lambda per round.
@@ -939,21 +959,21 @@ class RateJ:
         return self.grid([u])[0]
 
 
-def _interpolate(probes: list[_Probe]) -> float | None:
-    """Root of the inverse quadratic through three probes, or of the secant through two.
+def _interpolate(ts: list[float], fs: list[float]) -> float | None:
+    """Root of the inverse quadratic through three probes (t, f), or of the secant through two.
 
     With three probes whose slopes are not distinct, the secant through the
     last two; None when the secant's two slopes coincide.
     """
-    if len(probes) == 3:
-        (x0, f0), (x1, f1), (x2, f2) = ((p.t, p.f) for p in probes)
+    if len(ts) == 3:
+        (x0, x1, x2), (f0, f1, f2) = ts, fs
         if f0 != f1 and f1 != f2 and f0 != f2:
             return (
                 x0 * f1 * f2 / ((f0 - f1) * (f0 - f2))
                 + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
                 + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1))
             )
-    (x0, f0), (x1, f1) = ((p.t, p.f) for p in probes[-2:])
+    (x0, x1), (f0, f1) = ts[-2:], fs[-2:]
     if f0 == f1:
         return None
     return x1 - f1 * (x1 - x0) / (f1 - f0)

@@ -125,19 +125,28 @@ class Workspace:
     larger than any before.  So a result that a kernel function wrote into a
     workspace stays valid only until the next call on the same workspace,
     and concurrent callers each need their own.  A caller may take a role
-    with another dtype while its contents are dead.
+    with another dtype while its contents are dead.  Views are kept by
+    (role, dtype, shape), so taking a role again with the same dtype and
+    shape returns the same array; a role's views are dropped when its
+    buffer grows, so the old buffer can be freed.
     """
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
+        self._views: dict[tuple, np.ndarray] = {}
 
     def take(self, role: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        buf = self._buffers.get(role)
-        if buf is None or buf.size < nbytes:
-            buf = self._buffers[role] = np.empty(nbytes, dtype=np.uint8)
-        return buf[:nbytes].view(dtype).reshape(shape)
+        key = (role, dtype, shape)
+        view = self._views.get(key)
+        if view is None:
+            dtype = np.dtype(dtype)
+            nbytes = math.prod(shape) * dtype.itemsize
+            buf = self._buffers.get(role)
+            if buf is None or buf.size < nbytes:
+                buf = self._buffers[role] = np.empty(nbytes, dtype=np.uint8)
+                self._views = {k: v for k, v in self._views.items() if k[0] != role}
+            view = self._views[key] = buf[:nbytes].view(dtype).reshape(shape)
+        return view
 
 
 def mix_batch(keys, counters, ws: Workspace | None = None) -> np.ndarray:

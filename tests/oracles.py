@@ -343,6 +343,92 @@ def golden_conjugate(q, u, cap, lambda_tol, slope_tol, slope_delta):
     return max(0.0, best)
 
 
+def conjugate_search(u, tol, cap, M, max_evals, slope_tol):
+    """The certified conjugate search for J(u), re-deriving every bracket from all probes.
+
+    The reference for ``RateJ._search``: a generator that yields each lambda
+    it needs and is sent an evaluation with ``value``, ``slope``,
+    ``slope_bound`` and ``tail_bound``.  A probe's bracket is recomputed
+    from every probe each time its gap is read, so a round costs a pass over
+    the probes per probe.  Out of evaluations it raises the library's
+    ToleranceError, with the same message.
+    """
+    from ncsums.errors import ToleranceError
+
+    if u == 0.0:
+        return 0.0
+    a, sgn = abs(u), (1.0 if u > 0 else -1.0)
+    # a probe is (t, g, f, slope_bound, tail_bound); the origin's own sign takes no margin
+    origin = (0.0, 0.0, -a, 0.0, 0.0)
+    probes = [origin]
+
+    def probe(t):
+        ev = yield sgn * t
+        p = (t, t * a - ev.value, sgn * ev.slope - a, ev.slope_bound, ev.tail_bound)
+        probes.append(p)
+        return p
+
+    def sign(q, p):
+        margin = 0.0 if q is origin else abs(q[3] - p[3])
+        return 1 if q[2] > margin else -1 if q[2] < -margin else 0
+
+    def gap(p):
+        lo = max(q[0] for q in probes if sign(q, p) < 0)
+        hi = min([cap] + [q[0] for q in probes if sign(q, p) > 0])
+        return abs(p[2]) * max(hi - p[0], p[0] - lo) + p[4]
+
+    def settle(best):
+        if gap(best) > tol:
+            raise ToleranceError(
+                f"conjugate search at u={u} reached gap {gap(best):.3e} "
+                f"after {max_evals} pressure evaluations, over tol={tol}",
+                achievable_tol=gap(best),
+            )
+        return max(0.0, best[1])
+
+    def interpolate(ps):
+        if len(ps) == 3:
+            (x0, f0), (x1, f1), (x2, f2) = ((p[0], p[2]) for p in ps)
+            if f0 != f1 and f1 != f2 and f0 != f2:
+                return (
+                    x0 * f1 * f2 / ((f0 - f1) * (f0 - f2))
+                    + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
+                    + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1))
+                )
+        (x0, f0), (x1, f1) = ((p[0], p[2]) for p in ps[-2:])
+        return None if f0 == f1 else x1 - f1 * (x1 - x0) / (f1 - f0)
+
+    t = min(cap, a / M**2 if math.isfinite(M * M) else a / M / M)
+    while True:
+        if len(probes) > max_evals:
+            return settle(min(probes, key=gap))
+        p = yield from probe(t)
+        if p[2] > 0.0:
+            break
+        if t == cap:
+            return math.inf if -p[2] - p[3] >= slope_tol else max(0.0, p[1])
+        x = interpolate(probes[-2:])
+        t = min(cap, 2.0 * t, 2.0 * x - t if x is not None and x > t else math.inf)
+    widths = [math.inf, math.inf]
+    while True:
+        best = min(probes, key=gap)
+        if gap(best) <= tol or len(probes) > max_evals:
+            return settle(best)
+        lo = max((q for q in probes if q[2] < 0.0), key=lambda q: q[0])[0]
+        hi = min((q for q in probes if q[2] > 0.0), key=lambda q: q[0])[0]
+        x = interpolate(probes[-3:]) if hi - lo <= 0.5 * widths[-2] else None
+        if x is None or not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        widths.append(hi - lo)
+        step = 0.5 * (tol - best[4]) / abs(best[2])
+        toward = -1.0 if best[2] > 0.0 else 1.0
+        if toward * (x - best[0]) < step:
+            forced = min(cap, max(0.0, best[0] + toward * step))
+            if all(q[0] != forced for q in probes):
+                x = forced
+        yield from probe(x)
+
+
 def enumerate_pair_dilation_mgf(lam, N):
     """E exp(lam * sum_{m<=N} X_m X_{2m}) for +-1 coins, over all 2**(2N) outcomes."""
     n_draws = 2 * N

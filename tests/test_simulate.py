@@ -1,7 +1,9 @@
+import gc
 import math
 import sys
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -784,6 +786,75 @@ class TestWorkspace:
                 counters = simulate._draw_numbers(np.asarray(ms, np.uint64), j, obs.ell, mode)
                 got = sample_indices(dist, k, counters, ws).copy()
                 assert np.array_equal(got, sample_indices(dist, k, counters))
+
+    def test_growth_drops_the_old_buffer(self):
+        ws = Workspace()
+        small = ws.take("word", np.uint64, (4,))
+        assert ws.take("word", np.uint64, (4,)) is small  # a kept view
+        old = weakref.ref(ws._buffers["word"])
+        del small
+        big = ws.take("word", np.uint64, (64,))
+        again = ws.take("word", np.uint64, (4,))
+        buf = ws._buffers["word"]
+        for view in (big, again):
+            assert np.shares_memory(view, buf)
+            assert view.ctypes.data == buf.ctypes.data
+        gc.collect()
+        assert old() is None
+
+    def test_another_dtype_or_shape_takes_the_leading_bytes(self):
+        ws = Workspace()
+        words = ws.take("word", np.uint64, (8,))
+        words[:] = np.arange(8, dtype=np.uint64) * 0x0101010101010101
+        for dtype, shape in ((np.uint8, (4, 16)), (np.float64, (2, 2)), (np.bool_, (3,))):
+            view = ws.take("word", dtype, shape)
+            assert view.dtype == np.dtype(dtype) and view.shape == shape
+            assert view.ctypes.data == words.ctypes.data
+            assert view.tobytes() == words.tobytes()[: view.nbytes]
+
+    def test_roles_never_alias(self):
+        ws = Workspace()
+        roles = (("word", np.uint64), ("count", np.int64), ("hit", np.bool_),
+                 ("code", np.uint8), ("word", np.float64))
+        # the buffers grow and shrink back: every view taken stays alive
+        taken = [(role, ws.take(role, dtype, (n,)))
+                 for n in (4, 100, 7, 1000, 3) for role, dtype in roles]
+        for i, (role, view) in enumerate(taken):
+            for other, view2 in taken[i + 1 :]:
+                if other != role:
+                    assert not np.shares_memory(view, view2), (role, other)
+
+    @pytest.mark.parametrize("s,ell,N,replicas", [(2, 2, 60, 32768), (2, 2, 600, 32769)])
+    def test_replica_sums_slots_and_redraws(self, s, ell, N, replicas, monkeypatch):
+        # kept views change neither the table's slot buffers nor how often a
+        # draw that finds the table full is drawn again
+        dist, obs = random_law(s, ell, seed=s + 10 * ell)
+        workspaces, draws = [], []
+
+        class Recorded(Workspace):
+            def __init__(self):
+                super().__init__()
+                workspaces.append(self)
+
+        keys = mix_batch(s * ell, np.arange(replicas, dtype=np.uint64))
+        draw = simulate.sample_indices
+        monkeypatch.setattr(simulate, "Workspace", Recorded)
+        monkeypatch.setattr(
+            simulate, "sample_indices", lambda *a, **k: draws.append(1) or draw(*a, **k)
+        )
+        terms = range(1, N + 1)
+        plan = simulate._ReplicaPlan(dist, obs, terms, "nonconventional", simulate._LDP_CHUNK)
+        drawn = [d for new, _ in plan.steps for _, d in new]
+        counts = {60: (17, 90, 90), 600: (32, 1074, 900)}[N]  # slots, draws, distinct draws
+        assert (plan.slots, len(drawn), len(set(drawn))) == counts
+        chunks = range(0, replicas, simulate._LDP_CHUNK)
+        got = np.concatenate([plan.sums(keys[c0 : c0 + simulate._LDP_CHUNK]) for c0 in chunks])
+        assert len(draws) == len(chunks) * len(drawn)
+        assert len(workspaces) == len(chunks)
+        for ws in workspaces:
+            assert sum(role.startswith("slot ") for role in ws._buffers) == plan.slots
+        want = oracles.replica_total(dist, obs, keys, terms, "nonconventional")
+        assert same_bits(got, want)
 
     @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
     def test_trajectory_memory_is_one_block(self, mode):
