@@ -6,9 +6,10 @@ json.dumps(indent=2) with non-finite floats spelled as strings.  simulate's
 (k, S_k) table, whose S_k are always finite, is written with the same bytes
 by one row template per format: "%d,%.9g" for CSV, and for JSON the indent-2
 layout of [k, S_k] with %r, which spells a Python float as json.dumps does.
-When every S_k is an integer below 1e9 in magnitude and none is -0.0 (any
-sum of integer terms, such as rademacher-product's), a numpy digit kernel
-writes those bytes instead, without a Python float or string per row.
+The table is rendered and written in chunks of _CHUNK rows.  When every S_k
+of a chunk is an integer below 1e9 in magnitude and none is -0.0 (any sum of
+integer terms, such as rademacher-product's), a numpy digit kernel writes
+that chunk's bytes instead, without a Python float or string per row.
 Outputs are byte-identical across runs and thread counts once --no-timestamp
 is passed.  Exit codes: 0 success, 2 input error, 3 capacity/budget (also an
 array too large to allocate), 4 tolerance unreachable.  Errors additionally
@@ -22,6 +23,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import cache, partial
@@ -157,6 +159,8 @@ _ROWS = {
     ),
 }
 _DIGIT_LIMIT = 1e9
+# simulate renders and writes its table this many rows at a time
+_CHUNK = 2**15
 
 
 def _digit_field(grid, end: int, width: int, mags) -> None:
@@ -177,14 +181,14 @@ def _digit_field(grid, end: int, width: int, mags) -> None:
 
 
 def _digit_rows(ks, ints, parts: tuple[str, str, str], sep: str) -> str:
-    """``sep``-joined rows ``before + k + between + S_k + after`` for the ints
-    ``ks`` >= 0 (ascending) and int32 ``ints``, written with numpy.
+    """Rows ``before + k + between + S_k + after``, each followed by ``sep``,
+    for the ints ``ks`` >= 0 (ascending) and int32 ``ints``, written with numpy.
 
     Every row takes one line of a uint8 grid: the digits of k and of S_k fill
-    fields as wide as their longest value, S_k's field starts with a sign
-    column, and the parts and ``sep`` fill the columns between.  Unused bytes
-    stay 0 and are dropped by one mask, which leaves "-" just before the
-    first digit, and the bytes are decoded once as ASCII.
+    fields as wide as the longest value of these rows, S_k's field starts
+    with a sign column, and the parts and ``sep`` fill the columns between.
+    Unused bytes stay 0 and are dropped by one mask, which leaves "-" just
+    before the first digit, and the bytes are decoded once as ASCII.
     """
     before, between, after = (p.encode() for p in parts)
     mags = np.abs(ints)
@@ -201,31 +205,38 @@ def _digit_rows(ks, ints, parts: tuple[str, str, str], sep: str) -> str:
     np.multiply(ints < 0, np.uint8(45), out=grid[:, v_start])  # "-"
     _digit_field(grid, v_end, v_width, mags)
     flat = grid.reshape(-1)
-    text = flat[flat != 0].tobytes().decode("ascii")
-    return text[: len(text) - len(sep)]
+    return flat[flat != 0].tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)
 class _Pairs:
     """simulate's rows as two columns: int64 ``ks`` and finite float64 ``values``.
 
-    ``text`` writes them in one format.  When every value is an integer below
+    ``text`` writes them in one format, _CHUNK rows at a time, and each chunk
+    takes its own route.  When every value of the chunk is an integer below
     1e9 in magnitude and none is -0.0 (every sum of integer terms, such as
-    rademacher-product's), _digit_rows builds the rows as bytes; otherwise
+    rademacher-product's), _digit_rows builds its rows as bytes; otherwise
     ``fill`` formats every row with one template in a single % pass, so no
     row tuple and no per-value string is built.  Both give the bytes of the
-    generic renderer.
+    generic renderer, so the pieces do too, wherever the chunks split.
     """
 
     ks: np.ndarray
     values: np.ndarray
 
-    def text(self, fmt: str) -> str:
+    def text(self, fmt: str) -> Iterator[str]:
+        """The rows as pieces of at most _CHUNK rows, each row followed by
+        the format's separator except the very last."""
         row, parts, sep = _ROWS[fmt]
-        ints = self.integers()
-        if ints is None:
-            return self.fill(row, sep)
-        return _digit_rows(self.ks, ints, parts, sep)
+        size = self.values.size
+        for start in range(0, size, _CHUNK):
+            chunk = _Pairs(self.ks[start : start + _CHUNK], self.values[start : start + _CHUNK])
+            ints = chunk.integers()
+            if ints is None:
+                piece = chunk.fill(row, sep)
+            else:
+                piece = _digit_rows(chunk.ks, ints, parts, sep)
+            yield piece if start + _CHUNK < size else piece[: -len(sep)]
 
     def integers(self) -> np.ndarray | None:
         """``values`` as int32 if each is an integer in (-1e9, 1e9) and none is -0.0."""
@@ -238,31 +249,41 @@ class _Pairs:
         return None
 
     def fill(self, row: str, sep: str) -> str:
+        """Every row through the template ``row``, each followed by ``sep``."""
         pairs = chain.from_iterable(zip(self.ks.tolist(), self.values.tolist()))
-        return sep.join([row] * len(self.values)) % tuple(pairs)
+        return (row + sep) * len(self.values) % tuple(pairs)
 
 
-def _render(args, payload: dict, header, rows) -> str:
-    """The output text of one subcommand in the requested format.
+def _render(args, payload: dict, header, rows) -> Iterator[str]:
+    """The output text of one subcommand in the requested format, as pieces
+    to be written in order.
 
-    ``rows`` is a list of row tuples, or simulate's _Pairs, which JSON writes
-    as the payload's last key "rows".
+    ``rows`` is a list of row tuples, whose table is one piece, or
+    simulate's _Pairs, whose rows come in pieces of at most _CHUNK rows
+    between a head and a tail; JSON writes them as the payload's last key
+    "rows".
     """
     pairs = isinstance(rows, _Pairs)
     if args.format == "json":
         if not args.no_timestamp:
             payload = {"generated_at": _timestamp(), **payload}
         if not pairs:
-            return _json_text(payload, indent=2) + "\n"
+            yield _json_text(payload, indent=2) + "\n"
+            return
         head = _json_text({**payload, "rows": []}, indent=2)  # ends with '[]\n}'
-        return head[:-3] + "\n" + rows.text("json") + "\n  ]\n}\n"
+        yield head[:-3] + "\n"
+        yield from rows.text("json")
+        yield "\n  ]\n}\n"
+        return
     lines = [] if args.no_timestamp else [f"# generated_at={_timestamp()}"]
     lines.append(",".join(header))
     if pairs:
-        lines.append(rows.text("csv"))
-    else:
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+        yield "\n".join(lines) + "\n"
+        yield from rows.text("csv")
+        yield "\n"
+        return
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    yield "\n".join(lines) + "\n"
 
 
 def _resolve_observable(args):
@@ -617,12 +638,12 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         if args.threads < 1:
             raise InputError(f"threads must be at least 1, not {args.threads}")
         payload, header, rows = args.run(args)
-        text = _render(args, payload, header, rows)
+        pieces = _render(args, payload, header, rows)
         if args.output:
             with open(args.output, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         else:
-            stdout.write(text)
+            stdout.writelines(pieces)
         if args.format == "csv" and "summary" in payload:
             # a CSV table cannot carry erlaw's per-(alpha, n) summary
             stderr.write(_json_text({"summary": payload["summary"]}) + "\n")
@@ -639,7 +660,18 @@ def main(argv=None, stdout=None, stderr=None) -> int:
 
 
 def entrypoint():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): the rest of the output has
+        # nowhere to go, which is not a failure; fd 1 now points at the null
+        # device so that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

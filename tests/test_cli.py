@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -359,6 +360,17 @@ def integer_prefixes():
 INTEGER_PREFIXES = integer_prefixes()
 
 
+def mixed_prefix():
+    """An integer walk whose chunks take both routes: half-integers at k =
+    100..199, -0.0 at k = 301 and 1e9 at k = 350 (each kept by stride 7)."""
+    rng = np.random.default_rng(11)
+    prefix = np.concatenate([[0.0], np.cumsum(rng.choice([-1.0, 1.0], 420))])
+    prefix[100:200] += 0.5
+    prefix[301] = -0.0
+    prefix[350] = 1e9
+    return prefix
+
+
 class TestSimulateRendering:
     """simulate's tables against the generic renderer (oracles.render_simulate)."""
 
@@ -417,6 +429,92 @@ class TestSimulateRendering:
         prefix = trajectory(*preset("rademacher-product"), 3, 3000)
         out, want, kernel = self.render(monkeypatch, fmt, prefix, stride)
         assert out == want and kernel
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("stride", [1, 7, "n"])
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("prefix", [mixed_prefix(), awkward_prefix()], ids=["mixed", "awkward"])
+    def test_chunks_match_generic_renderer(self, prefix, chunk, fmt, stride, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        out, want, _ = self.render(monkeypatch, fmt, prefix, stride)
+        assert out == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunk", [10, 100])
+    def test_k_gains_a_digit_at_a_chunk_boundary(self, chunk, fmt, monkeypatch):
+        # chunks of 10 and 100 rows start at k = 10, 100 and 1000
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        prefix = INTEGER_PREFIXES["k past 1e6"][0][:1201]
+        out, want, _ = self.render(monkeypatch, fmt, prefix, 1)
+        assert out == want
+        firsts = []  # the first k of each chunk the digit kernel writes
+        monkeypatch.setattr(cli, "_digit_rows", lambda ks, *a: firsts.append(ks[0]) or "-")
+        list(cli._Pairs(np.arange(1201), prefix).text(fmt))
+        assert firsts == list(range(0, 1201, chunk))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_zero_in_a_later_chunk_takes_the_template(self, fmt, monkeypatch):
+        # -0.0 at k = 140 sends chunk 20 of 58, and that chunk alone, to the template
+        monkeypatch.setattr(cli, "_CHUNK", 7)
+        prefix, _ = INTEGER_PREFIXES["-0.0"]
+        filled = []
+        fill = cli._Pairs.fill
+        monkeypatch.setattr(
+            cli._Pairs, "fill", lambda self, *a: filled.append(self.ks.tolist()) or fill(self, *a)
+        )
+        out, want, _ = self.render(monkeypatch, fmt, prefix, 1)
+        assert out == want
+        assert filled == [list(range(140, 147))]
+        row = {"csv": "\n140,-0\n", "json": "      140,\n      -0.0\n"}[fmt]
+        assert row in out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pieces_end_with_the_separator_but_the_last(self, fmt, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK", 64)
+        prefix = mixed_prefix()
+        pieces = list(cli._Pairs(np.arange(prefix.size), prefix).text(fmt))
+        sep = cli._ROWS[fmt][2]
+        assert len(pieces) == 7
+        assert all(p.endswith(sep) for p in pieces[:-1])
+        assert not pieces[-1].endswith(sep)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_file_holds_the_bytes_of_stdout(self, fmt, tmp_path):
+        # two full chunks and a short one
+        argv = ("simulate", "--preset", "rademacher-product", "--n", str(2 * cli._CHUNK + 4),
+                "--seed", "5", "--format", fmt, "--no-timestamp")
+        code, out, _ = run_cli(*argv)
+        target = tmp_path / "out.txt"
+        assert run_cli(*argv, "--output", str(target)) == (0, "", "")
+        assert code == 0 and target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize(
+        "argv,code", [(("--n", "-1"), 2), (("--stride", "0"), 2), (("--n", "1e16"), 3)]
+    )
+    def test_a_refused_run_writes_no_output(self, argv, code, tmp_path):
+        base = ("simulate", "--preset", "rademacher-product", "--n", "100", "--no-timestamp")
+        assert run_cli(*base, *argv)[:2] == (code, "")
+        target = tmp_path / "out.txt"
+        assert run_cli(*base, *argv, "--output", str(target))[:2] == (code, "")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("fmt,n", [("csv", 400000), ("json", 150000)])
+    def test_peak_memory_stays_near_the_prefix_and_the_output(self, fmt, n):
+        # the prefix and the k column take 16 bytes a row, and the output
+        # stream holds the text; rendering adds about a chunk's worth
+        argv = ["simulate", "--preset", "rademacher-product", "--n", str(n),
+                "--format", fmt, "--no-timestamp"]
+        run_cli(*argv[:4], "100", *argv[5:])  # builds the parser and warms the caches
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            code = main(argv, stdout=out, stderr=io.StringIO())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = len(out.getvalue())
+        assert code == 0 and size > 10 * n
+        assert peak <= 16 * (n + 1) + 2 * size + 2 * 2**20
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_timestamp_is_one_extra_line(self, fmt):
@@ -1103,7 +1201,8 @@ def cli_subprocess(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "ncsums", *argv],
         capture_output=True,
-        env={"PYTHONPATH": str(root / "src"), "COLUMNS": "80", "PYTHONIOENCODING": "utf-8"},
+        env={"PYTHONPATH": str(root / "src"), "COLUMNS": "80", "PYTHONIOENCODING": "utf-8",
+             "PYTHONDONTWRITEBYTECODE": "1"},
         cwd=root,
     )
     return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
@@ -1148,7 +1247,7 @@ def test_import_leaves_the_thread_pool_unloaded():
          "import sys, ncsums.cli; print('concurrent.futures' in sys.modules)"],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(root / "src")},
+        env={"PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
         cwd=root,
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
@@ -1163,11 +1262,32 @@ def test_module_entrypoint_subprocess():
          "--u", "0", "--no-timestamp"],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(root / "src")},
+        env={"PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
         cwd=root,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "0,0,false,1e-08"
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_a_reader_that_closes_the_pipe_early_ends_quietly(unbuffered):
+    # `ncsums simulate ... | head -n 1`: the reader leaves while the table is
+    # still being written, which ends the command with exit 0 and no traceback,
+    # whether or not stdout is buffered
+    root = Path(__file__).resolve().parents[1]
+    env = {"PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    argv = ["simulate", "--preset", "rademacher-product", "--n", "400000", "--no-timestamp"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "ncsums", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=root,
+    ) as proc:
+        assert proc.stdout.readline() == b"k,S_k\n"  # 4.5 MB follow, far past a pipe's buffer
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err.decode()) == (0, "")
 
 
 # Every flag whose value is an integer, by subcommand.
