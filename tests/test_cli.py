@@ -502,13 +502,15 @@ class TestSimulateRendering:
     def test_peak_memory_stays_near_the_prefix_and_the_output(self, fmt, n):
         # the prefix and the k column take 16 bytes a row, and the output
         # stream holds the text; rendering adds about a chunk's worth
-        argv = ["simulate", "--preset", "rademacher-product", "--n", str(n),
-                "--format", fmt, "--no-timestamp"]
-        run_cli(*argv[:4], "100", *argv[5:])  # builds the parser and warms the caches
+        def argv(rows):
+            return ["simulate", "--preset", "rademacher-product", "--n", str(rows),
+                    "--format", fmt, "--no-timestamp"]
+
+        run_cli(*argv(100))  # builds the parser and warms the caches
         out = io.StringIO()
         tracemalloc.start()
         try:
-            code = main(argv, stdout=out, stderr=io.StringIO())
+            code = main(argv(n), stdout=out, stderr=io.StringIO())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
