@@ -22,8 +22,11 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
-from collections.abc import Iterator
+import tempfile
+from collections.abc import Iterable, Iterator
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import cache, partial
@@ -48,6 +51,11 @@ _EXIT_CODES = {ValueError: 2, OverflowError: 2, CapacityError: 3, MemoryError: 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token such as -0.2,0.2, -1e-3 or -.5 is a value: no flag starts with - and a digit or .
+        self._negative_number_matcher = re.compile(r"-[\d.].*")
+
     def error(self, message):
         raise InputError(message)
 
@@ -625,23 +633,52 @@ def _with_config(parser: _Parser, argv: list[str]) -> list[str]:
     return argv[:1] + flags + argv[1:]
 
 
+def _output_file(path: str) -> str:
+    """A new empty file beside --output's ``path``, created before the run so
+    that a path that cannot be written fails at once, with the mode a new
+    file from ``open`` gets."""
+    if os.path.isdir(path):
+        raise InputError(f"argument --output: {path!r} is a directory")
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".ncsums-", dir=os.path.dirname(path) or ".")
+    except OSError as exc:
+        raise InputError(f"argument --output: cannot write {path!r}: {exc.strerror}") from None
+    os.close(fd)
+    umask = os.umask(0)
+    os.umask(umask)
+    os.chmod(tmp, 0o666 & ~umask)
+    return tmp
+
+
+def _write_output(tmp: str, path: str, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to ``tmp``, then move it onto ``path``: no exit leaves part of an output."""
+    try:
+        with open(tmp, "w") as fh:
+            for piece in pieces:
+                fh.write(piece)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise CapacityError(f"cannot write --output {path!r}: {exc.strerror or exc}") from None
+
+
 def main(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     argv = sys.argv[1:] if argv is None else list(argv)
     # no arguments, --help and an unknown name get every subcommand's parser
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    tmp = None
     try:
         args = parser.parse_args(_with_config(parser, argv))
         if args.threads is None:  # NCSUMS_THREADS, or else 1
             args.threads = integer(os.environ.get(ENV_THREADS) or "1")
         if args.threads < 1:
             raise InputError(f"threads must be at least 1, not {args.threads}")
+        tmp = _output_file(args.output) if args.output else None
         payload, header, rows = args.run(args)
         pieces = _render(args, payload, header, rows)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.writelines(pieces)
+        if tmp:
+            _write_output(tmp, args.output, pieces)
         else:
             stdout.writelines(pieces)
         if args.format == "csv" and "summary" in payload:
@@ -657,6 +694,10 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         name = type(exc).__name__ if isinstance(exc, NcsumsError) else "InputError"
         stderr.write(json.dumps({"error": name, "message": str(exc)}) + "\n")
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+    finally:
+        if tmp:
+            with suppress(FileNotFoundError):  # moved onto --output once written
+                os.unlink(tmp)
 
 
 def entrypoint():

@@ -13,9 +13,9 @@ reach the elimination order of each fiber length is a compiled
 elimination plan, built once per process from the chain structure alone
 and replayed per lambda.  The pressure is evaluated over batches of
 lambda: at ell = 2 one sweep serves a whole batch, and the conjugate J
-runs the root searches of a u grid in lockstep, so that the lambdas of
-each round form one batch.  Those searches take Q' from a complex step
-through the same kernels.
+holds the root searches of a u grid as the rows of arrays, so that the
+lambdas of each round form one batch.  Those searches take Q' from a
+complex step through the same kernels.
 
 Each entry point derives its prime basis from obs.ell, except
 log_r_sequence, whose signature the benchmark's span wrapper reads.
@@ -27,11 +27,9 @@ bounded below through h_l >= 2**(l**(1/m) - 1).
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import threading
-from collections.abc import Generator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -174,9 +172,10 @@ class _LogMgf:
     def __init__(self, rate: CramerRate, tol: float):
         self.obs, self.tol, self._rate = rate.obs, tol, rate
 
-    def details(self, lams, slope: bool = False) -> list[PressureEval]:
-        rate = self._rate
-        return [PressureEval(rate.log_mgf(x), 0.0, 1, rate.tilted_mean(x), 0.0) for x in lams]
+    def _batch(self, lams: np.ndarray, slope: bool = False) -> PressureBatch:
+        rate, zero, one = self._rate, np.zeros(len(lams)), np.ones(len(lams), dtype=np.intp)
+        value, mean = (np.array([f(x) for x in lams.tolist()]) for f in (rate.log_mgf, rate.tilted_mean))
+        return PressureBatch(value, zero, one, mean, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +541,19 @@ class PressureEval:
     slope_bound: float | None = None
 
 
+class PressureBatch(NamedTuple):
+    """PressureEval's fields at a batch of lambdas, as arrays; the slopes are None unless asked for."""
+
+    value: np.ndarray
+    tail_bound: np.ndarray
+    truncation_l: np.ndarray
+    slope: np.ndarray | None = None
+    slope_bound: np.ndarray | None = None
+
+    def evals(self) -> list[PressureEval]:
+        return [PressureEval(*row) for row in zip(*(c.tolist() for c in self if c is not None))]
+
+
 def _beyond_enumeration_bound(m: int, n: int) -> float:
     """Upper bound on sum_{l > n} 1/h_l using h_l >= 2**(l**(1/m) - 1).
 
@@ -575,12 +587,12 @@ class Pressure:
     The tail is built once, from the enumerated smooth numbers; the weights
     w_1..w_L are taken per evaluation, up to the largest L it needs.
 
-    ``details`` evaluates a batch of lambdas; at ell = 2 they share one
-    sweep over the chain, and at larger ell each lambda takes its own, with
-    plans only past the sweep's reach.  ``detail`` and calling the object
-    are batches of one.
+    ``_batch`` evaluates a batch of lambdas as arrays; at ell = 2 they share
+    one sweep over the chain, and at larger ell each lambda takes its own,
+    with plans only past the sweep's reach.  ``details`` is its list of
+    PressureEval, and ``detail`` and calling the object are batches of one.
 
-    ``details(lams, slope=True)`` also returns Q'(lambda), by a complex step
+    ``_batch(lams, slope=True)`` also returns Q'(lambda), by a complex step
     through the same kernels, and takes Q from the real part of that run.
     Each d ln R_l/dlambda lies in [-l*M, l*M], so the derivative's dropped
     tail is r * M * sum_{l>L} l * w_l, the value's tail bound over |lambda|.
@@ -609,6 +621,7 @@ class Pressure:
             self._tail = np.zeros(2)
             return
         self._smooth = smooth = smooth_numbers_capped(basis, MAX_TERMS)
+        self._weights = np.empty(0)
         n_h = len(smooth.h)
         inv = 1.0 / np.array(smooth.h, dtype=np.float64)
         # tail[L] = sum_{l>L} l*w_l = (L+1)/h_{L+1} + sum_{l>=L+2} 1/h_l, the
@@ -619,27 +632,34 @@ class Pressure:
         tail[1:] = np.arange(2, n_h + 1) * inv[1:] + suffix[-2::-1]
         tail[0] = inv[0] + suffix[-1]  # L = 0: whole series
         self._tail = tail
-        # -tail[1:] as a running max, so bisect finds the first tail[L] < target
+        # -tail[1:] as a running max, so searchsorted finds the first tail[L] < target
         # even where rounding leaves two adjacent tail entries out of order
-        self._neg_tail = np.maximum.accumulate(-tail[1:]).tolist()
+        self._neg_tail = np.maximum.accumulate(-tail[1:])
 
-    def _truncation(self, lam: float) -> tuple[int, float]:
-        scale = self.basis.r_const * self.obs.sup_abs * abs(lam)
-        if scale == 0.0:
-            return 1, 0.0
+    def _truncation(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, ToleranceError | None]:
+        """L and tail bound at each lambda up to the first whose tail cannot reach tol, and its error."""
+        scale = self.basis.r_const * self.obs.sup_abs * np.abs(lams)
         tail = self._tail
-        # the first L >= 1 with tail[L] < target
-        L = bisect.bisect_right(self._neg_tail, -self.tol / scale) + 1
-        if L == len(tail):
-            raise ToleranceError(
-                f"certified tail cannot reach tol={self.tol} "
-                f"(best achievable {scale * float(tail[-1]):.3e})",
-                achievable_tol=scale * float(tail[-1]),
+        # the first L >= 1 with tail[L] < target; L = 1 and bound 0 where scale = 0
+        with np.errstate(divide="ignore", over="ignore"):
+            L = np.searchsorted(self._neg_tail, -self.tol / scale, side="right") + 1
+        bad, failed = L == len(tail), None
+        if bad.any():
+            i = int(bad.argmax())
+            best = float(scale[i]) * float(tail[-1])
+            failed = ToleranceError(
+                f"certified tail cannot reach tol={self.tol} (best achievable {best:.3e})",
+                achievable_tol=best,
             )
-        return L, scale * float(tail[L])
+            L, scale = L[:i], scale[:i]
+        return L, scale * tail[L], failed
 
     def details(self, lams, slope: bool = False) -> list[PressureEval]:
-        """PressureEval at each lambda of ``lams``, in order, with Q' if ``slope``.
+        """PressureEval at each lambda of ``lams``, in order, with Q' if ``slope``."""
+        return self._batch(np.array([float(lam) for lam in lams]), slope).evals()
+
+    def _batch(self, lams: np.ndarray, slope: bool = False) -> PressureBatch:
+        """Q at each lambda of the float array ``lams``, in order, and Q' if ``slope``.
 
         Each distinct lambda is truncated in order and evaluated once; Q(0)
         = 0 needs no evaluation.  At ell = 2 they share one sweep up to the
@@ -651,78 +671,84 @@ class Pressure:
         |lambda| past it, so the batch re-run at that tol passes.  A |lambda|
         past lambda_max, where exp(lambda * F) overflows, is an InputError.
         """
-        lams = [float(lam) for lam in lams]
         top = self.lambda_max
-        if max(map(abs, lams), default=0.0) > top:
+        if (np.abs(lams) > top).any():
             raise InputError(f"|lambda| may not exceed ln(DBL_MAX) / sup|F| = {top:.9g}")
         if self.basis.m == 0:
-            return self._evaluate([(lam, 1, 0.0) for lam in lams], slope)
-        found = {0.0: PressureEval(0.0, 0.0, 0)}
-        todo: list[tuple[float, int, float]] = []
-        failed = None
-        for lam in dict.fromkeys(lams):
-            if lam == 0.0 and not slope:
-                continue
-            try:
-                todo.append((lam, *self._truncation(lam)))
-            except ToleranceError as exc:
-                failed = exc
-                break
-        if todo:
-            found.update(zip([lam for lam, _, _ in todo], self._evaluate(todo, slope)))
+            return self._evaluate(lams, np.ones(len(lams), dtype=np.intp), np.zeros(len(lams)), slope)
+        listed = lams.tolist()
+        keys, pos = dict.fromkeys(listed), None
+        if len(keys) < len(listed):  # repeats: each distinct lambda once, in order of first appearance
+            at = {lam: i for i, lam in enumerate(keys)}
+            lams, pos = np.array(list(keys)), [at[lam] for lam in listed]
+        L, bound, failed = self._truncation(lams)
+        if not slope:
+            L[lams[: len(L)] == 0.0] = 0  # Q(0) = 0 at L = 0, with no evaluation
+        out = self._evaluate(lams[: len(L)], L, bound, slope)
         if failed is not None:
             raise failed
-        return [found[lam] for lam in lams]
+        return out if pos is None else PressureBatch(*(c if c is None else c[pos] for c in out))
 
-    def _evaluate(self, todo: list[tuple[float, int, float]], slope: bool) -> list[PressureEval]:
-        """Series values at (lambda, L, tail bound) triples."""
+    def _evaluate(
+        self, lams: np.ndarray, L: np.ndarray, bound: np.ndarray, slope: bool
+    ) -> PressureBatch:
+        """Series values at ``lams``, truncated at ``L`` with tail bounds ``bound``."""
         dist, obs, basis = self.dist, self.obs, self.basis
-        top = max((L for _, L, _ in todo), default=0)
+        top = int(L.max(initial=0))
         h = STEP_OVER_M / (obs.sup_abs or 1.0)
-        args = [complex(lam, h) if slope else lam for lam, _, _ in todo]
+        args = lams
+        if slope:
+            args = np.empty(len(lams), dtype=np.complex128)
+            args.real, args.imag = lams, h
+        live = np.flatnonzero(L)  # the rows at L = 0 sum no terms
         try:
-            if obs.ell == 2:
-                lnr = log_r_sequence(dist, obs, basis, np.array(args), top, budget=self.budget)
+            if obs.ell == 2 and 0 < len(live) == len(L):
+                lnr = log_r_sequence(dist, obs, basis, args, top, budget=self.budget)
+            elif obs.ell == 2:
+                lnr = np.zeros((len(args), top), dtype=args.dtype)
+                if len(live):
+                    lnr[live] = log_r_sequence(dist, obs, basis, args[live], top, budget=self.budget)
             else:
                 # a batch would run every lambda to the top L; at ell >= 3 the
                 # extra lengths are the costliest cells, and past the sweep's
                 # reach every row replays its own plans, so each runs alone
-                lnr = [
-                    log_r_sequence(dist, obs, basis, arg, L, budget=self.budget)
-                    for arg, (_, L, _) in zip(args, todo)
-                ]
+                lnr = np.zeros((len(args), top), dtype=args.dtype)
+                for i in live.tolist():
+                    n = int(L[i])
+                    lnr[i, :n] = log_r_sequence(dist, obs, basis, args[i : i + 1], n, budget=self.budget)[0]
         except BudgetExceededError as exc:
             done = exc.completed
             if done < 1:
                 msg = f"no fiber length fits the budget of {self.budget}"
                 raise ToleranceError(f"budget exhausted at fiber length 1; {msg}") from exc
             # the reach is the same at every lambda, so the largest |lambda| past it decides
-            lam = max(abs(lam) for lam, L, _ in todo if L > done)
+            lam = float(np.abs(lams[L > done]).max())
             achievable = basis.r_const * obs.sup_abs * lam * float(self._tail[done])
             raise ToleranceError(
                 f"budget exhausted at fiber length {done + 1}; "
                 f"achievable tol is {achievable}",
                 achievable_tol=achievable,
             ) from exc
-        w = self._series_weights(top)
-        r = basis.r_const
-        evals = []
-        for (_, L, bound), row in zip(todo, lnr):
-            terms = w[:L] * np.asarray(row[:L])
-            value = r * math.fsum(terms.real.tolist())
-            if slope:
-                dq = r * math.fsum(terms.imag.tolist()) / h
-                dq_bound = r * obs.sup_abs * float(self._tail[L])
-                evals.append(PressureEval(value, bound, L, dq, dq_bound))
-            else:
-                evals.append(PressureEval(value, bound, L))
-        return evals
+        terms = self._series_weights(top) * lnr
+        r, Ls = basis.r_const, L.tolist()
+
+        def sums(part: np.ndarray) -> np.ndarray:
+            # each row's exactly rounded sum of its first L terms
+            return np.array([math.fsum(row[:n]) for row, n in zip(part.tolist(), Ls)])
+
+        value = r * sums(terms.real)
+        if not slope:
+            return PressureBatch(value, bound, L)
+        return PressureBatch(value, bound, L, r * sums(terms.imag) / h, r * obs.sup_abs * self._tail[L])
 
     def _series_weights(self, top: int) -> np.ndarray:
         """The weights w_1..w_top, each the float nearest the exact rational."""
         if self._smooth is None:
             return np.ones(top)
-        return np.array([self._smooth.weight(l) for l in range(1, top + 1)])
+        w = self._weights  # read once: another thread may store a shorter array meanwhile
+        if len(w) < top:
+            w = self._weights = np.array([self._smooth.weight(l) for l in range(1, top + 1)])
+        return w[:top]
 
     def detail(self, lam: float) -> PressureEval:
         return self.details([lam])[0]
@@ -741,6 +767,8 @@ SLOPE_TOL = 1e-4
 # best probe's objective if that gap is within tol, and reports the gap it
 # reached as a ToleranceError otherwise.
 MAX_EVALS = 64
+
+
 
 
 class RateJ:
@@ -764,16 +792,16 @@ class RateJ:
     runs Brent's method (Brent, *Algorithms for Minimization without
     Derivatives*, 1973, ch. 4), each step moving at least half the width
     the best probe's gap allows, so the last steps straddle the root.
-    Each probe keeps its bracket, under its own truncation, and its gap: a
-    new probe takes its bracket from the probes before it and tightens
-    theirs with its sign, so a round costs one pass over the probes.
     ``l_plus``/``l_minus`` are Q'(+-lambda_cap) within their tail bound.
 
-    ``grid`` runs the searches of a whole u grid in lockstep, so each round's
-    lambdas reach the pressure as one batch; calling the object is a grid of
+    ``grid`` holds the searches of a whole u grid as the rows of arrays
+    (see _Searches).  A round is a few numpy passes over the unfinished
+    searches and one batch of the pressure at their lambdas, in u order;
+    each row makes the IEEE operations of its search alone, so J and every
+    error keep the bits of the u alone.  Calling the object is a grid of
     one u.  ``pressure`` is a Pressure, or CramerRate's exact ln phi: any
-    object with ``obs``, ``tol``, ``details`` and ``lambda_max``, the largest
-    cap it takes.  The cap defaults to CAP_OVER_M / M.
+    object with ``obs``, ``tol``, ``_batch`` and ``lambda_max``, the
+    largest cap it takes.  The cap defaults to CAP_OVER_M / M.
     """
 
     def __init__(self, pressure: Pressure, lambda_cap: float | None = None):
@@ -796,184 +824,208 @@ class RateJ:
         """-Q'(-lambda_cap): the left end of J's domain is -l_minus."""
         return -self.pressure.details([-self.lambda_cap], slope=True)[0].slope
 
-    def _search(self, u: float) -> Generator[float, PressureEval, float]:
-        """The certified search for J(u): yields each lambda it needs, is sent its evaluation.
-
-        Probe i is the floats ts[i], gs[i] = t*|u| - Q, fs[i] = sgn*Q' - |u|
-        (the objective's slope, negated), sbs[i] and tbs[i], the tail bounds
-        of Q' and Q at its truncation, and its bracket [los[i], his[i]] of
-        the root under that truncation with the gap it certifies, gaps[i].
-        A new probe's bracket is taken from the probes before it, and its
-        sign tightens theirs, one margin per pair.
-        """
-        if u == 0.0:
-            return 0.0
-        a, sgn = abs(u), (1.0 if u > 0 else -1.0)
-        tol, cap = self.pressure.tol, self.lambda_cap
-        # probe 0 is the origin: Q'(0) = E F = 0 exactly, whatever the
-        # truncation, so its own sign takes no margin; as the probe whose gap
-        # is taken, it stands for the untruncated Q (no tail)
-        ts, gs, fs, sbs, tbs = [0.0], [0.0], [-a], [0.0], [0.0]
-        los, his, gaps = [0.0], [cap], [a * cap]
-        # the largest t with f < 0 and the smallest with f > 0: Brent's bracket
-        lo_t, hi_t = 0.0, math.inf
-
-        def add(t: float, ev: PressureEval) -> float:
-            """Record the probe at t, with its bracket, and tighten the earlier brackets."""
-            nonlocal lo_t, hi_t
-            f, sb, tb = sgn * ev.slope - a, ev.slope_bound, ev.tail_bound
-            lo, hi = 0.0, cap  # the origin's sign is -1 under every truncation
-            for i, (tq, fq, sq) in enumerate(zip(ts, fs, sbs)):
-                # the sign of Q_L' - |u| at one probe, for the truncation L of
-                # the other, is resolved beyond the difference of their tails;
-                # first probe i's sign under the new truncation
-                m = abs(sq - sb)
-                if fq > m:
-                    if tq < hi:
-                        hi = tq
-                elif fq < -m and tq > lo:
-                    lo = tq
-                # then the new probe's sign under probe i's truncation
-                if f > m:
-                    if t >= his[i]:
-                        continue
-                    his[i] = t
-                elif f < -m:
-                    if t <= los[i]:
-                        continue
-                    los[i] = t
-                else:
-                    continue
-                gaps[i] = abs(fq) * max(his[i] - tq, tq - los[i]) + tbs[i]
-            # its own sign takes no margin
-            if f < 0.0:
-                lo, lo_t = max(lo, t), max(lo_t, t)
-            elif f > 0.0:
-                hi, hi_t = min(hi, t), min(hi_t, t)
-            ts.append(t)
-            gs.append(t * a - ev.value)
-            fs.append(f)
-            sbs.append(sb)
-            tbs.append(tb)
-            los.append(lo)
-            his.append(hi)
-            gaps.append(abs(f) * max(hi - t, t - lo) + tb)
-            return f
-
-        def settle(best: int) -> float:
-            """The objective at the best probe, if its gap is within tol; else out of evaluations."""
-            if gaps[best] > tol:
-                raise ToleranceError(
-                    f"conjugate search at u={u} reached gap {gaps[best]:.3e} "
-                    f"after {MAX_EVALS} pressure evaluations, over tol={tol}",
-                    achievable_tol=gaps[best],
-                )
-            return max(0.0, gs[best])
-
-        M = self.pressure.obs.sup_abs or 1.0
-        # M**2 raises OverflowError past M ~ 1.3e154, and M * M can differ from it in the last bit
-        t = min(cap, a / M**2 if math.isfinite(M * M) else a / M / M)
-        while True:
-            if len(ts) > MAX_EVALS:
-                # Q' can read 0 at every probe (exp(+-lambda F) rounds to 1 below
-                # |lambda| ~ 1e-16/M), while the gap may already be within tol
-                return settle(min(range(len(gaps)), key=gaps.__getitem__))
-            f = add(t, (yield sgn * t))
-            if f > 0.0:
-                break
-            if t == cap:
-                # below its tail bound, Q' at the cap is certainly below |u| - SLOPE_TOL;
-                # otherwise the capped supremum is the objective at the cap
-                if -f - sbs[-1] >= SLOPE_TOL:
-                    return math.inf
-                return max(0.0, gs[-1])
-            # double, or step to twice the secant's root when that is nearer
-            x = _interpolate(ts[-2:], fs[-2:])
-            t = min(cap, 2.0 * t, 2.0 * x - t if x is not None and x > t else math.inf)
-
-        widths = [math.inf, math.inf]
-        while True:
-            best = min(range(len(gaps)), key=gaps.__getitem__)
-            if gaps[best] <= tol or len(ts) > MAX_EVALS:
-                return settle(best)
-            # Brent's step inside the bracket of the estimated signs: inverse
-            # quadratic (or secant) interpolation through the last three
-            # probes while the bracket halves every two steps, else bisection
-            x = None
-            if hi_t - lo_t <= 0.5 * widths[-2]:
-                x = _interpolate(ts[-3:], fs[-3:])
-            if x is None or not lo_t < x < hi_t:
-                x = 0.5 * (lo_t + hi_t)
-            widths.append(hi_t - lo_t)
-            # but step at least half the width the best probe's gap allows,
-            # towards the root, unless that repeats a probe
-            step = 0.5 * (tol - tbs[best]) / abs(fs[best])
-            toward = -1.0 if fs[best] > 0.0 else 1.0
-            if toward * (x - ts[best]) < step:
-                forced = min(cap, max(0.0, ts[best] + toward * step))
-                if forced not in ts:
-                    x = forced
-            add(x, (yield sgn * x))
-
     def grid(self, us) -> list[float]:
-        """J at each u of ``us``, every search advanced one lambda per round.
+        """J at each u of ``us``; an error is the one the first failing u raises alone.
 
-        A round sends each unfinished search the evaluation at the lambda it
-        asked for and passes the lambdas it asks for next, in u order, to one
-        ``Pressure.details`` call, which drops repeats.  A search's lambdas
-        do not depend on the other searches, but a later u can fail in an
-        earlier round than an earlier u.  So when a round fails, the
-        unfinished searches run on alone in u order, and the error raised is
-        the one the first u in order raises alone.
+        When a round's batch fails, its lambdas but the last are evaluated
+        alone, in u order, up to the first that fails, and the last takes
+        the batch's error when none does.  That search ends with the error,
+        and the searches after it stop.
         """
-        searches = dict(enumerate(self._search(float(u)) for u in us))
-        out = [0.0] * len(searches)
-        sends: dict[int, PressureEval | None] = dict.fromkeys(searches)  # None starts a search
-        while searches:
-            asks = {}
-            for i, search in list(searches.items()):
-                try:
-                    asks[i] = search.send(sends[i])
-                except StopIteration as stop:
-                    out[i] = stop.value
-                    del searches[i]
+        press, limit = self.pressure, MAX_EVALS
+        s = _Searches([float(u) for u in us], self.lambda_cap, press.obs.sup_abs or 1.0, limit)
+        ev = None
+        while s.step(ev, press.tol, limit):
+            lams = s.sgn * s.t
             try:
-                evals = self.pressure.details(asks.values(), slope=True)
-            except ToleranceError:
-                # if all but the last run through alone, the round failed at the last
-                for i, lam in list(asks.items())[:-1]:
-                    self._run_alone(searches[i], lam)
-                raise
-            sends = dict(zip(asks, evals))
-        return out
-
-    def _run_alone(self, search: Generator[float, PressureEval, float], lam: float) -> None:
-        """Drive one search from its pending lambda to its end, one evaluation at a time."""
-        try:
-            while True:
-                lam = search.send(self.pressure.details([lam], slope=True)[0])
-        except StopIteration:
-            pass
+                ev = press._batch(lams, slope=True)
+            except ToleranceError as exc:
+                done = []
+                for i in range(len(lams) - 1):
+                    try:
+                        done.append(press._batch(lams[i : i + 1], slope=True))
+                    except ToleranceError as err:
+                        exc = err
+                        break
+                s.fail(s.index[len(done)], exc)
+                ev = PressureBatch(*map(np.concatenate, zip(*done))) if done else None
+        if s.error is not None:
+            raise s.error
+        return s.out.tolist()
 
     def __call__(self, u: float) -> float:
         return self.grid([u])[0]
 
 
-def _interpolate(ts: list[float], fs: list[float]) -> float | None:
-    """Root of the inverse quadratic through three probes (t, f), or of the secant through two.
+class _Searches:
+    """The unfinished searches of a RateJ grid, one row each, with their probes as arrays.
+
+    ``probes[:, i, r]`` is probe i of row r: t, g = t*|u| - Q, f = sgn*Q' -
+    |u| (the objective's slope, negated), the tail bounds of Q' and of Q at
+    its truncation, and its bracket [lo, hi] of the root under that
+    truncation.  The probe axis comes before the rows, so that a probe's
+    values broadcast against the rows' own arrays.  Every row makes one
+    probe a round, so all hold ``n``, probe 0 the origin.  ``t`` is each
+    row's next probe, ``brent`` whether it has passed the root, and
+    ``widths`` its Brent bracket's widths two steps and one step ago.
+
+    A row's every value is the IEEE operation, in the same order, that its
+    search alone makes on Python floats: ``max(0.0, x)`` and ``min(cap, x)``
+    are where passes that keep Python's choice, and a gap of 0 * inf is
+    never the best probe.
+    """
+
+    @np.errstate(all="ignore")  # IEEE results, as on Python floats
+    def __init__(self, us: list[float], cap: float, M: float, limit: int):
+        self.us, self.cap, self.n, self.error = us, cap, 1, None  # the first failing u's error
+        self.out = np.zeros(len(us))
+        u = np.array(us)
+        self.index = np.flatnonzero(u)  # J(0) = 0 takes no search
+        u = u[self.index]
+        self.a = a = np.abs(u)
+        self.sgn = np.where(u > 0.0, 1.0, -1.0)
+        # probe 0 is the origin: Q'(0) = E F = 0 exactly, whatever the
+        # truncation, so its own sign takes no margin; as the probe whose gap
+        # is taken, it stands for the untruncated Q (no tail)
+        self.probes = p = np.zeros((7, limit + 1, len(u)))
+        p[2, 0], p[6, 0] = -a, cap
+        # M**2 raises OverflowError past M ~ 1.3e154, and M * M can differ from it in the last bit
+        t = a / M**2 if math.isfinite(M * M) else a / M / M
+        self.t = np.where(t < cap, t, cap)
+        self.brent = np.zeros(len(u), dtype=bool)
+        self.widths = np.full((2, len(u)), np.inf)
+
+    def _keep(self, rows: np.ndarray) -> None:
+        for name in ("index", "a", "sgn", "t", "brent"):
+            setattr(self, name, getattr(self, name)[rows])
+        self.widths, p = self.widths[:, rows], self.probes
+        # only the probes taken are copied; the pages of the others stay untouched
+        self.probes = np.zeros((7, p.shape[1], len(self.t)))
+        self.probes[:, : self.n] = p[:, : self.n, rows]
+
+    def fail(self, at: int, error: ToleranceError) -> None:
+        """End the search of u number ``at`` with ``error``, and every search after it."""
+        self.error = error
+        self._keep(self.index < at)
+
+    @np.errstate(all="ignore")
+    def step(self, ev: PressureBatch | None, tol: float, limit: int) -> bool:
+        """Record the probes of ``ev`` at ``t``, then step each row or end its search; whether any row is left.
+
+        A doubling row whose last probe is past the root turns to Brent's
+        method; else it ends at the cap, or doubles, or steps to twice the
+        secant's root when that is nearer.  A row in Brent's method ends once
+        its best gap is within tol, and every row once it is out of
+        evaluations: Q' can read 0 at every probe (exp(+-lambda F) rounds to
+        1 below |lambda| ~ 1e-16/M) while the gap is already within tol.
+        """
+        if ev is not None:
+            self._add(ev)
+        n, cap, p = self.n, self.cap, self.probes
+        T, G, F, SB, TB, LO, HI = p[:, :n]
+        t, brent = self.t, self.brent
+        end = j = failed = None
+        if n > 1 and np.count_nonzero(brent) < len(t):
+            brent |= F[-1] > 0.0
+            doubling = ~brent
+            if np.count_nonzero(doubling):
+                x, ok = _interpolate(T[-2:], F[-2:])
+                nxt = 2.0 * t
+                nxt = np.where(nxt < cap, nxt, cap)
+                near = 2.0 * x - t
+                self.t = np.where(brent, t, np.where(ok & (x > t) & (near < nxt), near, nxt))
+                capped = doubling & (t == cap)
+                if np.count_nonzero(capped):
+                    # below its tail bound, Q' at the cap is certainly below |u| - SLOPE_TOL;
+                    # otherwise the capped supremum is the objective at the cap
+                    end, g = capped, G[-1]
+                    j = np.where(-F[-1] - SB[-1] >= SLOPE_TOL, np.inf, np.where(g > 0.0, g, 0.0))
+        if n > limit or np.count_nonzero(brent):
+            # inf for nan: a gap of 0 * inf is never the best, under argmin as under Python's min
+            gaps = np.fmin(np.abs(F) * np.maximum(HI - T, T - LO) + TB, np.inf)
+            best, rows = gaps.argmin(0), np.arange(len(t))
+            gap = gaps[best, rows]
+            bt, bg, bf, _, btb, _, _ = p[:, best, rows]  # each row's best probe
+            stop = (brent & (gap <= tol)) | (n > limit)
+            if end is not None:
+                stop &= ~end
+            if np.count_nonzero(brent & ~stop):
+                # Brent's step inside the bracket of the estimated signs: inverse
+                # quadratic (or secant) interpolation through the last three
+                # probes while the bracket halves every two steps, else bisection
+                w = self.widths
+                lo = np.maximum.reduce(T, 0, initial=0.0, where=F < 0.0)
+                hi = np.minimum.reduce(T, 0, initial=np.inf, where=F > 0.0)
+                width, x = hi - lo, 0.5 * (lo + hi)
+                ok = brent & (width <= 0.5 * w[0])
+                if np.count_nonzero(ok):
+                    xq, okq = _interpolate(T[-3:], F[-3:])
+                    x = np.where(ok & okq & (lo < xq) & (xq < hi), xq, x)
+                np.copyto(w[0], w[1], where=brent)
+                np.copyto(w[1], width, where=brent)
+                # but step at least half the width the best probe's gap allows,
+                # towards the root (down from a probe past it), unless that
+                # repeats a probe; a 0 that clipping leaves is the origin's t
+                step = 0.5 * (tol - btb) / np.abs(bf)
+                past, d = bf > 0.0, x - bt
+                forced = np.minimum(np.maximum(np.where(past, bt - step, bt + step), 0.0), cap)
+                ok = (np.where(past, -d, d) < step) & ~(T == forced).any(0)
+                np.copyto(self.t, np.where(ok, forced, x), where=brent)
+            over = stop & (gap > tol)
+            if np.count_nonzero(over):
+                i = over.argmax()
+                failed = self.index[i], ToleranceError(
+                    f"conjugate search at u={self.us[self.index[i]]} reached gap {gap[i]:.3e} "
+                    f"after {limit} pressure evaluations, over tol={tol}",
+                    achievable_tol=float(gap[i]),
+                )
+            bg = np.where(bg > 0.0, bg, 0.0)
+            end, j = (stop, bg) if end is None else (end | stop, np.where(stop, bg, j))
+        if end is not None and np.count_nonzero(end):
+            self.out[self.index[end]] = j[end]
+            self._keep(~end)
+        if failed:
+            self.fail(*failed)
+        return len(self.t) > 0
+
+    def _add(self, ev: PressureBatch) -> None:
+        """Record each row's probe at ``t``, with its bracket, and tighten the earlier brackets.
+
+        The sign of Q_L' - |u| at one probe, under the truncation L of
+        another, is resolved beyond the difference of their Q' tail bounds,
+        0 for the probe itself.
+        """
+        k, t, a, sb = self.n, self.t, self.a, ev.slope_bound
+        self.n = k + 1
+        T, G, F, SB, TB, LO, HI = self.probes[:, : k + 1]
+        f = self.sgn * ev.slope - a
+        T[k], G[k], F[k], SB[k], TB[k] = t, t * a - ev.value, f, sb, ev.tail_bound
+        margin = np.abs(SB - sb)
+        neg = -margin
+        # the new probe's sign under each earlier truncation, then the new
+        # probe's bracket from every probe's sign under its own
+        np.minimum(HI, t, out=HI, where=f > margin)
+        np.maximum(LO, t, out=LO, where=f < neg)
+        HI[k] = np.minimum.reduce(T, 0, initial=self.cap, where=F > margin)
+        LO[k] = np.maximum.reduce(T, 0, initial=0.0, where=F < neg)
+
+
+# the two other probes of each term of the inverse quadratic
+_IQI_A, _IQI_B = np.array([1, 0, 0]), np.array([2, 2, 1])
+
+
+def _interpolate(ts: np.ndarray, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Root of the inverse quadratic through three probes (t, f) of each row, or of the secant through two.
 
     With three probes whose slopes are not distinct, the secant through the
-    last two; None when the secant's two slopes coincide.
+    last two; ``ok`` is False where the secant's two slopes coincide.
     """
+    x1, x2, f1, f2 = ts[-2], ts[-1], fs[-2], fs[-1]
+    x = x2 - f2 * (x2 - x1) / (f2 - f1)
     if len(ts) == 3:
-        (x0, x1, x2), (f0, f1, f2) = ts, fs
-        if f0 != f1 and f1 != f2 and f0 != f2:
-            return (
-                x0 * f1 * f2 / ((f0 - f1) * (f0 - f2))
-                + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
-                + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1))
-            )
-    (x0, x1), (f0, f1) = ts[-2:], fs[-2:]
-    if f0 == f1:
-        return None
-    return x1 - f1 * (x1 - x0) / (f1 - f0)
+        # term j is x_j f_a f_b / ((f_j - f_a)(f_j - f_b)), a and b the other two in order
+        fa, fb = fs[_IQI_A], fs[_IQI_B]
+        q = ts * fa * fb / ((fs - fa) * (fs - fb))
+        quad = (fs != fa) & (fs != fb)
+        x = np.where(quad[0] & quad[1], q[0] + q[1] + q[2], x)
+    return x, f1 != f2

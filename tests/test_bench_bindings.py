@@ -144,14 +144,13 @@ def test_rate_j_ell3_traces_one_fiber_span_per_lambda(monkeypatch):
     spans = load_spans(monkeypatch)
     tracer = spans.Tracer()
     asked = []
-    details = rates.Pressure.details
+    batch = rates.Pressure._batch
 
     def spy(self, lams, slope=False):
-        lams = list(lams)
-        asked.extend(lams)
-        return details(self, lams, slope)
+        asked.extend(lams.tolist())
+        return batch(self, lams, slope)
 
-    monkeypatch.setattr(rates.Pressure, "details", spy)
+    monkeypatch.setattr(rates.Pressure, "_batch", spy)
     before = swapped_bindings()
     argv = [
         "rate-j", "--preset", "rademacher-product", "--ell", "3", "--u", "0.5",

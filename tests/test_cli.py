@@ -566,6 +566,53 @@ class TestDeterminismAndConfig:
         assert code == 0 and out == ""
         assert target.read_text().startswith("x,value")
 
+    SIM = ("simulate", "--preset", "rademacher-product", "--n", "20", "--no-timestamp")
+
+    def assert_refused(self, argv, code, target):
+        got, out, err = run_cli(*argv, "--output", str(target))
+        assert (got, out) == (code, "") and len(err.splitlines()) == 1
+        assert json.loads(err)["message"]
+        assert not target.exists() or target.is_dir()
+        assert not list(target.parent.glob(".ncsums-*"))  # no temporary file left
+
+    def test_output_into_a_missing_directory_exits_2_at_once(self, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(simulate, "trajectory", lambda *a: ran.append(a))
+        target = tmp_path / "missing" / "out.csv"
+        self.assert_refused(self.SIM, 2, target)
+        assert "--output" in json.loads(run_cli(*self.SIM, "--output", str(target))[2])["message"]
+        assert not ran  # refused before the run
+
+    def test_output_onto_a_directory_exits_2(self, tmp_path):
+        self.assert_refused(self.SIM, 2, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == []
+
+    def test_a_failed_write_exits_3_and_leaves_no_file(self, tmp_path, monkeypatch):
+        class FailsAfterOnePiece:
+            def __init__(self, fh):
+                self.fh, self.pieces = fh, 0
+
+            def write(self, text):
+                self.pieces += 1
+                if self.pieces > 1:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        opened = []
+        monkeypatch.setattr(
+            cli, "open", lambda *a, **k: opened.append(1) or FailsAfterOnePiece(open(*a, **k)),
+            raising=False,
+        )
+        target = tmp_path / "out.csv"
+        self.assert_refused(self.SIM, 3, target)
+        assert opened and "No space left" in run_cli(*self.SIM, "--output", str(target))[2]
+
     def test_config_defaults_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 9, "stride": 25}))
@@ -1112,14 +1159,35 @@ def test_every_flag_value_ends_in_an_exit_code(command):
     assert "--threads" in flags and len(flags) >= 3
     for flag in flags:
         for value in EDGE_VALUES:
-            argv = [command, *SWEEP_BASES[command], f"{flag}={value}", "--no-timestamp"]
-            try:
-                with deadline(10.0), warnings.catch_warnings():
-                    warnings.simplefilter("error", RuntimeWarning)
-                    code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
-            except Exception as exc:
-                pytest.fail(f"{argv} raised {exc!r}")
-            assert code in (0, 2, 3, 4), argv
+            # a negative value also as its own token
+            for given in [[f"{flag}={value}"]] + [[flag, value]] * value.startswith("-"):
+                argv = [command, *SWEEP_BASES[command], *given, "--no-timestamp"]
+                try:
+                    with deadline(10.0), warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
+                except Exception as exc:
+                    pytest.fail(f"{argv} raised {exc!r}")
+                assert code in (0, 2, 3, 4), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rate-i", *PRESET, "--alpha", "-0.2,0.2"),
+        ("rate-i", *PRESET, "--alpha", "-1e-3"),
+        ("rate-i", *PRESET, "--alpha", "-.5"),
+        ("pressure", *PRESET, "--lambda", "-0.5:0.5:0.5"),
+        ("rate-j", *PRESET, "--u", "0.5", "--lambda-cap", "-1e0"),
+        ("simulate", *PRESET, "--n", "5", "--seed", "-5e0"),
+    ],
+)
+def test_a_negative_value_may_be_its_own_token(argv):
+    """A token of - and a digit or . after a flag is its value, as after =."""
+    *head, flag, value = argv
+    joined = run_cli(*head, f"{flag}={value}", "--no-timestamp")
+    assert run_cli(*argv, "--no-timestamp") == joined
+    assert joined[0] in (0, 2) and "expected one argument" not in joined[2]
 
 
 # A small valid argv per subcommand, without its observable.

@@ -1,8 +1,9 @@
 """RateJ's conjugate search against the quadratic reference search of tests/oracles.py.
 
-Both searches are driven one lambda at a time through one evaluator, which
-records the lambdas they ask for.  The lambda sequences, J and every error
-(message and achievable tol) must agree bit for bit.
+RateJ runs ``grid([u])`` through a pressure that records every lambda its
+batches carry; the reference is driven one lambda at a time through the same
+pressure.  The lambda sequences, J and every error (message and achievable
+tol) must agree bit for bit.
 """
 
 import math
@@ -18,38 +19,61 @@ from ncsums.model import FiniteDistribution, center, preset, product_observable
 from ncsums.rates import CramerRate, Pressure, RateJ
 
 
-def run(search, evaluate):
-    """Drive a search to its end: the lambdas it asked for, and its J or its error, as bits."""
-    asked = []
+class Recording:
+    """A pressure that records, as hex, each lambda of every batch it evaluates."""
+
+    def __init__(self, press):
+        self.press, self.asked = press, []
+        self.obs, self.tol, self.lambda_max = press.obs, press.tol, press.lambda_max
+
+    def _batch(self, lams, slope=False):
+        self.asked.extend(lam.hex() for lam in lams.tolist())
+        return self.press._batch(lams, slope)
+
+
+def outcome(fn):
+    """J as bits, or the error's message and achievable tol."""
     try:
-        lam = next(search)
-        while True:
-            asked.append(lam.hex())
-            lam = search.send(evaluate(lam))
-    except StopIteration as stop:
-        return asked, float(stop.value).hex()
+        return float(fn()).hex()
     except ToleranceError as exc:
-        return asked, (str(exc), exc.achievable_tol.hex())
+        return (str(exc), exc.achievable_tol.hex())
+
+
+def run(search, evaluate):
+    """Drive a reference search to its end: the lambdas it asked for, and its outcome."""
+    asked = []
+
+    def drive():
+        try:
+            lam = next(search)
+            while True:
+                asked.append(lam.hex())
+                lam = search.send(evaluate(lam))
+        except StopIteration as stop:
+            return stop.value
+
+    return asked, outcome(drive)
 
 
 def compare(conj: RateJ, us) -> list:
-    """Run RateJ's search and the reference for each u alone; their outcomes, once equal."""
+    """Run RateJ's grid and the reference for each u alone; their outcomes, once equal."""
     press = conj.pressure
     M = press.obs.sup_abs or 1.0
 
     def evaluate(lam):
-        return press.details([lam], slope=True)[0]
+        return press._batch(np.array([lam]), slope=True).evals()[0]
 
     outcomes = []
     for u in us:
-        got = run(conj._search(float(u)), evaluate)
+        rec = Recording(press)
+        got = outcome(lambda: RateJ(rec, lambda_cap=conj.lambda_cap).grid([u])[0])
         want = run(
             conjugate_search(
                 float(u), press.tol, conj.lambda_cap, M, rates.MAX_EVALS, rates.SLOPE_TOL
             ),
             evaluate,
         )
-        assert got == want, u
+        assert (rec.asked, got) == want, u
         outcomes.append(want[1])
     return outcomes
 
@@ -164,3 +188,20 @@ def test_budget_failing_grid():
         RateJ(Pressure(dist, obs, tol=1e-10, budget=144)).grid(us)
     assert (str(err.value), err.value.achievable_tol.hex()) == first
     assert first != outcomes[2]
+
+
+def test_tail_mc_batches():
+    # the benchmark's 199-point grid: one batch a round, the last round's
+    # searches all end in it, and no batch is empty
+    dist, obs = preset("rademacher-product", ell=2)
+    sizes = []
+    batch = Pressure._batch
+
+    class Counted(Pressure):
+        def _batch(self, lams, slope=False):
+            sizes.append(len(lams))
+            return batch(self, lams, slope)
+
+    RateJ(Counted(dist, obs, tol=1e-10)).grid(_parse_grid("0.005:0.995:0.005"))
+    assert sizes == [199, 199, 195, 173, 106, 25, 8, 2]
+    assert sum(sizes) == 907
