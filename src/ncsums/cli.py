@@ -23,14 +23,15 @@ import json
 import math
 import os
 import re
+import stat
 import sys
-import tempfile
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import cache, partial
 from itertools import chain, count, takewhile
+from typing import TextIO
 
 import numpy as np
 
@@ -633,30 +634,42 @@ def _with_config(parser: _Parser, argv: list[str]) -> list[str]:
     return argv[:1] + flags + argv[1:]
 
 
-def _output_file(path: str) -> str:
-    """A new empty file beside --output's ``path``, created before the run so
-    that a path that cannot be written fails at once, with the mode a new
-    file from ``open`` gets."""
-    if os.path.isdir(path):
-        raise InputError(f"argument --output: {path!r} is a directory")
+def _open_output(path: str) -> tuple[TextIO, str | None]:
+    """--output's file, opened before the run so that a path that cannot be
+    written fails at once, and the name of the new file it is, if any.
+
+    A missing path or a regular file is written to a new file beside it,
+    with the mode the old file has or ``open`` gives a new one, and moved
+    onto it after the last piece, so no exit leaves part of an output.  Any
+    other path (a symlink, a device, a FIFO) is written through, as by
+    ``open``; a regular file ``open`` would refuse is refused.
+    """
     try:
-        fd, tmp = tempfile.mkstemp(prefix=".ncsums-", dir=os.path.dirname(path) or ".")
+        try:
+            mode = os.lstat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            return open(path, "w"), None
+        if mode is not None:
+            os.close(os.open(path, os.O_WRONLY))
+        tmp = os.path.join(os.path.dirname(path), f".ncsums-{os.urandom(6).hex()}")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise InputError(f"argument --output: cannot write {path!r}: {exc.strerror}") from None
-    os.close(fd)
-    umask = os.umask(0)
-    os.umask(umask)
-    os.chmod(tmp, 0o666 & ~umask)
-    return tmp
+    if mode is not None:
+        os.fchmod(fd, stat.S_IMODE(mode))
+    return open(fd, "w"), tmp
 
 
-def _write_output(tmp: str, path: str, pieces: Iterable[str]) -> None:
-    """Write ``pieces`` to ``tmp``, then move it onto ``path``: no exit leaves part of an output."""
+def _write_output(fh: TextIO, tmp: str | None, path: str, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to ``fh``, then move its file ``tmp`` onto ``path``."""
     try:
-        with open(tmp, "w") as fh:
+        with fh:
             for piece in pieces:
                 fh.write(piece)
-        os.replace(tmp, path)
+        if tmp:
+            os.replace(tmp, path)
     except OSError as exc:
         raise CapacityError(f"cannot write --output {path!r}: {exc.strerror or exc}") from None
 
@@ -667,18 +680,18 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # no arguments, --help and an unknown name get every subcommand's parser
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    tmp = None
+    out = None
     try:
         args = parser.parse_args(_with_config(parser, argv))
         if args.threads is None:  # NCSUMS_THREADS, or else 1
             args.threads = integer(os.environ.get(ENV_THREADS) or "1")
         if args.threads < 1:
             raise InputError(f"threads must be at least 1, not {args.threads}")
-        tmp = _output_file(args.output) if args.output else None
+        out = _open_output(args.output) if args.output else None
         payload, header, rows = args.run(args)
         pieces = _render(args, payload, header, rows)
-        if tmp:
-            _write_output(tmp, args.output, pieces)
+        if out:
+            _write_output(*out, args.output, pieces)
         else:
             stdout.writelines(pieces)
         if args.format == "csv" and "summary" in payload:
@@ -695,9 +708,11 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         stderr.write(json.dumps({"error": name, "message": str(exc)}) + "\n")
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
     finally:
-        if tmp:
-            with suppress(FileNotFoundError):  # moved onto --output once written
-                os.unlink(tmp)
+        if out:
+            out[0].close()
+            if out[1]:
+                with suppress(FileNotFoundError):  # moved onto --output once written
+                    os.unlink(out[1])
 
 
 def entrypoint():

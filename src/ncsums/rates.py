@@ -550,9 +550,6 @@ class PressureBatch(NamedTuple):
     slope: np.ndarray | None = None
     slope_bound: np.ndarray | None = None
 
-    def evals(self) -> list[PressureEval]:
-        return [PressureEval(*row) for row in zip(*(c.tolist() for c in self if c is not None))]
-
 
 def _beyond_enumeration_bound(m: int, n: int) -> float:
     """Upper bound on sum_{l > n} 1/h_l using h_l >= 2**(l**(1/m) - 1).
@@ -656,7 +653,8 @@ class Pressure:
 
     def details(self, lams, slope: bool = False) -> list[PressureEval]:
         """PressureEval at each lambda of ``lams``, in order, with Q' if ``slope``."""
-        return self._batch(np.array([float(lam) for lam in lams]), slope).evals()
+        out = self._batch(np.array([float(lam) for lam in lams]), slope)
+        return [PressureEval(*row) for row in zip(*(c.tolist() for c in out if c is not None))]
 
     def _batch(self, lams: np.ndarray, slope: bool = False) -> PressureBatch:
         """Q at each lambda of the float array ``lams``, in order, and Q' if ``slope``.
@@ -769,8 +767,6 @@ SLOPE_TOL = 1e-4
 MAX_EVALS = 64
 
 
-
-
 class RateJ:
     """Conjugate J(u) = sup (lambda*u - Q(lambda)) over [0, lambda_cap], certified to tol.
 
@@ -798,10 +794,12 @@ class RateJ:
     (see _Searches).  A round is a few numpy passes over the unfinished
     searches and one batch of the pressure at their lambdas, in u order;
     each row makes the IEEE operations of its search alone, so J and every
-    error keep the bits of the u alone.  Calling the object is a grid of
-    one u.  ``pressure`` is a Pressure, or CramerRate's exact ln phi: any
-    object with ``obs``, ``tol``, ``_batch`` and ``lambda_max``, the
-    largest cap it takes.  The cap defaults to CAP_OVER_M / M.
+    error keep the bits of the u alone.  A grid of one u, and calling the
+    object, runs that search on floats (``_search``), since numpy's fixed
+    cost a pass outweighs one row's work.  ``pressure`` is a Pressure, or
+    CramerRate's exact ln phi: any object with ``obs``, ``tol``, ``_batch``
+    and ``lambda_max``, the largest cap it takes.  The cap defaults to
+    CAP_OVER_M / M.
     """
 
     def __init__(self, pressure: Pressure, lambda_cap: float | None = None):
@@ -817,23 +815,27 @@ class RateJ:
     @property
     def l_plus(self) -> float:
         """Q'(lambda_cap): the right end of J's domain, within the slope's tail bound."""
-        return self.pressure.details([self.lambda_cap], slope=True)[0].slope
+        return float(self.pressure._batch(np.array([self.lambda_cap]), slope=True).slope[0])
 
     @property
     def l_minus(self) -> float:
         """-Q'(-lambda_cap): the left end of J's domain is -l_minus."""
-        return -self.pressure.details([-self.lambda_cap], slope=True)[0].slope
+        return -float(self.pressure._batch(np.array([-self.lambda_cap]), slope=True).slope[0])
 
     def grid(self, us) -> list[float]:
         """J at each u of ``us``; an error is the one the first failing u raises alone.
 
-        When a round's batch fails, its lambdas but the last are evaluated
-        alone, in u order, up to the first that fails, and the last takes
-        the batch's error when none does.  That search ends with the error,
-        and the searches after it stop.
+        One u is searched alone, on floats (``_search``).  When a round's
+        batch fails, its lambdas but the last are evaluated alone, in u
+        order, up to the first that fails, and the last takes the batch's
+        error when none does.  That search ends with the error, and the
+        searches after it stop.
         """
+        us = [float(u) for u in us]
+        if len(us) == 1:
+            return [self._search(us[0])]
         press, limit = self.pressure, MAX_EVALS
-        s = _Searches([float(u) for u in us], self.lambda_cap, press.obs.sup_abs or 1.0, limit)
+        s = _Searches(us, self.lambda_cap, press.obs.sup_abs or 1.0, limit)
         ev = None
         while s.step(ev, press.tol, limit):
             lams = s.sgn * s.t
@@ -853,8 +855,101 @@ class RateJ:
             raise s.error
         return s.out.tolist()
 
+    def _search(self, u: float) -> float:
+        """J(u) by the search of one u on floats, one pressure batch of one lambda a probe.
+
+        Probe i is the floats ts[i], gs[i], fs[i], sbs[i] and tbs[i], the
+        values of _Searches' probes, with its bracket [los[i], his[i]] and
+        the gap it certifies, gaps[i], kept as the probes come: a new probe
+        takes its bracket from the probes before it, and its sign tightens
+        theirs.  Every value is the IEEE operation that _Searches makes.
+        """
+        if u == 0.0:
+            return 0.0
+        press, limit, cap = self.pressure, MAX_EVALS, self.lambda_cap
+        a, sgn, tol = abs(u), (1.0 if u > 0 else -1.0), press.tol
+        ts, gs, fs, sbs, tbs = [0.0], [0.0], [-a], [0.0], [0.0]
+        los, his, gaps = [0.0], [cap], [a * cap]
+        # the largest t with f < 0 and the smallest with f > 0: Brent's bracket
+        lo_t, hi_t = 0.0, math.inf
+
+        def add(t: float) -> float:
+            """Evaluate and record the probe at t, and tighten the earlier brackets."""
+            nonlocal lo_t, hi_t
+            ev = press._batch(np.array([sgn * t]), slope=True)
+            q, slope, sb, tb = (float(c[0]) for c in (ev.value, ev.slope, ev.slope_bound, ev.tail_bound))
+            f = sgn * slope - a
+            lo, hi = 0.0, cap
+            for i, (tq, fq, sq) in enumerate(zip(ts, fs, sbs)):
+                m = abs(sq - sb)
+                if fq > m:
+                    hi = min(hi, tq)
+                elif fq < -m:
+                    lo = max(lo, tq)
+                if f > m and t < his[i]:
+                    his[i] = t
+                elif f < -m and t > los[i]:
+                    los[i] = t
+                else:
+                    continue
+                gaps[i] = abs(fq) * max(his[i] - tq, tq - los[i]) + tbs[i]
+            if f < 0.0:
+                lo, lo_t = max(lo, t), max(lo_t, t)
+            elif f > 0.0:
+                hi, hi_t = min(hi, t), min(hi_t, t)
+            for xs, x in zip((ts, gs, fs, sbs, tbs, los, his), (t, t * a - q, f, sb, tb, lo, hi)):
+                xs.append(x)
+            gaps.append(abs(f) * max(hi - t, t - lo) + tb)
+            return f
+
+        def settle() -> float:
+            best = min(range(len(gaps)), key=gaps.__getitem__)
+            if gaps[best] > tol:
+                raise _out_of_evaluations(u, gaps[best], tol, limit)
+            return max(0.0, gs[best])
+
+        M = press.obs.sup_abs or 1.0
+        t = min(cap, a / M**2 if math.isfinite(M * M) else a / M / M)
+        while True:
+            if len(ts) > limit:
+                return settle()
+            f = add(t)
+            if f > 0.0:
+                break
+            if t == cap:
+                if -f - sbs[-1] >= SLOPE_TOL:
+                    return math.inf
+                return max(0.0, gs[-1])
+            x = _interpolate_one(ts[-2:], fs[-2:])
+            t = min(cap, 2.0 * t, 2.0 * x - t if x is not None and x > t else math.inf)
+        widths = [math.inf, math.inf]
+        while True:
+            best = min(range(len(gaps)), key=gaps.__getitem__)
+            if gaps[best] <= tol or len(ts) > limit:
+                return settle()
+            x = None
+            if hi_t - lo_t <= 0.5 * widths[-2]:
+                x = _interpolate_one(ts[-3:], fs[-3:])
+            if x is None or not lo_t < x < hi_t:
+                x = 0.5 * (lo_t + hi_t)
+            widths.append(hi_t - lo_t)
+            step = 0.5 * (tol - tbs[best]) / abs(fs[best])
+            toward = -1.0 if fs[best] > 0.0 else 1.0
+            if toward * (x - ts[best]) < step:
+                forced = min(cap, max(0.0, ts[best] + toward * step))
+                if forced not in ts:
+                    x = forced
+            add(x)
+
     def __call__(self, u: float) -> float:
         return self.grid([u])[0]
+
+
+def _out_of_evaluations(u: float, gap: float, tol: float, limit: int) -> ToleranceError:
+    return ToleranceError(
+        f"conjugate search at u={u} reached gap {gap:.3e} after {limit} pressure evaluations, over tol={tol}",
+        achievable_tol=float(gap),
+    )
 
 
 class _Searches:
@@ -974,11 +1069,7 @@ class _Searches:
             over = stop & (gap > tol)
             if np.count_nonzero(over):
                 i = over.argmax()
-                failed = self.index[i], ToleranceError(
-                    f"conjugate search at u={self.us[self.index[i]]} reached gap {gap[i]:.3e} "
-                    f"after {limit} pressure evaluations, over tol={tol}",
-                    achievable_tol=float(gap[i]),
-                )
+                failed = self.index[i], _out_of_evaluations(self.us[self.index[i]], gap[i], tol, limit)
             bg = np.where(bg > 0.0, bg, 0.0)
             end, j = (stop, bg) if end is None else (end | stop, np.where(stop, bg, j))
         if end is not None and np.count_nonzero(end):
@@ -1029,3 +1120,17 @@ def _interpolate(ts: np.ndarray, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         quad = (fs != fa) & (fs != fb)
         x = np.where(quad[0] & quad[1], q[0] + q[1] + q[2], x)
     return x, f1 != f2
+
+
+def _interpolate_one(ts: list[float], fs: list[float]) -> float | None:
+    """_interpolate for one search, on floats: None where its ``ok`` is False."""
+    if len(ts) == 3:
+        (x0, x1, x2), (f0, f1, f2) = ts, fs
+        if f0 != f1 and f1 != f2 and f0 != f2:
+            return (
+                x0 * f1 * f2 / ((f0 - f1) * (f0 - f2))
+                + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
+                + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1))
+            )
+    (x0, x1), (f0, f1) = ts[-2:], fs[-2:]
+    return None if f0 == f1 else x1 - f1 * (x1 - x0) / (f1 - f0)

@@ -1,8 +1,10 @@
 import io
 import json
 import math
+import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -604,6 +606,9 @@ class TestDeterminismAndConfig:
             def __exit__(self, *exc):
                 self.fh.close()
 
+            def close(self):
+                self.fh.close()
+
         opened = []
         monkeypatch.setattr(
             cli, "open", lambda *a, **k: opened.append(1) or FailsAfterOnePiece(open(*a, **k)),
@@ -612,6 +617,47 @@ class TestDeterminismAndConfig:
         target = tmp_path / "out.csv"
         self.assert_refused(self.SIM, 3, target)
         assert opened and "No space left" in run_cli(*self.SIM, "--output", str(target))[2]
+
+    def test_output_through_a_symlink_keeps_the_link(self, tmp_path):
+        _, want, _ = run_cli(*self.SIM)
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old")
+        link.symlink_to(real)
+        assert run_cli(*self.SIM, "--output", str(link)) == (0, "", "")
+        assert link.is_symlink() and real.read_text() == want
+
+    def test_output_onto_an_existing_file_keeps_its_mode(self, tmp_path):
+        _, want, _ = run_cli(*self.SIM)
+        target = tmp_path / "out.csv"
+        target.write_text("old")
+        target.chmod(0o640)
+        assert run_cli(*self.SIM, "--output", str(target)) == (0, "", "")
+        assert target.read_text() == want and stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_output_onto_a_read_only_file_is_refused_as_open_refuses_it(self, tmp_path):
+        _, want, _ = run_cli(*self.SIM)
+        target = tmp_path / "out.csv"
+        target.write_text("old")
+        target.chmod(0o444)
+        try:
+            open(target, "a").close()  # a user who may write any file (root) may write this one
+        except PermissionError:
+            got, out, err = run_cli(*self.SIM, "--output", str(target))
+            assert (got, out) == (2, "") and "--output" in json.loads(err)["message"]
+            assert target.read_text() == "old"
+        else:
+            assert run_cli(*self.SIM, "--output", str(target)) == (0, "", "")
+            assert target.read_text() == want
+        assert stat.S_IMODE(target.stat().st_mode) == 0o444
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+    def test_output_to_a_device_is_written_through(self, monkeypatch):
+        def replace(*a):
+            raise AssertionError(f"replaced {a}")
+
+        monkeypatch.setattr(cli.os, "replace", replace)
+        assert run_cli(*self.SIM, "--output", os.devnull) == (0, "", "")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
     def test_config_defaults_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,8 +1,10 @@
 """A conjugate grid equals its u's searched alone, bit for bit, as a property.
 
 Grids of repeats, 0, both signs and points past the domain's ends go
-through ``RateJ.grid`` at once; each u also goes through a grid of its own
-and through the reference search of tests/oracles.py.  J, and the error of
+through ``RateJ.grid`` at once, as the rows of its array search; each u
+also goes through a grid of its own (the search on floats), a grid of it and
+0 (the array search with one row) and the reference search of
+tests/oracles.py.  J, and the error of
 the first u that fails, must agree bit for bit, also when the searches run
 out of evaluations.  Besides the fiber pressure of two laws at ell = 2, the
 searches run over Cramér's exact ln phi of a drawn law, whose steps are
@@ -45,11 +47,11 @@ def log_mgf(seed: int) -> RateJ:
 
 @st.composite
 def grids(draw, obs):
-    """Up to 7 u, drawn from a pool of at most 9, so that repeats are common."""
+    """2 to 7 u, drawn from a pool of at most 9, so that repeats are common."""
     lo, hi = -1.2 * obs.sup_neg, 1.2 * obs.sup_pos
     pool = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=4))
     pool += [0.0, obs.sup_pos, -obs.sup_neg, 1.05 * obs.sup_pos, -0.999 * obs.sup_neg]
-    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+    return draw(st.lists(st.sampled_from(pool), min_size=2, max_size=7))
 
 
 @pytest.mark.parametrize("max_evals", [rates.MAX_EVALS, 2, 6])
@@ -64,7 +66,7 @@ def test_grid_equals_each_u_alone(law, max_evals, data):
     us = data.draw(grids(conj.pressure.obs))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rates, "MAX_EVALS", max_evals)
-        alone = compare(conj, us)  # each u's grid of one against the reference
+        alone = compare(conj, us)  # each u searched alone against the reference
         try:
             got = [float(j).hex() for j in conj.grid(us)]
         except ToleranceError as exc:

@@ -1,9 +1,10 @@
 """RateJ's conjugate search against the quadratic reference search of tests/oracles.py.
 
-RateJ runs ``grid([u])`` through a pressure that records every lambda its
-batches carry; the reference is driven one lambda at a time through the same
-pressure.  The lambda sequences, J and every error (message and achievable
-tol) must agree bit for bit.
+RateJ runs ``grid([u])`` (the search on floats) and ``grid([u, 0.0])`` (the
+array search with one row, since J(0) takes no search) through a pressure
+that records every lambda its batches carry; the reference is driven one
+lambda at a time through the same pressure.  The lambda sequences, J and
+every error (message and achievable tol) must agree bit for bit.
 """
 
 import math
@@ -61,19 +62,20 @@ def compare(conj: RateJ, us) -> list:
     M = press.obs.sup_abs or 1.0
 
     def evaluate(lam):
-        return press._batch(np.array([lam]), slope=True).evals()[0]
+        return rates.PressureEval(*(c.tolist()[0] for c in press._batch(np.array([lam]), slope=True)))
 
     outcomes = []
     for u in us:
-        rec = Recording(press)
-        got = outcome(lambda: RateJ(rec, lambda_cap=conj.lambda_cap).grid([u])[0])
         want = run(
             conjugate_search(
                 float(u), press.tol, conj.lambda_cap, M, rates.MAX_EVALS, rates.SLOPE_TOL
             ),
             evaluate,
         )
-        assert (rec.asked, got) == want, u
+        for grid in ([u], [u, 0.0]):
+            rec = Recording(press)
+            got = outcome(lambda: RateJ(rec, lambda_cap=conj.lambda_cap).grid(grid)[0])
+            assert (rec.asked, got) == want, grid
         outcomes.append(want[1])
     return outcomes
 
