@@ -658,7 +658,8 @@ def _open_output(path: str) -> tuple[TextIO, str | None]:
     except OSError as exc:
         raise InputError(f"argument --output: cannot write {path!r}: {exc.strerror}") from None
     if mode is not None:
-        os.fchmod(fd, stat.S_IMODE(mode))
+        with suppress(OSError):  # a file system without modes keeps its own
+            os.fchmod(fd, stat.S_IMODE(mode))
     return open(fd, "w"), tmp
 
 
