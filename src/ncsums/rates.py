@@ -14,8 +14,8 @@ elimination plan, built once per process from the chain structure alone
 and replayed per lambda.  The pressure is evaluated over batches of
 lambda: at ell = 2 one sweep serves a whole batch, and the conjugate J
 holds the root searches of a u grid as the rows of arrays, so that the
-lambdas of each round form one batch.  Those searches take Q' from a
-complex step through the same kernels.
+lambdas of each round form one batch; one u is searched on floats.  Those
+searches take Q' from a complex step through the same kernels.
 
 Each entry point derives its prime basis from obs.ell, except
 log_r_sequence, whose signature the benchmark's span wrapper reads.
