@@ -29,7 +29,6 @@ from .rates import (
     Pressure,
     RateJ,
     chain_index_structure,
-    mgf,
 )
 from .simulate import (
     LdpEstimate,

@@ -1,21 +1,23 @@
 """Rate functions: the fiber pressure series, and one certified conjugate for J and Cramér's I.
 
-The pressure Q(lambda) of a dilation sum is a weighted series over fiber
-lengths l, with weights 1/h_l - 1/h_{l+1} from the smooth-number sequence
-and per-fiber terms ln R_l.  R_l is the exact expectation of
-exp(lambda * sum of l chained observable terms); the chain shares draws
-between terms, so it is evaluated by sum-product elimination over the
-shared-index dependency graph rather than by brute enumeration.  For
-ell >= 2 one forward sweep over the chain terms in increasing h yields
-every length whose tables stay small, for a whole batch of lambdas at
-once; at ell = 2 each of its steps is one s x s transfer.  Past that
-reach the elimination order of each fiber length is a compiled
-elimination plan, built once per process from the chain structure alone
-and replayed per lambda.  The pressure is evaluated over batches of
-lambda: at ell = 2 one sweep serves a whole batch, and the conjugate J
-holds the root searches of a u grid as the rows of arrays, so that the
-lambdas of each round form one batch; one u is searched on floats.  Those
-searches take Q' from a complex step through the same kernels.
+At ell = 1 the pressure is the exact ln phi(lambda) = ln E exp(lambda F)
+(_LogMgf), whose conjugate is Cramér's I.  For ell >= 2 the pressure
+Q(lambda) of a dilation sum is a weighted series over fiber lengths l,
+with weights 1/h_l - 1/h_{l+1} from the smooth-number sequence and
+per-fiber terms ln R_l.  R_l is the exact expectation of exp(lambda * sum
+of l chained observable terms); the chain shares draws between terms, so
+it is evaluated by sum-product elimination over the shared-index
+dependency graph rather than by brute enumeration.  One forward sweep over
+the chain terms in increasing h yields every length whose tables stay
+small, for a whole batch of lambdas at once; at ell = 2 each of its steps
+is one s x s transfer.  Past that reach the elimination order of each
+fiber length is a compiled elimination plan, built once per process from
+the chain structure alone and replayed per lambda.  The pressure is
+evaluated over batches of lambda: at ell = 2 one sweep serves a whole
+batch, and the conjugate J holds the root searches of a u grid as the
+rows of arrays, so that the lambdas of each round form one batch; one u
+is searched on floats.  Those searches take Q' from a complex step
+through the kernels, or at ell = 1 from ln phi's tilted mean.
 
 Each entry point derives its prime basis from obs.ell, except
 log_r_sequence, whose signature the benchmark's span wrapper reads.
@@ -63,18 +65,9 @@ LN2 = math.log(2.0)
 DBL_MAX = float(np.finfo(np.float64).max)
 LN_MAX = math.log(DBL_MAX)
 
-# At |t|*M <= SMALL_TF, CramerRate.log_mgf sums e^{tF} - 1 - tF as a Taylor
+# At |t|*M <= SMALL_TF, _LogMgf.log_mgf sums e^{tF} - 1 - tF as a Taylor
 # series, whose terms past x**9/9! are below 1e-16 of its first.
 SMALL_TF = 1e-2
-
-
-def mgf(dist: FiniteDistribution, obs: Observable, t: float | complex) -> float | complex:
-    """Exact moment generating function E exp(t * F), complex at a complex t."""
-    if t == 0.0:
-        return 1.0
-    vals, probs = value_distribution(dist, obs)
-    shift = float(np.max(t.real * vals))
-    return np.dot(probs, np.exp(t * vals - shift)).item() * math.exp(shift)
 
 
 def _log(z: float | complex) -> float | complex:
@@ -91,18 +84,15 @@ def _require_centered(obs: Observable) -> None:
 
 
 class CramerRate:
-    """Convex conjugate of ln(mgf), by RateJ's certified search over the exact ln phi.
+    """Convex conjugate of ln phi, by RateJ's certified search over the exact ln phi.
 
     For 0 < |alpha| < sup F on alpha's side, RateJ searches the pressure
-    ln phi, whose value is ``log_mgf``, slope ``tilted_mean`` and tails 0,
-    with no lambda cap: their shifted exps never overflow.  It stops at a
-    gap of 1e-13 * 2 alpha**2 / (sup F - inf F)**2, at most 1e-13 * I(alpha)
-    by Hoeffding's inequality.  alpha = 0 and |alpha| >= sup F are exact.
-    Where |t|*M <= SMALL_TF, ln(mgf) and the tilted mean come from sums that
-    do not cancel, so small alpha keep their relative accuracy.  Top values
-    within about 1e-12 * M of each other put t* out of the search's reach,
-    and it raises ToleranceError.  Expectations are exactly rounded sums, so
-    I(-a) of F equals I(a) of -F bit for bit.
+    ln phi (_LogMgf) with no lambda cap: its shifted exps never overflow.
+    It stops at a gap of 1e-13 * 2 alpha**2 / (sup F - inf F)**2, at most
+    1e-13 * I(alpha) by Hoeffding's inequality.  alpha = 0 and |alpha| >=
+    sup F are exact.  Top values within about 1e-12 * M of each other put
+    t* out of the search's reach, and it raises ToleranceError.  I(-a) of F
+    equals I(a) of -F bit for bit.
     """
 
     def __init__(self, dist: FiniteDistribution, obs: Observable):
@@ -111,10 +101,44 @@ class CramerRate:
         _require_centered(obs)
         self.dist = dist
         self.obs = obs
-        vals, probs = value_distribution(dist, obs)
-        self._vals = vals
-        self._probs = probs
-        self._mean = self._expect(vals)
+        self._ln_phi = _LogMgf(dist, obs)
+
+    def _mass_at(self, v: float) -> float:
+        return float(self._ln_phi._probs[self._ln_phi._vals == v].sum())
+
+    def __call__(self, alpha: float) -> float:
+        alpha = float(alpha)
+        if alpha == 0.0:
+            return 0.0
+        obs = self.obs
+        sup = obs.sup_pos if alpha > 0 else obs.sup_neg
+        if abs(alpha) > sup:
+            return math.inf
+        if abs(alpha) == sup:  # alpha is the extreme value of F on its side
+            return -math.log(self._mass_at(alpha))
+        # 1e-13 * 2 alpha**2 / (sup F - inf F)**2, over half the range, which cannot overflow
+        tol = 5e-14 * (alpha / (0.5 * obs.sup_pos + 0.5 * obs.sup_neg)) ** 2
+        # ln phi at that tol, a shallow copy (cheaper than copy.copy): the law is not rebuilt
+        ln_phi = object.__new__(_LogMgf)
+        vars(ln_phi).update(vars(self._ln_phi), tol=tol)
+        return RateJ(ln_phi, lambda_cap=math.inf).grid([alpha])[0]
+
+
+class _LogMgf:
+    """The exact ln phi(t) = ln E exp(tF) as a pressure: the ell = 1 Q, and what CramerRate searches.
+
+    Value ``log_mgf``, slope ``tilted_mean``, both tails 0; RateJ searches
+    it to ``tol``.  Where |t|*M <= SMALL_TF both come from sums that do not
+    cancel, so small t keep their relative accuracy.  Expectations are
+    exactly rounded sums, so ln phi(-t) of F equals ln phi(t) of -F bit for bit.
+    """
+
+    lambda_max = math.inf  # log_mgf and tilted_mean shift their exps
+
+    def __init__(self, dist: FiniteDistribution, obs: Observable, tol: float | None = None):
+        self.obs, self.tol = obs, tol
+        self._vals, self._probs = value_distribution(dist, obs)
+        self._mean = self._expect(self._vals)
 
     def _expect(self, x: np.ndarray) -> float:
         """E of per-value ``x``, exactly rounded: -F lists the values reversed."""
@@ -146,36 +170,13 @@ class CramerRate:
         w = np.exp(tv - float(np.max(tv)))
         return self._expect(w * self._vals) / self._expect(w)
 
-    def _mass_at(self, v: float) -> float:
-        return float(self._probs[self._vals == v].sum())
-
-    def __call__(self, alpha: float) -> float:
-        alpha = float(alpha)
-        if alpha == 0.0:
-            return 0.0
-        obs = self.obs
-        sup = obs.sup_pos if alpha > 0 else obs.sup_neg
-        if abs(alpha) > sup:
-            return math.inf
-        if abs(alpha) == sup:  # alpha is the extreme value of F on its side
-            return -math.log(self._mass_at(alpha))
-        # 1e-13 * 2 alpha**2 / (sup F - inf F)**2, over half the range, which cannot overflow
-        tol = 5e-14 * (alpha / (0.5 * obs.sup_pos + 0.5 * obs.sup_neg)) ** 2
-        return RateJ(_LogMgf(self, tol), lambda_cap=math.inf).grid([alpha])[0]
-
-
-class _LogMgf:
-    """ln phi as the pressure that RateJ searches for one I(alpha): exact, so both tails are 0."""
-
-    lambda_max = math.inf  # log_mgf and tilted_mean shift their exps
-
-    def __init__(self, rate: CramerRate, tol: float):
-        self.obs, self.tol, self._rate = rate.obs, tol, rate
-
-    def _batch(self, lams: np.ndarray, slope: bool = False) -> PressureBatch:
-        rate, zero, one = self._rate, np.zeros(len(lams)), np.ones(len(lams), dtype=np.intp)
-        value, mean = (np.array([f(x) for x in lams.tolist()]) for f in (rate.log_mgf, rate.tilted_mean))
-        return PressureBatch(value, zero, one, mean, zero)
+    def _batch(self, lams: np.ndarray, slope: bool = False) -> PressureEval:
+        """ln phi at each lambda of ``lams`` as Pressure._batch gives Q, at L = 1; slopes only if ``slope``."""
+        ts, zero, one = lams.tolist(), np.zeros(len(lams)), np.ones(len(lams), dtype=np.intp)
+        value = np.array([self.log_mgf(t) for t in ts])
+        if not slope:
+            return PressureEval(value, zero, one)
+        return PressureEval(value, zero, one, np.array([self.tilted_mean(t) for t in ts]), zero)
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +472,15 @@ def log_r_sequence(
     ``basis`` must be primes_up_to(obs.ell); it stays an argument because
     perfbench/spans.py unpacks the ``L`` that follows it.
 
-    ell = 1 collapses to l * ln(mgf).  Larger ell takes one forward sweep
-    over the chain terms for every length in its reach (see _sweep_steps),
-    and past it replays each length's compiled elimination plan; the budget
-    counts the sweep's cells through a length, or that length's plan, for
-    one lambda.  At ell = 2 every step is one s x s transfer and the reach
-    is the budget's.  ``lam`` may also be a 1-D array of lambdas: one sweep
-    then serves them all, each replays its own plans past the reach, and
-    row i of the (B, L) array returned has the bits of the list at lam[i]
-    alone.
+    ell >= 2 only: at ell = 1, ln R_l = l * ln phi, which Pressure takes
+    exactly.  One forward sweep over the chain terms serves every length in
+    its reach (see _sweep_steps), and past it each length replays its
+    compiled elimination plan; the budget counts the sweep's cells through
+    a length, or that length's plan, for one lambda.  At ell = 2 every step
+    is one s x s transfer and the reach is the budget's.  ``lam`` may also
+    be a 1-D array of lambdas: one sweep then serves them all, each replays
+    its own plans past the reach, and row i of the (B, L) array returned
+    has the bits of the list at lam[i] alone.
 
     A complex ``lam`` = lambda + ih with a tiny step h (h * M << 1, for
     example 1e-30 / M) is a complex step (Squire & Trapp, SIAM Review 40,
@@ -489,40 +490,38 @@ def log_r_sequence(
     """
     if obs.ell != basis.ell:
         raise InputError(f"ell={obs.ell} does not match basis ell={basis.ell}")
+    if obs.ell == 1:
+        raise InputError("log_r_sequence needs ell >= 2; at ell = 1 Pressure gives ln phi")
     lams = np.array(lam, dtype=np.result_type(lam, np.float64), ndmin=1)
     s, ell = dist.size, obs.ell
-    if ell == 1:
-        lphi = np.array([_log(mgf(dist, obs, x)) for x in lams.tolist()])
-        out = lphi[:, None] * np.arange(1, L + 1)
-    else:
-        probs = np.asarray(dist.probs, dtype=np.float64)
-        x = lams[:, None] * obs.table
-        # a step multiplies up to ell tables; past ln(DBL_MAX) / ell they are
-        # exp(lam * F - c), c the largest Re(lam) * F, and ln R_l gains l * c
-        shift = {
-            i: float(np.max(lams[i].real * obs.table))
-            for i, v in enumerate(lams.tolist())
-            if abs(v) * obs.sup_abs * ell > LN_MAX
-        }
-        for i, c in shift.items():
-            x[i] -= c
-        shaped = np.exp(x).reshape((-1,) + (s,) * ell)
-        n = len(steps := _sweep_steps(basis, L, s, shaped.itemsize, budget))
-        out = np.empty((len(lams), L), dtype=shaped.dtype)
-        out[:, :n] = _sweep_log(steps, shaped, probs)
-        for l in range(n + 1, L + 1):
-            try:
-                cells, steps = _plan(basis, l, s)
-            except BudgetExceededError as exc:
-                raise BudgetExceededError(str(exc), completed=l - 1) from None
-            if cells > budget:
-                raise BudgetExceededError(
-                    f"elimination needs more than {budget} table cells; raise the budget",
-                    completed=l - 1,
-                )
-            out[:, l - 1] = [_replay_log(steps, row, probs, l) for row in shaped]
-        for i, c in shift.items():
-            out[i] += np.arange(1, L + 1) * c
+    probs = np.asarray(dist.probs, dtype=np.float64)
+    x = lams[:, None] * obs.table
+    # a step multiplies up to ell tables; past ln(DBL_MAX) / ell they are
+    # exp(lam * F - c), c the largest Re(lam) * F, and ln R_l gains l * c
+    shift = {
+        i: float(np.max(lams[i].real * obs.table))
+        for i, v in enumerate(lams.tolist())
+        if abs(v) * obs.sup_abs * ell > LN_MAX
+    }
+    for i, c in shift.items():
+        x[i] -= c
+    shaped = np.exp(x).reshape((-1,) + (s,) * ell)
+    n = len(steps := _sweep_steps(basis, L, s, shaped.itemsize, budget))
+    out = np.empty((len(lams), L), dtype=shaped.dtype)
+    out[:, :n] = _sweep_log(steps, shaped, probs)
+    for l in range(n + 1, L + 1):
+        try:
+            cells, steps = _plan(basis, l, s)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(str(exc), completed=l - 1) from None
+        if cells > budget:
+            raise BudgetExceededError(
+                f"elimination needs more than {budget} table cells; raise the budget",
+                completed=l - 1,
+            )
+        out[:, l - 1] = [_replay_log(steps, row, probs, l) for row in shaped]
+    for i, c in shift.items():
+        out[i] += np.arange(1, L + 1) * c
     return out if np.ndim(lam) else out[0].tolist()
 
 
@@ -530,25 +529,17 @@ def log_r_sequence(
 # Pressure series with certified truncation.
 
 
-@dataclass(frozen=True)
-class PressureEval:
-    """Q(lambda) within ``tail_bound``, and Q'(lambda) within ``slope_bound`` when asked for."""
+class PressureEval(NamedTuple):
+    """Q(lambda) within ``tail_bound``, and Q'(lambda) within ``slope_bound`` when asked for.
 
-    value: float
-    tail_bound: float
-    truncation_l: int
-    slope: float | None = None
-    slope_bound: float | None = None
+    Floats at one lambda (``details``), arrays at a batch (``_batch``).
+    """
 
-
-class PressureBatch(NamedTuple):
-    """PressureEval's fields at a batch of lambdas, as arrays; the slopes are None unless asked for."""
-
-    value: np.ndarray
-    tail_bound: np.ndarray
-    truncation_l: np.ndarray
-    slope: np.ndarray | None = None
-    slope_bound: np.ndarray | None = None
+    value: float | np.ndarray
+    tail_bound: float | np.ndarray
+    truncation_l: int | np.ndarray
+    slope: float | np.ndarray | None = None
+    slope_bound: float | np.ndarray | None = None
 
 
 def _beyond_enumeration_bound(m: int, n: int) -> float:
@@ -582,7 +573,9 @@ class Pressure:
     enumerated smooth range and analytically beyond it.
 
     The tail is built once, from the enumerated smooth numbers; the weights
-    w_1..w_L are taken per evaluation, up to the largest L it needs.
+    w_1..w_L are taken per evaluation, up to the largest L it needs.  At
+    ell = 1 the series is its one term ln R_1 = ln phi, exact at L = 1,
+    and every batch is _LogMgf's.
 
     ``_batch`` evaluates a batch of lambdas as arrays; at ell = 2 they share
     one sweep over the chain, and at larger ell each lambda takes its own,
@@ -613,9 +606,7 @@ class Pressure:
         # exp(lambda * F) is finite up to |lambda| = lambda_max, and at every lambda for F = 0
         self.lambda_max = LN_MAX / obs.sup_abs if obs.sup_abs > 0 else DBL_MAX
         if basis.m == 0:
-            # one term, ln R_1 = ln mgf, and nothing dropped at L = 1
-            self._smooth = None
-            self._tail = np.zeros(2)
+            self._ln_phi = _LogMgf(dist, obs)
             return
         self._smooth = smooth = smooth_numbers_capped(basis, MAX_TERMS)
         self._weights = np.empty(0)
@@ -656,7 +647,7 @@ class Pressure:
         out = self._batch(np.array([float(lam) for lam in lams]), slope)
         return [PressureEval(*row) for row in zip(*(c.tolist() for c in out if c is not None))]
 
-    def _batch(self, lams: np.ndarray, slope: bool = False) -> PressureBatch:
+    def _batch(self, lams: np.ndarray, slope: bool = False) -> PressureEval:
         """Q at each lambda of the float array ``lams``, in order, and Q' if ``slope``.
 
         Each distinct lambda is truncated in order and evaluated once; Q(0)
@@ -673,7 +664,7 @@ class Pressure:
         if (np.abs(lams) > top).any():
             raise InputError(f"|lambda| may not exceed ln(DBL_MAX) / sup|F| = {top:.9g}")
         if self.basis.m == 0:
-            return self._evaluate(lams, np.ones(len(lams), dtype=np.intp), np.zeros(len(lams)), slope)
+            return self._ln_phi._batch(lams, slope)
         listed = lams.tolist()
         keys, pos = dict.fromkeys(listed), None
         if len(keys) < len(listed):  # repeats: each distinct lambda once, in order of first appearance
@@ -685,11 +676,11 @@ class Pressure:
         out = self._evaluate(lams[: len(L)], L, bound, slope)
         if failed is not None:
             raise failed
-        return out if pos is None else PressureBatch(*(c if c is None else c[pos] for c in out))
+        return out if pos is None else PressureEval(*(c if c is None else c[pos] for c in out))
 
     def _evaluate(
         self, lams: np.ndarray, L: np.ndarray, bound: np.ndarray, slope: bool
-    ) -> PressureBatch:
+    ) -> PressureEval:
         """Series values at ``lams``, truncated at ``L`` with tail bounds ``bound``."""
         dist, obs, basis = self.dist, self.obs, self.basis
         top = int(L.max(initial=0))
@@ -736,13 +727,11 @@ class Pressure:
 
         value = r * sums(terms.real)
         if not slope:
-            return PressureBatch(value, bound, L)
-        return PressureBatch(value, bound, L, r * sums(terms.imag) / h, r * obs.sup_abs * self._tail[L])
+            return PressureEval(value, bound, L)
+        return PressureEval(value, bound, L, r * sums(terms.imag) / h, r * obs.sup_abs * self._tail[L])
 
     def _series_weights(self, top: int) -> np.ndarray:
         """The weights w_1..w_top, each the float nearest the exact rational."""
-        if self._smooth is None:
-            return np.ones(top)
         w = self._weights  # read once: another thread may store a shorter array meanwhile
         if len(w) < top:
             w = self._weights = np.array([self._smooth.weight(l) for l in range(1, top + 1)])
@@ -797,7 +786,7 @@ class RateJ:
     error keep the bits of the u alone.  A grid of one u, and calling the
     object, runs that search on floats (``_search``), since numpy's fixed
     cost a pass outweighs one row's work.  ``pressure`` is a Pressure, or
-    CramerRate's exact ln phi: any object with ``obs``, ``tol``, ``_batch``
+    the exact ln phi (_LogMgf): any object with ``obs``, ``tol``, ``_batch``
     and ``lambda_max``, the largest cap it takes.  The cap defaults to
     CAP_OVER_M / M.
     """
@@ -850,7 +839,7 @@ class RateJ:
                         exc = err
                         break
                 s.fail(s.index[len(done)], exc)
-                ev = PressureBatch(*map(np.concatenate, zip(*done))) if done else None
+                ev = PressureEval(*map(np.concatenate, zip(*done))) if done else None
         if s.error is not None:
             raise s.error
         return s.out.tolist()
@@ -908,8 +897,7 @@ class RateJ:
                 raise _out_of_evaluations(u, gaps[best], tol, limit)
             return max(0.0, gs[best])
 
-        M = press.obs.sup_abs or 1.0
-        t = min(cap, a / M**2 if math.isfinite(M * M) else a / M / M)
+        t = min(cap, _first_probe(a, press.obs.sup_abs or 1.0))
         while True:
             if len(ts) > limit:
                 return settle()
@@ -943,6 +931,12 @@ class RateJ:
 
     def __call__(self, u: float) -> float:
         return self.grid([u])[0]
+
+
+def _first_probe(a: float | np.ndarray, M: float) -> float | np.ndarray:
+    """|u| / M**2, where both search forms start doubling, at each |u| of ``a``."""
+    # M**2 raises OverflowError past M ~ 1.3e154, and M * M can differ from it in the last bit
+    return a / M**2 if math.isfinite(M * M) else a / M / M
 
 
 def _out_of_evaluations(u: float, gap: float, tol: float, limit: int) -> ToleranceError:
@@ -984,8 +978,7 @@ class _Searches:
         # is taken, it stands for the untruncated Q (no tail)
         self.probes = p = np.zeros((7, limit + 1, len(u)))
         p[2, 0], p[6, 0] = -a, cap
-        # M**2 raises OverflowError past M ~ 1.3e154, and M * M can differ from it in the last bit
-        t = a / M**2 if math.isfinite(M * M) else a / M / M
+        t = _first_probe(a, M)
         self.t = np.where(t < cap, t, cap)
         self.brent = np.zeros(len(u), dtype=bool)
         self.widths = np.full((2, len(u)), np.inf)
@@ -1004,7 +997,7 @@ class _Searches:
         self._keep(self.index < at)
 
     @np.errstate(all="ignore")
-    def step(self, ev: PressureBatch | None, tol: float, limit: int) -> bool:
+    def step(self, ev: PressureEval | None, tol: float, limit: int) -> bool:
         """Record the probes of ``ev`` at ``t``, then step each row or end its search; whether any row is left.
 
         A doubling row whose last probe is past the root turns to Brent's
@@ -1079,7 +1072,7 @@ class _Searches:
             self.fail(*failed)
         return len(self.t) > 0
 
-    def _add(self, ev: PressureBatch) -> None:
+    def _add(self, ev: PressureEval) -> None:
         """Record each row's probe at ``t``, with its bracket, and tighten the earlier brackets.
 
         The sign of Q_L' - |u| at one probe, under the truncation L of

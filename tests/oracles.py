@@ -92,6 +92,16 @@ def grid_search_rate(dist, obs, alpha, t_max=40.0, steps=400000):
     return float(np.max(ts * alpha - log_phi))
 
 
+def log_phi(vals, probs, t):
+    """ln E exp(tF) in 60-digit decimals, rounded once; ``vals`` and ``probs`` read exactly."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        tv = [Decimal(float(t)) * Decimal(float(x)) for x in vals]
+        c = max(tv)
+        phi = sum(Decimal(float(q)) * (x - c).exp() for q, x in zip(probs, tv))
+        return float(c + phi.ln())
+
+
 def cramer_rate(vals, probs, alpha):
     """Cramer's I(alpha) = sup_t (t*alpha - ln E exp(tF)) in 60-digit decimals, with t uncapped.
 
@@ -662,14 +672,18 @@ def finite_pressure(dist, obs, lam, N):
 
     Fibers over distinct coprime a never share a dilated index (the coprime
     part of j*a*h is a), so the expectation is the product of R over fiber
-    sizes, each from the library's exact ln R_l.
+    sizes, each from the library's exact ln R_l; at ell = 1, ln R_l = l * ln phi.
     """
     from ncsums import lattice, rates
+    from ncsums.model import value_distribution
 
     basis = lattice.primes_up_to(obs.ell)
     _, sizes = lattice.fiber_sizes(basis, N)
     counts = np.bincount(sizes)
     L = int(sizes.max())
-    lnr = rates.log_r_sequence(dist, obs, basis, lam, L)
+    if basis.m == 0:
+        lnr = [l * log_phi(*value_distribution(dist, obs), lam) for l in range(1, L + 1)]
+    else:
+        lnr = rates.log_r_sequence(dist, obs, basis, lam, L)
     total = math.fsum(float(counts[l]) * lnr[l - 1] for l in range(1, L + 1) if counts[l])
     return total / N

@@ -24,7 +24,7 @@ from test_conjugate_oracle import compare  # noqa: E402
 from ncsums import rates  # noqa: E402
 from ncsums.errors import ToleranceError  # noqa: E402
 from ncsums.model import FiniteDistribution, center, preset, product_observable  # noqa: E402
-from ncsums.rates import CramerRate, Pressure, RateJ  # noqa: E402
+from ncsums.rates import Pressure, RateJ  # noqa: E402
 
 PRESSURES = {
     name: Pressure(*preset(name, ell=2), tol=1e-9)  # bernoulli-product is centred
@@ -42,7 +42,7 @@ def log_mgf(seed: int) -> RateJ:
         probs=tuple((probs / probs.sum()).tolist()),
     )
     obs = center(product_observable(dist, 1), dist)
-    return RateJ(rates._LogMgf(CramerRate(dist, obs), 1e-12), lambda_cap=math.inf)
+    return RateJ(rates._LogMgf(dist, obs, 1e-12), lambda_cap=math.inf)
 
 
 @st.composite

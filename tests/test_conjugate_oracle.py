@@ -109,16 +109,30 @@ def test_ell3_with_a_lambda_cap(tol):
     assert_grid_matches(RateJ(Pressure(dist, obs, tol=tol), lambda_cap=1.5), us)
 
 
+@pytest.mark.parametrize(
+    "name,ell,tol,fracs",
+    [("rademacher-product", 2, 0.02, (0.1, 0.1)), ("bernoulli-product", 3, 0.05, (0.1, 0.7))],
+)
+def test_probes_of_different_truncations(name, ell, tol, fracs):
+    # at a loose tol the probes truncate at different L, so a probe's sign
+    # under another's truncation can be uncertain (within the difference of
+    # their Q' tail bounds), and the best probe can stay the best after its
+    # forced step, whose repeat must then give way to Brent's step
+    dist, obs = preset(name, ell=ell)
+    us = [fracs[0] * obs.sup_pos, -fracs[1] * obs.sup_neg]
+    assert_grid_matches(RateJ(Pressure(dist, obs, tol=tol)), us)
+
+
 def cramer_outcomes(dist, obs, alphas, monkeypatch):
     """CramerRate at each alpha, against the reference run over the same exact ln phi."""
     made = []
 
-    class Recorded(rates._LogMgf):
-        def __init__(self, rate, tol):
-            super().__init__(rate, tol)
+    class Recorded(RateJ):
+        def __init__(self, pressure, lambda_cap=None):
+            super().__init__(pressure, lambda_cap)
             made.append(self)
 
-    monkeypatch.setattr(rates, "_LogMgf", Recorded)
+    monkeypatch.setattr(rates, "RateJ", Recorded)
     rate = CramerRate(dist, obs)
     outcomes = []
     for a in alphas:
@@ -126,9 +140,10 @@ def cramer_outcomes(dist, obs, alphas, monkeypatch):
             got = float(rate(a)).hex()
         except ToleranceError as exc:
             got = (str(exc), exc.achievable_tol.hex())
-        (press,) = made
+        (conj,) = made
         made.clear()
-        want = compare(RateJ(press, lambda_cap=math.inf), [a])[0]
+        assert isinstance(conj.pressure, rates._LogMgf) and conj.lambda_cap == math.inf
+        want = compare(RateJ(conj.pressure, lambda_cap=math.inf), [a])[0]
         assert got == want, a
         outcomes.append(want)
     return outcomes

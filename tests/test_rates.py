@@ -17,6 +17,7 @@ from oracles import (
     first_below,
     golden_conjugate,
     grid_search_rate,
+    log_phi,
     pressure_l2,
     pressure_tail,
     r_l_mc,
@@ -41,6 +42,7 @@ from ncsums.model import (
     observable_from_table,
     preset,
     product_observable,
+    value_distribution,
 )
 from ncsums.rates import (
     CramerRate,
@@ -49,7 +51,6 @@ from ncsums.rates import (
     RateJ,
     chain_index_structure,
     log_r_sequence,
-    mgf,
 )
 
 B1 = primes_up_to(1)
@@ -76,21 +77,26 @@ def asymmetric_pair():
 
 
 class TestMgf:
+    """The exact ln phi, _LogMgf.log_mgf, against closed forms and 60-digit decimals."""
+
     def test_rademacher_cosh(self):
         dist, obs = preset("rademacher-product")
-        assert mgf(dist, obs, 1.0) == pytest.approx(math.cosh(1.0), rel=1e-14)
-        assert mgf(dist, obs, -2.5) == pytest.approx(math.cosh(2.5), rel=1e-14)
+        ln_phi = rates._LogMgf(dist, obs).log_mgf
+        assert ln_phi(1.0) == pytest.approx(math.log(math.cosh(1.0)), rel=1e-14)
+        assert ln_phi(-2.5) == pytest.approx(math.log(math.cosh(2.5)), rel=1e-14)
 
     def test_normalization(self):
         for name in ("rademacher-product", "bernoulli-product", "indicator-match"):
             dist, obs = preset(name)
-            assert mgf(dist, obs, 0.0) == 1.0
+            assert rates._LogMgf(dist, obs).log_mgf(0.0) == 0.0
 
     def test_centered_bernoulli_closed_form(self):
         dist, obs = preset("bernoulli-product")
+        ln_phi = rates._LogMgf(dist, obs).log_mgf
         for t in (-2.0, -0.5, 0.3, 1.7):
-            expected = 0.75 * math.exp(-t / 4) + 0.25 * math.exp(3 * t / 4)
-            assert mgf(dist, obs, t) == pytest.approx(expected, rel=1e-14)
+            expected = math.log(0.75 * math.exp(-t / 4) + 0.25 * math.exp(3 * t / 4))
+            assert ln_phi(t) == pytest.approx(expected, rel=1e-14, abs=2**-52)
+            assert ln_phi(t) == pytest.approx(log_phi(*value_distribution(dist, obs), t), abs=2**-52)
 
 
 class TestCramerRate:
@@ -158,9 +164,10 @@ class TestCramerRate:
         # ln(mgf) and the tilted mean on both sides of |t| M = SMALL_TF,
         # against 60-digit decimals, down to t where the exp formulas cancel
         dist, obs = preset(name)
-        rate = CramerRate(dist, obs)
-        pairs = [(Decimal(float(p)), Decimal(float(v))) for p, v in zip(rate._probs, rate._vals)]
-        m = float(np.max(np.abs(rate._vals)))
+        ln_phi = rates._LogMgf(dist, obs)
+        vals, probs = value_distribution(dist, obs)
+        pairs = [(Decimal(float(p)), Decimal(float(v))) for p, v in zip(probs, vals)]
+        m = float(np.max(np.abs(vals)))
         for tm in (1e-14, 1e-9, 1e-5, 5e-3, rates.SMALL_TF, 1.01e-2, 0.3, 2.0):
             for t in (tm / m, -tm / m):
                 with localcontext() as ctx:
@@ -168,8 +175,8 @@ class TestCramerRate:
                     weights = [(p * (Decimal(t) * v).exp(), v) for p, v in pairs]
                     phi = sum(w for w, _ in weights)
                     mean = sum(w * v for w, v in weights) / phi
-                assert rate.log_mgf(t) == pytest.approx(float(phi.ln()), rel=2e-13)
-                assert rate.tilted_mean(t) == pytest.approx(float(mean), rel=2e-13)
+                assert ln_phi.log_mgf(t) == pytest.approx(float(phi.ln()), rel=2e-13)
+                assert ln_phi.tilted_mean(t) == pytest.approx(float(mean), rel=2e-13)
 
     @pytest.mark.parametrize("name", ["rademacher-product", "bernoulli-product"])
     @pytest.mark.parametrize(
@@ -179,9 +186,9 @@ class TestCramerRate:
         # I(alpha) = alpha^2 / (2 Var F) + O(alpha^3); the search starts at
         # t = alpha / M**2, near t* = alpha / Var F, however small alpha is
         dist, obs = preset(name)
-        rate = CramerRate(dist, obs)
-        var = float(np.dot(rate._probs, rate._vals**2))
-        assert rate(alpha) == pytest.approx(alpha**2 / (2 * var), rel=1e-12, abs=0.0)
+        vals, probs = value_distribution(dist, obs)
+        var = float(np.dot(probs, vals**2))
+        assert CramerRate(dist, obs)(alpha) == pytest.approx(alpha**2 / (2 * var), rel=1e-12, abs=0.0)
 
     def test_against_the_decimal_oracle_on_random_laws(self):
         # where |t| M > SMALL_TF, ln phi is the log of a sum near 1, rounded
@@ -198,7 +205,7 @@ class TestCramerRate:
             rate = CramerRate(dist, obs)
             for frac in (0.05, 0.3, 0.6, 0.9):
                 for a in (frac * obs.sup_pos, -frac * obs.sup_neg):
-                    want = cramer_rate(rate._vals, rate._probs, a)
+                    want = cramer_rate(*value_distribution(dist, obs), a)
                     assert rate(a) == pytest.approx(want, rel=1e-12, abs=2**-52), (s, a)
 
     @staticmethod
@@ -221,7 +228,7 @@ class TestCramerRate:
         dist, obs = self.close_top_law(delta)
         rate = CramerRate(dist, obs)
         for a in (obs.sup_pos - 10 * delta, obs.sup_pos - delta / 10):
-            want = cramer_rate(rate._vals, rate._probs, a)
+            want = cramer_rate(*value_distribution(dist, obs), a)
             assert rate(a) == pytest.approx(want, rel=rel), a
 
     def test_top_values_too_close_give_a_close_value_or_tolerance_error(self):
@@ -230,7 +237,7 @@ class TestCramerRate:
         dist, obs = self.close_top_law(1e-13)
         rate = CramerRate(dist, obs)
         for a in (obs.sup_pos - 1e-12, obs.sup_pos - 1e-14):
-            want = cramer_rate(rate._vals, rate._probs, a)
+            want = cramer_rate(*value_distribution(dist, obs), a)
             try:
                 got = rate(a)
             except ToleranceError:
@@ -598,6 +605,12 @@ class TestSweep:
         with pytest.raises(InputError, match="ell=2 does not match basis ell=3"):
             log_r_sequence(dist, obs, B3, lam, 4)
 
+    @pytest.mark.parametrize("lam", [0.5, np.array([0.5, -1.0])])
+    def test_ell1_points_to_the_pressure(self, lam):
+        dist, obs = preset("rademacher-product", ell=1)
+        with pytest.raises(InputError, match="at ell = 1 Pressure gives ln phi"):
+            log_r_sequence(dist, obs, B1, lam, 4)
+
     @pytest.mark.parametrize("lam", [0.7, complex(-0.4, 1e-30)])
     def test_ell2_reach_is_the_budget_on_600_points(self, lam, monkeypatch):
         # a complex 600-point step table holds 5.8 MB, past _SWEEP_BYTES; at
@@ -747,9 +760,24 @@ class TestPressure:
         obs1 = product_observable(dist, 1)
         press = Pressure(dist, obs1, tol=1e-9)
         for lam in (0.3, 1.0, -2.0):
-            assert press(lam) == pytest.approx(
-                math.log(mgf(dist, obs1, lam)), abs=1e-12
-            )
+            assert press(lam) == pytest.approx(math.log(math.cosh(lam)), abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["rademacher-product", "bernoulli-product"])
+    def test_ell1_batch_is_the_exact_ln_phi(self, name):
+        # value and slope are ln phi's and the tilted mean's bits, on both
+        # sides of |lambda| M = SMALL_TF and up to lambda_max; both tails 0 at L = 1
+        dist, obs = preset(name, ell=1)
+        press, ln_phi = Pressure(dist, obs, tol=1e-9), rates._LogMgf(dist, obs)
+        top, m = press.lambda_max, obs.sup_abs
+        lams = [0.0, 1e-9 / m, 0.5 * rates.SMALL_TF / m, rates.SMALL_TF / m, 1.01 * rates.SMALL_TF / m, 1.0]
+        lams += [top, math.nextafter(top, 0.0), 0.999 * top]
+        lams += [-lam for lam in lams]
+        got = press._batch(np.array(lams), slope=True)
+        assert got.value.tolist() == [ln_phi.log_mgf(lam) for lam in lams]
+        assert got.slope.tolist() == [ln_phi.tilted_mean(lam) for lam in lams]
+        assert got.tail_bound.tolist() == got.slope_bound.tolist() == [0.0] * len(lams)
+        assert got.truncation_l.tolist() == [1] * len(lams)
+        assert press.details(lams[:3]) == [PressureEval(ln_phi.log_mgf(lam), 0.0, 1) for lam in lams[:3]]
 
     def test_ell3_bounds_and_convergence(self):
         dist = RADEMACHER
@@ -871,9 +899,10 @@ class TestPressure:
 
 class TestFinitePressure:
     def test_single_term_is_log_mgf(self):
+        # the centred Bernoulli product: F = -1/4 with probability 3/4, else 3/4
         dist, obs = preset("bernoulli-product")
         assert finite_pressure(dist, obs, 0.7, 1) == pytest.approx(
-            math.log(mgf(dist, obs, 0.7)), rel=1e-12
+            math.log(0.75 * math.exp(-0.7 / 4) + 0.25 * math.exp(3 * 0.7 / 4)), rel=1e-12
         )
 
     def test_ell1_every_n(self):
@@ -881,7 +910,7 @@ class TestFinitePressure:
         obs1 = product_observable(dist, 1)
         for N in (1, 7, 100):
             assert finite_pressure(dist, obs1, 1.3, N) == pytest.approx(
-                math.log(mgf(dist, obs1, 1.3)), rel=1e-12
+                math.log(math.cosh(1.3)), rel=1e-12
             )
 
     def test_converges_to_pressure(self):
