@@ -210,6 +210,20 @@ def fiber_sizes(basis: PrimeBasis, N: int) -> tuple[np.ndarray, np.ndarray]:
     return a_arr, sizes.astype(np.int64)
 
 
+def fiber_order(basis: PrimeBasis, N: int) -> np.ndarray:
+    """1..N fiber by fiber: the skeleton's a ascending, and within fiber a
+    the products a * h for smooth h ascending, as one int64 array.
+
+    Position i of the order lies in the fiber of the a repeated there, at
+    the smooth number whose rank in that fiber is i minus the fiber's start.
+    """
+    a_arr, sizes = fiber_sizes(basis, N)
+    h = _smooth_prefix(basis.primes, bound=N)
+    h_arr = np.asarray(h[: int(sizes[0])], dtype=np.int64)  # fiber 1 holds every smooth h <= N
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return np.repeat(a_arr, sizes) * h_arr[np.arange(N) - starts]
+
+
 def fiber_histogram(basis: PrimeBasis, N: int) -> list[tuple[int, int]]:
     """Sorted (fiber size l, number of a with |B_N(a)| = l) pairs."""
     _, sizes = fiber_sizes(basis, N)

@@ -935,8 +935,9 @@ class RateJ:
 
 def _first_probe(a: float | np.ndarray, M: float) -> float | np.ndarray:
     """|u| / M**2, where both search forms start doubling, at each |u| of ``a``."""
-    # M**2 raises OverflowError past M ~ 1.3e154, and M * M can differ from it in the last bit
-    return a / M**2 if math.isfinite(M * M) else a / M / M
+    # M**2 raises OverflowError past M ~ 1.3e154 and is 0 below M ~ 1e-162, and
+    # M * M can differ from it in the last bit
+    return a / M**2 if 0.0 < M * M < math.inf else a / M / M
 
 
 def _out_of_evaluations(u: float, gap: float, tol: float, limit: int) -> ToleranceError:
@@ -1121,9 +1122,17 @@ def _interpolate_one(ts: list[float], fs: list[float]) -> float | None:
         (x0, x1, x2), (f0, f1, f2) = ts, fs
         if f0 != f1 and f1 != f2 and f0 != f2:
             return (
-                x0 * f1 * f2 / ((f0 - f1) * (f0 - f2))
-                + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
-                + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1))
+                _divide(x0 * f1 * f2, (f0 - f1) * (f0 - f2))
+                + _divide(x1 * f0 * f2, (f1 - f0) * (f1 - f2))
+                + _divide(x2 * f0 * f1, (f2 - f0) * (f2 - f1))
             )
     (x0, x1), (f0, f1) = ts[-2:], fs[-2:]
     return None if f0 == f1 else x1 - f1 * (x1 - x0) / (f1 - f0)
+
+
+def _divide(a: float, b: float) -> float:
+    """a / b as IEEE and numpy take it: +-inf, or nan for 0 / 0, where b is
+    0 (a product of slope differences that underflows), and Python raises."""
+    if b:
+        return a / b
+    return math.copysign(math.inf, a) * math.copysign(1.0, b) if a else math.nan

@@ -63,8 +63,14 @@ table.  Exact sums take one value in any order and the total starts at
 is 1 and each term gathers its own code, in the given order.  A plan
 gives each distinct draw a slot of a small-int table; the draw is
 computed just before the first group that reads it, and its slot is
-freed once the last group that reads it has been added, so terms 1..60
-need 20 slots at ell = 2 (17 one term at a time) and 30 at ell = 3 (28).
+freed once the last group that reads it has been added.  With exact
+sums, dilated terms are planned fiber by fiber (lattice.fiber_order): the
+skeleton's a ascending, and within fiber a the terms a*h for smooth h
+ascending.  Every draw j*a*h of term a*h lies in fiber a, so a fiber's
+terms share draws among themselves only, and the large fibers, whose
+terms cost the fewest new draws each, come first.  Terms 1..60 then need
+8 slots at ell = 2 and at ell = 3, against 20 and 30 in the order 1..60
+(17 and 28 one term at a time), which i.i.d. terms and inexact sums keep.
 ``ldp_estimate`` hands the plan one chunk of at most _LDP_CHUNK keys at a
 time, and the table is capped at _TABLE_BYTES (1 MiB, 32 slots of a
 chunk): when the groups would hold more draws at once, a draw that finds
@@ -72,9 +78,14 @@ the table full is computed again by its next reader.  Narrowing the
 chunks instead would keep every draw once, but their per-call cost grows
 with N: at ell = 2, N = 3000 a 2**15-key chunk took 4.3 s that way,
 against 2.1 s for the per-term loop and 1.3 s for the capped table, one
-term per gather (2-core x86 host).  ``ldp_estimate`` plans
+term per gather (2-core x86 host).  In fiber order the table holds one
+fiber's live draws, and at N = 1e5 no draw is computed twice: 150 000
+draws per replica at ell = 2 and 200 000 at ell = 3, against 199 714 and
+299 671 in the order 1..N.  With exact sums the loop also drops, at group
+boundaries, every replica that can no longer reach S_N >= N*u, and later
+groups draw only for the rest (see _ReplicaPlan).  ``ldp_estimate`` plans
 the table once and sums every chunk of replicas, on every thread,
-through that plan, which at ell = 2, N = 1e5 takes 0.67 s to build.
+through that plan, which at ell = 2, N = 1e5 takes about 0.2 s to build.
 """
 
 from __future__ import annotations
@@ -86,6 +97,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError
+from .lattice import fiber_order, primes_up_to
 from .model import FiniteDistribution, Observable
 
 MASK64 = (1 << 64) - 1
@@ -101,6 +113,9 @@ TRAJECTORY_MODES = ("nonconventional", "iid")
 _BLOCK = 1 << 15
 _LDP_CHUNK = 1 << 15
 _TABLE_BYTES = 1 << 20
+# a checked group boundary compacts the replica loop's keys when at least
+# this share of them can no longer reach the mean u (see _ReplicaPlan)
+_DROP_SHARE = 0.125
 
 # A sum of n terms is allowed while n * sup|F| does not exceed this: then
 # every partial sum, and every difference of two, is finite in float64.
@@ -296,7 +311,9 @@ def _index_dtypes(dist: FiniteDistribution, ell: int) -> tuple[np.dtype, np.dtyp
     return index, code
 
 
-def _draw_plan(terms, ell: int, mode: str, slots: int, group: int = 1) -> tuple[list, int]:
+def _draw_plan(
+    terms, ell: int, mode: str, slots: int, group: int = 1, live: list | None = None
+) -> tuple[list, int]:
     """How a draw table of ``slots`` slots serves ``terms`` in order, in
     groups of ``group`` consecutive terms (the last group may be shorter).
 
@@ -307,7 +324,8 @@ def _draw_plan(terms, ell: int, mode: str, slots: int, group: int = 1) -> tuple[
     than ``slots - group*ell`` draws are so held; otherwise its slot is freed
     after this group and its next reader draws it again.  So when ``slots``
     is large enough every distinct draw is computed once.  ``slots`` must be
-    at least group*ell.
+    at least group*ell.  A ``live`` list receives, per group, the slots
+    still held after it: those whose draws a later group reads.
     """
     ms = np.asarray(terms, dtype=np.uint64)
     width = group * ell
@@ -320,24 +338,28 @@ def _draw_plan(terms, ell: int, mode: str, slots: int, group: int = 1) -> tuple[
     held: set[int] = set()
     free: list[int] = []
     used = 0
+    room = slots - width
     steps = []
     for t, row in enumerate(reads):
         new = []
         for d in row:
             if d not in slot_of:
                 if free:
-                    slot_of[d] = free.pop()
+                    slot = free.pop()
                 else:
-                    slot_of[d] = used
+                    slot = used
                     used += 1
-                new.append((slot_of[d], d))
-                if last[d] > t and len(held) < slots - width:
+                slot_of[d] = slot
+                new.append((slot, d))
+                if last[d] > t and len(held) < room:
                     held.add(d)
         steps.append((new, [slot_of[d] for d in row]))
-        for d in dict.fromkeys(row):
-            if last[d] == t or d not in held:
+        for d in row:  # a draw read twice in the row is freed at most once
+            if d in slot_of and (last[d] == t or d not in held):
                 held.discard(d)
                 free.append(slot_of.pop(d))
+        if live is not None:
+            live.append(list(slot_of.values()) if slot_of else ())
     return steps, used
 
 
@@ -370,6 +392,26 @@ class _ReplicaPlan:
     its slots and gathers its sum.  All draws of a call share one
     workspace.  ``sums`` reads the plan and nothing else that it does not
     build itself, so one plan serves any number of batches and threads.
+    In fiber order (lattice.fiber_order) the dilated terms 1..60 need 8
+    slots at ell = 2 and at ell = 3; in the order 1..60, 20 and 30.
+
+    When every sum of the n terms is exact (_sums_are_exact), ``sums``
+    given a mean u drops, at group boundaries, each key that can no longer
+    reach it.  After k terms, with r = n - k to come, a key with partial
+    sum S_k ends with S_n <= S_k + r*sup_pos, sup_pos = max(0, max F), and
+    it is dropped when (S_k + r*sup_pos) / n < u, computed in float64 with
+    the division and compare of the final test.  That is exact: r*sup_pos
+    and every partial sum are integer multiples of 2**-q of magnitude at
+    most n*M (see _sums_are_exact), so S_k + r*sup_pos is computed without
+    rounding, and fl(x / n) is monotone in x, so a dropped key has
+    fl(S_n / n) < u as well.  The count of keys that reach u is the same
+    bit for bit.  A boundary is checked when a key of least partial sum,
+    k*min F, could be dropped there, and the keys are compacted when at
+    least _DROP_SHARE of them are dropped: the keys, their sums and the
+    slots that a later group reads (``live``) are gathered into the dead
+    "word" buffer and copied back to their heads (the keys to a workspace
+    buffer of their own), so a drop allocates only its index array, and
+    later groups draw only for the keys left.
     """
 
     def __init__(self, dist: FiniteDistribution, obs: Observable, terms, mode: str, block: int):
@@ -380,16 +422,32 @@ class _ReplicaPlan:
         group = _group_size(dist, obs, len(terms))
         width = group * obs.ell
         capacity = max(width, _TABLE_BYTES // (max(1, block) * self.dtype.itemsize))
-        self.steps, self.slots = _draw_plan(terms, obs.ell, mode, capacity, group)
+        self.n = len(terms)
+        self.exact = _sums_are_exact(obs, self.n)
+        self.live = [] if self.exact else None
+        self.steps, self.slots = _draw_plan(terms, obs.ell, mode, capacity, group, self.live)
         # group_sums[w]: F summed over w // ell terms, at the code of their w draws
         self.group_sums = {obs.ell: obs.table}
         for w in range(2 * obs.ell, width + 1, obs.ell):
             self.group_sums[w] = np.add.outer(self.group_sums[w - obs.ell], obs.table).ravel()
         self.thresholds = _thresholds(dist)
+        if self.exact:
+            done = np.minimum(np.arange(1, len(self.steps) + 1) * group, self.n)
+            self.rest = (self.n - done).tolist()  # terms still to come after each step
+            self.least = done * -obs.sup_neg + (self.n - done) * obs.sup_pos  # exact
+            self.sup_pos = obs.sup_pos
 
-    def sums(self, keys: np.ndarray) -> np.ndarray:
+    def _checks(self, u: float) -> set[int]:
+        """The steps, all but the last, after which a key may be dropped."""
+        return set(np.flatnonzero(self.least[:-1] / self.n < u).tolist())
+
+    def sums(self, keys: np.ndarray, u: float | None = None) -> np.ndarray:
         """Per key of the 1-d array ``keys``, at most ``block`` of them, the sum
-        of F over the planned terms."""
+        of F over the planned terms.
+
+        Given ``u`` and exact sums, only the sums of the keys not dropped,
+        in key order; every dropped key's sum / n is below u.
+        """
         dist, thresholds, group_sums = self.dist, self.thresholds, self.group_sums
         ws = Workspace()
         total = np.zeros(keys.shape, dtype=np.float64)
@@ -400,19 +458,45 @@ class _ReplicaPlan:
         code = ws.take("code", self.code_dtype, keys.shape)
         # mix_batch's "word" and "shifted" buffers are dead from a group's
         # last draw to the next group's first; the gather reuses them
-        index = code if code.dtype == np.int64 else ws.take("shifted", np.int64, keys.shape)
+        widen = code.dtype != np.int64
+        index = ws.take("shifted", np.int64, keys.shape) if widen else code
         value = ws.take("word", np.float64, keys.shape)
-        for new, reads in self.steps:
+        checks = self._checks(u) if u is not None and self.exact else ()
+        for t, (new, reads) in enumerate(self.steps):
             for slot, d in new:
                 sample_indices(dist, keys, d, ws, thresholds=thresholds, out=table[slot])
             np.copyto(code, table[reads[0]])
             for slot in reads[1:]:
                 code *= dist.size
                 code += table[slot]
-            if index is not code:
+            if widen:
                 np.copyto(index, code)
             # see _fill_prefix for mode="clip"
             total += np.take(group_sums[len(reads)], index, out=value, mode="clip")
+            if t not in checks:
+                continue
+            # the bounds go to the dead "word" buffer, the mask to the dead "code"
+            bound = np.add(total, self.rest[t] * self.sup_pos, out=value)
+            bound /= self.n
+            keep = np.greater_equal(bound, u, out=ws.take("code", np.bool_, total.shape))
+            m = int(np.count_nonzero(keep))
+            if total.size - m < _DROP_SHARE * total.size:
+                continue
+            keep = np.flatnonzero(keep)
+            # each array is gathered into the dead "word" buffer (np.take
+            # writes in place there, and mode="clip" never clips) and copied
+            # back to its head; the keys to a buffer of their own, which
+            # left the tail-mc job's peak RSS lower than packing the caller's
+            heads = [(keys, ws.take("keys", np.uint64, keys.shape)[:m]), (total, total[:m])]
+            heads += [(table[s], table[s][:m]) for s in self.live[t]]
+            for arr, head in heads:
+                scratch = ws.take("word", arr.dtype, (m,))
+                np.copyto(head, np.take(arr, keep, out=scratch, mode="clip"))
+            keys, total = heads[0][1], heads[1][1]
+            table = [x[:m] for x in table]
+            code, index, value = code[:m], index[:m], value[:m]
+            if not m:
+                break
         return total
 
 
@@ -585,7 +669,9 @@ def ldp_estimate(
     rate_hat = -ln(p_hat)/N, reported as +inf with the zero_count flag when
     no replica exceeds.  The confidence interval is the binomial normal
     approximation on p_hat mapped through -ln(.)/N.  Replica seeds are
-    derived by index, so the result is independent of thread count.
+    derived by index, so the result is independent of thread count.  With
+    exact sums the terms run fiber by fiber and a replica stops drawing
+    once it can no longer reach u (see _ReplicaPlan); the count is the same.
     """
     if N < 1:
         raise InputError("N must be >= 1")
@@ -598,13 +684,16 @@ def ldp_estimate(
     _check_sum_range(obs, N)
     _check_draw_range(obs, N)
     # one draw plan for every chunk of replicas, on every thread
-    plan = _ReplicaPlan(dist, obs, range(1, N + 1), mode, min(_LDP_CHUNK, replicas))
+    terms = range(1, N + 1)
+    if mode == "nonconventional" and _sums_are_exact(obs, N):
+        terms = fiber_order(primes_up_to(obs.ell), N)
+    plan = _ReplicaPlan(dist, obs, terms, mode, min(_LDP_CHUNK, replicas))
 
     def chunk_count(r0: int) -> int:
         keys = mix_batch(seed, np.arange(r0, min(replicas, r0 + _LDP_CHUNK), dtype=np.uint64))
         # total stays bound until the count is taken: with the sums freed as
         # soon as total / N was made, the tail-mc job peaked 0.6 MB higher
-        total = plan.sums(keys)
+        total = plan.sums(keys, u)
         return int(np.count_nonzero((total / N) >= u))
 
     hits = sum(_thread_map(chunk_count, range(0, replicas, _LDP_CHUNK), threads))

@@ -7,8 +7,10 @@ binding silently drops out of its per-layer times.
 
 import importlib
 import io
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ncsums import erlaw, model, rates, simulate
@@ -63,29 +65,74 @@ def test_erlaw_draws_all_pass_through_traced_sample_indices(ell, mode, monkeypat
     assert mode == "iid" or want == {2: 196_624, 3: 284_012}[ell]
 
 
-def test_ldp_draws_all_pass_through_traced_sample_indices(monkeypatch):
-    """Each distinct draw of a replica is drawn once, and every draw is traced."""
-    spans = load_spans(monkeypatch)
+def ldp_argv(law, ell, N, replicas, mode):
+    return [
+        "ldp-check", *law, "--ell", str(ell), "--N", str(N), "--u", "0.3",
+        "--replicas", str(replicas), "--mode", mode, "--skip-theory", "--no-timestamp",
+    ]
+
+
+def traced_draws(spans, argv):
+    tracer = spans.Tracer()
     draw = simulate.sample_indices
+    with spans.patched(tracer):
+        code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
+    assert code == 0
+    assert simulate.sample_indices is draw  # bindings restored
+    return sum(s["count"] for s in tracer.spans if s["name"] == "simulate.draw")
+
+
+def test_ldp_draws_all_pass_through_traced_sample_indices(monkeypatch, tmp_path):
+    """Every draw is traced, and each distinct draw of a replica is drawn once
+    while the replica is live.
+
+    The preset's sums are exact, so replicas that can no longer reach u are
+    dropped: the traced count equals the draws of an untraced run of the
+    same command, each a distinct (replica, draw) pair, every word that run
+    mixes is a replica's key or one of those draws, and there are fewer
+    than replicas * reads.  A Gaussian table's sums are inexact, so no
+    replica is dropped and the count is exactly replicas * reads.
+    """
+    spans = load_spans(monkeypatch)
     replicas, N, ell = 1000, 12, 2
     distinct = {
         "nonconventional": len({j * m for j in range(1, ell + 1) for m in range(1, N + 1)}),
         "iid": N * ell,
     }
     assert distinct["nonconventional"] == 18
+    preset = ["--preset", "rademacher-product"]
+    spec = tmp_path / "gauss.json"
+    table = np.random.default_rng(1).normal(size=4).tolist()
+    spec.write_text(json.dumps(
+        {"values": [0, 1], "probs": [0.5, 0.5], "ell": ell, "kind": "table", "table": table}
+    ))
+    draw, mix = simulate.sample_indices, simulate._mix
+    pairs, words = [], []  # the (key, draw) pairs drawn, the words mixed per call
+
+    def spy(dist, keys, counters, *args, **kwargs):
+        pairs.extend(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(keys, counters))))
+        return draw(dist, keys, counters, *args, **kwargs)
+
+    def counted_mix(*args, **kwargs):
+        z = mix(*args, **kwargs)
+        words.append(z.size)
+        return z
+
     for mode, reads in distinct.items():
-        tracer = spans.Tracer()
-        argv = [
-            "ldp-check", "--preset", "rademacher-product", "--ell", str(ell), "--N", str(N),
-            "--u", "0.3", "--replicas", str(replicas), "--mode", mode, "--skip-theory",
-            "--no-timestamp",
-        ]
-        with spans.patched(tracer):
-            code = main(argv, stdout=io.StringIO(), stderr=io.StringIO())
+        traced = traced_draws(spans, ldp_argv(preset, ell, N, replicas, mode))
+        pairs.clear()
+        words.clear()
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "sample_indices", spy)
+            m.setattr(simulate, "_mix", counted_mix)
+            code = main(ldp_argv(preset, ell, N, replicas, mode), stdout=io.StringIO(),
+                        stderr=io.StringIO())
         assert code == 0
-        draws = [s["count"] for s in tracer.spans if s["name"] == "simulate.draw"]
-        assert sum(draws) == replicas * reads, mode
-        assert simulate.sample_indices is draw  # bindings restored
+        assert traced == len(pairs) == len(set(pairs)) == sum(words) - replicas, mode
+        assert traced < replicas * reads, mode
+        assert len({key for key, _ in pairs}) == replicas  # every replica draws
+        law = ["--spec-file", str(spec)]
+        assert traced_draws(spans, ldp_argv(law, ell, N, replicas, mode)) == replicas * reads, mode
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

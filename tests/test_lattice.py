@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import oracles
@@ -9,6 +10,7 @@ from ncsums.errors import CapacityError, InputError
 from ncsums.lattice import (
     PrimeBasis,
     d_count_int,
+    fiber_order,
     fiber_sizes,
     ln_int,
     partition_check,
@@ -173,6 +175,22 @@ class TestCoprimeAndFibers:
         assert a_arr.tolist() == coprime
         for a, size in zip(a_arr.tolist(), sizes.tolist()):
             assert size == sum(1 for h in smooth if a * h <= N) == d_count_int(basis, N // a)
+
+    def test_fiber_order_examples(self):
+        # B_10(1), B_10(3), B_10(5), B_10(7), B_10(9) in turn
+        assert fiber_order(primes_up_to(2), 10).tolist() == [1, 2, 4, 8, 3, 6, 5, 10, 7, 9]
+        assert fiber_order(primes_up_to(3), 12).tolist() == [1, 2, 3, 4, 6, 8, 9, 12, 5, 10, 7, 11]
+        assert fiber_order(primes_up_to(1), 5).tolist() == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("ell,N", [(1, 30), (2, 1), (2, 600), (3, 1000), (5, 777)])
+    def test_fiber_order_is_the_fibers_in_turn(self, ell, N):
+        basis = primes_up_to(ell)
+        smooth = brute_smooth(basis.primes, N)
+        coprime = [a for a in range(1, N + 1) if math.gcd(a, math.prod(basis.primes)) == 1]
+        want = [a * h for a in coprime for h in smooth if a * h <= N]
+        got = fiber_order(basis, N)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert sorted(want) == list(range(1, N + 1))
 
     @pytest.mark.parametrize("ell,N", [(2, 100), (3, 1000), (5, 10**4), (1, 50)])
     def test_partition(self, ell, N):

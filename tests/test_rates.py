@@ -1000,6 +1000,20 @@ class TestRateJ:
         for u, j in zip(us, conj.grid(us)):
             assert abs(j - rademacher_rate_closed(u)) <= 2 * tol, u
 
+    def test_sup_squared_underflow_searches_alike_on_floats_and_arrays(self):
+        # sup|F|**2 = 1e-340 rounds to 0, so both search forms take their
+        # first probe as |u| / M / M; the floats must also divide as IEEE does
+        # where the inverse quadratic's slope differences underflow
+        dist = FiniteDistribution(values=(-1e-170, 1e-170), probs=(0.5, 0.5))
+        press = Pressure(dist, product_observable(dist, 1))
+        conj = RateJ(press)
+        one = conj(0.5e-170)
+        grid = conj.grid([0.5e-170, 0.3e-170])
+        assert np.float64(one).view(np.uint64) == np.float64(grid[0]).view(np.uint64)
+        # J is scale free: on the law +-M it is the Rademacher I at u / M
+        for j, alpha in zip(grid, (0.5, 0.3)):
+            assert abs(j - rademacher_rate_closed(alpha)) <= press.tol, alpha
+
     def test_pressure_evaluations_per_u(self):
         dist, obs = preset("rademacher-product", ell=3)
         press = Pressure(dist, obs, tol=0.02)

@@ -13,7 +13,7 @@ import oracles
 from oracles import binomial_tail_at_least, ks_statistic, prefix_fsum, unmix_counter
 from ncsums import erlaw, simulate
 from ncsums.errors import CapacityError, InputError
-from ncsums.lattice import primes_up_to
+from ncsums.lattice import fiber_order, primes_up_to
 from ncsums.model import (
     RADEMACHER,
     FiniteDistribution,
@@ -738,15 +738,18 @@ class TestGroupedSums:
             assert same_bits(got, want), N
 
     def test_preset_group_sizes(self):
-        for ell, g, slots in ((1, 8, 8), (2, 4, 20), (3, 2, 30)):
+        # slots in the order 1..60, and in the fiber order ldp_estimate plans
+        for ell, g, slots, fiber_slots in ((1, 8, 8, 8), (2, 4, 20, 8), (3, 2, 30, 8)):
             dist, obs = preset("rademacher-product", ell=ell)
-            plan = simulate._ReplicaPlan(dist, obs, range(1, 61), "nonconventional", 1 << 15)
-            assert len(plan.steps) == 60 // g + (60 % g > 0), ell
-            assert plan.slots == slots, ell
-            # each distinct draw once: 60, 90 and 120 of them
-            drawn = [d for new, _ in plan.steps for _, d in new]
-            distinct = {j * m for j in range(1, ell + 1) for m in range(1, 61)}
-            assert sorted(drawn) == sorted(distinct)
+            fibers = fiber_order(primes_up_to(ell), 60)
+            for terms, want in ((range(1, 61), slots), (fibers, fiber_slots)):
+                plan = simulate._ReplicaPlan(dist, obs, terms, "nonconventional", 1 << 15)
+                assert len(plan.steps) == 60 // g + (60 % g > 0), ell
+                assert plan.slots == want, ell
+                # each distinct draw once: 60, 90 and 120 of them
+                drawn = [d for new, _ in plan.steps for _, d in new]
+                distinct = {j * m for j in range(1, ell + 1) for m in range(1, 61)}
+                assert sorted(drawn) == sorted(distinct)
 
     def test_inexact_sums_keep_one_term_per_gather(self):
         dist, obs = random_law(2, 2, seed=3)  # Gaussian table: sums of 60 terms round
@@ -763,6 +766,84 @@ class TestGroupedSums:
         obs = observable_from_table(dist, 2, [0.5])
         assert simulate._group_size(dist, obs, 60) == 8
         assert simulate._group_size(dist, obs, 3) == 3
+
+
+def drawn_sizes(monkeypatch):
+    """The sizes of every sample_indices batch from here on, one entry per call."""
+    sizes = []
+    draw = simulate.sample_indices
+    monkeypatch.setattr(
+        simulate, "sample_indices", lambda *a, **k: sizes.append(k["out"].size) or draw(*a, **k)
+    )
+    return sizes
+
+
+class TestRejection:
+    """ldp_estimate drops a replica once S_N >= N*u is out of its reach; every count
+    matches the per-term oracle, which sums every term of every replica in order 1..N."""
+
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    @pytest.mark.parametrize("ell", [2, 3])
+    @pytest.mark.parametrize("name,u", [("rademacher-product", 0.3), ("bernoulli-product", 0.1)])
+    def test_counts_equal_the_oracle(self, name, u, ell, mode):
+        dist, obs = preset(name, ell=ell)
+        replicas = 3000
+        want = oracles.ldp_chunk_count(dist, obs, 60, u, 5, 0, replicas, mode)
+        assert 0 < want < replicas // 10
+        est = ldp_estimate(dist, obs, N=60, u=u, replicas=replicas, seed=5, mode=mode)
+        assert est.p_hat == want / replicas
+
+    def test_attainable_mean_keeps_its_hits(self):
+        # N*u = 18 is a value of S_60: a replica that ends at 18 exactly may
+        # not be dropped, so a bound short of one term's sup F fails here
+        dist, obs = preset("rademacher-product", ell=2)
+        N, u, replicas, seed = 60, 0.3, 20_000, 8
+        keys = mix_batch(seed, np.arange(replicas, dtype=np.uint64))
+        total = oracles.replica_total(dist, obs, keys, range(1, N + 1), "nonconventional")
+        assert np.count_nonzero(total == N * u) > 50
+        est = ldp_estimate(dist, obs, N=N, u=u, replicas=replicas, seed=seed)
+        assert est.p_hat == np.count_nonzero(total / N >= u) / replicas
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_chunk_edges_and_threads(self, threads):
+        dist, obs = preset("rademacher-product", ell=2)
+        replicas = simulate._LDP_CHUNK + 1
+        want = oracles.ldp_chunk_count(dist, obs, 60, 0.3, 13, 0, replicas, "nonconventional")
+        est = ldp_estimate(dist, obs, N=60, u=0.3, replicas=replicas, seed=13, threads=threads)
+        assert est.p_hat == want / replicas
+
+    def test_draws_fewer(self, monkeypatch):
+        # at ell = 2, N = 60 each replica has 90 distinct draws; at u = 0.3
+        # about two in three replicas are out of reach after 45 terms
+        sizes = drawn_sizes(monkeypatch)
+        dist, obs = preset("rademacher-product", ell=2)
+        replicas = 2 * simulate._LDP_CHUNK
+        ldp_estimate(dist, obs, N=60, u=0.3, replicas=replicas, seed=21)
+        assert sum(sizes) < 0.8 * 90 * replicas
+
+    def test_inexact_sums_drop_nothing(self, monkeypatch):
+        # a Gaussian table's sums round, so the order stays 1..N and every
+        # replica draws all 90 of its draws
+        sizes = drawn_sizes(monkeypatch)
+        dist, obs = random_law(2, 2, seed=3)
+        assert not simulate._sums_are_exact(obs, 60)
+        replicas = 3000
+        u = max(0.05, obs.mean + 2 * math.sqrt(obs.variance / 60))
+        est = ldp_estimate(dist, obs, N=60, u=u, replicas=replicas, seed=6)
+        assert sum(sizes) == 90 * replicas
+        want = oracles.ldp_chunk_count(dist, obs, 60, u, 6, 0, replicas, "nonconventional")
+        assert 0 < want and est.p_hat == want / replicas
+
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    def test_u_past_sup_drops_every_replica(self, mode, monkeypatch):
+        sizes = drawn_sizes(monkeypatch)
+        dist, obs = preset("rademacher-product", ell=2)
+        replicas = 5000
+        est = ldp_estimate(dist, obs, N=60, u=1.5, replicas=replicas, seed=2, mode=mode)
+        assert est.zero_count and est.p_hat == 0.0
+        # the first group boundary drops them all, and no later group draws:
+        # terms 1, 2, 4 and 8 read draws 1, 2, 4, 8 and 16, i.i.d. terms 1..4 draws 1..8
+        assert sum(sizes) == replicas * {"nonconventional": 5, "iid": 8}[mode]
 
 
 class TestWorkspace:
