@@ -85,7 +85,8 @@ draws per replica at ell = 2 and 200 000 at ell = 3, against 199 714 and
 boundaries, every replica that can no longer reach S_N >= N*u, and later
 groups draw only for the rest (see _ReplicaPlan).  ``ldp_estimate`` plans
 the table once and sums every chunk of replicas, on every thread,
-through that plan, which at ell = 2, N = 1e5 takes about 0.2 s to build.
+through that plan, which at ell = 2, N = 1e5 takes about 0.26 s to build
+in fiber order (0.28 s in the order 1..N; 2-core host).
 """
 
 from __future__ import annotations
@@ -392,8 +393,6 @@ class _ReplicaPlan:
     its slots and gathers its sum.  All draws of a call share one
     workspace.  ``sums`` reads the plan and nothing else that it does not
     build itself, so one plan serves any number of batches and threads.
-    In fiber order (lattice.fiber_order) the dilated terms 1..60 need 8
-    slots at ell = 2 and at ell = 3; in the order 1..60, 20 and 30.
 
     When every sum of the n terms is exact (_sums_are_exact), ``sums``
     given a mean u drops, at group boundaries, each key that can no longer
@@ -405,13 +404,13 @@ class _ReplicaPlan:
     most n*M (see _sums_are_exact), so S_k + r*sup_pos is computed without
     rounding, and fl(x / n) is monotone in x, so a dropped key has
     fl(S_n / n) < u as well.  The count of keys that reach u is the same
-    bit for bit.  A boundary is checked when a key of least partial sum,
-    k*min F, could be dropped there, and the keys are compacted when at
-    least _DROP_SHARE of them are dropped: the keys, their sums and the
-    slots that a later group reads (``live``) are gathered into the dead
-    "word" buffer and copied back to their heads (the keys to a workspace
-    buffer of their own), so a drop allocates only its index array, and
-    later groups draw only for the keys left.
+    bit for bit.  A boundary is checked when a key with S_k = -k*sup_neg,
+    at or below every partial sum, could be dropped there, and the keys
+    are compacted when at least _DROP_SHARE of them are dropped: the keys,
+    their sums and the slots that a later group reads (``live``) are
+    gathered into the dead "word" buffer and copied back to their heads
+    (the keys to a workspace buffer of their own), so a drop allocates only
+    its index array, and later groups draw only for the keys left.
     """
 
     def __init__(self, dist: FiniteDistribution, obs: Observable, terms, mode: str, block: int):
@@ -432,14 +431,10 @@ class _ReplicaPlan:
             self.group_sums[w] = np.add.outer(self.group_sums[w - obs.ell], obs.table).ravel()
         self.thresholds = _thresholds(dist)
         if self.exact:
+            # after each step: r*sup_pos, and the bound at S_k = -k*sup_neg
             done = np.minimum(np.arange(1, len(self.steps) + 1) * group, self.n)
-            self.rest = (self.n - done).tolist()  # terms still to come after each step
-            self.least = done * -obs.sup_neg + (self.n - done) * obs.sup_pos  # exact
-            self.sup_pos = obs.sup_pos
-
-    def _checks(self, u: float) -> set[int]:
-        """The steps, all but the last, after which a key may be dropped."""
-        return set(np.flatnonzero(self.least[:-1] / self.n < u).tolist())
+            slack = (self.n - done) * obs.sup_pos
+            self.slack, self.least = slack.tolist(), done * -obs.sup_neg + slack
 
     def sums(self, keys: np.ndarray, u: float | None = None) -> np.ndarray:
         """Per key of the 1-d array ``keys``, at most ``block`` of them, the sum
@@ -461,7 +456,9 @@ class _ReplicaPlan:
         widen = code.dtype != np.int64
         index = ws.take("shifted", np.int64, keys.shape) if widen else code
         value = ws.take("word", np.float64, keys.shape)
-        checks = self._checks(u) if u is not None and self.exact else ()
+        checks = ()
+        if u is not None and self.exact:  # every step but the last where a key may drop
+            checks = set(np.flatnonzero(self.least[:-1] / self.n < u).tolist())
         for t, (new, reads) in enumerate(self.steps):
             for slot, d in new:
                 sample_indices(dist, keys, d, ws, thresholds=thresholds, out=table[slot])
@@ -476,7 +473,7 @@ class _ReplicaPlan:
             if t not in checks:
                 continue
             # the bounds go to the dead "word" buffer, the mask to the dead "code"
-            bound = np.add(total, self.rest[t] * self.sup_pos, out=value)
+            bound = np.add(total, self.slack[t], out=value)
             bound /= self.n
             keep = np.greater_equal(bound, u, out=ws.take("code", np.bool_, total.shape))
             m = int(np.count_nonzero(keep))
